@@ -79,7 +79,14 @@ def _gb_strings(ideal):
 
 
 def run_command(args) -> int:
-    set_step_limit(args.max_steps)
+    previous = set_step_limit(args.max_steps)
+    try:
+        return _dispatch(args)
+    finally:
+        set_step_limit(previous)
+
+
+def _dispatch(args) -> int:
     cmd = args.command
 
     if cmd == "corpus":

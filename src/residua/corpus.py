@@ -18,6 +18,7 @@ from .fitting import minors
 from .residual import (
     GenericityError,
     ResidualInstance,
+    _random_scalar,
     generic_generators,
     is_residual,
 )
@@ -38,13 +39,6 @@ def _make_ring(nvars: int, characteristic=DEFAULT_PRIME) -> PolyRing:
     return PolyRing(FieldSpec(characteristic), names)
 
 
-def _nonzero_scalar(ring, rng):
-    F = ring.field
-    if F.characteristic == 0:
-        return F.element(rng.randint(1, 100))
-    return F.element(rng.randint(1, F.characteristic - 1))
-
-
 def _random_form(ring, degree, rng) -> Polynomial:
     """Random homogeneous form with every monomial present (nonzero coeffs)."""
     monos = [
@@ -54,7 +48,7 @@ def _random_form(ring, degree, rng) -> Polynomial:
     ]
     d = {}
     for expo in monos:
-        d[expo] = _nonzero_scalar(ring, rng)
+        d[expo] = _random_scalar(ring, rng)
     return ring.from_dict(d)
 
 
@@ -80,7 +74,7 @@ def _random_coordinate_change(ring, rng):
     n = ring.nvars
     F = ring.field
     while True:
-        rows = [[_nonzero_scalar(ring, rng) if rng.random() < 0.7 else F.zero
+        rows = [[_random_scalar(ring, rng) if rng.random() < 0.7 else F.zero
                  for _ in range(n)] for _ in range(n)]
         mat = [[ring.constant(c) for c in row] for row in rows]
         det = minors(ring, mat, n)

@@ -66,29 +66,31 @@ class FieldSpec:
         return Fraction(value)
 
     # -- arithmetic ----------------------------------------------------------
+    # (these test `characteristic` directly: they run once per coefficient
+    # operation, and the property adds a call to each)
 
     def add(self, a, b):
-        if self.is_prime_field:
+        if self.characteristic:
             return (a + b) % self.characteristic
         return a + b
 
     def sub(self, a, b):
-        if self.is_prime_field:
+        if self.characteristic:
             return (a - b) % self.characteristic
         return a - b
 
     def mul(self, a, b):
-        if self.is_prime_field:
+        if self.characteristic:
             return (a * b) % self.characteristic
         return a * b
 
     def neg(self, a):
-        if self.is_prime_field:
+        if self.characteristic:
             return (-a) % self.characteristic
         return -a
 
     def inv(self, a):
-        if self.is_prime_field:
+        if self.characteristic:
             return pow(a, -1, self.characteristic)
         return 1 / a
 

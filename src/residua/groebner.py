@@ -5,12 +5,23 @@ the product/chain criteria, reduced (canonical) bases, elimination.
 Module side: position-over-term Gröbner bases used for syzygies,
 membership of module elements, and expressing a polynomial in terms of
 generators via the augmented-module technique.
+
+Division (`normal_form`, `divide_exact` and the module normal form) keeps
+the dividend as a dict of live terms plus a heap of negated order keys,
+after Monagan and Pearce: the leading term pops off the heap, only the
+divisor's tail times the quotient term is subtracted, a monomial is pushed
+only when it first appears, and a popped monomial whose coefficient has
+cancelled is skipped.  Remainder and quotient terms come out in
+descending order, so they need no final sort.  The divisor is always the
+first element of G whose leading monomial divides, so remainders, and
+with them every basis, are the same as by plain repeated subtraction.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .ring import (
     Polynomial,
@@ -36,9 +47,11 @@ _step_limit = None
 
 
 def set_step_limit(limit):
-    """Set a global cap on S-pair reductions per Buchberger run (None = off)."""
+    """Set a global cap on S-pair reductions per Buchberger run (None = off);
+    returns the cap it replaces."""
     global _step_limit
-    _step_limit = limit
+    previous, _step_limit = _step_limit, limit
+    return previous
 
 
 @dataclass(frozen=True)
@@ -58,6 +71,48 @@ class GroebnerBasis:
 # scalar engine
 # ---------------------------------------------------------------------------
 
+class _Dividend:
+    """A polynomial or module element under division.
+
+    `live` maps every monomial not yet popped to its coefficient (zero once
+    it has cancelled); `heap` holds each of those monomials once, keyed on
+    its negated order key, so the leading term pops first.
+    """
+
+    __slots__ = ("live", "heap", "neg_key", "field", "zero", "mul")
+
+    def __init__(self, terms, neg_key, field, mul=mono_mul):
+        self.live = dict(terms)
+        self.heap = [(neg_key(m), m) for m in self.live]
+        heapq.heapify(self.heap)
+        self.neg_key = neg_key
+        self.field = field
+        self.zero = field.zero
+        self.mul = mul
+
+    def pop(self):
+        """Remove and return the leading (monomial, coefficient), or None."""
+        live, heap, zero = self.live, self.heap, self.zero
+        while heap:
+            m = heappop(heap)[1]
+            c = live.pop(m)
+            if c != zero:
+                return m, c
+        return None
+
+    def sub_multiple(self, tail, q_m, q_c):
+        """Subtract q_c * q_m * tail; no product may lie above a popped monomial."""
+        live, heap, neg_key, mul, F = self.live, self.heap, self.neg_key, self.mul, self.field
+        for tm, tc in tail:
+            m = mul(tm, q_m)
+            old = live.get(m)
+            if old is None:
+                live[m] = F.neg(F.mul(tc, q_c))
+                heappush(heap, (neg_key(m), m))
+            else:
+                live[m] = F.sub(old, F.mul(tc, q_c))
+
+
 def normal_form(f: Polynomial, G) -> Polynomial:
     """Remainder of f on division by the elements of G (full tail reduction)."""
     elements = G.elements if isinstance(G, GroebnerBasis) else tuple(G)
@@ -66,36 +121,35 @@ def normal_form(f: Polynomial, G) -> Polynomial:
         if g.ring != ring:
             raise RingMismatchError("normal_form across different rings")
     F = ring.field
-    lead = [(g.lm(), g.lc(), g) for g in elements if not g.is_zero()]
-    rem = {}
-    p = f
-    while p.terms:
-        m, c = p.terms[0]
-        for lm_g, lc_g, g in lead:
+    lead = [(g.lm(), g.lc(), g.terms[1:]) for g in elements if not g.is_zero()]
+    p = _Dividend(f.terms, ring.order.neg_key, F)
+    rem = []
+    while (term := p.pop()) is not None:
+        m, c = term
+        for lm_g, lc_g, tail in lead:
             if mono_divides(lm_g, m):
-                p = p - g.mul_term(mono_div(m, lm_g), F.div(c, lc_g))
+                p.sub_multiple(tail, mono_div(m, lm_g), F.div(c, lc_g))
                 break
         else:
-            rem[m] = c
-            p = Polynomial(ring, p.terms[1:])
-    return ring.from_dict(rem)
+            rem.append(term)
+    return Polynomial(ring, tuple(rem))
 
 
 def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
     """Quotient f/g when g divides f exactly; raises otherwise."""
     ring = f.ring
     F = ring.field
-    lm_g, lc_g = g.lm(), g.lc()
-    quot = {}
-    p = f
-    while p.terms:
-        m, c = p.terms[0]
+    lm_g, lc_g, tail = g.lm(), g.lc(), g.terms[1:]
+    quot = []
+    p = _Dividend(f.terms, ring.order.neg_key, F)
+    while (term := p.pop()) is not None:
+        m, c = term
         if not mono_divides(lm_g, m):
             raise NotAMemberError(f"inexact division of {f} by {g}")
         q_m, q_c = mono_div(m, lm_g), F.div(c, lc_g)
-        quot[q_m] = q_c
-        p = p - g.mul_term(q_m, q_c)
-    return ring.from_dict(quot)
+        quot.append((q_m, q_c))
+        p.sub_multiple(tail, q_m, q_c)
+    return Polynomial(ring, tuple(quot))
 
 
 def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -241,15 +295,24 @@ class FreeModuleElement:
         return "(" + ", ".join(str(c) for c in self.components) + ")"
 
 
-# Internally a module element is a dict {(position, monomial): coefficient}.
+# Internally a module element is a dict {(position, monomial): coefficient}
+# while it is built, and a canonical tuple of ((position, monomial),
+# coefficient) terms, strictly descending, once it is a basis element.
 # Term order: dominant positions (pos < dominant) beat the rest; within a
 # block, position-over-term extending the ring order (smaller position wins).
 
-def _mkey(ring, dominant):
-    def key(pm):
+def _m_neg_key(ring, dominant):
+    """Negated module order key, for the division heap and for sorting."""
+    ring_neg_key = ring.order.neg_key
+
+    def neg_key(pm):
         pos, m = pm
-        return (1 if pos < dominant else 0, -pos, ring.key(m))
-    return key
+        return (-(pos < dominant), pos, *ring_neg_key(m))
+    return neg_key
+
+
+def _pm_mul(pm, mono):
+    return (pm[0], mono_mul(pm[1], mono))
 
 
 def _to_dict(elem: FreeModuleElement) -> dict:
@@ -267,72 +330,59 @@ def _from_dict(ring, rank, d) -> FreeModuleElement:
     return FreeModuleElement(ring, rank, tuple(ring.from_dict(c) for c in comps))
 
 
-def _m_lead(d, key):
-    return max(d, key=key)
-
-
-def _m_scale_shift(ring, d, mono, coeff):
+def _m_monic(ring, terms):
+    """The canonical terms scaled so the leading coefficient is one."""
     F = ring.field
-    return {(pos, mono_mul(m, mono)): F.mul(c, coeff) for (pos, m), c in d.items()}
+    inv = F.inv(terms[0][1])
+    return tuple((pm, F.mul(c, inv)) for pm, c in terms)
 
 
-def _m_sub(ring, d1, d2):
-    F = ring.field
-    zero = F.zero
-    out = dict(d1)
-    for k, c in d2.items():
-        s = F.sub(out.get(k, zero), c)
-        if s == zero:
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
+def _m_divisor(b):
+    """(lead (position, monomial), lead coefficient, tail) of canonical terms."""
+    return b[0][0], b[0][1], b[1:]
 
 
-def _m_nf(ring, d, basis, key):
-    """Normal form of module element d against basis (list of dicts)."""
-    F = ring.field
-    lead = [(_m_lead(b, key), b) for b in basis if b]
-    rem = {}
-    work = dict(d)
-    while work:
-        pm = _m_lead(work, key)
-        pos, m = pm
-        c = work[pm]
-        reduced = False
-        for (bpos, bm), b in lead:
+def _m_nf(p: _Dividend, divisors) -> tuple:
+    """Remainder terms, descending, of the dividend p against the divisors
+    ((lead position, lead monomial), lead coefficient, tail) in order."""
+    F = p.field
+    rem = []
+    while (term := p.pop()) is not None:
+        (pos, m), c = term
+        for (bpos, bm), bc, tail in divisors:
             if bpos == pos and mono_divides(bm, m):
-                factor_m = mono_div(m, bm)
-                factor_c = F.div(c, b[(bpos, bm)])
-                work = _m_sub(ring, work, _m_scale_shift(ring, b, factor_m, factor_c))
-                reduced = True
+                p.sub_multiple(tail, mono_div(m, bm), F.div(c, bc))
                 break
-        if not reduced:
-            rem[pm] = c
-            del work[pm]
-    return rem
+        else:
+            rem.append(term)
+    return tuple(rem)
+
+
+def _m_remainder(ring, terms, basis, dominant) -> tuple:
+    """Remainder terms of the module terms against a module Gröbner basis."""
+    p = _Dividend(terms, _m_neg_key(ring, dominant), ring.field, _pm_mul)
+    return _m_nf(p, [_m_divisor(b) for b in basis])
 
 
 def _module_groebner(ring, elements, dominant, max_steps=None):
-    key = _mkey(ring, dominant)
+    """Gröbner basis, as monic canonical term tuples, of the dict elements."""
+    neg_key = _m_neg_key(ring, dominant)
     F = ring.field
     if max_steps is None:
         max_steps = _step_limit
 
-    G = []
-    for e in elements:
-        if e:
-            lead = _m_lead(e, key)
-            G.append(_m_scale_shift(ring, e, (0,) * ring.nvars, F.inv(e[lead])))
+    G = [_m_monic(ring, tuple(sorted(e.items(), key=lambda t: neg_key(t[0]))))
+         for e in elements if e]
     if not G:
         return []
+    divisors = [_m_divisor(b) for b in G]
 
     heap = []
 
     def push_pairs(j):
-        (pj, mj) = _m_lead(G[j], key)
+        (pj, mj) = G[j][0][0]
         for i in range(j):
-            (pi, mi) = _m_lead(G[i], key)
+            (pi, mi) = G[i][0][0]
             if pi != pj:
                 continue
             lcm = mono_lcm(mi, mj)
@@ -344,19 +394,19 @@ def _module_groebner(ring, elements, dominant, max_steps=None):
     steps = 0
     while heap:
         _, i, j = heapq.heappop(heap)
-        (pi, mi) = _m_lead(G[i], key)
-        (pj, mj) = _m_lead(G[j], key)
+        (pi, mi) = G[i][0][0]
+        (pj, mj) = G[j][0][0]
         lcm = mono_lcm(mi, mj)
-        a = _m_scale_shift(ring, G[i], mono_div(lcm, mi), F.one)
-        b = _m_scale_shift(ring, G[j], mono_div(lcm, mj), F.one)
-        s = _m_sub(ring, a, b)
+        q_i = mono_div(lcm, mi)
+        s = _Dividend(((_pm_mul(pm, q_i), c) for pm, c in G[i]), neg_key, F, _pm_mul)
+        s.sub_multiple(G[j], mono_div(lcm, mj), F.one)
         steps += 1
         if max_steps is not None and steps > max_steps:
             raise ResourceLimitError(f"exceeded {max_steps} module S-pair reductions")
-        r = _m_nf(ring, s, G, key)
+        r = _m_nf(s, divisors)
         if r:
-            lead = _m_lead(r, key)
-            G.append(_m_scale_shift(ring, r, (0,) * ring.nvars, F.inv(r[lead])))
+            G.append(_m_monic(ring, r))
+            divisors.append(_m_divisor(G[-1]))
             push_pairs(len(G) - 1)
     return G
 
@@ -381,12 +431,11 @@ def syzygies(gens) -> list:
         d[(rank + i, (0,) * ring.nvars)] = ring.field.one
         aug.append(d)
     gb = _module_groebner(ring, aug, dominant=rank)
-    key = _mkey(ring, rank)
     out = []
     for e in gb:
-        pos, _ = _m_lead(e, key)
+        pos, _ = e[0][0]
         if pos >= rank:
-            tail = {(p - rank, mm): c for (p, mm), c in e.items()}
+            tail = {(p - rank, mm): c for (p, mm), c in e}
             if any(p < 0 for (p, _mm) in tail):
                 continue
             syz = _from_dict(ring, m, tail)
@@ -421,13 +470,11 @@ def express_in_terms(f: Polynomial, gens) -> list:
         d[(1 + i, (0,) * ring.nvars)] = ring.field.one
         aug.append(d)
     gb = _module_groebner(ring, aug, dominant=1)
-    key = _mkey(ring, 1)
-    target = {(0, mm): c for mm, c in f.terms}
-    nf = _m_nf(ring, target, gb, key)
-    if any(pos == 0 for (pos, _mm) in nf):
+    nf = _m_remainder(ring, (((0, mm), c) for mm, c in f.terms), gb, 1)
+    if any(pos == 0 for (pos, _mm), _c in nf):
         raise NotAMemberError(f"{f} is not in the ideal of the given generators")
     F = ring.field
-    tail = {(p - 1, mm): F.neg(c) for (p, mm), c in nf.items()}
+    tail = {(p - 1, mm): F.neg(c) for (p, mm), c in nf}
     coeffs = _from_dict(ring, m, tail).components
     check = ring.zero
     for c, g in zip(coeffs, gens):
@@ -447,5 +494,4 @@ def module_member(elem: FreeModuleElement, gens) -> bool:
     ring = elem.ring
     rank = elem.rank
     gb = _module_groebner(ring, [_to_dict(g) for g in gens], dominant=rank)
-    nf = _m_nf(ring, _to_dict(elem), gb, _mkey(ring, rank))
-    return not nf
+    return not _m_remainder(ring, _to_dict(elem).items(), gb, rank)

@@ -99,6 +99,8 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 def _random_scalar(ring, rng):
+    """A random nonzero field element (1..100 over QQ); corpus generation
+    draws its coefficients with it too."""
     F = ring.field
     if F.characteristic == 0:
         return F.element(rng.randint(1, 100))

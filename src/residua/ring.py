@@ -4,6 +4,15 @@ Monomials are plain exponent tuples.  A Polynomial stores its terms as a
 tuple of (monomial, coefficient) pairs, strictly descending in the ring's
 monomial order with no zero coefficients, so equal polynomials compare
 equal structurally.
+
+Kernel invariants:
+
+- Order keys are flat tuples, and every key of one ring has the same
+  length, so keys compare as plain tuples (a block key is the grevlex key
+  of the first block followed by the grevlex key of the second).  Each
+  MonomialOrder binds its key function once, at construction.
+- Addition and subtraction merge two canonical term tuples in one pass
+  and emit a canonical tuple; they never build a dict or sort.
 """
 
 from __future__ import annotations
@@ -11,8 +20,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable
+from functools import cached_property, partial
+from operator import add, le, neg, sub
+from typing import Callable, Iterable
 
 from .field import FieldSpec
 
@@ -30,21 +40,21 @@ class RingMismatchError(ValueError):
 # ---------------------------------------------------------------------------
 
 def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(a + b for a, b in zip(m1, m2))
+    return tuple(map(add, m1, m2))
 
 
 def mono_divides(m1: Monomial, m2: Monomial) -> bool:
     """True when m1 divides m2."""
-    return all(a <= b for a, b in zip(m1, m2))
+    return all(map(le, m1, m2))
 
 
 def mono_div(m1: Monomial, m2: Monomial) -> Monomial:
     """m1 / m2; caller must ensure divisibility."""
-    return tuple(a - b for a, b in zip(m1, m2))
+    return tuple(map(sub, m1, m2))
 
 
 def mono_lcm(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(max(a, b) for a, b in zip(m1, m2))
+    return tuple(map(max, m1, m2))
 
 
 def mono_degree(m: Monomial) -> int:
@@ -52,30 +62,59 @@ def mono_degree(m: Monomial) -> int:
 
 
 def _grevlex_key(m: Monomial):
-    return (sum(m),) + tuple(-e for e in reversed(m))
+    return (sum(m), *map(neg, reversed(m)))
+
+
+def _grevlex_neg_key(m: Monomial):
+    return (-sum(m), *reversed(m))
+
+
+def _lex_key(m: Monomial):
+    return m
+
+
+def _lex_neg_key(m: Monomial):
+    return tuple(map(neg, m))
+
+
+def _block_key(k: int, m: Monomial):
+    # the first part always has k + 1 entries, so the flat tuple compares
+    # exactly as the pair (grevlex key of m[:k], grevlex key of m[k:])
+    return _grevlex_key(m[:k]) + _grevlex_key(m[k:])
+
+
+def _block_neg_key(k: int, m: Monomial):
+    return _grevlex_neg_key(m[:k]) + _grevlex_neg_key(m[k:])
 
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """lex, grevlex, or block-elimination(k) eliminating the first k variables."""
+    """lex, grevlex, or block-elimination(k) eliminating the first k variables.
+
+    `key(m)` is the sort key: a larger key means a larger monomial.
+    `neg_key(m)` is key(m) with every entry negated, so the smallest
+    neg_key belongs to the largest monomial (for min-heaps).
+    """
 
     kind: str = "grevlex"
     block: int = 0
+    key: Callable = dc_field(init=False, repr=False, compare=False)
+    neg_key: Callable = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("lex", "grevlex", "block"):
             raise ValueError(f"unknown monomial order {self.kind!r}")
         if self.kind == "block" and self.block < 1:
             raise ValueError("block-elimination order needs block >= 1")
-
-    def key(self, m: Monomial):
-        """Sort key: larger key means larger monomial."""
         if self.kind == "grevlex":
-            return _grevlex_key(m)
-        if self.kind == "lex":
-            return m
-        k = self.block
-        return (_grevlex_key(m[:k]), _grevlex_key(m[k:]))
+            key, neg_key = _grevlex_key, _grevlex_neg_key
+        elif self.kind == "lex":
+            key, neg_key = _lex_key, _lex_neg_key
+        else:
+            key = partial(_block_key, self.block)
+            neg_key = partial(_block_neg_key, self.block)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "neg_key", neg_key)
 
     def __str__(self):
         if self.kind == "block":
@@ -103,18 +142,17 @@ class PolyRing:
     field: FieldSpec
     variables: tuple
     order: MonomialOrder = dc_field(default_factory=MonomialOrder)
+    key: Callable = dc_field(init=False, repr=False, compare=False)  # the order's key
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("variable names must be unique")
+        object.__setattr__(self, "key", self.order.key)
 
     @property
     def nvars(self) -> int:
         return len(self.variables)
-
-    def key(self, m: Monomial):
-        return self.order.key(m)
 
     # -- polynomial constructors --------------------------------------------
 
@@ -149,9 +187,9 @@ class PolyRing:
 
     def from_dict(self, d: dict) -> "Polynomial":
         zero = self.field.zero
-        terms = [(m, c) for m, c in d.items() if c != zero]
-        terms.sort(key=lambda t: self.key(t[0]), reverse=True)
-        return Polynomial(self, tuple(terms))
+        return Polynomial(self, tuple(
+            (m, d[m]) for m in sorted(d, key=self.key, reverse=True) if d[m] != zero
+        ))
 
     def parse(self, text: str) -> "Polynomial":
         return _Parser(self, text).parse()
@@ -218,20 +256,12 @@ class Polynomial:
     def __add__(self, other):
         other = self._coerce(other)
         self._check_ring(other)
-        F = self.ring.field
-        d = dict(self.terms)
-        zero = F.zero
-        for m, c in other.terms:
-            s = F.add(d.get(m, zero), c)
-            if s == zero:
-                d.pop(m, None)
-            else:
-                d[m] = s
-        return self.ring.from_dict(d)
+        return Polynomial(self.ring, _merge(self.ring, self.terms, other.terms, False))
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return self + (-other)
+        self._check_ring(other)
+        return Polynomial(self.ring, _merge(self.ring, self.terms, other.terms, True))
 
     def __neg__(self):
         F = self.ring.field
@@ -348,6 +378,57 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{self}>"
+
+
+def _merge(ring: PolyRing, a: tuple, b: tuple, subtract: bool) -> tuple:
+    """Terms of a + b, or of a - b when `subtract`, for canonical term
+    tuples a and b: one pass over both, each monomial keyed once."""
+    F = ring.field
+    if not b:
+        return a
+    if not a:
+        return tuple((m, F.neg(c)) for m, c in b) if subtract else b
+    key, zero = ring.key, F.zero
+    combine = F.sub if subtract else F.add
+    out = []
+    append = out.append
+    na, nb = len(a), len(b)
+    i = j = 0
+    ma, ca = a[0]
+    mb, cb = b[0]
+    ka, kb = key(ma), key(mb)
+    while True:
+        if ka > kb:
+            append((ma, ca))
+            i += 1
+            if i == na:
+                break
+            ma, ca = a[i]
+            ka = key(ma)
+        elif ka < kb:
+            append((mb, F.neg(cb)) if subtract else (mb, cb))
+            j += 1
+            if j == nb:
+                break
+            mb, cb = b[j]
+            kb = key(mb)
+        else:
+            s = combine(ca, cb)
+            if s != zero:
+                append((ma, s))
+            i += 1
+            j += 1
+            if i == na or j == nb:
+                break
+            ma, ca = a[i]
+            mb, cb = b[j]
+            ka, kb = key(ma), key(mb)
+    out.extend(a[i:])
+    if subtract:
+        out.extend((m, F.neg(c)) for m, c in b[j:])
+    else:
+        out.extend(b[j:])
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

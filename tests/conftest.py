@@ -1,11 +1,13 @@
 """Shared fixtures and hypothesis strategies for the residua test suite."""
 
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import settings, strategies as st
 
-from residua import GF32003, RATIONALS, Ideal, PolyRing
+from residua import GF32003, RATIONALS, Ideal, MonomialOrder, PolyRing
 
 settings.register_profile("suite", max_examples=25, deadline=None)
 settings.load_profile("suite")
@@ -34,31 +36,56 @@ def parse_ideal(ring, *texts):
 # --- hypothesis strategies -------------------------------------------------
 
 def monomials(nvars, max_degree=3):
-    return st.lists(
-        st.integers(min_value=0, max_value=max_degree), min_size=nvars, max_size=nvars
-    ).map(tuple).filter(lambda m: sum(m) <= max_degree)
+    # sampled from the list rather than filtered, which would reject most draws
+    return st.sampled_from([
+        m for m in product(range(max_degree + 1), repeat=nvars) if sum(m) <= max_degree
+    ])
+
+
+def coefficients(field):
+    """Nonzero field elements: any residue mod p, or small fractions over QQ."""
+    if field.characteristic:
+        return st.integers(min_value=1, max_value=field.characteristic - 1)
+    return st.builds(
+        lambda sign, num, den: Fraction(sign * num, den),
+        st.sampled_from((1, -1)), st.integers(1, 20), st.integers(1, 6),
+    )
 
 
 def polynomials(ring, max_degree=3, max_terms=4):
     def build(pairs):
-        d = {}
-        for m, c in pairs:
-            if sum(m) <= max_degree and c % ring.field.characteristic != 0:
-                d[m] = ring.field.element(c)
-        return ring.from_dict(d)
+        return ring.from_dict({m: ring.field.element(c) for m, c in pairs})
 
-    coeffs = st.integers(min_value=1, max_value=ring.field.characteristic - 1)
     return st.lists(
-        st.tuples(monomials(ring.nvars, max_degree), coeffs),
+        st.tuples(monomials(ring.nvars, max_degree), coefficients(ring.field)),
         min_size=0,
         max_size=max_terms,
     ).map(build)
 
 
+# one three-variable ring per field and monomial order, for kernel invariants
+KERNEL_RINGS = tuple(
+    PolyRing(field, ("x", "y", "z"), order)
+    for field in (GF32003, RATIONALS)
+    for order in (
+        MonomialOrder("grevlex"),
+        MonomialOrder("lex"),
+        MonomialOrder("block", 1),
+        MonomialOrder("block", 2),
+    )
+)
+
+
+def in_kernel_ring(build):
+    """A ring from KERNEL_RINGS followed by the values of the strategies
+    `build(ring)` returns."""
+    return st.sampled_from(KERNEL_RINGS).flatmap(
+        lambda ring: st.tuples(st.just(ring), *build(ring))
+    )
+
+
 def random_homogeneous(ring, degree, rng, density=0.8):
     """Seeded random homogeneous form (test-data helper, not a strategy)."""
-    from itertools import product
-
     d = {}
     for expo in product(range(degree + 1), repeat=ring.nvars):
         if sum(expo) == degree and rng.random() < density:

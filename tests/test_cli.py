@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from residua import GF32003, PolyRing, buchberger
 from residua.cli import main
+from residua.groebner import ResourceLimitError
 
 INSTANCE = """\
 field = GF(32003)
@@ -128,6 +130,16 @@ def test_malformed_instance_exit_one(tmp_path, capsys):
 def test_max_steps_limit(instance_file, capsys):
     assert main(["colon", instance_file, "--max-steps", "1"]) == 1
     assert "resource-limit" in capsys.readouterr().err
+
+
+def test_max_steps_does_not_leak(instance_file, capsys):
+    ring = PolyRing(GF32003, ("x", "y", "z"))
+    gens = [ring.parse(t) for t in ("x^2 + y*z", "y^2 + x*z", "z^2 + x*y")]
+    with pytest.raises(ResourceLimitError):
+        buchberger(gens, max_steps=1)   # the ideal needs more than one step
+    assert main(["colon", instance_file, "--max-steps", "1"]) == 1
+    capsys.readouterr()
+    assert len(buchberger(gens)) > len(gens)
 
 
 def test_corpus_deterministic(tmp_path, capsys):

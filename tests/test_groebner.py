@@ -1,6 +1,9 @@
 """Buchberger, normal forms, elimination, and module (syzygy) computations."""
 
+from itertools import product
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from residua import (
     FreeModuleElement,
@@ -14,10 +17,23 @@ from residua import (
     reduced_groebner,
     set_step_limit,
 )
-from residua.groebner import NotAMemberError, ResourceLimitError, module_member, spoly
-from residua.ring import MonomialOrder
+from residua.groebner import (
+    NotAMemberError,
+    ResourceLimitError,
+    divide_exact,
+    module_member,
+    spoly,
+)
+from residua.ring import MonomialOrder, mono_div, mono_divides
 
-from conftest import random_homogeneous, seeded_rng
+from conftest import (
+    KERNEL_RINGS,
+    coefficients,
+    in_kernel_ring,
+    polynomials,
+    random_homogeneous,
+    seeded_rng,
+)
 from oracles import oracle_member, oracle_remainder, truncated_syzygies
 
 
@@ -135,3 +151,59 @@ def test_gb_of_random_ideals_is_groebner(R3):
         # generators reduce to zero against their own basis
         for g in gens:
             assert normal_form(g, list(G)).is_zero()
+
+
+# --- kernel invariants -----------------------------------------------------
+
+def forms(ring, degree):
+    monos = [m for m in product(range(degree + 1), repeat=ring.nvars) if sum(m) == degree]
+    return st.dictionaries(
+        st.sampled_from(monos), coefficients(ring.field), min_size=1, max_size=3
+    ).map(ring.from_dict)
+
+
+def _reference_normal_form(f, G):
+    """Division by repeated subtraction of whole polynomials."""
+    F = f.ring.field
+    rem, p = f.ring.zero, f
+    while not p.is_zero():
+        m, c = p.terms[0]
+        for g in G:
+            if mono_divides(g.lm(), m):
+                p = p - g.mul_term(mono_div(m, g.lm()), F.div(c, g.lc()))
+                break
+        else:
+            rem = rem + f.ring.monomial(m, c)
+            p = p - f.ring.monomial(m, c)
+    return rem
+
+
+_R = KERNEL_RINGS[0]
+
+
+@given(in_kernel_ring(lambda ring: (
+    st.lists(polynomials(ring, max_degree=2, max_terms=3), min_size=1, max_size=3),
+    polynomials(ring),
+)))
+# both leads divide x; dividing by the first leaves -y, by the second +y
+@example((_R, [_R.parse("x + y"), _R.parse("x - y")], _R.parse("x")))
+def test_normal_form_matches_repeated_subtraction(case):
+    ring, G, f = case
+    G = [g for g in G if not g.is_zero()]
+    assert normal_form(f, G).terms == _reference_normal_form(f, G).terms
+
+
+@given(in_kernel_ring(lambda ring: (
+    st.lists(st.integers(1, 2).flatmap(lambda d: forms(ring, d)), min_size=1, max_size=2),
+    polynomials(ring),
+)))
+def test_normal_form_agrees_with_oracle(case):
+    ring, gens, f = case
+    assert normal_form(f, reduced_groebner(gens)) == oracle_remainder(f, gens, 3)
+
+
+@given(in_kernel_ring(lambda ring: [polynomials(ring)] * 2))
+def test_divide_exact_inverts_mul(case):
+    ring, f, g = case
+    g = g if not g.is_zero() else ring.one
+    assert divide_exact(f * g, g) == f

@@ -1,12 +1,12 @@
 """Polynomial arithmetic, monomial orders, parsing."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from residua import GF32003, MonomialOrder, PolyRing, monomial_cmp
-from residua.ring import ParseError, mono_div, mono_lcm, mono_mul
+from residua.ring import ParseError, mono_div, mono_divides, mono_lcm, mono_mul
 
-from conftest import polynomials
+from conftest import in_kernel_ring, polynomials
 
 
 def test_grevlex_order_on_quadrics(R2):
@@ -95,3 +95,56 @@ def test_pow(R2):
     x, y = R2.gens
     assert (x + y) ** 2 == x * x + x * y + x * y + y * y
     assert (x + y) ** 0 == R2.one
+
+
+# --- kernel invariants -----------------------------------------------------
+
+def _reference_sum(p, q, subtract):
+    """p + q (or p - q) through a dict and a full from_dict sort."""
+    F = p.ring.field
+    d = dict(p.terms)
+    for m, c in q.terms:
+        d[m] = (F.sub if subtract else F.add)(d.get(m, F.zero), c)
+    return p.ring.from_dict(d)
+
+
+@given(in_kernel_ring(lambda ring: [polynomials(ring, max_terms=6)] * 2))
+def test_add_sub_merge_is_canonical(case):
+    ring, p, q = case
+    for subtract, result in ((False, p + q), (True, p - q)):
+        keys = [ring.key(m) for m, _ in result.terms]
+        assert all(k1 > k2 for k1, k2 in zip(keys, keys[1:]))
+        assert all(c != ring.field.zero for _, c in result.terms)
+        assert result.terms == _reference_sum(p, q, subtract).terms
+    assert (p - p).is_zero()
+
+
+exponents = st.tuples(*[st.integers(min_value=0, max_value=3)] * 4)
+
+
+def _nested_grevlex(m):
+    return (sum(m),) + tuple(-e for e in reversed(m))
+
+
+@given(st.lists(exponents, min_size=2, max_size=8), st.integers(1, 3))
+def test_flat_block_key_orders_as_nested_pair(monos, k):
+    order = MonomialOrder("block", k)
+
+    def nested(m):
+        return (_nested_grevlex(m[:k]), _nested_grevlex(m[k:]))
+
+    assert sorted(monos, key=order.key) == sorted(monos, key=nested)
+    for m1, m2 in zip(monos, monos[1:]):
+        assert (order.key(m1) < order.key(m2)) == (nested(m1) < nested(m2))
+
+
+@given(exponents, exponents)
+def test_order_keys_and_mono_helpers(m1, m2):
+    assert MonomialOrder("grevlex").key(m1) == _nested_grevlex(m1)
+    for order in (MonomialOrder("grevlex"), MonomialOrder("lex"),
+                  MonomialOrder("block", 1), MonomialOrder("block", 3)):
+        assert order.neg_key(m1) == tuple(-e for e in order.key(m1))
+    assert mono_mul(m1, m2) == tuple(a + b for a, b in zip(m1, m2))
+    assert mono_lcm(m1, m2) == tuple(max(a, b) for a, b in zip(m1, m2))
+    assert mono_divides(m1, m2) == all(a <= b for a, b in zip(m1, m2))
+    assert mono_div(mono_mul(m1, m2), m2) == m1

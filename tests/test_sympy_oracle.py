@@ -1,0 +1,61 @@
+"""Reduced Gröbner bases against sympy's, an independent implementation.
+
+Skipped when sympy is not installed; it is a test-only dependency.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, strategies as st
+
+from residua import GF32003, RATIONALS, MonomialOrder, PolyRing, reduced_groebner
+
+from conftest import polynomials
+
+sympy = pytest.importorskip("sympy")
+
+VARIABLES = ("x", "y", "z")
+SYMBOLS = sympy.symbols(VARIABLES)
+RINGS = tuple(
+    PolyRing(field, VARIABLES, MonomialOrder(kind))
+    for field in (GF32003, RATIONALS)
+    for kind in ("grevlex", "lex")
+)
+
+
+def to_sympy(p):
+    expr = sympy.Integer(0)
+    for m, c in p.terms:
+        c = Fraction(c)
+        term = sympy.Rational(c.numerator, c.denominator)
+        for s, e in zip(SYMBOLS, m):
+            term *= s**e
+        expr += term
+    return expr
+
+
+def from_sympy(ring, poly):
+    """A sympy Poly as a monic residua polynomial.  sympy's basis elements
+    are not monic: over QQ they are integer-primitive, and modulo p the
+    coefficients are symmetric residues."""
+    F = ring.field
+    return ring.from_dict(
+        {m: F.element(Fraction(int(c.p), int(c.q))) for m, c in poly.terms()}
+    ).monic()
+
+
+@given(st.sampled_from(RINGS).flatmap(lambda ring: st.tuples(
+    st.just(ring), st.lists(polynomials(ring, max_degree=2, max_terms=3), min_size=1, max_size=3)
+)))
+def test_reduced_groebner_matches_sympy(case):
+    ring, gens = case
+    gens = [g for g in gens if not g.is_zero()]
+    assume(gens)
+    options = {"modulus": ring.field.characteristic} if ring.field.characteristic else {}
+    theirs = sympy.groebner(
+        [to_sympy(g) for g in gens], *SYMBOLS, order=str(ring.order), **options
+    )
+    expected = sorted(
+        (from_sympy(ring, q) for q in theirs.polys), key=lambda g: ring.key(g.lm())
+    )
+    assert list(reduced_groebner(gens, max_steps=200000)) == expected
