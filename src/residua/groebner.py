@@ -180,12 +180,13 @@ def buchberger(gens, max_steps=None) -> GroebnerBasis:
     if not G:
         return GroebnerBasis(ring, ())
 
+    leads = [g.lm() for g in G]
     heap = []
     pending = set()
 
     def push_pairs(j):
         for i in range(j):
-            lcm = mono_lcm(G[i].lm(), G[j].lm())
+            lcm = mono_lcm(leads[i], leads[j])
             heapq.heappush(heap, (ring.key(lcm), i, j))
             pending.add((i, j))
 
@@ -196,17 +197,17 @@ def buchberger(gens, max_steps=None) -> GroebnerBasis:
     while heap:
         _, i, j = heapq.heappop(heap)
         pending.discard((i, j))
-        lm_i, lm_j = G[i].lm(), G[j].lm()
+        lm_i, lm_j = leads[i], leads[j]
         lcm = mono_lcm(lm_i, lm_j)
         # product criterion: coprime leading monomials
         if lcm == mono_mul(lm_i, lm_j):
             continue
         # chain criterion
         skip = False
-        for k in range(len(G)):
+        for k, lm_k in enumerate(leads):
             if k in (i, j):
                 continue
-            if mono_divides(G[k].lm(), lcm):
+            if mono_divides(lm_k, lcm):
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
                 if pik not in pending and pjk not in pending:
@@ -221,6 +222,7 @@ def buchberger(gens, max_steps=None) -> GroebnerBasis:
         r = normal_form(spoly(G[i], G[j]), G)
         if not r.is_zero():
             G.append(r.monic())
+            leads.append(r.lm())
             push_pairs(len(G) - 1)
 
     return GroebnerBasis(ring, tuple(G))

@@ -1,9 +1,17 @@
 """Ideal-level operations: sum, intersection, colon, equality, dimension,
-height, minimal generators, and the G_s test via Fitting-ideal heights."""
+height, minimal generators, and the G_s test via Fitting-ideal heights.
+
+An `Ideal` caches the work that depends only on it: its reduced Gröbner
+basis, `min_gens(I)`, `height(I)`, and, keyed by the exact generator tuple
+of `a`, every colon `a : I` computed with it as the divisor.  The caches
+live on the ideal and die with it; nothing is cached at module level.  An
+entry is stored only once its computation has returned, and nothing
+assigns `ring` or `generators` after construction, so a cached value is
+exactly what recomputing it from the same generators would give: outputs
+cannot change, and repeated inputs share one result object.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field as dc_field
 
 from .ring import Polynomial, PolyRing, MonomialOrder, RingMismatchError
 from .groebner import (
@@ -24,11 +32,13 @@ class DivisionInexactError(RuntimeError):
     """Internal consistency failure in the colon computation."""
 
 
-@dataclass
 class Ideal:
-    ring: PolyRing
-    generators: tuple
-    _gb: GroebnerBasis = dc_field(default=None, repr=False, compare=False)
+    """The ideal of `ring` generated by `generators` (kept in the given order).
+
+    `==` is ideal equality (same ring, same reduced basis), so ideals are
+    unhashable."""
+
+    __slots__ = ("ring", "generators", "_gb", "_min_gens", "_height", "_colons")
 
     def __init__(self, ring: PolyRing, generators):
         self.ring = ring
@@ -41,6 +51,19 @@ class Ideal:
             gens.append(g)
         self.generators = tuple(gens)
         self._gb = None
+        self._min_gens = None
+        self._height = None
+        self._colons = {}
+
+    def __eq__(self, other):
+        if not isinstance(other, Ideal):
+            return NotImplemented
+        return self.ring == other.ring and ideal_equal(self, other)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Ideal({self.ring!r}, {self.generators!r})"
 
     # -- canonical form ------------------------------------------------------
 
@@ -140,16 +163,20 @@ def _colon_principal(a: Ideal, f: Polynomial) -> Ideal:
 
 
 def colon(a: Ideal, I: Ideal) -> Ideal:
-    """The quotient ideal a : I = {r : r·I ⊆ a}."""
+    """The quotient ideal a : I = {r : r·I ⊆ a}, memoized on I by the
+    generator tuple of a."""
     if a.ring != I.ring:
         raise RingMismatchError("colon across rings")
+    result = I._colons.get(a.generators)
+    if result is not None:
+        return result
     gens = [g for g in I.generators if not g.is_zero()]
     if not gens:
         raise ValueError("colon by the zero ideal")
-    result = None
     for f in gens:
         piece = _colon_principal(a, f)
         result = piece if result is None else intersect(result, piece)
+    I._colons[a.generators] = result
     return result
 
 
@@ -191,9 +218,9 @@ def dimension(I: Ideal) -> int:
 def height(I: Ideal) -> int:
     """Codimension; the polynomial ring is catenary and equidimensional,
     so height = nvars - dim(R/I).  Unit ideal reports the variable count."""
-    if I.is_unit():
-        return I.ring.nvars
-    return I.ring.nvars - dimension(I)
+    if I._height is None:
+        I._height = I.ring.nvars if I.is_unit() else I.ring.nvars - dimension(I)
+    return I._height
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +228,10 @@ def height(I: Ideal) -> int:
 # ---------------------------------------------------------------------------
 
 def min_gens(I: Ideal) -> list:
-    """A minimal homogeneous generating sequence (graded Nakayama)."""
+    """A minimal homogeneous generating sequence (graded Nakayama); a new
+    list on every call."""
+    if I._min_gens is not None:
+        return list(I._min_gens)
     gens = [g for g in I.generators if not g.is_zero()]
     for g in gens:
         if not g.is_homogeneous():
@@ -214,6 +244,7 @@ def min_gens(I: Ideal) -> list:
             continue
         if not normal_form(g, reduced_groebner(kept)).is_zero():
             kept.append(g.monic())
+    I._min_gens = tuple(kept)
     return kept
 
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from residua import GF32003, PolyRing, buchberger
+from residua import GF32003, RATIONALS, PolyRing, buchberger
 from residua.cli import main
 from residua.groebner import ResourceLimitError
 
@@ -24,6 +24,18 @@ vars = x, y
 I = x, y
 a = x^2, y^2
 family = ci
+"""
+
+# I: the 2x2 minors of [[x, y + z], [y, x + 2*z], [z, x - y]]; a: the two
+# general elements that `s = 2` with seed 1 draws over QQ, written out so that
+# every field verifies the same a
+QQ_HB2_INSTANCE = """\
+field = QQ
+vars = x, y, z
+I = x^2 - y^2 + 2*x*z - y*z, x^2 - x*y - y*z - z^2, x*y - y^2 - x*z - 2*z^2
+a = 91*x^2 + 25*x*y - 116*y^2 - 62*x*z - 91*y*z - 269*z^2, \
+42*x^2 - 17*x*y - 25*y^2 + 2*x*z - 42*y*z - 65*z^2
+family = hb2
 """
 
 
@@ -84,6 +96,20 @@ def test_verify_kitt_eq(ci_file, capsys):
     code, doc = run_json(capsys, ["verify", "kitt-eq", ci_file])
     assert code == 0
     assert doc["verdict"] == "equal"
+
+
+def test_verify_thm25_over_qq_and_a_prime(tmp_path, capsys):
+    path = tmp_path / "qq.txt"
+    path.write_text(QQ_HB2_INSTANCE)
+    leads = []
+    for field, flags in ((RATIONALS, []), (GF32003, ["--field", "p32003"])):
+        code, doc = run_json(capsys, ["verify", "thm25", str(path), *flags])
+        assert code == 0
+        assert doc["verdict"] == "equal"
+        assert doc["instance"]["ring"].startswith(str(field))
+        ring = PolyRing(field, ("x", "y", "z"))
+        leads.append([ring.parse(p).lm() for p in doc["lhs"]])
+    assert leads[0] == leads[1]
 
 
 def test_verify_hypothesis_error_exit_one(instance_file, capsys):

@@ -15,8 +15,10 @@ from residua import (
     min_gens,
     mu,
 )
+from residua import ideals
 from residua.ideals import NonHomogeneousError
 from residua.fitting import minors
+from residua.groebner import ResourceLimitError, set_step_limit
 
 from conftest import parse_ideal, random_homogeneous, seeded_rng
 from oracles import monomial_colon, oracle_member
@@ -66,6 +68,84 @@ def test_ideal_equal_sum(R2):
     lhs = ideal_sum(parse_ideal(R2, "x^2", "y^2"), parse_ideal(R2, "x*y"))
     rhs = colon(parse_ideal(R2, "x^2", "y^2"), parse_ideal(R2, "x", "y"))
     assert ideal_equal(lhs, rhs)
+
+
+def test_eq_is_ideal_equality(R2, R3):
+    I = parse_ideal(R2, "x", "y")
+    assert I == parse_ideal(R2, "y", "x")
+    assert I == parse_ideal(R2, "y", "x^2 + x*y", "x", "x*y")
+    assert I != parse_ideal(R2, "x", "y^2")
+    assert I != parse_ideal(R3, "x", "y")   # another ring: unequal, not an error
+    assert I != ("x", "y")
+    with pytest.raises(TypeError):
+        hash(I)
+
+
+def _hb2_pair(ring):
+    """(a, I): two general quadrics a inside a height-2 perfect ideal I."""
+    rng = seeded_rng("memo")
+    matrix = [[random_homogeneous(ring, 1, rng) for _ in range(2)] for _ in range(3)]
+    I = minors(ring, matrix, 2)
+    x = I.generators
+    a = Ideal(ring, (x[0] + x[1].scale(3), x[1] + x[2].scale(5)))
+    return a, I
+
+
+def test_colon_memo_returns_same_object(R3):
+    a, I = _hb2_pair(R3)
+    first = colon(a, I)
+    # keyed on the generator tuple of a, not on the ideal object a
+    assert colon(Ideal(R3, a.generators), I) is first
+    fresh = colon(Ideal(R3, a.generators), Ideal(R3, I.generators))
+    assert fresh is not first
+    assert fresh.groebner().elements == first.groebner().elements
+
+
+def test_colon_memo_is_per_divisor(R2):
+    a = parse_ideal(R2, "x^2", "y^2")
+    I = parse_ideal(R2, "x", "y")
+    assert ideal_equal(colon(a, I), parse_ideal(R2, "x^2", "x*y", "y^2"))
+    assert ideal_equal(colon(a, parse_ideal(R2, "x")), parse_ideal(R2, "x", "y^2"))
+    # an equal divisor with other generators keeps a memo of its own
+    assert ideal_equal(colon(a, parse_ideal(R2, "y", "x", "x + y")), colon(a, I))
+    assert colon(a, Ideal(R2, I.generators)) is not colon(a, I)
+
+
+def test_colon_memo_skips_interrupted_runs(R3, monkeypatch):
+    a, I = _hb2_pair(R3)
+    previous = set_step_limit(1)
+    try:
+        with pytest.raises(ResourceLimitError):
+            colon(a, I)
+    finally:
+        set_step_limit(previous)
+    assert not I._colons
+    expected = colon(Ideal(R3, a.generators), Ideal(R3, I.generators))
+    assert colon(a, I).groebner().elements == expected.groebner().elements
+
+    # interrupted after the first principal colon has returned
+    J = Ideal(R3, I.generators)
+    principal = ideals._colon_principal
+
+    def fail_after_first(a_, f):
+        if f is not J.generators[0]:
+            raise ResourceLimitError("interrupted")
+        return principal(a_, f)
+
+    monkeypatch.setattr(ideals, "_colon_principal", fail_after_first)
+    with pytest.raises(ResourceLimitError):
+        colon(a, J)
+    assert not J._colons
+
+
+def test_min_gens_returns_a_new_list(R2):
+    I = parse_ideal(R2, "x", "y", "x^2 + x*y")
+    first = min_gens(I)
+    expected = list(first)
+    first.clear()
+    assert min_gens(I) == expected
+    assert min_gens(I) is not min_gens(I)
+    assert mu(I) == 2
 
 
 def test_dimension_and_height(R2):
