@@ -28,13 +28,17 @@ from .ideals import (
     height,
     min_gens,
     mu,
-    check_Gs,
 )
-from .fitting import PresentationMatrix, minors, presentation_of_quotient, fitt0_quotient
+from .fitting import (
+    PresentationMatrix,
+    check_Gs,
+    minors,
+    presentation_of_quotient,
+    fitt0_quotient,
+)
 from .koszul import (
     ExteriorElement,
     KoszulComplex,
-    koszul_differential,
     homology_lifts,
     kitt,
     kitt_via_cycles,

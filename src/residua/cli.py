@@ -33,22 +33,17 @@ from .residual import GenericityError, HypothesisError, verify
 DEFAULT_MAX_STEPS = 200000
 
 
-def _document(instance, theorem, lhs, rhs, verdict, hypotheses, seed, input_hash):
-    return {
-        "instance": instance,
-        "theorem": theorem,
-        "lhs": lhs,
-        "rhs": rhs,
-        "verdict": verdict,
-        "hypotheses": hypotheses,
-        "seed": seed,
-        "input_hash": input_hash,
-        "version": f"residua {__version__}",
-    }
+# the subcommands that print one ideal of the instance: its reduced basis
+# becomes the document's `lhs`
+IDEAL_COMMANDS = {
+    "gb": lambda inst: inst.I,
+    "colon": lambda inst: colon(inst.a, inst.I),
+    "fitt0": lambda inst: fitt0_quotient(inst.I, inst.a),
+    "kitt": lambda inst: kitt(inst.a, inst.I),
+}
 
 
-def _emit(doc, out_path):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _write(text, out_path):
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -74,10 +69,6 @@ def _load_instance(path, args):
     return parse_instance(text), digest
 
 
-def _gb_strings(ideal):
-    return [str(p) for p in ideal.groebner().elements]
-
-
 def run_command(args) -> int:
     previous = set_step_limit(args.max_steps)
     try:
@@ -87,64 +78,35 @@ def run_command(args) -> int:
 
 
 def _dispatch(args) -> int:
-    cmd = args.command
-
-    if cmd == "corpus":
+    if args.command == "corpus":
         instances = generate_corpus(args.family, args.count, seed=args.seed or 0)
-        text = "".join(
-            format_instance(inst) + "\n" for inst in instances
-        )
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("".join(format_instance(inst) + "\n" for inst in instances), args.out)
         return 0
 
     inst, digest = _load_instance(args.file, args)
-    if cmd == "gb":
-        doc = _document(
-            inst.describe(), None, _gb_strings(inst.I), None, "ok", [], inst.seed, digest
-        )
-        _emit(doc, args.out)
-        return 0
-    if cmd == "colon":
-        result = colon(inst.a, inst.I)
-        doc = _document(
-            inst.describe(), None, _gb_strings(result), None, "ok", [], inst.seed, digest
-        )
-        _emit(doc, args.out)
-        return 0
-    if cmd == "fitt0":
-        result = fitt0_quotient(inst.I, inst.a)
-        doc = _document(
-            inst.describe(), None, _gb_strings(result), None, "ok", [], inst.seed, digest
-        )
-        _emit(doc, args.out)
-        return 0
-    if cmd == "kitt":
-        result = kitt(inst.a, inst.I)
-        doc = _document(
-            inst.describe(), None, _gb_strings(result), None, "ok", [], inst.seed, digest
-        )
-        _emit(doc, args.out)
-        return 0
-    if cmd == "verify":
+    if args.command == "verify":
         report = verify(args.theorem, inst)
-        rd = report.to_dict()
-        doc = _document(
-            rd["instance"],
-            rd["theorem"],
-            rd["lhs"],
-            rd["rhs"],
-            rd["verdict"],
-            rd["hypotheses"],
-            rd["seed"],
-            digest,
-        )
-        _emit(doc, args.out)
-        return 0 if report.verdict == "equal" else 2
-    raise ValueError(f"unknown command {cmd!r}")
+        doc = report.to_dict()
+        # a timing would make the document differ between runs, and the
+        # verdict already says whether rhs lies in lhs
+        del doc["rhs_contained_in_lhs"], doc["timing_seconds"]
+        code = 0 if report.verdict == "equal" else 2
+    else:
+        code = 0
+        ideal = IDEAL_COMMANDS[args.command](inst)
+        doc = {
+            "instance": inst.describe(),
+            "theorem": None,
+            "lhs": [str(p) for p in ideal.groebner().elements],
+            "rhs": None,
+            "verdict": "ok",
+            "hypotheses": [],
+            "seed": inst.seed,
+        }
+    doc["input_hash"] = digest
+    doc["version"] = f"residua {__version__}"
+    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    return code
 
 
 _OPTION_DEFAULTS = {
@@ -168,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(prog="residua", parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in ("gb", "colon", "fitt0", "kitt"):
+    for cmd in IDEAL_COMMANDS:
         p = sub.add_parser(cmd, parents=[common])
         p.add_argument("file")
     p = sub.add_parser("verify", parents=[common])

@@ -1,9 +1,10 @@
-"""Presentation matrices and Fitting ideals.
+"""Presentation matrices, Fitting ideals and the G_s condition.
 
 The quotient I/a is presented by [A|B]: the syzygy columns A of a minimal
 generating sequence x_1..x_n of I, followed by one column per generator
 a_j of a recording a_j = sum c_ij x_i.  Fitt_0(I/a) is then the ideal of
-n x n minors.
+n x n minors.  The Fitting ideals of I itself, and with them G_s, are
+minors of A alone; `_syzygy_rows` is the one place that builds A.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from itertools import combinations
 
 from .ring import PolyRing
 from .groebner import express_in_terms, ideal_syzygies
-from .ideals import Ideal, min_gens
+from .ideals import Ideal, height, ideal_sum, min_gens
 
 
 class NotASubidealError(ValueError):
@@ -23,9 +24,7 @@ class NotASubidealError(ValueError):
 @dataclass(frozen=True)
 class PresentationMatrix:
     ring: PolyRing
-    entries: tuple        # rows of polynomials
-    target_gens: tuple    # the n polynomials being presented
-    n_syzygy_cols: int    # leading columns are syzygies; the rest are B-columns
+    entries: tuple        # rows of polynomials: syzygy columns, then B-columns
 
     @property
     def rows(self) -> int:
@@ -81,22 +80,26 @@ def minors(ring: PolyRing, matrix, r: int) -> Ideal:
     return Ideal(ring, gens)
 
 
+def _syzygy_rows(x) -> list:
+    """Rows, one per x_i, of the matrix whose columns are the syzygies of
+    the nonempty sequence x."""
+    syz = ideal_syzygies(x)
+    return [[s.components[i] for s in syz] for i in range(len(x))]
+
+
 def presentation_of_quotient(I: Ideal, a: Ideal) -> PresentationMatrix:
     """The [A|B] presentation of I/a over min_gens(I)."""
     if not I.contains_ideal(a):
         raise NotASubidealError("a is not contained in I")
     x = min_gens(I)
-    n = len(x)
-    ring = I.ring
-    a_gens = [g for g in a.generators if not g.is_zero()]
-    if n == 0:
-        return PresentationMatrix(ring, (), (), 0)
-    syz = ideal_syzygies(x)
-    cols = [[s.components[i] for i in range(n)] for s in syz]
-    for g in a_gens:
-        cols.append(express_in_terms(g, x))
-    entries = tuple(tuple(col[i] for col in cols) for i in range(n))
-    return PresentationMatrix(ring, entries, tuple(x), len(syz))
+    if not x:
+        return PresentationMatrix(I.ring, ())
+    rows = _syzygy_rows(x)
+    for g in a.generators:
+        if not g.is_zero():
+            for row, c in zip(rows, express_in_terms(g, x)):
+                row.append(c)
+    return PresentationMatrix(I.ring, tuple(tuple(row) for row in rows))
 
 
 def fitt0_quotient(I: Ideal, a: Ideal) -> Ideal:
@@ -110,9 +113,19 @@ def fitt0_quotient(I: Ideal, a: Ideal) -> Ideal:
 def fitting_ideal(I: Ideal, j: int) -> Ideal:
     """Fitt_j(I) from the syzygy presentation of min_gens(I)."""
     x = min_gens(I)
-    n = len(x)
-    if n == 0:
+    if not x:
         return Ideal(I.ring, (I.ring.one,))
-    syz = ideal_syzygies(x)
-    matrix = [[s.components[i] for s in syz] for i in range(n)]
-    return minors(I.ring, matrix, n - j)
+    return minors(I.ring, _syzygy_rows(x), len(x) - j)
+
+
+def check_Gs(I: Ideal, s: int) -> bool:
+    """G_s via heights of Fitting ideals of I:
+    height(Fitt_j(I) + I) >= j+1 for 0 <= j <= s-1."""
+    if I.is_unit() or I.is_zero():
+        raise ValueError("check_Gs needs a proper nonzero ideal")
+    x = min_gens(I)
+    rows = _syzygy_rows(x)
+    for j in range(s):
+        if height(ideal_sum(minors(I.ring, rows, len(x) - j), I)) < j + 1:
+            return False
+    return True

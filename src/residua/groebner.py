@@ -58,7 +58,6 @@ def set_step_limit(limit):
 class GroebnerBasis:
     ring: PolyRing
     elements: tuple
-    reduced: bool = False
 
     def __iter__(self):
         return iter(self.elements)
@@ -244,7 +243,7 @@ def reduce_basis(G: GroebnerBasis) -> GroebnerBasis:
         others = minimal[:idx] + minimal[idx + 1:]
         reduced.append(normal_form(g, others).monic())
     reduced.sort(key=lambda g: ring.key(g.lm()))
-    return GroebnerBasis(ring, tuple(reduced), reduced=True)
+    return GroebnerBasis(ring, tuple(reduced))
 
 
 def reduced_groebner(gens, max_steps=None) -> GroebnerBasis:
@@ -366,12 +365,11 @@ def _m_remainder(ring, terms, basis, dominant) -> tuple:
     return _m_nf(p, [_m_divisor(b) for b in basis])
 
 
-def _module_groebner(ring, elements, dominant, max_steps=None):
+def _module_groebner(ring, elements, dominant):
     """Gröbner basis, as monic canonical term tuples, of the dict elements."""
     neg_key = _m_neg_key(ring, dominant)
     F = ring.field
-    if max_steps is None:
-        max_steps = _step_limit
+    max_steps = _step_limit
 
     G = [_m_monic(ring, tuple(sorted(e.items(), key=lambda t: neg_key(t[0]))))
          for e in elements if e]

@@ -1,5 +1,5 @@
 """Ideal-level operations: sum, intersection, colon, equality, dimension,
-height, minimal generators, and the G_s test via Fitting-ideal heights.
+height and minimal generators.
 
 An `Ideal` caches the work that depends only on it: its reduced Gröbner
 basis, `min_gens(I)`, `height(I)`, and, keyed by the exact generator tuple
@@ -18,7 +18,7 @@ from .groebner import (
     GroebnerBasis,
     NotAMemberError,
     divide_exact,
-    ideal_syzygies,
+    eliminate,
     normal_form,
     reduced_groebner,
 )
@@ -72,7 +72,7 @@ class Ideal:
         if self._gb is None:
             gens = [g for g in self.generators if not g.is_zero()]
             if not gens:
-                self._gb = GroebnerBasis(self.ring, (), reduced=True)
+                self._gb = GroebnerBasis(self.ring, ())
             else:
                 self._gb = reduced_groebner(gens)
         return self._gb
@@ -116,35 +116,25 @@ def _fresh_var(ring: PolyRing) -> str:
     return name
 
 
-def _extend_ring(ring: PolyRing):
-    """Ring with one fresh elimination variable in front, block order."""
-    t = _fresh_var(ring)
-    ext = PolyRing(ring.field, (t,) + ring.variables, MonomialOrder("block", 1))
-    return ext, t
-
-
-def _lift(p: Polynomial, ext: PolyRing) -> Polynomial:
-    return ext.from_dict({(0,) + m: c for m, c in p.terms})
-
-
-def _drop(p: Polynomial, ring: PolyRing) -> Polynomial:
-    return ring.from_dict({m[1:]: c for m, c in p.terms})
-
-
 def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I ∩ J via the auxiliary variable trick: eliminate t from tI + (1-t)J."""
+    """I ∩ J via the auxiliary variable trick: eliminate a fresh t, put in
+    front under the block(1) order, from tI + (1-t)J."""
     if I.ring != J.ring:
         raise RingMismatchError("intersect across rings")
     ring = I.ring
     if I.is_zero() or J.is_zero():
         return Ideal(ring, ())
-    ext, tname = _extend_ring(ring)
+    tname = _fresh_var(ring)
+    ext = PolyRing(ring.field, (tname,) + ring.variables, MonomialOrder("block", 1))
     t = ext.var(tname)
-    gens = [t * _lift(g, ext) for g in I.generators if not g.is_zero()]
-    gens += [(ext.one - t) * _lift(g, ext) for g in J.generators if not g.is_zero()]
-    gb = reduced_groebner(gens)
-    kept = [_drop(g, ring) for g in gb.elements if all(m[0] == 0 for m, _ in g.terms)]
-    return Ideal(ring, kept)
+
+    def lift(g):
+        return ext.from_dict({(0,) + m: c for m, c in g.terms})
+
+    gens = [t * lift(g) for g in I.generators if not g.is_zero()]
+    gens += [(ext.one - t) * lift(g) for g in J.generators if not g.is_zero()]
+    kept = eliminate(gens, 1)
+    return Ideal(ring, [ring.from_dict({m[1:]: c for m, c in g.terms}) for g in kept])
 
 
 def _colon_principal(a: Ideal, f: Polynomial) -> Ideal:
@@ -224,7 +214,7 @@ def height(I: Ideal) -> int:
 
 
 # ---------------------------------------------------------------------------
-# minimal generators and G_s
+# minimal generators
 # ---------------------------------------------------------------------------
 
 def min_gens(I: Ideal) -> list:
@@ -250,21 +240,3 @@ def min_gens(I: Ideal) -> list:
 
 def mu(I: Ideal) -> int:
     return len(min_gens(I))
-
-
-def check_Gs(I: Ideal, s: int) -> bool:
-    """G_s via heights of Fitting ideals of I:
-    height(Fitt_j(I) + I) >= j+1 for 0 <= j <= s-1."""
-    from .fitting import minors  # local import to avoid a cycle
-
-    if I.is_unit() or I.is_zero():
-        raise ValueError("check_Gs needs a proper nonzero ideal")
-    x = min_gens(I)
-    n = len(x)
-    syz = ideal_syzygies(x)
-    matrix = [[s_.components[i] for s_ in syz] for i in range(n)]
-    for j in range(s):
-        fitt_j = minors(I.ring, matrix, n - j)
-        if height(ideal_sum(fitt_j, I)) < j + 1:
-            return False
-    return True

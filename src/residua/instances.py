@@ -60,7 +60,7 @@ def parse_order(text: str) -> MonomialOrder:
     raise ValueError(f"unknown monomial order {text!r}")
 
 
-def parse_instance(text: str, resolve_generic=True) -> ResidualInstance:
+def parse_instance(text: str) -> ResidualInstance:
     """Parse and validate an instance file."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -106,7 +106,17 @@ def parse_instance(text: str, resolve_generic=True) -> ResidualInstance:
         except ValueError as exc:
             raise InstanceParseError(f"bad polynomial in {key!r}: {exc}", lineno) from exc
 
-    seed = int(get("seed", "0"))
+    def parse_int(key, minimum=None):
+        raw, lineno = values[key]
+        try:
+            value = int(raw)
+        except ValueError:
+            raise InstanceParseError(f"bad integer in {key!r}: {raw!r}", lineno) from None
+        if minimum is not None and value < minimum:
+            raise InstanceParseError(f"{key!r} must be >= {minimum}, got {value}", lineno)
+        return value
+
+    seed = parse_int("seed") if "seed" in values else 0
     family = get("family", "custom")
     I = Ideal(ring, parse_polys("I"))
     if not I.is_homogeneous():
@@ -119,11 +129,8 @@ def parse_instance(text: str, resolve_generic=True) -> ResidualInstance:
                 raise InstanceValidationError("a not contained in I")
         s = len(a_gens)
     else:
-        s = int(values["s"][0])
-        if resolve_generic:
-            a_gens = tuple(generic_generators(I, s, seed=seed))
-        else:
-            a_gens = ()
+        s = parse_int("s", minimum=0)
+        a_gens = tuple(generic_generators(I, s, seed=seed))
     return ResidualInstance(ring, I, a_gens, s, seed=seed, family_tag=family)
 
 

@@ -6,7 +6,6 @@ subalgebra generated by the zeta elements of a)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .ring import Polynomial, PolyRing
@@ -129,7 +128,6 @@ class KoszulComplex:
         self.gens = tuple(gens)
         self.n = len(self.gens)
 
-    @lru_cache(maxsize=None)
     def basis(self, i: int):
         return tuple(combinations(range(1, self.n + 1), i))
 
@@ -145,16 +143,6 @@ class KoszulComplex:
             out[rest] = out.get(rest, self.ring.zero) + term
         return ExteriorElement(self.ring, self.n, len(S) - 1, out)
 
-    def differential_matrix(self, i: int):
-        """Matrix of d_i: K_i -> K_{i-1}; rows over basis(i-1), columns
-        over basis(i)."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"differential degree {i} out of range 1..{self.n}")
-        rows = self.basis(i - 1)
-        cols = self.basis(i)
-        images = [self.differential_image(S) for S in cols]
-        return [[img.coefficient(T) for img in images] for T in rows]
-
     def differential_columns(self, i: int):
         """Columns of d_i as free-module elements over basis(i-1)."""
         rows = self.basis(i - 1)
@@ -166,20 +154,13 @@ class KoszulComplex:
 
     def boundary_elements(self, i: int):
         """Generators of B_i, i.e. d(e_S) for |S| = i+1 (empty for i = n)."""
-        if i >= self.n:
-            return []
         return [self.differential_image(S) for S in self.basis(i + 1)]
-
-
-def koszul_differential(K: KoszulComplex, i: int):
-    return K.differential_matrix(i)
 
 
 @dataclass
 class HomologyData:
     complex: KoszulComplex
     cycle_gens: dict    # i -> list of ExteriorElement generating Z_i
-    boundary_gens: dict  # i -> list of ExteriorElement generating B_i
     lifts: dict         # i -> trimmed cycle generators representing H_i
 
 
@@ -195,10 +176,9 @@ def homology_lifts(K: KoszulComplex) -> HomologyData:
     """Cycle generators per degree plus a trimmed subset generating the
     homology modulo boundaries (graded minimalization, input order ties)."""
     n = K.n
-    cycles, boundaries, lifts = {}, {}, {}
+    cycles, lifts = {}, {}
     one = ExteriorElement.scalar(K.ring, n, K.ring.one)
     cycles[0] = [one]
-    boundaries[0] = K.boundary_elements(0)
     lifts[0] = [one]
     for i in range(1, n + 1):
         basis = K.basis(i)
@@ -207,19 +187,17 @@ def homology_lifts(K: KoszulComplex) -> HomologyData:
             ExteriorElement.from_module_element(s, n, basis)
             for s in syzygies(cols)
         ]
-        b = K.boundary_elements(i)
         cycles[i] = z
-        boundaries[i] = b
         order = sorted(range(len(z)), key=lambda k: (_shifted_degree(K, z[k]), k))
         kept = []
-        span = [e.to_module_element(basis) for e in b]
+        span = [e.to_module_element(basis) for e in K.boundary_elements(i)]
         for k in order:
             vec = z[k].to_module_element(basis)
             if not module_member(vec, span):
                 kept.append(z[k])
                 span.append(vec)
         lifts[i] = kept
-    return HomologyData(K, cycles, boundaries, lifts)
+    return HomologyData(K, cycles, lifts)
 
 
 # ---------------------------------------------------------------------------
@@ -243,20 +221,35 @@ def _setup(a: Ideal, I: Ideal):
     return K, a_gens, zetas
 
 
-def _gamma_monomials(ring, n, zetas, degree):
-    """Degree-d part of the subalgebra generated by the zetas: wedges over
-    strictly increasing index tuples (odd-degree squares vanish)."""
-    if degree == 0:
+def _wedges(ring, n, elems, count):
+    """The nonzero wedge products of `count` of the degree-one elements
+    `elems`, over strictly increasing index tuples (odd-degree squares
+    vanish); the Gamma monomials when `elems` are the zetas."""
+    if count == 0:
         return [ExteriorElement.scalar(ring, n, ring.one)]
     out = []
-    for idx in combinations(range(len(zetas)), degree):
-        acc = zetas[idx[0]]
+    for idx in combinations(range(len(elems)), count):
+        acc = elems[idx[0]]
         for j in idx[1:]:
-            acc = acc.wedge(zetas[j])
+            acc = acc.wedge(elems[j])
             if acc.is_zero():
                 break
         if not acc.is_zero():
             out.append(acc)
+    return out
+
+
+def _top_coefficients(ring, n, zetas, elems) -> list:
+    """The nonzero e_1..e_n coefficients of gamma ^ z, for each z of elems in
+    order and each Gamma monomial gamma of the complementary degree n - deg z."""
+    full = tuple(range(1, n + 1))
+    gammas = {d: _wedges(ring, n, zetas, d) for d in range(min(len(zetas), n) + 1)}
+    out = []
+    for z in elems:
+        for gamma in gammas.get(n - z.degree, []):
+            c = gamma.wedge(z).coefficient(full)
+            if not c.is_zero():
+                out.append(c)
     return out
 
 
@@ -270,7 +263,7 @@ def kitt(a: Ideal, I: Ideal, homology: HomologyData = None) -> Ideal:
     full = tuple(range(1, n + 1))
     gens = list(a_gens)
     for i in range(max(0, n - s), n - g + 1):
-        for gamma in _gamma_monomials(I.ring, n, zetas, n - i):
+        for gamma in _wedges(I.ring, n, zetas, n - i):
             for h in H.lifts.get(i, []):
                 c = gamma.wedge(h).coefficient(full)
                 if not c.is_zero():
@@ -281,7 +274,8 @@ def kitt(a: Ideal, I: Ideal, homology: HomologyData = None) -> Ideal:
 def _cycle_products(ring, n, generators, max_degree):
     """All wedge products (with repetition) of cycle generators with at
     most n factors and total degree <= max_degree, plus the empty product."""
-    out = [ExteriorElement.scalar(ring, n, ring.one)]
+    one = ExteriorElement.scalar(ring, n, ring.one)
+    out = [one]
 
     def extend(start, acc, factors):
         for k in range(start, len(generators)):
@@ -293,56 +287,29 @@ def _cycle_products(ring, n, generators, max_degree):
             if factors + 1 < n:
                 extend(k, nxt, factors + 1)
 
-    base = ExteriorElement.scalar(ring, n, ring.one)
-    extend(0, base, 0)
+    extend(0, one, 0)
     return out
 
 
 def kitt_via_cycles(a: Ideal, I: Ideal, homology: HomologyData = None) -> Ideal:
     """The Kitt ideal as the degree-n component of Gamma * Z (products of
     the Gamma subalgebra with the cycle subalgebra)."""
-    K, a_gens, zetas = _setup(a, I)
+    K, _a_gens, zetas = _setup(a, I)
     n = K.n
     H = homology if homology is not None else homology_lifts(K)
     z_gens = [z for i in range(1, n + 1) for z in H.cycle_gens[i]]
-    full = tuple(range(1, n + 1))
-    gens = []
     products = _cycle_products(I.ring, n, z_gens, n)
-    gamma_by_degree = {
-        d: _gamma_monomials(I.ring, n, zetas, d) for d in range(min(len(zetas), n) + 1)
-    }
-    for prod in products:
-        d = n - prod.degree
-        for gamma in gamma_by_degree.get(d, []):
-            c = gamma.wedge(prod).coefficient(full)
-            if not c.is_zero():
-                gens.append(c)
-    return Ideal(I.ring, gens)
+    return Ideal(I.ring, _top_coefficients(I.ring, n, zetas, products))
 
 
 def fitt0_via_Z1(a: Ideal, I: Ideal, homology: HomologyData = None) -> Ideal:
     """Degree-n span of Gamma times products of Z_1 generators; equals
     Fitt_0(I/a)."""
-    K, a_gens, zetas = _setup(a, I)
+    K, _a_gens, zetas = _setup(a, I)
     n = K.n
     H = homology if homology is not None else homology_lifts(K)
     z1 = H.cycle_gens.get(1, [])
-    full = tuple(range(1, n + 1))
-    gens = []
-    gamma_by_degree = {
-        d: _gamma_monomials(I.ring, n, zetas, d) for d in range(min(len(zetas), n) + 1)
-    }
-    for size in range(0, min(len(z1), n) + 1):
-        for idx in combinations(range(len(z1)), size):
-            prod = ExteriorElement.scalar(I.ring, n, I.ring.one)
-            for k in idx:
-                prod = prod.wedge(z1[k])
-                if prod.is_zero():
-                    break
-            if prod.is_zero():
-                continue
-            for gamma in gamma_by_degree.get(n - size, []):
-                c = gamma.wedge(prod).coefficient(full)
-                if not c.is_zero():
-                    gens.append(c)
-    return Ideal(I.ring, gens)
+    products = []
+    for size in range(min(len(z1), n) + 1):
+        products += _wedges(I.ring, n, z1, size)
+    return Ideal(I.ring, _top_coefficients(I.ring, n, zetas, products))

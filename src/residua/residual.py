@@ -11,7 +11,6 @@ from itertools import combinations
 from .ring import Polynomial, PolyRing
 from .ideals import (
     Ideal,
-    check_Gs,
     colon,
     height,
     ideal_equal,
@@ -19,7 +18,7 @@ from .ideals import (
     min_gens,
     mu,
 )
-from .fitting import fitt0_quotient
+from .fitting import check_Gs, fitt0_quotient
 from .koszul import kitt
 
 THEOREM_IDS = ("thm25", "cor31", "cor32", "cor33", "thm34", "cor35", "thm47", "kitt-eq")
@@ -202,13 +201,18 @@ def rhs_formula(I: Ideal, a_gens, subset_size: int) -> Ideal:
     s = len(a_gens)
     if subset_size > s:
         raise ValueError(f"subset size {subset_size} exceeds s = {s}")
-    ring = I.ring
-    a = Ideal(ring, a_gens)
+    a = Ideal(I.ring, a_gens)
     result = fitt0_quotient(I, a)
     if subset_size == 0:
         return ideal_sum(result, a)
-    for idx in combinations(range(s), subset_size):
-        sub = Ideal(ring, tuple(a_gens[i] for i in idx))
+    return _add_colons(result, I, a_gens, subset_size)
+
+
+def _add_colons(result: Ideal, I: Ideal, a_gens, size: int) -> Ideal:
+    """result plus (a_subset):I over the strictly increasing index subsets
+    of the given size, in lexicographic order."""
+    for idx in combinations(range(len(a_gens)), size):
+        sub = Ideal(I.ring, tuple(a_gens[i] for i in idx))
         result = ideal_sum(result, colon(sub, I))
     return result
 
@@ -254,11 +258,7 @@ def _rhs_for(theorem_id: str, inst: ResidualInstance):
         return rhs_formula(I, a_gens, min(g, s))
     if theorem_id == "thm34":
         # pure sum of links, no Fitting term
-        result = Ideal(I.ring, ())
-        for idx in combinations(range(s), g):
-            sub = Ideal(I.ring, tuple(a_gens[i] for i in idx))
-            result = ideal_sum(result, colon(sub, I))
-        return result
+        return _add_colons(Ideal(I.ring, ()), I, a_gens, g)
     if theorem_id == "kitt-eq":
         return kitt(inst.a, I)
     raise ValueError(f"unknown theorem id {theorem_id!r}")

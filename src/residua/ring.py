@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property, partial
 from operator import add, le, neg, sub
-from typing import Callable, Iterable
+from typing import Callable
 
 from .field import FieldSpec
 
@@ -55,10 +55,6 @@ def mono_div(m1: Monomial, m2: Monomial) -> Monomial:
 
 def mono_lcm(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(map(max, m1, m2))
-
-
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
 
 
 def _grevlex_key(m: Monomial):
@@ -240,12 +236,6 @@ class Polynomial:
             return True
         degs = {sum(m) for m, _ in self.terms}
         return len(degs) == 1
-
-    def is_constant(self) -> bool:
-        return not self.terms or sum(self.terms[0][0]) == 0
-
-    def as_dict(self) -> dict:
-        return dict(self.terms)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -535,7 +525,3 @@ class _Parser:
         if kind == "op" and val == "-":
             return -self.factor()
         raise ParseError(f"unexpected token {val!r}", pos)
-
-
-def parse_polys(ring: PolyRing, texts: Iterable[str]) -> list:
-    return [ring.parse(t) for t in texts]

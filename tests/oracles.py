@@ -2,9 +2,9 @@
 
 These deliberately avoid the Gröbner engine: membership and remainders
 come from row-reducing the finite-dimensional space spanned by monomial
-multiples of the generators up to a degree bound, monomial colon from
-exponent-vector arithmetic, and Koszul homology dimensions from ranks of
-truncated differential matrices.
+multiples of the generators up to a degree bound, monomial colon and
+intersection from exponent-vector arithmetic, and Koszul homology
+dimensions from ranks of truncated differential matrices.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def oracle_degree_piece(gens, degree):
 
 
 # ---------------------------------------------------------------------------
-# monomial-ideal colon by exponent arithmetic
+# monomial-ideal colon and intersection by exponent arithmetic
 # ---------------------------------------------------------------------------
 
 def _mono_colon_single(a_monos, f):
@@ -149,7 +149,9 @@ def _minimalize(monos):
     return kept
 
 
-def _mono_intersect(ms1, ms2):
+def monomial_intersect(ms1, ms2):
+    """(ms1) ∩ (ms2) for monomial ideals given by exponent vectors: the
+    pairwise lcms, minimalized."""
     out = [tuple(max(a, b) for a, b in zip(m1, m2)) for m1 in ms1 for m2 in ms2]
     return _minimalize(out)
 
@@ -159,7 +161,7 @@ def monomial_colon(a_monos, i_monos):
     result = None
     for f in i_monos:
         piece = _mono_colon_single(a_monos, f)
-        result = piece if result is None else _mono_intersect(result, piece)
+        result = piece if result is None else monomial_intersect(result, piece)
     return _minimalize(result)
 
 

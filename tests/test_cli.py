@@ -1,11 +1,12 @@
 """End-to-end CLI behavior: subcommands, JSON documents, exit codes,
 deterministic corpus output."""
 
+import hashlib
 import json
 
 import pytest
 
-from residua import GF32003, RATIONALS, PolyRing, buchberger
+from residua import GF32003, RATIONALS, PolyRing, __version__, buchberger
 from residua.cli import main
 from residua.groebner import ResourceLimitError
 
@@ -84,6 +85,42 @@ def test_kitt(instance_file, capsys):
     assert sorted(doc["lhs"]) == ["x", "y"]
 
 
+DOCUMENT_KEYS = {
+    "instance", "theorem", "lhs", "rhs", "verdict", "hypotheses", "seed",
+    "input_hash", "version",
+}
+
+
+@pytest.mark.parametrize(
+    "argv", [["gb"], ["colon"], ["fitt0"], ["kitt"], ["verify", "thm25"]]
+)
+def test_document_shape(instance_file, capsys, argv):
+    code, doc = run_json(capsys, argv + [instance_file])
+    assert code == 0
+    assert set(doc) == DOCUMENT_KEYS
+    assert doc["instance"] == {
+        "ring": "GF(32003)[x, y] (grevlex)",
+        "I": ["x^2", "x*y", "y^2"],
+        "a": ["x^2", "y^2"],
+        "s": 2,
+        "seed": 3,
+        "family": "power",
+    }
+    assert doc["seed"] == 3
+    assert doc["input_hash"] == hashlib.sha256(INSTANCE.encode()).hexdigest()[:16]
+    assert doc["version"] == f"residua {__version__}"
+    if argv[0] == "verify":
+        assert doc["theorem"] == "thm25"
+        assert doc["verdict"] == "equal"
+        assert doc["rhs"] == doc["lhs"]
+        assert "timing_seconds" not in doc and "rhs_contained_in_lhs" not in doc
+    else:
+        assert doc["theorem"] is None
+        assert doc["rhs"] is None
+        assert doc["verdict"] == "ok"
+        assert doc["hypotheses"] == []
+
+
 def test_verify_equal_exit_zero(instance_file, capsys):
     code, doc = run_json(capsys, ["verify", "thm25", instance_file])
     assert code == 0
@@ -151,6 +188,19 @@ def test_malformed_instance_exit_one(tmp_path, capsys):
     path.write_text("vars = x, y\nI = x +* y\na = x\n")
     assert main(["gb", str(path)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad_line, lineno",
+    [("s = abc", 3), ("s = 2.5", 3), ("s = -1", 3), ("s = 1\nseed = q", 4)],
+)
+def test_bad_integer_reports_its_line(tmp_path, capsys, bad_line, lineno):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"vars = x, y\nI = x^2, x*y, y^2\n{bad_line}\n")
+    assert main(["gb", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"line {lineno}" in err
 
 
 def test_max_steps_limit(instance_file, capsys):

@@ -3,8 +3,9 @@
 import pytest
 
 from residua import fitt0_quotient, minors, presentation_of_quotient
-from residua.fitting import NotASubidealError, fitting_ideal
-from residua.ideals import colon, ideal_equal
+from residua.corpus import generate_instance
+from residua.fitting import NotASubidealError, check_Gs, fitting_ideal
+from residua.ideals import colon, height, ideal_equal, ideal_sum
 
 from conftest import parse_ideal
 
@@ -104,3 +105,17 @@ def test_fitting_ideal_of_ideal_itself(R2):
     # Fitt_1 of the module I = (x, y): 1-minors of the syzygy column = (x, y)
     I = parse_ideal(R2, "x", "y")
     assert ideal_equal(fitting_ideal(I, 1), I)
+
+
+@pytest.mark.parametrize("family", ["ci", "hb2", "aci", "power"])
+def test_check_Gs_matches_its_definition(family):
+    # G_s: height(Fitt_j(I) + I) >= j + 1 for every j < s
+    I = generate_instance(family, 0).I
+    outcomes = []
+    for s in range(1, I.ring.nvars + 2):
+        expected = all(
+            height(ideal_sum(fitting_ideal(I, j), I)) >= j + 1 for j in range(s)
+        )
+        assert check_Gs(I, s) == expected
+        outcomes.append(expected)
+    assert outcomes[0] and not outcomes[-1]

@@ -2,9 +2,12 @@
 minimal generators, and the G_s condition."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from residua import (
+    GF32003,
     Ideal,
+    PolyRing,
     check_Gs,
     colon,
     dimension,
@@ -21,7 +24,7 @@ from residua.fitting import minors
 from residua.groebner import ResourceLimitError, set_step_limit
 
 from conftest import parse_ideal, random_homogeneous, seeded_rng
-from oracles import monomial_colon, oracle_member
+from oracles import monomial_colon, monomial_intersect, oracle_member
 
 
 def test_intersection_of_monomial_ideals(R2):
@@ -29,6 +32,32 @@ def test_intersection_of_monomial_ideals(R2):
     J = parse_ideal(R2, "y")
     K = intersect(I, J)
     assert ideal_equal(K, parse_ideal(R2, "x*y"))
+
+
+def _monomial_ideal(ring, exponents):
+    return Ideal(ring, [ring.monomial(m) for m in exponents])
+
+
+@given(st.data())
+def test_intersect_matches_monomial_oracle(data):
+    ring = PolyRing(GF32003, ("x", "y", "z")[:data.draw(st.integers(2, 3))])
+    exponents = st.lists(
+        st.tuples(*[st.integers(0, 3)] * ring.nvars), min_size=1, max_size=3
+    )
+    ms1, ms2 = data.draw(exponents), data.draw(exponents)
+    result = intersect(_monomial_ideal(ring, ms1), _monomial_ideal(ring, ms2))
+    assert result == _monomial_ideal(ring, monomial_intersect(ms1, ms2))
+
+
+def test_intersect_when_the_ring_already_has_t():
+    # the elimination variable must not clash with t or t0
+    ring = PolyRing(GF32003, ("t", "t0", "x"))
+    assert ideals._fresh_var(ring) == "t1"
+    ms1, ms2 = [(2, 0, 0), (0, 1, 1)], [(1, 1, 0), (0, 0, 2)]
+    result = intersect(_monomial_ideal(ring, ms1), _monomial_ideal(ring, ms2))
+    assert result.ring == ring
+    assert result == _monomial_ideal(ring, monomial_intersect(ms1, ms2))
+    assert result == parse_ideal(ring, "t^2*t0", "t^2*x^2", "t*t0*x", "t0*x^2")
 
 
 def test_intersection_symmetric(R2):

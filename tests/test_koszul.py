@@ -1,5 +1,8 @@
 """Koszul complexes, homology lifts, and the Kitt ideal."""
 
+import gc
+import weakref
+
 from residua import (
     ExteriorElement,
     Ideal,
@@ -141,3 +144,13 @@ def test_fitt0_via_Z1_zero_subideal(R2):
     I = parse_ideal(R2, "x", "y")
     a = Ideal(R2, ())
     assert ideal_equal(fitt0_via_Z1(a, I), fitt0_quotient(I, a))
+
+
+def test_complex_is_freed_after_use(R2):
+    # nothing process-wide may keep a complex, its ring or its generators alive
+    K = KoszulComplex(R2, parse_ideal(R2, "x^2", "x*y", "y^2").generators)
+    homology_lifts(K)
+    ref = weakref.ref(K)
+    del K
+    gc.collect()
+    assert ref() is None
