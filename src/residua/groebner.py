@@ -1,27 +1,38 @@
-"""Buchberger engine for ideals and submodules of free modules.
+"""One Buchberger engine for ideals and for submodules of free modules.
 
-Scalar side: normal forms, Buchberger with normal selection strategy and
-the product/chain criteria, reduced (canonical) bases, elimination.
-Module side: position-over-term Gröbner bases used for syzygies,
-membership of module elements, and expressing a polynomial in terms of
-generators via the augmented-module technique.
+The engine, one pair loop (`_groebner`) and one division loop (`_reduce`),
+works on canonical tuples of (term, coefficient) pairs, strictly
+descending, lead first, and takes the monomial arithmetic of the term kind
+as data (`_TermKind`).  Ideal terms are plain exponent tuples: wrapping
+them as module terms at position 0 would allocate a tuple per term on the
+path every colon and intersection takes.  Module terms are (position,
+exponent) pairs, ordered position over term; leads in different positions
+form no pair and never divide each other.
 
-Division (`normal_form`, `divide_exact` and the module normal form) keeps
-the dividend as a dict of live terms plus a heap of negated order keys,
-after Monagan and Pearce: the leading term pops off the heap, only the
-divisor's tail times the quotient term is subtracted, a monomial is pushed
-only when it first appears, and a popped monomial whose coefficient has
+Pairs are taken by the normal selection strategy, least lcm first, ties
+broken by (i, j).  The chain criterion holds for both kinds: a pair (i, j)
+is skipped when another lead divides its lcm and the pairs (i, k) and
+(j, k) are done (Gebauer and Möller, "On an installation of Buchberger's
+algorithm", 1988).  The product criterion (coprime leads) holds only for
+ideals, whose S-polynomial then reduces to zero by the Koszul relation
+between the two; module elements have no such relation, so only the ideal
+kind applies it.
+
+Division keeps the dividend as a dict of live terms plus a heap of negated
+order keys, after Monagan and Pearce: the leading term pops off the heap,
+only the divisor's tail times the quotient term is subtracted, a term is
+pushed only when it first appears, and a popped term whose coefficient has
 cancelled is skipped.  Remainder and quotient terms come out in
 descending order, so they need no final sort.  The divisor is always the
-first element of G whose leading monomial divides, so remainders, and
-with them every basis, are the same as by plain repeated subtraction.
+first element of G whose lead divides, so remainders, and with them every
+basis, are the same as by plain repeated subtraction.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import namedtuple
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from .ring import (
     Polynomial,
@@ -66,31 +77,72 @@ class GroebnerBasis:
         return len(self.elements)
 
 
+# The monomial arithmetic of one term kind in one ring: `mul(t, m)` is term
+# times monomial; `divides(a, t)` says whether lead a divides term t, and
+# `div(t, a)` is then their monomial quotient; `lcm(a, b)` is the lcm of two
+# leads, or None when they form no pair; `key` orders lcms, `neg_key` terms.
+_TermKind = namedtuple(
+    "_TermKind", "field key neg_key mul divides div lcm product_criterion")
+
+
+def _ideal_terms(ring) -> _TermKind:
+    return _TermKind(ring.field, ring.key, ring.order.neg_key,
+                     mono_mul, mono_divides, mono_div, mono_lcm, True)
+
+
+def _module_terms(ring, dominant) -> _TermKind:
+    """Terms (position, monomial): positions below `dominant` beat the rest;
+    within a block, position over term extending the ring order (smaller
+    position wins)."""
+    ring_key, ring_neg_key = ring.key, ring.order.neg_key
+
+    def key(t):
+        return ring_key(t[1])
+
+    def neg_key(t):
+        pos, m = t
+        return (-(pos < dominant), pos, *ring_neg_key(m))
+
+    def mul(t, mono):
+        return (t[0], mono_mul(t[1], mono))
+
+    def divides(a, t):
+        return a[0] == t[0] and mono_divides(a[1], t[1])
+
+    def div(t, a):
+        return mono_div(t[1], a[1])
+
+    def lcm(a, b):
+        return (a[0], mono_lcm(a[1], b[1])) if a[0] == b[0] else None
+
+    return _TermKind(ring.field, key, neg_key, mul, divides, div, lcm, False)
+
+
 # ---------------------------------------------------------------------------
-# scalar engine
+# the engine
 # ---------------------------------------------------------------------------
 
 class _Dividend:
     """A polynomial or module element under division.
 
-    `live` maps every monomial not yet popped to its coefficient (zero once
-    it has cancelled); `heap` holds each of those monomials once, keyed on
-    its negated order key, so the leading term pops first.
+    `live` maps every term not yet popped to its coefficient (zero once it
+    has cancelled); `heap` holds each of those terms once, keyed on its
+    negated order key, so the leading term pops first.
     """
 
     __slots__ = ("live", "heap", "neg_key", "field", "zero", "mul")
 
-    def __init__(self, terms, neg_key, field, mul=mono_mul):
+    def __init__(self, terms, kind: _TermKind):
         self.live = dict(terms)
+        self.neg_key = neg_key = kind.neg_key
         self.heap = [(neg_key(m), m) for m in self.live]
-        heapq.heapify(self.heap)
-        self.neg_key = neg_key
-        self.field = field
-        self.zero = field.zero
-        self.mul = mul
+        heapify(self.heap)
+        self.field = kind.field
+        self.zero = kind.field.zero
+        self.mul = kind.mul
 
     def pop(self):
-        """Remove and return the leading (monomial, coefficient), or None."""
+        """Remove and return the leading (term, coefficient), or None."""
         live, heap, zero = self.live, self.heap, self.zero
         while heap:
             m = heappop(heap)[1]
@@ -100,7 +152,7 @@ class _Dividend:
         return None
 
     def sub_multiple(self, tail, q_m, q_c):
-        """Subtract q_c * q_m * tail; no product may lie above a popped monomial."""
+        """Subtract q_c * q_m * tail; no product may lie above a popped term."""
         live, heap, neg_key, mul, F = self.live, self.heap, self.neg_key, self.mul, self.field
         for tm, tc in tail:
             m = mul(tm, q_m)
@@ -112,6 +164,99 @@ class _Dividend:
                 live[m] = F.sub(old, F.mul(tc, q_c))
 
 
+def _divisor(terms):
+    """(lead, lead coefficient, tail) of canonical terms."""
+    return terms[0][0], terms[0][1], terms[1:]
+
+
+def _monic(F, terms) -> tuple:
+    """The canonical terms scaled so the leading coefficient is one."""
+    inv = F.inv(terms[0][1])
+    return tuple((t, F.mul(c, inv)) for t, c in terms)
+
+
+def _reduce(p: _Dividend, divisors, kind: _TermKind) -> tuple:
+    """Remainder terms, descending, of the dividend p on division by the
+    (lead, lead coefficient, tail) divisors; each step uses the first
+    divisor whose lead divides."""
+    divides, div, F = kind.divides, kind.div, kind.field
+    rem = []
+    while (term := p.pop()) is not None:
+        t, c = term
+        for lead, lc, tail in divisors:
+            if divides(lead, t):
+                p.sub_multiple(tail, div(t, lead), F.div(c, lc))
+                break
+        else:
+            rem.append(term)
+    return tuple(rem)
+
+
+def _remainder(kind: _TermKind, terms, basis) -> tuple:
+    """Remainder terms of `terms` against the canonical term tuples `basis`."""
+    return _reduce(_Dividend(terms, kind), [_divisor(b) for b in basis], kind)
+
+
+def _groebner(kind: _TermKind, G: list, max_steps=None) -> list:
+    """Extend the monic canonical term tuples G, in place, to a Gröbner
+    basis (normal selection strategy) and return it."""
+    if max_steps is None:
+        max_steps = _step_limit
+    F, key, mul, divides, div, lcm_of = (
+        kind.field, kind.key, kind.mul, kind.divides, kind.div, kind.lcm)
+    leads = [g[0][0] for g in G]
+    divisors = [_divisor(g) for g in G]
+    heap = []
+    pending = set()
+
+    def push_pairs(j):
+        for i in range(j):
+            lcm = lcm_of(leads[i], leads[j])
+            if lcm is not None:
+                heappush(heap, (key(lcm), i, j))
+                pending.add((i, j))
+
+    for j in range(len(G)):
+        push_pairs(j)
+
+    steps = 0
+    while heap:
+        _, i, j = heappop(heap)
+        pending.discard((i, j))
+        lm_i, lm_j = leads[i], leads[j]
+        lcm = lcm_of(lm_i, lm_j)
+        # product criterion, coprime leads: ideals only
+        if kind.product_criterion and lcm == mono_mul(lm_i, lm_j):
+            continue
+        # chain criterion
+        skip = False
+        for k, lm_k in enumerate(leads):
+            if k in (i, j):
+                continue
+            if divides(lm_k, lcm):
+                pik = (min(i, k), max(i, k))
+                pjk = (min(j, k), max(j, k))
+                if pik not in pending and pjk not in pending:
+                    skip = True
+                    break
+        if skip:
+            continue
+
+        steps += 1
+        if max_steps is not None and steps > max_steps:
+            raise ResourceLimitError(f"exceeded {max_steps} S-pair reductions")
+        q_i = div(lcm, lm_i)
+        s = _Dividend(((mul(t, q_i), c) for t, c in G[i]), kind)
+        s.sub_multiple(G[j], div(lcm, lm_j), F.one)
+        r = _reduce(s, divisors, kind)
+        if r:
+            G.append(_monic(F, r))
+            leads.append(r[0][0])
+            divisors.append(_divisor(G[-1]))
+            push_pairs(len(G) - 1)
+    return G
+
+
 def normal_form(f: Polynomial, G) -> Polynomial:
     """Remainder of f on division by the elements of G (full tail reduction)."""
     elements = G.elements if isinstance(G, GroebnerBasis) else tuple(G)
@@ -119,28 +264,17 @@ def normal_form(f: Polynomial, G) -> Polynomial:
     for g in elements:
         if g.ring != ring:
             raise RingMismatchError("normal_form across different rings")
-    F = ring.field
-    lead = [(g.lm(), g.lc(), g.terms[1:]) for g in elements if not g.is_zero()]
-    p = _Dividend(f.terms, ring.order.neg_key, F)
-    rem = []
-    while (term := p.pop()) is not None:
-        m, c = term
-        for lm_g, lc_g, tail in lead:
-            if mono_divides(lm_g, m):
-                p.sub_multiple(tail, mono_div(m, lm_g), F.div(c, lc_g))
-                break
-        else:
-            rem.append(term)
-    return Polynomial(ring, tuple(rem))
+    basis = [g.terms for g in elements if g.terms]
+    return Polynomial(ring, _remainder(_ideal_terms(ring), f.terms, basis))
 
 
 def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
     """Quotient f/g when g divides f exactly; raises otherwise."""
     ring = f.ring
     F = ring.field
-    lm_g, lc_g, tail = g.lm(), g.lc(), g.terms[1:]
+    lm_g, lc_g, tail = _divisor(g.terms)
     quot = []
-    p = _Dividend(f.terms, ring.order.neg_key, F)
+    p = _Dividend(f.terms, _ideal_terms(ring))
     while (term := p.pop()) is not None:
         m, c = term
         if not mono_divides(lm_g, m):
@@ -172,59 +306,9 @@ def buchberger(gens, max_steps=None) -> GroebnerBasis:
     for g in gens:
         if g.ring != ring:
             raise RingMismatchError("generators from different rings")
-    if max_steps is None:
-        max_steps = _step_limit
-
-    G = [g.monic() for g in gens if not g.is_zero()]
-    if not G:
-        return GroebnerBasis(ring, ())
-
-    leads = [g.lm() for g in G]
-    heap = []
-    pending = set()
-
-    def push_pairs(j):
-        for i in range(j):
-            lcm = mono_lcm(leads[i], leads[j])
-            heapq.heappush(heap, (ring.key(lcm), i, j))
-            pending.add((i, j))
-
-    for j in range(len(G)):
-        push_pairs(j)
-
-    steps = 0
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        pending.discard((i, j))
-        lm_i, lm_j = leads[i], leads[j]
-        lcm = mono_lcm(lm_i, lm_j)
-        # product criterion: coprime leading monomials
-        if lcm == mono_mul(lm_i, lm_j):
-            continue
-        # chain criterion
-        skip = False
-        for k, lm_k in enumerate(leads):
-            if k in (i, j):
-                continue
-            if mono_divides(lm_k, lcm):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik not in pending and pjk not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
-
-        steps += 1
-        if max_steps is not None and steps > max_steps:
-            raise ResourceLimitError(f"exceeded {max_steps} S-pair reductions")
-        r = normal_form(spoly(G[i], G[j]), G)
-        if not r.is_zero():
-            G.append(r.monic())
-            leads.append(r.lm())
-            push_pairs(len(G) - 1)
-
-    return GroebnerBasis(ring, tuple(G))
+    G = [_monic(ring.field, g.terms) for g in gens if g.terms]
+    G = _groebner(_ideal_terms(ring), G, max_steps)
+    return GroebnerBasis(ring, tuple(Polynomial(ring, g) for g in G))
 
 
 def reduce_basis(G: GroebnerBasis) -> GroebnerBasis:
@@ -251,7 +335,10 @@ def reduced_groebner(gens, max_steps=None) -> GroebnerBasis:
 
 
 def eliminate(gens, k: int):
-    """Generators of (gens) ∩ k[x_{k+1},..]; computed with a block order."""
+    """Generators of (gens) ∩ k[x_{k+1},..]; computed with a block order.
+
+    Generators already in the block(k) order are used as they are; others
+    are converted to it, and the kept elements back."""
     if not gens:
         return []
     ring = gens[0].ring
@@ -260,12 +347,12 @@ def eliminate(gens, k: int):
     if k == 0:
         return list(gens)
     elim_ring = ring.with_order(MonomialOrder("block", k))
-    lifted = [elim_ring.from_dict(dict(g.terms)) for g in gens]
-    gb = reduced_groebner([g for g in lifted if not g.is_zero()] or [elim_ring.zero])
-    kept = []
-    for g in gb.elements:
-        if all(all(e == 0 for e in m[:k]) for m, _ in g.terms):
-            kept.append(ring.from_dict(dict(g.terms)))
+    if elim_ring != ring:
+        gens = [elim_ring.from_dict(dict(g.terms)) for g in gens]
+    gb = reduced_groebner([g for g in gens if not g.is_zero()] or [elim_ring.zero])
+    kept = [g for g in gb.elements if all(not any(m[:k]) for m, _ in g.terms)]
+    if elim_ring != ring:
+        kept = [ring.from_dict(dict(g.terms)) for g in kept]
     return kept
 
 
@@ -296,26 +383,6 @@ class FreeModuleElement:
         return "(" + ", ".join(str(c) for c in self.components) + ")"
 
 
-# Internally a module element is a dict {(position, monomial): coefficient}
-# while it is built, and a canonical tuple of ((position, monomial),
-# coefficient) terms, strictly descending, once it is a basis element.
-# Term order: dominant positions (pos < dominant) beat the rest; within a
-# block, position-over-term extending the ring order (smaller position wins).
-
-def _m_neg_key(ring, dominant):
-    """Negated module order key, for the division heap and for sorting."""
-    ring_neg_key = ring.order.neg_key
-
-    def neg_key(pm):
-        pos, m = pm
-        return (-(pos < dominant), pos, *ring_neg_key(m))
-    return neg_key
-
-
-def _pm_mul(pm, mono):
-    return (pm[0], mono_mul(pm[1], mono))
-
-
 def _to_dict(elem: FreeModuleElement) -> dict:
     d = {}
     for pos, poly in enumerate(elem.components):
@@ -331,84 +398,25 @@ def _from_dict(ring, rank, d) -> FreeModuleElement:
     return FreeModuleElement(ring, rank, tuple(ring.from_dict(c) for c in comps))
 
 
-def _m_monic(ring, terms):
-    """The canonical terms scaled so the leading coefficient is one."""
-    F = ring.field
-    inv = F.inv(terms[0][1])
-    return tuple((pm, F.mul(c, inv)) for pm, c in terms)
+def _module_element(kind: _TermKind, d: dict) -> tuple:
+    """The dict {(position, monomial): coefficient} as monic canonical terms."""
+    return _monic(kind.field, tuple(sorted(d.items(), key=lambda t: kind.neg_key(t[0]))))
 
 
-def _m_divisor(b):
-    """(lead (position, monomial), lead coefficient, tail) of canonical terms."""
-    return b[0][0], b[0][1], b[1:]
-
-
-def _m_nf(p: _Dividend, divisors) -> tuple:
-    """Remainder terms, descending, of the dividend p against the divisors
-    ((lead position, lead monomial), lead coefficient, tail) in order."""
-    F = p.field
-    rem = []
-    while (term := p.pop()) is not None:
-        (pos, m), c = term
-        for (bpos, bm), bc, tail in divisors:
-            if bpos == pos and mono_divides(bm, m):
-                p.sub_multiple(tail, mono_div(m, bm), F.div(c, bc))
-                break
-        else:
-            rem.append(term)
-    return tuple(rem)
-
-
-def _m_remainder(ring, terms, basis, dominant) -> tuple:
-    """Remainder terms of the module terms against a module Gröbner basis."""
-    p = _Dividend(terms, _m_neg_key(ring, dominant), ring.field, _pm_mul)
-    return _m_nf(p, [_m_divisor(b) for b in basis])
-
-
-def _module_groebner(ring, elements, dominant):
-    """Gröbner basis, as monic canonical term tuples, of the dict elements."""
-    neg_key = _m_neg_key(ring, dominant)
-    F = ring.field
-    max_steps = _step_limit
-
-    G = [_m_monic(ring, tuple(sorted(e.items(), key=lambda t: neg_key(t[0]))))
-         for e in elements if e]
-    if not G:
-        return []
-    divisors = [_m_divisor(b) for b in G]
-
-    heap = []
-
-    def push_pairs(j):
-        (pj, mj) = G[j][0][0]
-        for i in range(j):
-            (pi, mi) = G[i][0][0]
-            if pi != pj:
-                continue
-            lcm = mono_lcm(mi, mj)
-            heapq.heappush(heap, (ring.key(lcm), i, j))
-
-    for j in range(len(G)):
-        push_pairs(j)
-
-    steps = 0
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        (pi, mi) = G[i][0][0]
-        (pj, mj) = G[j][0][0]
-        lcm = mono_lcm(mi, mj)
-        q_i = mono_div(lcm, mi)
-        s = _Dividend(((_pm_mul(pm, q_i), c) for pm, c in G[i]), neg_key, F, _pm_mul)
-        s.sub_multiple(G[j], mono_div(lcm, mj), F.one)
-        steps += 1
-        if max_steps is not None and steps > max_steps:
-            raise ResourceLimitError(f"exceeded {max_steps} module S-pair reductions")
-        r = _m_nf(s, divisors)
-        if r:
-            G.append(_m_monic(ring, r))
-            divisors.append(_m_divisor(G[-1]))
-            push_pairs(len(G) - 1)
-    return G
+def _augmented_basis(gens):
+    """Module kind and Gröbner basis of the elements gens_i + e_(rank + i),
+    positions below rank dominant.  Its elements led past rank are the
+    syzygies of gens, and a remainder past rank expresses an element of
+    the submodule in terms of gens."""
+    ring, rank = gens[0].ring, gens[0].rank
+    kind = _module_terms(ring, rank)
+    one = (0,) * ring.nvars
+    G = []
+    for i, g in enumerate(gens):
+        d = _to_dict(g)
+        d[(rank + i, one)] = ring.field.one
+        G.append(_module_element(kind, d))
+    return kind, _groebner(kind, G)
 
 
 def syzygies(gens) -> list:
@@ -425,14 +433,8 @@ def syzygies(gens) -> list:
         if g.ring != ring or g.rank != rank:
             raise ValueError("generators must share ring and rank")
     m = len(gens)
-    aug = []
-    for i, g in enumerate(gens):
-        d = _to_dict(g)
-        d[(rank + i, (0,) * ring.nvars)] = ring.field.one
-        aug.append(d)
-    gb = _module_groebner(ring, aug, dominant=rank)
     out = []
-    for e in gb:
+    for e in _augmented_basis(gens)[1]:
         pos, _ = e[0][0]
         if pos >= rank:
             tail = {(p - rank, mm): c for (p, mm), c in e}
@@ -464,13 +466,8 @@ def express_in_terms(f: Polynomial, gens) -> list:
         raise ValueError("cannot express in terms of an empty sequence")
     ring = f.ring
     m = len(gens)
-    aug = []
-    for i, g in enumerate(gens):
-        d = {(0, mm): c for mm, c in g.terms}
-        d[(1 + i, (0,) * ring.nvars)] = ring.field.one
-        aug.append(d)
-    gb = _module_groebner(ring, aug, dominant=1)
-    nf = _m_remainder(ring, (((0, mm), c) for mm, c in f.terms), gb, 1)
+    kind, gb = _augmented_basis([FreeModuleElement(ring, 1, (g,)) for g in gens])
+    nf = _remainder(kind, (((0, mm), c) for mm, c in f.terms), gb)
     if any(pos == 0 for (pos, _mm), _c in nf):
         raise NotAMemberError(f"{f} is not in the ideal of the given generators")
     F = ring.field
@@ -491,7 +488,6 @@ def module_member(elem: FreeModuleElement, gens) -> bool:
         return True
     if not gens:
         return False
-    ring = elem.ring
-    rank = elem.rank
-    gb = _module_groebner(ring, [_to_dict(g) for g in gens], dominant=rank)
-    return not _m_remainder(ring, _to_dict(elem).items(), gb, rank)
+    kind = _module_terms(elem.ring, elem.rank)
+    gb = _groebner(kind, [_module_element(kind, _to_dict(g)) for g in gens])
+    return not _remainder(kind, _to_dict(elem).items(), gb)

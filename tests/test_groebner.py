@@ -88,21 +88,13 @@ def test_membership_agrees_with_oracle(R2):
 
 
 def test_eliminate_block_order():
-    ring = PolyRing(GF32003, ("t", "x"), MonomialOrder("block", 1))
-    t, x = ring.gens
-    result = eliminate([t * x, t - ring.one], 1)
-    assert [str(p) for p in result] == ["x"]
-
-
-def test_syzygies_of_square_monomials(R2):
-    gens = [R2.parse("x^2"), R2.parse("x*y"), R2.parse("y^2")]
-    syz = ideal_syzygies(gens)
-    for vec in syz:
-        assert vec.dot(gens).is_zero()
-    # the two Koszul-type syzygies generate: every truncated syzygy is a member
-    for vec in truncated_syzygies(gens, 4):
-        elem = FreeModuleElement(R2, len(vec), vec)
-        assert module_member(elem, syz)
+    # a block(1) ring's generators are used as they are; a grevlex ring's
+    # go to block(1) and the kept elements come back
+    for order in (MonomialOrder("block", 1), MonomialOrder("grevlex")):
+        ring = PolyRing(GF32003, ("t", "x"), order)
+        t, x = ring.gens
+        assert [str(p) for p in eliminate([t * x, t - ring.one], 1)] == ["x"]
+        assert eliminate([t - x**2, t * x - ring.one], 1) == [x**3 - ring.one]
 
 
 def test_express_in_terms(R2):
@@ -141,6 +133,20 @@ def test_step_limit_enforced(R3):
     set_step_limit(1)
     with pytest.raises(ResourceLimitError):
         buchberger(gens)
+
+
+def test_step_limit_enforced_on_modules(R3):
+    rng = seeded_rng("module-limit")
+    gens = [random_homogeneous(R3, 2, rng) for _ in range(3)]
+    f = R3.gens[0] * gens[0]
+    set_step_limit(1)
+    with pytest.raises(ResourceLimitError, match="^exceeded 1 S-pair reductions$"):
+        ideal_syzygies(gens)
+    with pytest.raises(ResourceLimitError, match="^exceeded 1 S-pair reductions$"):
+        express_in_terms(f, gens)
+    with pytest.raises(ResourceLimitError, match="^exceeded 1 S-pair reductions$"):
+        module_member(FreeModuleElement(R3, 1, (f,)),
+                      [FreeModuleElement(R3, 1, (g,)) for g in gens])
 
 
 def test_gb_of_random_ideals_is_groebner(R3):
@@ -207,3 +213,20 @@ def test_divide_exact_inverts_mul(case):
     ring, f, g = case
     g = g if not g.is_zero() else ring.one
     assert divide_exact(f * g, g) == f
+
+
+_X, _Y = _R.gens[:2]
+
+
+@given(in_kernel_ring(lambda ring: [st.lists(
+    st.integers(1, 2).flatmap(lambda d: forms(ring, d)), min_size=2, max_size=4)]))
+# the two Koszul-type syzygies of the square monomials generate
+@example((_R, [_X**2, _X * _Y, _Y**2]))
+def test_syzygies_generate_every_syzygy(case):
+    ring, gens = case
+    syz = ideal_syzygies(gens)
+    for vec in syz:
+        assert vec.dot(gens).is_zero()
+    bound = 2 * max(g.total_degree() for g in gens)
+    for vec in truncated_syzygies(gens, bound):
+        assert module_member(FreeModuleElement(ring, len(vec), vec), syz)
