@@ -15,7 +15,6 @@ from .groebner import (
     syzygies,
     ideal_syzygies,
     express_in_terms,
-    eliminate,
     set_step_limit,
 )
 from .ideals import (

@@ -95,10 +95,9 @@ def presentation_of_quotient(I: Ideal, a: Ideal) -> PresentationMatrix:
     if not x:
         return PresentationMatrix(I.ring, ())
     rows = _syzygy_rows(x)
-    for g in a.generators:
-        if not g.is_zero():
-            for row, c in zip(rows, express_in_terms(g, x)):
-                row.append(c)
+    for coeffs in express_in_terms([g for g in a.generators if not g.is_zero()], x):
+        for row, c in zip(rows, coeffs):
+            row.append(c)
     return PresentationMatrix(I.ring, tuple(tuple(row) for row in rows))
 
 

@@ -4,10 +4,12 @@ The engine, one pair loop (`_groebner`) and one division loop (`_reduce`),
 works on canonical tuples of (term, coefficient) pairs, strictly
 descending, lead first, and takes the monomial arithmetic of the term kind
 as data (`_TermKind`).  Ideal terms are plain exponent tuples: wrapping
-them as module terms at position 0 would allocate a tuple per term on the
-path every colon and intersection takes.  Module terms are (position,
-exponent) pairs, ordered position over term; leads in different positions
-form no pair and never divide each other.
+them as module terms at position 0 would allocate a tuple per term in
+`buchberger` and `normal_form`, which every reduced basis, membership test
+and ideal comparison goes through.  Module terms are (position, exponent)
+pairs, ordered position over term; leads in different positions form no
+pair and never divide each other.  Syzygies, and through them colons and
+intersections, are module computations.
 
 Pairs are taken by the normal selection strategy, least lcm first, ties
 broken by (i, j).  The chain criterion holds for both kinds: a pair (i, j)
@@ -37,7 +39,6 @@ from heapq import heapify, heappop, heappush
 from .ring import (
     Polynomial,
     PolyRing,
-    MonomialOrder,
     RingMismatchError,
     mono_div,
     mono_divides,
@@ -268,23 +269,6 @@ def normal_form(f: Polynomial, G) -> Polynomial:
     return Polynomial(ring, _remainder(_ideal_terms(ring), f.terms, basis))
 
 
-def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Quotient f/g when g divides f exactly; raises otherwise."""
-    ring = f.ring
-    F = ring.field
-    lm_g, lc_g, tail = _divisor(g.terms)
-    quot = []
-    p = _Dividend(f.terms, _ideal_terms(ring))
-    while (term := p.pop()) is not None:
-        m, c = term
-        if not mono_divides(lm_g, m):
-            raise NotAMemberError(f"inexact division of {f} by {g}")
-        q_m, q_c = mono_div(m, lm_g), F.div(c, lc_g)
-        quot.append((q_m, q_c))
-        p.sub_multiple(tail, q_m, q_c)
-    return Polynomial(ring, tuple(quot))
-
-
 def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     F = f.ring.field
     lcm = mono_lcm(f.lm(), g.lm())
@@ -332,28 +316,6 @@ def reduce_basis(G: GroebnerBasis) -> GroebnerBasis:
 
 def reduced_groebner(gens, max_steps=None) -> GroebnerBasis:
     return reduce_basis(buchberger(gens, max_steps=max_steps))
-
-
-def eliminate(gens, k: int):
-    """Generators of (gens) ∩ k[x_{k+1},..]; computed with a block order.
-
-    Generators already in the block(k) order are used as they are; others
-    are converted to it, and the kept elements back."""
-    if not gens:
-        return []
-    ring = gens[0].ring
-    if not 0 <= k < ring.nvars:
-        raise ValueError(f"cannot eliminate {k} of {ring.nvars} variables")
-    if k == 0:
-        return list(gens)
-    elim_ring = ring.with_order(MonomialOrder("block", k))
-    if elim_ring != ring:
-        gens = [elim_ring.from_dict(dict(g.terms)) for g in gens]
-    gb = reduced_groebner([g for g in gens if not g.is_zero()] or [elim_ring.zero])
-    kept = [g for g in gb.elements if all(not any(m[:k]) for m, _ in g.terms)]
-    if elim_ring != ring:
-        kept = [ring.from_dict(dict(g.terms)) for g in kept]
-    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +395,7 @@ def syzygies(gens) -> list:
         if g.ring != ring or g.rank != rank:
             raise ValueError("generators must share ring and rank")
     m = len(gens)
+    zero, add, mul = ring.field.zero, ring.field.add, ring.field.mul
     out = []
     for e in _augmented_basis(gens)[1]:
         pos, _ = e[0][0]
@@ -440,15 +403,16 @@ def syzygies(gens) -> list:
             tail = {(p - rank, mm): c for (p, mm), c in e}
             if any(p < 0 for (p, _mm) in tail):
                 continue
-            syz = _from_dict(ring, m, tail)
             # exactness check: the defining identity must hold on the nose
-            acc = [ring.zero] * rank
-            for idx, coeff in enumerate(syz.components):
+            acc = {}
+            for (idx, mm), c in tail.items():
                 for r_idx, comp in enumerate(gens[idx].components):
-                    acc[r_idx] = acc[r_idx] + coeff * comp
-            if any(not a.is_zero() for a in acc):
+                    for gm, gc in comp.terms:
+                        t = (r_idx, mono_mul(mm, gm))
+                        acc[t] = add(acc.get(t, zero), mul(c, gc))
+            if any(c != zero for c in acc.values()):
                 raise RuntimeError("internal: syzygy identity violated")
-            out.append(syz)
+            out.append(_from_dict(ring, m, tail))
     return out
 
 
@@ -459,26 +423,30 @@ def ideal_syzygies(polys) -> list:
     return syzygies(gens)
 
 
-def express_in_terms(f: Polynomial, gens) -> list:
-    """Coefficients c with f = sum(c_i * gens_i); raises NotAMemberError."""
+def express_in_terms(polys, gens) -> list:
+    """One coefficient list c per f in polys, with f = sum(c_i * gens_i);
+    raises NotAMemberError.  The augmented basis of gens is built once."""
     gens = list(gens)
     if not gens:
         raise ValueError("cannot express in terms of an empty sequence")
-    ring = f.ring
-    m = len(gens)
-    kind, gb = _augmented_basis([FreeModuleElement(ring, 1, (g,)) for g in gens])
-    nf = _remainder(kind, (((0, mm), c) for mm, c in f.terms), gb)
-    if any(pos == 0 for (pos, _mm), _c in nf):
-        raise NotAMemberError(f"{f} is not in the ideal of the given generators")
+    polys = list(polys)
+    if not polys:
+        return []
+    ring = gens[0].ring
     F = ring.field
-    tail = {(p - 1, mm): F.neg(c) for (p, mm), c in nf}
-    coeffs = _from_dict(ring, m, tail).components
-    check = ring.zero
-    for c, g in zip(coeffs, gens):
-        check = check + c * g
-    if check != f:
-        raise RuntimeError("internal: expression identity violated")
-    return list(coeffs)
+    kind, gb = _augmented_basis([FreeModuleElement(ring, 1, (g,)) for g in gens])
+    divisors = [_divisor(b) for b in gb]
+    out = []
+    for f in polys:
+        nf = _reduce(_Dividend((((0, mm), c) for mm, c in f.terms), kind), divisors, kind)
+        if any(pos == 0 for (pos, _mm), _c in nf):
+            raise NotAMemberError(f"{f} is not in the ideal of the given generators")
+        tail = {(p - 1, mm): F.neg(c) for (p, mm), c in nf}
+        coeffs = _from_dict(ring, len(gens), tail).components
+        if FreeModuleElement(ring, len(gens), coeffs).dot(gens) != f:
+            raise RuntimeError("internal: expression identity violated")
+        out.append(list(coeffs))
+    return out
 
 
 def module_member(elem: FreeModuleElement, gens) -> bool:

@@ -1,6 +1,11 @@
 """Ideal-level operations: sum, intersection, colon, equality, dimension,
 height and minimal generators.
 
+Intersection and colon are read off syzygies (Greuel and Pfister, *A
+Singular Introduction to Commutative Algebra*, §1.8): I ∩ J from the
+syzygies of the generators of I followed by those of J, and a : (f) from
+the syzygies of (f, a_1..a_k); a : I intersects the a : (f_i).
+
 An `Ideal` caches the work that depends only on it: its reduced Gröbner
 basis, `min_gens(I)`, `height(I)`, and, keyed by the exact generator tuple
 of `a`, every colon `a : I` computed with it as the divisor.  The caches
@@ -13,23 +18,12 @@ cannot change, and repeated inputs share one result object.
 
 from __future__ import annotations
 
-from .ring import Polynomial, PolyRing, MonomialOrder, RingMismatchError
-from .groebner import (
-    GroebnerBasis,
-    NotAMemberError,
-    divide_exact,
-    eliminate,
-    normal_form,
-    reduced_groebner,
-)
+from .ring import Polynomial, PolyRing, RingMismatchError
+from .groebner import GroebnerBasis, ideal_syzygies, normal_form, reduced_groebner
 
 
 class NonHomogeneousError(ValueError):
     pass
-
-
-class DivisionInexactError(RuntimeError):
-    """Internal consistency failure in the colon computation."""
 
 
 class Ideal:
@@ -107,49 +101,27 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
     return Ideal(I.ring, I.generators + J.generators)
 
 
-def _fresh_var(ring: PolyRing) -> str:
-    name = "t"
-    i = 0
-    while name in ring.variables:
-        name = f"t{i}"
-        i += 1
-    return name
-
-
 def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I ∩ J via the auxiliary variable trick: eliminate a fresh t, put in
-    front under the block(1) order, from tI + (1-t)J."""
+    """I ∩ J, generated by sum(c_i * f_i) over the syzygies (c, d) of the
+    generators (f_1..f_r, g_1..g_t) of I and J."""
     if I.ring != J.ring:
         raise RingMismatchError("intersect across rings")
-    ring = I.ring
-    if I.is_zero() or J.is_zero():
-        return Ideal(ring, ())
-    tname = _fresh_var(ring)
-    ext = PolyRing(ring.field, (tname,) + ring.variables, MonomialOrder("block", 1))
-    t = ext.var(tname)
-
-    def lift(g):
-        return ext.from_dict({(0,) + m: c for m, c in g.terms})
-
-    gens = [t * lift(g) for g in I.generators if not g.is_zero()]
-    gens += [(ext.one - t) * lift(g) for g in J.generators if not g.is_zero()]
-    kept = eliminate(gens, 1)
-    return Ideal(ring, [ring.from_dict({m[1:]: c for m, c in g.terms}) for g in kept])
+    f = [g for g in I.generators if not g.is_zero()]
+    g = [h for h in J.generators if not h.is_zero()]
+    if not f or not g:
+        return Ideal(I.ring, ())
+    meet = (syz.dot(f) for syz in ideal_syzygies(f + g))
+    return Ideal(I.ring, [h for h in meet if not h.is_zero()])
 
 
 def _colon_principal(a: Ideal, f: Polynomial) -> Ideal:
-    """a : (f) via generators of a ∩ (f) divided by f."""
+    """a : (f), the first coordinates of the syzygies of (f, a_1..a_k)."""
     ring = a.ring
     if f.is_zero():
         return Ideal(ring, (ring.one,))
-    meet = intersect(a, Ideal(ring, (f,)))
-    quot = []
-    for g in meet.generators:
-        try:
-            quot.append(divide_exact(g, f))
-        except NotAMemberError as exc:
-            raise DivisionInexactError(str(exc)) from exc
-    return Ideal(ring, quot)
+    gens = [g for g in a.generators if not g.is_zero()]
+    firsts = (syz.components[0] for syz in ideal_syzygies([f] + gens))
+    return Ideal(ring, [c for c in firsts if not c.is_zero()])
 
 
 def colon(a: Ideal, I: Ideal) -> Ideal:

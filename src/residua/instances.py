@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 
 from .field import FieldSpec, DEFAULT_PRIME
-from .ring import PolyRing, MonomialOrder
+from .ring import IDENT_RE, MonomialOrder, PolyRing
 from .ideals import Ideal
 from .residual import ResidualInstance, generic_generators
 
@@ -96,8 +96,17 @@ def parse_instance(text: str) -> ResidualInstance:
         order = parse_order(get("order", "grevlex"))
     except ValueError as exc:
         raise InstanceParseError(str(exc), values["order"][1]) from exc
-    names = [v.strip() for v in get("vars").split(",") if v.strip()]
-    ring = PolyRing(field, tuple(names), order)
+    raw_vars, vars_line = values["vars"]
+    names = [v.strip() for v in raw_vars.split(",") if v.strip()]
+    if not names:
+        raise InstanceParseError("`vars` names no variable", vars_line)
+    for name in names:
+        if not IDENT_RE.fullmatch(name):
+            raise InstanceParseError(f"bad variable name {name!r}", vars_line)
+    try:
+        ring = PolyRing(field, tuple(names), order)
+    except ValueError as exc:
+        raise InstanceParseError(str(exc), vars_line) from exc
 
     def parse_polys(key):
         raw, lineno = values[key]

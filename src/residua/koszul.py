@@ -212,12 +212,10 @@ def _setup(a: Ideal, I: Ideal):
     x = min_gens(I)
     K = KoszulComplex(I.ring, x)
     a_gens = [g for g in a.generators if not g.is_zero()]
-    zetas = []
-    for g in a_gens:
-        c = express_in_terms(g, x)
-        zetas.append(
-            ExteriorElement(I.ring, K.n, 1, {(i + 1,): c[i] for i in range(K.n)})
-        )
+    zetas = [
+        ExteriorElement(I.ring, K.n, 1, {(i + 1,): c[i] for i in range(K.n)})
+        for c in express_in_terms(a_gens, x)
+    ]
     return K, a_gens, zetas
 
 

@@ -190,9 +190,6 @@ class PolyRing:
     def parse(self, text: str) -> "Polynomial":
         return _Parser(self, text).parse()
 
-    def with_order(self, order: MonomialOrder) -> "PolyRing":
-        return PolyRing(self.field, self.variables, order)
-
     def __str__(self):
         return f"{self.field}[{', '.join(self.variables)}] ({self.order})"
 
@@ -431,8 +428,10 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+# a variable name: what the parser reads as one `ident` token
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()]))"
+    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<ident>" + IDENT_RE.pattern + r")|(?P<op>[-+*^()]))"
 )
 
 

@@ -2,9 +2,10 @@
 
 These deliberately avoid the Gröbner engine: membership and remainders
 come from row-reducing the finite-dimensional space spanned by monomial
-multiples of the generators up to a degree bound, monomial colon and
-intersection from exponent-vector arithmetic, and Koszul homology
-dimensions from ranks of truncated differential matrices.
+multiples of the generators up to a degree bound, graded pieces of a
+colon from the kernel of multiplication into such truncated quotients,
+monomial colon and intersection from exponent-vector arithmetic, and
+Koszul homology dimensions from ranks of truncated differential matrices.
 """
 
 from __future__ import annotations
@@ -127,6 +128,24 @@ def oracle_degree_piece(gens, degree):
     ring = gens[0].ring
     columns, _, pivots = truncated_span(gens, degree)
     return sum(1 for col, _ in pivots if sum(columns[col]) == degree)
+
+
+def oracle_colon_degree_piece(a_gens, i_gens, degree):
+    """Dimension of the degree-d piece of a : I for homogeneous a and I: the
+    kernel of R_d -> sum_i (R/a)_{d + deg f_i}, r -> (r * f_i mod a)_i."""
+    ring = a_gens[0].ring
+    field = ring.field
+    unknowns = monomials_of_degree(ring, degree)
+    images = [[] for _ in unknowns]
+    for f in i_gens:
+        if f.is_zero():
+            continue
+        columns, index, pivots = truncated_span(a_gens, degree + f.total_degree())
+        for image, m in zip(images, unknowns):
+            vec = _poly_vector(f.mul_term(m, field.one), columns, index)
+            image.extend(_reduce_vector(field, vec, pivots))
+    rows = [list(row) for row in zip(*images)]
+    return len(_kernel_basis(field, rows, len(unknowns)))
 
 
 # ---------------------------------------------------------------------------

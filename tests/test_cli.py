@@ -203,6 +203,16 @@ def test_bad_integer_reports_its_line(tmp_path, capsys, bad_line, lineno):
     assert f"line {lineno}" in err
 
 
+@pytest.mark.parametrize("names", ["x, 2y", "x, x^2", "x y", ",", "x, x"])
+def test_bad_vars_line_reports_its_line(tmp_path, capsys, names):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"vars = {names}\nI = x\na = x\n")
+    assert main(["colon", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "line 1" in err
+
+
 def test_max_steps_limit(instance_file, capsys):
     assert main(["colon", instance_file, "--max-steps", "1"]) == 1
     assert "resource-limit" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Buchberger, normal forms, elimination, and module (syzygy) computations."""
+"""Buchberger, normal forms, and module (syzygy) computations."""
 
 from itertools import product
 
@@ -7,10 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from residua import (
     FreeModuleElement,
-    GF32003,
-    PolyRing,
     buchberger,
-    eliminate,
     express_in_terms,
     ideal_syzygies,
     normal_form,
@@ -20,11 +17,10 @@ from residua import (
 from residua.groebner import (
     NotAMemberError,
     ResourceLimitError,
-    divide_exact,
     module_member,
     spoly,
 )
-from residua.ring import MonomialOrder, mono_div, mono_divides
+from residua.ring import mono_div, mono_divides
 
 from conftest import (
     KERNEL_RINGS,
@@ -87,30 +83,23 @@ def test_membership_agrees_with_oracle(R2):
         assert normal_form(f, G).is_zero() == oracle_member(f, gens)
 
 
-def test_eliminate_block_order():
-    # a block(1) ring's generators are used as they are; a grevlex ring's
-    # go to block(1) and the kept elements come back
-    for order in (MonomialOrder("block", 1), MonomialOrder("grevlex")):
-        ring = PolyRing(GF32003, ("t", "x"), order)
-        t, x = ring.gens
-        assert [str(p) for p in eliminate([t * x, t - ring.one], 1)] == ["x"]
-        assert eliminate([t - x**2, t * x - ring.one], 1) == [x**3 - ring.one]
-
-
 def test_express_in_terms(R2):
     gens = [R2.parse("x^2"), R2.parse("x*y"), R2.parse("y^2")]
-    f = R2.parse("x^3 + x*y^2")
-    coeffs = express_in_terms(f, gens)
-    acc = R2.zero
-    for c, g in zip(coeffs, gens):
-        acc = acc + c * g
-    assert acc == f
+    polys = [R2.parse("x^3 + x*y^2"), R2.parse("x*y"), R2.zero]
+    rows = express_in_terms(polys, gens)
+    assert len(rows) == len(polys)
+    for f, coeffs in zip(polys, rows):
+        acc = R2.zero
+        for c, g in zip(coeffs, gens):
+            acc = acc + c * g
+        assert acc == f
+    assert express_in_terms([], gens) == []
 
 
 def test_express_in_terms_rejects_nonmember(R2):
     gens = [R2.parse("x^2"), R2.parse("y^2")]
     with pytest.raises(NotAMemberError):
-        express_in_terms(R2.parse("x*y"), gens)
+        express_in_terms([R2.parse("x^2"), R2.parse("x*y")], gens)
 
 
 def test_ideal_syzygies_wrapper(R2):
@@ -143,7 +132,7 @@ def test_step_limit_enforced_on_modules(R3):
     with pytest.raises(ResourceLimitError, match="^exceeded 1 S-pair reductions$"):
         ideal_syzygies(gens)
     with pytest.raises(ResourceLimitError, match="^exceeded 1 S-pair reductions$"):
-        express_in_terms(f, gens)
+        express_in_terms([f], gens)
     with pytest.raises(ResourceLimitError, match="^exceeded 1 S-pair reductions$"):
         module_member(FreeModuleElement(R3, 1, (f,)),
                       [FreeModuleElement(R3, 1, (g,)) for g in gens])
@@ -206,13 +195,6 @@ def test_normal_form_matches_repeated_subtraction(case):
 def test_normal_form_agrees_with_oracle(case):
     ring, gens, f = case
     assert normal_form(f, reduced_groebner(gens)) == oracle_remainder(f, gens, 3)
-
-
-@given(in_kernel_ring(lambda ring: [polynomials(ring)] * 2))
-def test_divide_exact_inverts_mul(case):
-    ring, f, g = case
-    g = g if not g.is_zero() else ring.one
-    assert divide_exact(f * g, g) == f
 
 
 _X, _Y = _R.gens[:2]

@@ -2,10 +2,11 @@
 minimal generators, and the G_s condition."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from residua import (
     GF32003,
+    RATIONALS,
     Ideal,
     PolyRing,
     check_Gs,
@@ -19,12 +20,19 @@ from residua import (
     mu,
 )
 from residua import ideals
+from residua.corpus import generate_instance
 from residua.ideals import NonHomogeneousError
 from residua.fitting import minors
 from residua.groebner import ResourceLimitError, set_step_limit
 
 from conftest import parse_ideal, random_homogeneous, seeded_rng
-from oracles import monomial_colon, monomial_intersect, oracle_member
+from oracles import (
+    monomial_colon,
+    monomial_intersect,
+    oracle_colon_degree_piece,
+    oracle_degree_piece,
+    oracle_member,
+)
 
 
 def test_intersection_of_monomial_ideals(R2):
@@ -38,21 +46,28 @@ def _monomial_ideal(ring, exponents):
     return Ideal(ring, [ring.monomial(m) for m in exponents])
 
 
-@given(st.data())
-def test_intersect_matches_monomial_oracle(data):
-    ring = PolyRing(GF32003, ("x", "y", "z")[:data.draw(st.integers(2, 3))])
-    exponents = st.lists(
-        st.tuples(*[st.integers(0, 3)] * ring.nvars), min_size=1, max_size=3
-    )
-    ms1, ms2 = data.draw(exponents), data.draw(exponents)
+def _monomial_ideal_pairs():
+    """(ring, exponents of a first, exponents of a second monomial ideal)
+    in 2 or 3 variables."""
+    def draw(nvars):
+        exponents = st.lists(
+            st.tuples(*[st.integers(0, 3)] * nvars), min_size=1, max_size=3
+        )
+        return st.tuples(st.just(PolyRing(GF32003, ("x", "y", "z")[:nvars])),
+                         exponents, exponents)
+
+    return st.integers(2, 3).flatmap(draw)
+
+
+@given(_monomial_ideal_pairs())
+def test_intersect_matches_monomial_oracle(case):
+    ring, ms1, ms2 = case
     result = intersect(_monomial_ideal(ring, ms1), _monomial_ideal(ring, ms2))
     assert result == _monomial_ideal(ring, monomial_intersect(ms1, ms2))
 
 
 def test_intersect_when_the_ring_already_has_t():
-    # the elimination variable must not clash with t or t0
     ring = PolyRing(GF32003, ("t", "t0", "x"))
-    assert ideals._fresh_var(ring) == "t1"
     ms1, ms2 = [(2, 0, 0), (0, 1, 1)], [(1, 1, 0), (0, 0, 2)]
     result = intersect(_monomial_ideal(ring, ms1), _monomial_ideal(ring, ms2))
     assert result.ring == ring
@@ -66,13 +81,39 @@ def test_intersection_symmetric(R2):
     assert ideal_equal(intersect(I, J), intersect(J, I))
 
 
-def test_colon_matches_monomial_oracle(R2):
-    a = parse_ideal(R2, "x^2", "y^2")
-    I = parse_ideal(R2, "x", "y")
-    result = colon(a, I)
-    expected = Ideal(R2, [R2.monomial(m) for m in monomial_colon([(2, 0), (0, 2)], [(1, 0), (0, 1)])])
-    assert ideal_equal(result, expected)
-    assert ideal_equal(result, parse_ideal(R2, "x^2", "x*y", "y^2"))
+@given(_monomial_ideal_pairs())
+# (x^2, y^2) : (x, y) = (x^2, x*y, y^2)
+@example((PolyRing(GF32003, ("x", "y")), [(2, 0), (0, 2)], [(1, 0), (0, 1)]))
+def test_colon_matches_monomial_oracle(case):
+    ring, ms_a, ms_i = case
+    result = colon(_monomial_ideal(ring, ms_a), _monomial_ideal(ring, ms_i))
+    assert result == _monomial_ideal(ring, monomial_colon(ms_a, ms_i))
+
+
+def _colon_pair(family, seed):
+    """(a, I) of a seeded corpus instance over GF(32003), or for family
+    "qq" a pair of general quadrics in an hb2 ideal over QQ."""
+    if family != "qq":
+        inst = generate_instance(family, seed)
+        return inst.a, inst.I
+    ring = PolyRing(RATIONALS, ("x", "y", "z"))
+    x, y, z = ring.gens
+    I = minors(ring, [[x, y + z], [y, x + z.scale(2)], [z, x - y]], 2)
+    f = I.generators
+    return Ideal(ring, (f[0] + f[1].scale(3), f[1] + f[2].scale(5))), I
+
+
+@pytest.mark.parametrize(
+    "family, seed", [("hb2", 0), ("hb2", 1), ("hb2", 2), ("ci", 0), ("ci", 1), ("ci", 2), ("qq", 0)]
+)
+def test_colon_is_maximal(family, seed):
+    # every graded piece of a : I up to degree 4 has the dimension the
+    # linear-algebra oracle gives, so the colon is neither too small nor too big
+    a, I = _colon_pair(family, seed)
+    gens = colon(a, I).generators
+    for d in range(5):
+        expected = oracle_colon_degree_piece(a.generators, I.generators, d)
+        assert oracle_degree_piece(gens, d) == expected
 
 
 def test_colon_socle(R2):
