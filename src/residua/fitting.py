@@ -1,10 +1,13 @@
 """Presentation matrices, Fitting ideals and the G_s condition.
 
-The quotient I/a is presented by [A|B]: the syzygy columns A of a minimal
-generating sequence x_1..x_n of I, followed by one column per generator
-a_j of a recording a_j = sum c_ij x_i.  Fitt_0(I/a) is then the ideal of
-n x n minors.  The Fitting ideals of I itself, and with them G_s, are
-minors of A alone; `_syzygy_rows` is the one place that builds A.
+The quotient I/a is presented by [A|B]: the columns A of a minimal
+generating set of the syzygies of a minimal generating sequence x_1..x_n
+of I, followed by one column per generator a_j of a recording
+a_j = sum c_ij x_i.  Fitt_0(I/a) is then the ideal of n x n minors.  The
+Fitting ideals of I itself, and with them G_s, are minors of A alone;
+`_syzygy_rows` is the one place that builds A, once per ideal.  Fitting
+ideals do not depend on the presentation, so pruning A to a minimal set
+changes none of them, only the number of minors taken.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .ring import PolyRing
-from .groebner import express_in_terms, ideal_syzygies
+from .groebner import express_in_terms, ideal_syzygies, minimal_subset
 from .ideals import Ideal, height, ideal_sum, min_gens
 
 
@@ -80,11 +83,15 @@ def minors(ring: PolyRing, matrix, r: int) -> Ideal:
     return Ideal(ring, gens)
 
 
-def _syzygy_rows(x) -> list:
-    """Rows, one per x_i, of the matrix whose columns are the syzygies of
-    the nonempty sequence x."""
-    syz = ideal_syzygies(x)
-    return [[s.components[i] for s in syz] for i in range(len(x))]
+def _syzygy_rows(I: Ideal) -> list:
+    """Rows, one per x_i of x = min_gens(I), of the matrix A whose columns
+    minimally generate the syzygies of x; the columns are computed once
+    and kept on I.  The zero ideal has no rows."""
+    x = min_gens(I)
+    if I._syzygies is None and x:
+        weights = [g.total_degree() for g in x]
+        I._syzygies = tuple(minimal_subset(ideal_syzygies(x), weights))
+    return [[s.components[i] for s in I._syzygies] for i in range(len(x))]
 
 
 def presentation_of_quotient(I: Ideal, a: Ideal) -> PresentationMatrix:
@@ -94,7 +101,7 @@ def presentation_of_quotient(I: Ideal, a: Ideal) -> PresentationMatrix:
     x = min_gens(I)
     if not x:
         return PresentationMatrix(I.ring, ())
-    rows = _syzygy_rows(x)
+    rows = _syzygy_rows(I)
     for coeffs in express_in_terms([g for g in a.generators if not g.is_zero()], x):
         for row, c in zip(rows, coeffs):
             row.append(c)
@@ -104,17 +111,14 @@ def presentation_of_quotient(I: Ideal, a: Ideal) -> PresentationMatrix:
 def fitt0_quotient(I: Ideal, a: Ideal) -> Ideal:
     """Fitt_0(I/a); the zero module (a = I = 0 included) yields (1)."""
     pres = presentation_of_quotient(I, a)
-    if pres.rows == 0:
-        return Ideal(I.ring, (I.ring.one,))
     return minors(I.ring, pres.entries, pres.rows)
 
 
 def fitting_ideal(I: Ideal, j: int) -> Ideal:
-    """Fitt_j(I) from the syzygy presentation of min_gens(I)."""
-    x = min_gens(I)
-    if not x:
-        return Ideal(I.ring, (I.ring.one,))
-    return minors(I.ring, _syzygy_rows(x), len(x) - j)
+    """Fitt_j(I) from the syzygy presentation of min_gens(I); (1) once
+    j >= mu(I), the zero ideal included."""
+    rows = _syzygy_rows(I)
+    return minors(I.ring, rows, len(rows) - j)
 
 
 def check_Gs(I: Ideal, s: int) -> bool:
@@ -122,9 +126,4 @@ def check_Gs(I: Ideal, s: int) -> bool:
     height(Fitt_j(I) + I) >= j+1 for 0 <= j <= s-1."""
     if I.is_unit() or I.is_zero():
         raise ValueError("check_Gs needs a proper nonzero ideal")
-    x = min_gens(I)
-    rows = _syzygy_rows(x)
-    for j in range(s):
-        if height(ideal_sum(minors(I.ring, rows, len(x) - j), I)) < j + 1:
-            return False
-    return True
+    return all(height(ideal_sum(fitting_ideal(I, j), I)) >= j + 1 for j in range(s))

@@ -198,11 +198,9 @@ def _remainder(kind: _TermKind, terms, basis) -> tuple:
     return _reduce(_Dividend(terms, kind), [_divisor(b) for b in basis], kind)
 
 
-def _groebner(kind: _TermKind, G: list, max_steps=None) -> list:
+def _groebner(kind: _TermKind, G: list) -> list:
     """Extend the monic canonical term tuples G, in place, to a Gröbner
     basis (normal selection strategy) and return it."""
-    if max_steps is None:
-        max_steps = _step_limit
     F, key, mul, divides, div, lcm_of = (
         kind.field, kind.key, kind.mul, kind.divides, kind.div, kind.lcm)
     leads = [g[0][0] for g in G]
@@ -244,8 +242,8 @@ def _groebner(kind: _TermKind, G: list, max_steps=None) -> list:
             continue
 
         steps += 1
-        if max_steps is not None and steps > max_steps:
-            raise ResourceLimitError(f"exceeded {max_steps} S-pair reductions")
+        if _step_limit is not None and steps > _step_limit:
+            raise ResourceLimitError(f"exceeded {_step_limit} S-pair reductions")
         q_i = div(lcm, lm_i)
         s = _Dividend(((mul(t, q_i), c) for t, c in G[i]), kind)
         s.sub_multiple(G[j], div(lcm, lm_j), F.one)
@@ -277,7 +275,7 @@ def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     return a - b
 
 
-def buchberger(gens, max_steps=None) -> GroebnerBasis:
+def buchberger(gens) -> GroebnerBasis:
     """Gröbner basis of the ideal generated by gens (normal selection strategy).
 
     Deterministic for a fixed generator order.  Zero generators are dropped;
@@ -291,7 +289,7 @@ def buchberger(gens, max_steps=None) -> GroebnerBasis:
         if g.ring != ring:
             raise RingMismatchError("generators from different rings")
     G = [_monic(ring.field, g.terms) for g in gens if g.terms]
-    G = _groebner(_ideal_terms(ring), G, max_steps)
+    G = _groebner(_ideal_terms(ring), G)
     return GroebnerBasis(ring, tuple(Polynomial(ring, g) for g in G))
 
 
@@ -314,8 +312,8 @@ def reduce_basis(G: GroebnerBasis) -> GroebnerBasis:
     return GroebnerBasis(ring, tuple(reduced))
 
 
-def reduced_groebner(gens, max_steps=None) -> GroebnerBasis:
-    return reduce_basis(buchberger(gens, max_steps=max_steps))
+def reduced_groebner(gens) -> GroebnerBasis:
+    return reduce_basis(buchberger(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -459,3 +457,23 @@ def module_member(elem: FreeModuleElement, gens) -> bool:
     kind = _module_terms(elem.ring, elem.rank)
     gb = _groebner(kind, [_module_element(kind, _to_dict(g)) for g in gens])
     return not _remainder(kind, _to_dict(elem).items(), gb)
+
+
+def minimal_subset(elems, weights, span=()) -> list:
+    """The elements of `elems` kept by graded Nakayama: taken in order of
+    shifted degree max(deg c_i + weights[i]) over their nonzero components
+    c_i, ties by input position, each is kept unless it lies in the
+    submodule generated by `span` and the elements kept before it.  For
+    homogeneous elements the kept ones, with `span`, minimally generate
+    the submodule that `span` and `elems` generate."""
+    def shifted_degree(elem):
+        return max((c.total_degree() + w for c, w in zip(elem.components, weights)
+                    if not c.is_zero()), default=-1)
+
+    span = list(span)
+    kept = []
+    for elem in sorted(elems, key=shifted_degree):
+        if not module_member(elem, span):
+            kept.append(elem)
+            span.append(elem)
+    return kept

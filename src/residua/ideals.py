@@ -7,19 +7,27 @@ syzygies of the generators of I followed by those of J, and a : (f) from
 the syzygies of (f, a_1..a_k); a : I intersects the a : (f_i).
 
 An `Ideal` caches the work that depends only on it: its reduced Gröbner
-basis, `min_gens(I)`, `height(I)`, and, keyed by the exact generator tuple
-of `a`, every colon `a : I` computed with it as the divisor.  The caches
-live on the ideal and die with it; nothing is cached at module level.  An
-entry is stored only once its computation has returned, and nothing
-assigns `ring` or `generators` after construction, so a cached value is
-exactly what recomputing it from the same generators would give: outputs
-cannot change, and repeated inputs share one result object.
+basis, `min_gens(I)`, `height(I)`, the minimal syzygies of `min_gens(I)`
+(filled in by `fitting`), and, keyed by the exact generator tuple of `a`,
+every colon `a : I` computed with it as the divisor.  The caches live on
+the ideal and die with it; nothing is cached at module level.  An entry is
+stored only once its computation has returned, and nothing assigns `ring`
+or `generators` after construction, so a cached value is exactly what
+recomputing it from the same generators would give: outputs cannot
+change, and repeated inputs share one result object.
 """
 
 from __future__ import annotations
 
 from .ring import Polynomial, PolyRing, RingMismatchError
-from .groebner import GroebnerBasis, ideal_syzygies, normal_form, reduced_groebner
+from .groebner import (
+    FreeModuleElement,
+    GroebnerBasis,
+    ideal_syzygies,
+    minimal_subset,
+    normal_form,
+    reduced_groebner,
+)
 
 
 class NonHomogeneousError(ValueError):
@@ -32,7 +40,7 @@ class Ideal:
     `==` is ideal equality (same ring, same reduced basis), so ideals are
     unhashable."""
 
-    __slots__ = ("ring", "generators", "_gb", "_min_gens", "_height", "_colons")
+    __slots__ = ("ring", "generators", "_gb", "_min_gens", "_height", "_syzygies", "_colons")
 
     def __init__(self, ring: PolyRing, generators):
         self.ring = ring
@@ -47,6 +55,7 @@ class Ideal:
         self._gb = None
         self._min_gens = None
         self._height = None
+        self._syzygies = None
         self._colons = {}
 
     def __eq__(self, other):
@@ -190,24 +199,16 @@ def height(I: Ideal) -> int:
 # ---------------------------------------------------------------------------
 
 def min_gens(I: Ideal) -> list:
-    """A minimal homogeneous generating sequence (graded Nakayama); a new
-    list on every call."""
-    if I._min_gens is not None:
-        return list(I._min_gens)
-    gens = [g for g in I.generators if not g.is_zero()]
-    for g in gens:
-        if not g.is_homogeneous():
-            raise NonHomogeneousError(f"non-homogeneous generator {g}")
-    gens.sort(key=lambda g: g.total_degree())
-    kept = []
-    for g in gens:
-        if not kept:
-            kept.append(g.monic())
-            continue
-        if not normal_form(g, reduced_groebner(kept)).is_zero():
-            kept.append(g.monic())
-    I._min_gens = tuple(kept)
-    return kept
+    """A minimal homogeneous generating sequence, monic, by graded Nakayama
+    (`minimal_subset`); a new list on every call."""
+    if I._min_gens is None:
+        gens = [g for g in I.generators if not g.is_zero()]
+        for g in gens:
+            if not g.is_homogeneous():
+                raise NonHomogeneousError(f"non-homogeneous generator {g}")
+        kept = minimal_subset([FreeModuleElement(I.ring, 1, (g,)) for g in gens], (0,))
+        I._min_gens = tuple(e.components[0].monic() for e in kept)
+    return list(I._min_gens)
 
 
 def mu(I: Ideal) -> int:

@@ -9,12 +9,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .ring import Polynomial, PolyRing
-from .groebner import (
-    FreeModuleElement,
-    express_in_terms,
-    module_member,
-    syzygies,
-)
+from .groebner import FreeModuleElement, express_in_terms, minimal_subset, syzygies
 from .ideals import Ideal, NonHomogeneousError, height, min_gens
 from .fitting import NotASubidealError
 
@@ -164,39 +159,23 @@ class HomologyData:
     lifts: dict         # i -> trimmed cycle generators representing H_i
 
 
-def _shifted_degree(K: KoszulComplex, elem: ExteriorElement) -> int:
-    gd = [g.total_degree() for g in K.gens]
-    best = -1
-    for S, p in elem.coeffs.items():
-        best = max(best, p.total_degree() + sum(gd[j - 1] for j in S))
-    return best
-
-
 def homology_lifts(K: KoszulComplex) -> HomologyData:
-    """Cycle generators per degree plus a trimmed subset generating the
-    homology modulo boundaries (graded minimalization, input order ties)."""
+    """Cycle generators per degree plus lifts: the cycles that
+    `minimal_subset` keeps with the boundaries as span and e_S weighted by
+    the sum of deg x_j over j in S, so that their classes minimally
+    generate the homology (ties by input order)."""
     n = K.n
-    cycles, lifts = {}, {}
     one = ExteriorElement.scalar(K.ring, n, K.ring.one)
-    cycles[0] = [one]
-    lifts[0] = [one]
+    cycles, lifts = {0: [one]}, {0: [one]}
+    gd = [g.total_degree() for g in K.gens]
     for i in range(1, n + 1):
         basis = K.basis(i)
-        cols = K.differential_columns(i)
-        z = [
-            ExteriorElement.from_module_element(s, n, basis)
-            for s in syzygies(cols)
-        ]
-        cycles[i] = z
-        order = sorted(range(len(z)), key=lambda k: (_shifted_degree(K, z[k]), k))
-        kept = []
+        z = syzygies(K.differential_columns(i))
+        cycles[i] = [ExteriorElement.from_module_element(s, n, basis) for s in z]
+        shifts = [sum(gd[j - 1] for j in S) for S in basis]
         span = [e.to_module_element(basis) for e in K.boundary_elements(i)]
-        for k in order:
-            vec = z[k].to_module_element(basis)
-            if not module_member(vec, span):
-                kept.append(z[k])
-                span.append(vec)
-        lifts[i] = kept
+        lifts[i] = [ExteriorElement.from_module_element(v, n, basis)
+                    for v in minimal_subset(z, shifts, span)]
     return HomologyData(K, cycles, lifts)
 
 

@@ -160,6 +160,8 @@ def generic_generators(I: Ideal, s: int, seed=0, retries=8, degree=None) -> list
     ring = I.ring
     rng = random.Random(seed)
     f = min_gens(I)
+    if not f:
+        raise ValueError("I has no nonzero generator, so it has no general elements")
     target = degree if degree is not None else max(g.total_degree() for g in f)
     for _attempt in range(retries):
         a_gens = []

@@ -8,7 +8,7 @@ import pytest
 
 from residua import GF32003, RATIONALS, PolyRing, __version__, buchberger
 from residua.cli import main
-from residua.groebner import ResourceLimitError
+from residua.groebner import ResourceLimitError, set_step_limit
 
 INSTANCE = """\
 field = GF(32003)
@@ -213,6 +213,15 @@ def test_bad_vars_line_reports_its_line(tmp_path, capsys, names):
     assert "line 1" in err
 
 
+def test_zero_ideal_has_no_general_elements(tmp_path, capsys):
+    path = tmp_path / "zero.txt"
+    path.write_text("vars = x, y\nI = 0\ns = 1\n")
+    assert main(["colon", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "I has no nonzero generator" in err
+
+
 def test_max_steps_limit(instance_file, capsys):
     assert main(["colon", instance_file, "--max-steps", "1"]) == 1
     assert "resource-limit" in capsys.readouterr().err
@@ -221,8 +230,12 @@ def test_max_steps_limit(instance_file, capsys):
 def test_max_steps_does_not_leak(instance_file, capsys):
     ring = PolyRing(GF32003, ("x", "y", "z"))
     gens = [ring.parse(t) for t in ("x^2 + y*z", "y^2 + x*z", "z^2 + x*y")]
-    with pytest.raises(ResourceLimitError):
-        buchberger(gens, max_steps=1)   # the ideal needs more than one step
+    previous = set_step_limit(1)
+    try:
+        with pytest.raises(ResourceLimitError):
+            buchberger(gens)   # the ideal needs more than one step
+    finally:
+        set_step_limit(previous)
     assert main(["colon", instance_file, "--max-steps", "1"]) == 1
     capsys.readouterr()
     assert len(buchberger(gens)) > len(gens)

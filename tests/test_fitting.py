@@ -1,13 +1,16 @@
 """Fitting ideals of cyclic quotients I/a via [A|B] presentations."""
 
+from math import comb
+
 import pytest
 
-from residua import fitt0_quotient, minors, presentation_of_quotient
-from residua.corpus import generate_instance
-from residua.fitting import NotASubidealError, check_Gs, fitting_ideal
-from residua.ideals import colon, height, ideal_equal, ideal_sum
+from residua import fitt0_quotient, fitting, minors, presentation_of_quotient
+from residua.corpus import FAMILIES, generate_instance
+from residua.fitting import NotASubidealError, _syzygy_rows, check_Gs, fitting_ideal
+from residua.groebner import ideal_syzygies, set_step_limit
+from residua.ideals import colon, height, ideal_equal, ideal_sum, min_gens, mu
 
-from conftest import parse_ideal
+from conftest import parse_ideal, random_homogeneous, seeded_rng
 
 
 def test_minors_of_koszul_style_matrix(R2):
@@ -119,3 +122,68 @@ def test_check_Gs_matches_its_definition(family):
         assert check_Gs(I, s) == expected
         outcomes.append(expected)
     assert outcomes[0] and not outcomes[-1]
+
+
+def maximal_minors_ideal(ring, m, seed):
+    """The m x m minors of a seeded (m+1) x m matrix of linear forms: a
+    Hilbert-Burch ideal with m + 1 generators and m syzygies when it has
+    height 2 (Eisenbud, Commutative Algebra, Thm 20.15)."""
+    rng = seeded_rng("maximal-minors", m, seed)
+    matrix = [[random_homogeneous(ring, 1, rng, density=1.0) for _ in range(m)]
+              for _ in range(m + 1)]
+    I = minors(ring, matrix, m)
+    assert mu(I) == m + 1 and height(I) == 2
+    return I
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("seed", range(3))
+def test_minimal_syzygy_count_matches_theory(family, seed):
+    # a complete intersection of g forms has the C(g, 2) Koszul relations as
+    # minimal syzygies; the three-generated height-2 families have two
+    I = generate_instance(family, seed).I
+    expected = comb(len(I.generators), 2) if family == "ci" else 2
+    assert len(_syzygy_rows(I)[0]) == expected
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_minimal_syzygy_count_of_maximal_minors(R3, m):
+    assert len(_syzygy_rows(maximal_minors_ideal(R3, m, 0))[0]) == m
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("seed", range(3))
+def test_fitting_ideals_match_the_unpruned_syzygy_matrix(family, seed):
+    I = generate_instance(family, seed).I
+    x = min_gens(I)
+    syz = ideal_syzygies(x)
+    rows = [[z.components[i] for z in syz] for i in range(len(x))]
+    for j in range(len(x) + 1):
+        assert ideal_equal(fitting_ideal(I, j), minors(I.ring, rows, len(x) - j))
+
+
+def test_check_Gs_on_five_by_four_maximal_minors(R3):
+    # unpruned, its 14 syzygy columns give C(5, 4) * C(14, 4) = 5005 4 x 4 submatrices
+    I = maximal_minors_ideal(R3, 4, 0)
+    previous = set_step_limit(20000)
+    try:
+        assert check_Gs(I, 3)
+    finally:
+        set_step_limit(previous)
+
+
+def test_syzygies_computed_once_per_ideal(monkeypatch):
+    inst = generate_instance("hb2", 0)
+    I, a = inst.I, inst.a
+    calls = []
+
+    def counted(polys):
+        calls.append(len(polys))
+        return ideal_syzygies(polys)
+
+    monkeypatch.setattr(fitting, "ideal_syzygies", counted)
+    check_Gs(I, 2)
+    fitting_ideal(I, 1)
+    presentation_of_quotient(I, a)
+    fitt0_quotient(I, a)
+    assert len(calls) == 1
