@@ -117,6 +117,17 @@ _OPTION_DEFAULTS = {
 }
 
 
+def _nonnegative(text) -> int:
+    """An argument that must be an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     # the shared flags use SUPPRESS so a subparser never clobbers a value
     # given before the subcommand; defaults are filled in afterwards
@@ -125,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--field", default=argparse.SUPPRESS, help="q for rationals or pP, e.g. p32003"
     )
-    common.add_argument("--max-steps", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--max-steps", type=_nonnegative, default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(prog="residua", parents=[common])
@@ -138,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p = sub.add_parser("corpus", parents=[common])
     p.add_argument("family", choices=FAMILIES)
-    p.add_argument("count", type=int)
+    p.add_argument("count", type=_nonnegative)
     return parser
 
 

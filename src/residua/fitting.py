@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .ring import PolyRing
-from .groebner import express_in_terms, ideal_syzygies, minimal_subset
-from .ideals import Ideal, height, ideal_sum, min_gens
+from .groebner import minimal_subset
+from .ideals import Ideal, augmented_basis, height, ideal_sum, min_gens
 
 
 class NotASubidealError(ValueError):
@@ -90,7 +90,7 @@ def _syzygy_rows(I: Ideal) -> list:
     x = min_gens(I)
     if I._syzygies is None and x:
         weights = [g.total_degree() for g in x]
-        I._syzygies = tuple(minimal_subset(ideal_syzygies(x), weights))
+        I._syzygies = tuple(minimal_subset(augmented_basis(I).syzygies(), weights))
     return [[s.components[i] for s in I._syzygies] for i in range(len(x))]
 
 
@@ -102,7 +102,7 @@ def presentation_of_quotient(I: Ideal, a: Ideal) -> PresentationMatrix:
     if not x:
         return PresentationMatrix(I.ring, ())
     rows = _syzygy_rows(I)
-    for coeffs in express_in_terms([g for g in a.generators if not g.is_zero()], x):
+    for coeffs in augmented_basis(I).express([g for g in a.generators if not g.is_zero()]):
         for row, c in zip(rows, coeffs):
             row.append(c)
     return PresentationMatrix(I.ring, tuple(tuple(row) for row in rows))
@@ -123,7 +123,14 @@ def fitting_ideal(I: Ideal, j: int) -> Ideal:
 
 def check_Gs(I: Ideal, s: int) -> bool:
     """G_s via heights of Fitting ideals of I:
-    height(Fitt_j(I) + I) >= j+1 for 0 <= j <= s-1."""
+    height(Fitt_j(I) + I) >= j+1 for 0 <= j <= s-1; each height is
+    computed once per ideal and kept on I."""
     if I.is_unit() or I.is_zero():
         raise ValueError("check_Gs needs a proper nonzero ideal")
-    return all(height(ideal_sum(fitting_ideal(I, j), I)) >= j + 1 for j in range(s))
+    heights = I._fitting_heights
+    for j in range(s):
+        if j not in heights:
+            heights[j] = height(ideal_sum(fitting_ideal(I, j), I))
+        if heights[j] < j + 1:
+            return False
+    return True

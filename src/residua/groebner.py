@@ -11,6 +11,16 @@ pairs, ordered position over term; leads in different positions form no
 pair and never divide each other.  Syzygies, and through them colons and
 intersections, are module computations.
 
+`_groebner` extends a Gröbner basis by new elements.  Each new element
+waits in the pair heap under the key of its lead, ahead of the pairs with
+the same key, and is reduced by the basis of the moment when it is
+popped: a nonzero remainder joins the basis, monic, with its pairs, and a
+zero one is dropped before it makes any.  So a redundant input generator
+costs one division and no S-pair, and a basis grows from what is new
+instead of being rebuilt: `minimal_subset` keeps one basis of its span,
+and `AugmentedBasis` serves both the syzygies of a sequence and the
+expression of elements in terms of it.
+
 Pairs are taken by the normal selection strategy, least lcm first, ties
 broken by (i, j).  The chain criterion holds for both kinds: a pair (i, j)
 is skipped when another lead divides its lcm and the pairs (i, k) and
@@ -60,7 +70,8 @@ _step_limit = None
 
 def set_step_limit(limit):
     """Set a global cap on S-pair reductions per Buchberger run (None = off);
-    returns the cap it replaces."""
+    returns the cap it replaces.  Only S-pair reductions count: reducing an
+    arriving input element by the basis is not a step."""
     global _step_limit
     previous, _step_limit = _step_limit, limit
     return previous
@@ -198,29 +209,40 @@ def _remainder(kind: _TermKind, terms, basis) -> tuple:
     return _reduce(_Dividend(terms, kind), [_divisor(b) for b in basis], kind)
 
 
-def _groebner(kind: _TermKind, G: list) -> list:
-    """Extend the monic canonical term tuples G, in place, to a Gröbner
-    basis (normal selection strategy) and return it."""
+def _groebner(kind: _TermKind, G: list, new) -> list:
+    """Extend the Gröbner basis G of monic canonical term tuples, in place,
+    to one of G and the canonical term tuples `new` (normal selection
+    strategy) and return it.  A new element is queued under the key of its
+    lead, ahead of S-pairs with that key; popped, it is reduced by G, and
+    a nonzero remainder joins G while a zero one is dropped."""
     F, key, mul, divides, div, lcm_of = (
         kind.field, kind.key, kind.mul, kind.divides, kind.div, kind.lcm)
     leads = [g[0][0] for g in G]
     divisors = [_divisor(g) for g in G]
-    heap = []
+    new = [t for t in new if t]
+    heap = [(key(t[0][0]), -1, k) for k, t in enumerate(new)]
+    heapify(heap)
     pending = set()
 
-    def push_pairs(j):
+    def insert(r):
+        G.append(_monic(F, r))
+        leads.append(r[0][0])
+        divisors.append(_divisor(G[-1]))
+        j = len(G) - 1
         for i in range(j):
             lcm = lcm_of(leads[i], leads[j])
             if lcm is not None:
                 heappush(heap, (key(lcm), i, j))
                 pending.add((i, j))
 
-    for j in range(len(G)):
-        push_pairs(j)
-
     steps = 0
     while heap:
         _, i, j = heappop(heap)
+        if i < 0:
+            r = _reduce(_Dividend(new[j], kind), divisors, kind)
+            if r:
+                insert(r)
+            continue
         pending.discard((i, j))
         lm_i, lm_j = leads[i], leads[j]
         lcm = lcm_of(lm_i, lm_j)
@@ -249,10 +271,7 @@ def _groebner(kind: _TermKind, G: list) -> list:
         s.sub_multiple(G[j], div(lcm, lm_j), F.one)
         r = _reduce(s, divisors, kind)
         if r:
-            G.append(_monic(F, r))
-            leads.append(r[0][0])
-            divisors.append(_divisor(G[-1]))
-            push_pairs(len(G) - 1)
+            insert(r)
     return G
 
 
@@ -288,8 +307,7 @@ def buchberger(gens) -> GroebnerBasis:
     for g in gens:
         if g.ring != ring:
             raise RingMismatchError("generators from different rings")
-    G = [_monic(ring.field, g.terms) for g in gens if g.terms]
-    G = _groebner(_ideal_terms(ring), G)
+    G = _groebner(_ideal_terms(ring), [], [g.terms for g in gens])
     return GroebnerBasis(ring, tuple(Polynomial(ring, g) for g in G))
 
 
@@ -358,49 +376,51 @@ def _from_dict(ring, rank, d) -> FreeModuleElement:
     return FreeModuleElement(ring, rank, tuple(ring.from_dict(c) for c in comps))
 
 
-def _module_element(kind: _TermKind, d: dict) -> tuple:
-    """The dict {(position, monomial): coefficient} as monic canonical terms."""
-    return _monic(kind.field, tuple(sorted(d.items(), key=lambda t: kind.neg_key(t[0]))))
+def _canonical(kind: _TermKind, d: dict) -> tuple:
+    """The dict {(position, monomial): coefficient} as canonical terms."""
+    return tuple(sorted(d.items(), key=lambda t: kind.neg_key(t[0])))
 
 
-def _augmented_basis(gens):
-    """Module kind and Gröbner basis of the elements gens_i + e_(rank + i),
-    positions below rank dominant.  Its elements led past rank are the
-    syzygies of gens, and a remainder past rank expresses an element of
-    the submodule in terms of gens."""
-    ring, rank = gens[0].ring, gens[0].rank
-    kind = _module_terms(ring, rank)
-    one = (0,) * ring.nvars
-    G = []
-    for i, g in enumerate(gens):
-        d = _to_dict(g)
-        d[(rank + i, one)] = ring.field.one
-        G.append(_module_element(kind, d))
-    return kind, _groebner(kind, G)
+def _rank_one(polys) -> list:
+    return [FreeModuleElement(p.ring, 1, (p,)) for p in polys]
 
 
-def syzygies(gens) -> list:
-    """Generators of the syzygy module of a sequence of free-module elements.
+class AugmentedBasis:
+    """The Gröbner basis of the elements gens_i + e_(rank + i) of a sequence
+    gens of free-module elements, positions below rank dominant.  Its
+    elements led past rank are the syzygies of gens, and a remainder past
+    rank expresses an element of the submodule in terms of gens."""
 
-    Every returned s satisfies sum(s_i * gens_i) == 0 (verified here).
-    """
-    gens = list(gens)
-    if not gens:
-        raise ValueError("syzygies of an empty sequence")
-    ring = gens[0].ring
-    rank = gens[0].rank
-    for g in gens:
-        if g.ring != ring or g.rank != rank:
-            raise ValueError("generators must share ring and rank")
-    m = len(gens)
-    zero, add, mul = ring.field.zero, ring.field.add, ring.field.mul
-    out = []
-    for e in _augmented_basis(gens)[1]:
-        pos, _ = e[0][0]
-        if pos >= rank:
-            tail = {(p - rank, mm): c for (p, mm), c in e}
-            if any(p < 0 for (p, _mm) in tail):
+    __slots__ = ("ring", "rank", "gens", "kind", "basis")
+
+    def __init__(self, gens):
+        gens = tuple(gens)
+        if not gens:
+            raise ValueError("augmented basis of an empty sequence")
+        ring, rank = gens[0].ring, gens[0].rank
+        for g in gens:
+            if g.ring != ring or g.rank != rank:
+                raise ValueError("generators must share ring and rank")
+        kind = _module_terms(ring, rank)
+        one = (0,) * ring.nvars
+        augmented = []
+        for i, g in enumerate(gens):
+            d = _to_dict(g)
+            d[(rank + i, one)] = ring.field.one
+            augmented.append(_canonical(kind, d))
+        self.ring, self.rank, self.gens, self.kind = ring, rank, gens, kind
+        self.basis = _groebner(kind, [], augmented)
+
+    def syzygies(self) -> list:
+        """Generators of the syzygy module of gens; every returned s
+        satisfies sum(s_i * gens_i) == 0 (verified here)."""
+        ring, rank, gens = self.ring, self.rank, self.gens
+        zero, add, mul = ring.field.zero, ring.field.add, ring.field.mul
+        out = []
+        for e in self.basis:
+            if e[0][0][0] < rank:
                 continue
+            tail = {(p - rank, mm): c for (p, mm), c in e}
             # exactness check: the defining identity must hold on the nose
             acc = {}
             for (idx, mm), c in tail.items():
@@ -410,52 +430,50 @@ def syzygies(gens) -> list:
                         acc[t] = add(acc.get(t, zero), mul(c, gc))
             if any(c != zero for c in acc.values()):
                 raise RuntimeError("internal: syzygy identity violated")
-            out.append(_from_dict(ring, m, tail))
-    return out
+            out.append(_from_dict(ring, len(gens), tail))
+        return out
+
+    def express(self, polys) -> list:
+        """For rank-one gens (g_i): one coefficient list c per f in polys,
+        with f = sum(c_i * g_i); raises NotAMemberError."""
+        if self.rank != 1:
+            raise ValueError("express needs generators of rank one")
+        ring, kind, F, n = self.ring, self.kind, self.ring.field, len(self.gens)
+        gens = [g.components[0] for g in self.gens]
+        divisors = [_divisor(b) for b in self.basis]
+        out = []
+        for f in polys:
+            nf = _reduce(_Dividend((((0, mm), c) for mm, c in f.terms), kind), divisors, kind)
+            if any(pos == 0 for (pos, _mm), _c in nf):
+                raise NotAMemberError(f"{f} is not in the ideal of the given generators")
+            tail = {(p - 1, mm): F.neg(c) for (p, mm), c in nf}
+            coeffs = _from_dict(ring, n, tail).components
+            if FreeModuleElement(ring, n, coeffs).dot(gens) != f:
+                raise RuntimeError("internal: expression identity violated")
+            out.append(list(coeffs))
+        return out
+
+
+def syzygies(gens) -> list:
+    """Generators of the syzygy module of a sequence of free-module elements."""
+    return AugmentedBasis(gens).syzygies()
 
 
 def ideal_syzygies(polys) -> list:
     """Syzygies of a polynomial sequence, viewed in a rank-1 free module."""
-    ring = polys[0].ring
-    gens = [FreeModuleElement(ring, 1, (p,)) for p in polys]
-    return syzygies(gens)
+    return syzygies(_rank_one(polys))
 
 
 def express_in_terms(polys, gens) -> list:
     """One coefficient list c per f in polys, with f = sum(c_i * gens_i);
-    raises NotAMemberError.  The augmented basis of gens is built once."""
-    gens = list(gens)
-    if not gens:
-        raise ValueError("cannot express in terms of an empty sequence")
-    polys = list(polys)
-    if not polys:
-        return []
-    ring = gens[0].ring
-    F = ring.field
-    kind, gb = _augmented_basis([FreeModuleElement(ring, 1, (g,)) for g in gens])
-    divisors = [_divisor(b) for b in gb]
-    out = []
-    for f in polys:
-        nf = _reduce(_Dividend((((0, mm), c) for mm, c in f.terms), kind), divisors, kind)
-        if any(pos == 0 for (pos, _mm), _c in nf):
-            raise NotAMemberError(f"{f} is not in the ideal of the given generators")
-        tail = {(p - 1, mm): F.neg(c) for (p, mm), c in nf}
-        coeffs = _from_dict(ring, len(gens), tail).components
-        if FreeModuleElement(ring, len(gens), coeffs).dot(gens) != f:
-            raise RuntimeError("internal: expression identity violated")
-        out.append(list(coeffs))
-    return out
+    raises NotAMemberError."""
+    return AugmentedBasis(_rank_one(gens)).express(polys)
 
 
 def module_member(elem: FreeModuleElement, gens) -> bool:
     """Membership of elem in the submodule generated by gens."""
-    gens = [g for g in gens if not g.is_zero()]
-    if elem.is_zero():
-        return True
-    if not gens:
-        return False
     kind = _module_terms(elem.ring, elem.rank)
-    gb = _groebner(kind, [_module_element(kind, _to_dict(g)) for g in gens])
+    gb = _groebner(kind, [], [_canonical(kind, _to_dict(g)) for g in gens])
     return not _remainder(kind, _to_dict(elem).items(), gb)
 
 
@@ -465,15 +483,22 @@ def minimal_subset(elems, weights, span=()) -> list:
     c_i, ties by input position, each is kept unless it lies in the
     submodule generated by `span` and the elements kept before it.  For
     homogeneous elements the kept ones, with `span`, minimally generate
-    the submodule that `span` and `elems` generate."""
+    the submodule that `span` and `elems` generate.  One Gröbner basis of
+    that submodule is extended by each candidate in turn; a candidate is
+    kept when the basis grows."""
     def shifted_degree(elem):
         return max((c.total_degree() + w for c, w in zip(elem.components, weights)
                     if not c.is_zero()), default=-1)
 
-    span = list(span)
+    elems = list(elems)
+    if not elems:
+        return []
+    kind = _module_terms(elems[0].ring, elems[0].rank)
+    G = _groebner(kind, [], [_canonical(kind, _to_dict(s)) for s in span])
     kept = []
     for elem in sorted(elems, key=shifted_degree):
-        if not module_member(elem, span):
+        size = len(G)
+        _groebner(kind, G, [_canonical(kind, _to_dict(elem))])
+        if len(G) > size:
             kept.append(elem)
-            span.append(elem)
     return kept

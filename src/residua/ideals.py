@@ -7,20 +7,24 @@ syzygies of the generators of I followed by those of J, and a : (f) from
 the syzygies of (f, a_1..a_k); a : I intersects the a : (f_i).
 
 An `Ideal` caches the work that depends only on it: its reduced Gröbner
-basis, `min_gens(I)`, `height(I)`, the minimal syzygies of `min_gens(I)`
-(filled in by `fitting`), and, keyed by the exact generator tuple of `a`,
-every colon `a : I` computed with it as the divisor.  The caches live on
-the ideal and die with it; nothing is cached at module level.  An entry is
-stored only once its computation has returned, and nothing assigns `ring`
-or `generators` after construction, so a cached value is exactly what
-recomputing it from the same generators would give: outputs cannot
-change, and repeated inputs share one result object.
+basis, `min_gens(I)`, `height(I)`, the augmented basis of `min_gens(I)`
+(`augmented_basis`, which serves its syzygies and the expression of
+elements of I in terms of it); filled in by `fitting`, the minimal
+syzygies of `min_gens(I)` and `height(Fitt_j(I) + I)` per j; and, keyed
+by the exact generator tuple of `a`, every colon `a : I` computed with it
+as the divisor.  The caches live on the ideal and die with it; nothing is
+cached at module level.  An entry is stored only once its computation has
+returned, and nothing assigns `ring` or `generators` after construction,
+so a cached value is exactly what recomputing it from the same generators
+would give: outputs cannot change, and repeated inputs share one result
+object.
 """
 
 from __future__ import annotations
 
 from .ring import Polynomial, PolyRing, RingMismatchError
 from .groebner import (
+    AugmentedBasis,
     FreeModuleElement,
     GroebnerBasis,
     ideal_syzygies,
@@ -40,7 +44,8 @@ class Ideal:
     `==` is ideal equality (same ring, same reduced basis), so ideals are
     unhashable."""
 
-    __slots__ = ("ring", "generators", "_gb", "_min_gens", "_height", "_syzygies", "_colons")
+    __slots__ = ("ring", "generators", "_gb", "_min_gens", "_height", "_augmented",
+                 "_syzygies", "_fitting_heights", "_colons")
 
     def __init__(self, ring: PolyRing, generators):
         self.ring = ring
@@ -55,7 +60,9 @@ class Ideal:
         self._gb = None
         self._min_gens = None
         self._height = None
+        self._augmented = None
         self._syzygies = None
+        self._fitting_heights = {}
         self._colons = {}
 
     def __eq__(self, other):
@@ -213,3 +220,11 @@ def min_gens(I: Ideal) -> list:
 
 def mu(I: Ideal) -> int:
     return len(min_gens(I))
+
+
+def augmented_basis(I: Ideal) -> AugmentedBasis:
+    """The augmented basis of min_gens(I), built once and kept on I; the
+    zero ideal, with no generators, raises ValueError."""
+    if I._augmented is None:
+        I._augmented = AugmentedBasis(FreeModuleElement(I.ring, 1, (g,)) for g in min_gens(I))
+    return I._augmented

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .ring import Polynomial, PolyRing
-from .groebner import FreeModuleElement, express_in_terms, minimal_subset, syzygies
-from .ideals import Ideal, NonHomogeneousError, height, min_gens
+from .groebner import FreeModuleElement, minimal_subset, syzygies
+from .ideals import Ideal, NonHomogeneousError, augmented_basis, height, min_gens
 from .fitting import NotASubidealError
 
 
@@ -193,7 +193,7 @@ def _setup(a: Ideal, I: Ideal):
     a_gens = [g for g in a.generators if not g.is_zero()]
     zetas = [
         ExteriorElement(I.ring, K.n, 1, {(i + 1,): c[i] for i in range(K.n)})
-        for c in express_in_terms(a_gens, x)
+        for c in augmented_basis(I).express(a_gens)
     ]
     return K, a_gens, zetas
 

@@ -6,12 +6,15 @@ multiples of the generators up to a degree bound, graded pieces of a
 colon from the kernel of multiplication into such truncated quotients,
 monomial colon and intersection from exponent-vector arithmetic, and
 Koszul homology dimensions from ranks of truncated differential matrices.
+The one exception is the graded-Nakayama reference at the end, which
+uses the engine only through its module membership test.
 """
 
 from __future__ import annotations
 
 from itertools import product as iter_product
 
+from residua.groebner import module_member
 from residua.ring import mono_mul
 
 
@@ -291,3 +294,25 @@ def koszul_homology_dim(K, i, degree):
         mat_n, _ = graded_matrix(i + 1)
         rank_next = rank(mat_n)
     return dim_ker - rank_next
+
+
+# ---------------------------------------------------------------------------
+# graded Nakayama by one membership test per candidate
+# ---------------------------------------------------------------------------
+
+def reference_minimal_subset(elems, weights, span=()):
+    """What `groebner.minimal_subset` keeps, by its definition: in order of
+    shifted degree, ties by input position, each element that is not a
+    `module_member` of `span` plus the elements kept before it.  Each test
+    computes its Gröbner basis from scratch."""
+    def shifted_degree(elem):
+        return max((c.total_degree() + w for c, w in zip(elem.components, weights)
+                    if not c.is_zero()), default=-1)
+
+    span = list(span)
+    kept = []
+    for elem in sorted(elems, key=shifted_degree):
+        if not module_member(elem, span):
+            kept.append(elem)
+            span.append(elem)
+    return kept

@@ -227,6 +227,29 @@ def test_max_steps_limit(instance_file, capsys):
     assert "resource-limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gb", "{file}", "--max-steps", "-5"],
+    ["corpus", "hb2", "-2"],
+    ["corpus", "hb2", "1", "--max-steps", "-1"],
+    ["corpus", "hb2", "two"],
+])
+def test_negative_counts_rejected_when_parsed(instance_file, capsys, argv):
+    # a negative budget or corpus size is a usage error: exit 2 before any work
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(file=instance_file) for arg in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument" in captured.err
+
+
+def test_zero_max_steps_is_a_budget(instance_file, capsys):
+    assert main(["colon", instance_file, "--max-steps", "0"]) == 1
+    assert "resource-limit: exceeded 0 S-pair reductions" in capsys.readouterr().err
+    assert main(["corpus", "hb2", "0"]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_max_steps_does_not_leak(instance_file, capsys):
     ring = PolyRing(GF32003, ("x", "y", "z"))
     gens = [ring.parse(t) for t in ("x^2 + y*z", "y^2 + x*z", "z^2 + x*y")]

@@ -4,10 +4,20 @@ from math import comb
 
 import pytest
 
-from residua import fitt0_quotient, fitting, minors, presentation_of_quotient
+from residua import (
+    KoszulComplex,
+    fitt0_quotient,
+    fitt0_via_Z1,
+    homology_lifts,
+    kitt,
+    kitt_via_cycles,
+    minors,
+    presentation_of_quotient,
+)
+from residua import groebner
 from residua.corpus import FAMILIES, generate_instance
 from residua.fitting import NotASubidealError, _syzygy_rows, check_Gs, fitting_ideal
-from residua.groebner import ideal_syzygies, set_step_limit
+from residua.groebner import AugmentedBasis, ideal_syzygies, set_step_limit
 from residua.ideals import colon, height, ideal_equal, ideal_sum, min_gens, mu
 
 from conftest import parse_ideal, random_homogeneous, seeded_rng
@@ -176,14 +186,52 @@ def test_syzygies_computed_once_per_ideal(monkeypatch):
     inst = generate_instance("hb2", 0)
     I, a = inst.I, inst.a
     calls = []
+    original = AugmentedBasis.syzygies
 
-    def counted(polys):
-        calls.append(len(polys))
-        return ideal_syzygies(polys)
+    def counted(self):
+        calls.append(len(self.gens))
+        return original(self)
 
-    monkeypatch.setattr(fitting, "ideal_syzygies", counted)
+    monkeypatch.setattr(AugmentedBasis, "syzygies", counted)
     check_Gs(I, 2)
     fitting_ideal(I, 1)
     presentation_of_quotient(I, a)
     fitt0_quotient(I, a)
     assert len(calls) == 1
+
+
+def test_augmented_basis_built_once_per_ideal(monkeypatch):
+    inst = generate_instance("hb2", 0)
+    I, a = inst.I, inst.a
+    x = min_gens(I)
+    # the homology of K(x) builds the augmented basis of its first
+    # differential, whose columns are x again: compute it beforehand
+    H = homology_lifts(KoszulComplex(I.ring, x))
+    built = []
+    original = AugmentedBasis.__init__
+
+    def counted(self, gens):
+        gens = tuple(gens)
+        built.append([g.components[0] for g in gens])
+        original(self, gens)
+
+    monkeypatch.setattr(AugmentedBasis, "__init__", counted)
+    check_Gs(I, 2)
+    fitting_ideal(I, 1)
+    presentation_of_quotient(I, a)
+    fitt0_quotient(I, a)
+    kitt(a, I, H)
+    kitt_via_cycles(a, I, H)
+    fitt0_via_Z1(a, I, H)
+    assert built == [x]
+
+    bases = []
+    original_groebner = groebner._groebner
+
+    def counted_groebner(kind, G, new):
+        bases.append(len(new))
+        return original_groebner(kind, G, new)
+
+    monkeypatch.setattr(groebner, "_groebner", counted_groebner)
+    check_Gs(I, 2)
+    assert bases == []

@@ -14,12 +14,17 @@ from residua import (
     reduced_groebner,
     set_step_limit,
 )
+from residua.corpus import FAMILIES, generate_instance
 from residua.groebner import (
     NotAMemberError,
     ResourceLimitError,
+    minimal_subset,
     module_member,
     spoly,
+    syzygies,
 )
+from residua.ideals import min_gens
+from residua.koszul import KoszulComplex
 from residua.ring import mono_div, mono_divides
 
 from conftest import (
@@ -30,7 +35,12 @@ from conftest import (
     random_homogeneous,
     seeded_rng,
 )
-from oracles import oracle_member, oracle_remainder, truncated_syzygies
+from oracles import (
+    oracle_member,
+    oracle_remainder,
+    reference_minimal_subset,
+    truncated_syzygies,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -124,6 +134,14 @@ def test_step_limit_enforced(R3):
         buchberger(gens)
 
 
+def test_redundant_generators_cost_no_spairs(R2):
+    # x^2*y arrives after x^2 and y^2 and reduces to zero before it makes a
+    # pair; the one pair left, (x^2, y^2), has coprime leads
+    set_step_limit(0)
+    G = buchberger([R2.parse("x^2"), R2.parse("y^2"), R2.parse("x^2*y")])
+    assert sorted(g.lm() for g in G) == [(0, 2), (2, 0)]
+
+
 def test_step_limit_enforced_on_modules(R3):
     rng = seeded_rng("module-limit")
     gens = [random_homogeneous(R3, 2, rng) for _ in range(3)]
@@ -212,3 +230,39 @@ def test_syzygies_generate_every_syzygy(case):
     bound = 2 * max(g.total_degree() for g in gens)
     for vec in truncated_syzygies(gens, bound):
         assert module_member(FreeModuleElement(ring, len(vec), vec), syz)
+
+
+@given(in_kernel_ring(lambda ring: (
+    st.lists(st.integers(1, 2).flatmap(lambda d: forms(ring, d)), min_size=1, max_size=3),
+    st.lists(st.lists(polynomials(ring, max_degree=1, max_terms=2), min_size=3, max_size=3),
+             max_size=2),
+    st.randoms(use_true_random=False),
+)))
+def test_reduced_basis_ignores_redundant_generators_and_order(case):
+    # appended combinations reduce to zero on arrival, and the reduced
+    # basis is canonical whatever order the generators come in
+    ring, gens, multipliers, rnd = case
+    combos = [sum((c * g for c, g in zip(cs, gens)), ring.zero) for cs in multipliers]
+    mixed = gens + combos
+    rnd.shuffle(mixed)
+    assert reduced_groebner(mixed).elements == reduced_groebner(gens).elements
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("seed", range(3))
+def test_minimal_subset_matches_membership_reference(family, seed):
+    I = generate_instance(family, seed).I
+    rank_one = [FreeModuleElement(I.ring, 1, (g,)) for g in I.generators]
+    assert minimal_subset(rank_one, (0,)) == reference_minimal_subset(rank_one, (0,))
+    x = min_gens(I)
+    degrees = [g.total_degree() for g in x]
+    syz = ideal_syzygies(x)
+    assert minimal_subset(syz, degrees) == reference_minimal_subset(syz, degrees)
+    # Koszul cycles modulo the boundaries, as in homology_lifts
+    K = KoszulComplex(I.ring, x)
+    for i in range(1, K.n + 1):
+        basis = K.basis(i)
+        z = syzygies(K.differential_columns(i))
+        shifts = [sum(degrees[j - 1] for j in S) for S in basis]
+        span = [e.to_module_element(basis) for e in K.boundary_elements(i)]
+        assert minimal_subset(z, shifts, span) == reference_minimal_subset(z, shifts, span)
