@@ -5,7 +5,9 @@ residua verify THEOREM FILE
 residua corpus FAMILY COUNT
 with --seed, --field, --max-steps, --out.
 
-Exit codes: 0 success, 2 verify verdict not equal, 1 any error.
+Exit codes: 0 success, 2 verify verdict not equal, 1 any error; a
+command line that argparse rejects, an unknown theorem id included,
+exits 2 before any file is read.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .instances import (
     parse_instance,
 )
 from .corpus import FAMILIES, GenerationError, generate_corpus
-from .residual import GenericityError, HypothesisError, verify
+from .residual import THEOREM_IDS, GenericityError, HypothesisError, verify
 
 DEFAULT_MAX_STEPS = 200000
 
@@ -145,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(cmd, parents=[common])
         p.add_argument("file")
     p = sub.add_parser("verify", parents=[common])
-    p.add_argument("theorem")
+    p.add_argument("theorem", choices=THEOREM_IDS)
     p.add_argument("file")
     p = sub.add_parser("corpus", parents=[common])
     p.add_argument("family", choices=FAMILIES)

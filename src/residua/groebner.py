@@ -8,8 +8,8 @@ them as module terms at position 0 would allocate a tuple per term in
 `buchberger` and `normal_form`, which every reduced basis, membership test
 and ideal comparison goes through.  Module terms are (position, exponent)
 pairs, ordered position over term; leads in different positions form no
-pair and never divide each other.  Syzygies, and through them colons and
-intersections, are module computations.
+pair and never divide each other.  Syzygies, colons and intersections are
+module computations.
 
 `_groebner` extends a Gröbner basis by new elements.  Each new element
 waits in the pair heap under the key of its lead, ahead of the pairs with
@@ -18,8 +18,12 @@ popped: a nonzero remainder joins the basis, monic, with its pairs, and a
 zero one is dropped before it makes any.  So a redundant input generator
 costs one division and no S-pair, and a basis grows from what is new
 instead of being rebuilt: `minimal_subset` keeps one basis of its span,
-and `AugmentedBasis` serves both the syzygies of a sequence and the
-expression of elements in terms of it.
+`AugmentedBasis` serves both the syzygies of a sequence and the
+expression of elements in terms of it, and `last_coordinates` eliminates
+all but the last position of a free module in one run: the basis of an
+ideal copied to each of the first k positions is already a Gröbner basis
+of theirs, so only the pairs the rows bring in are reduced.  Colons and
+intersections of ideals are read off it.
 
 Pairs are taken by the normal selection strategy, least lcm first, ties
 broken by (i, j).  The chain criterion holds for both kinds: a pair (i, j)
@@ -71,7 +75,8 @@ _step_limit = None
 def set_step_limit(limit):
     """Set a global cap on S-pair reductions per Buchberger run (None = off);
     returns the cap it replaces.  Only S-pair reductions count: reducing an
-    arriving input element by the basis is not a step."""
+    arriving input element by the basis is not a step.  A colon or an
+    intersection is one budgeted module run (`last_coordinates`)."""
     global _step_limit
     previous, _step_limit = _step_limit, limit
     return previous
@@ -468,6 +473,24 @@ def express_in_terms(polys, gens) -> list:
     """One coefficient list c per f in polys, with f = sum(c_i * gens_i);
     raises NotAMemberError."""
     return AugmentedBasis(_rank_one(gens)).express(polys)
+
+
+def last_coordinates(basis: GroebnerBasis, rows) -> list:
+    """A Gröbner basis, monic, of the polynomials r with (0, …, 0, r) in the
+    submodule of R^(k+1) generated by the rows, each a sequence of k+1
+    polynomials, and by b·e_i for b in the monic Gröbner basis `basis` and
+    i < k.  The b·e_i are already a Gröbner basis of theirs, so one run
+    extends them by the rows; positions below k dominate, so the elements
+    it leads at position k are zero everywhere else."""
+    ring = basis.ring
+    rows = [tuple(row) for row in rows]
+    k = len(rows[0]) - 1
+    kind = _module_terms(ring, k)
+    G = [tuple(((i, m), c) for m, c in b.terms) for i in range(k) for b in basis]
+    new = [_canonical(kind, _to_dict(FreeModuleElement(ring, k + 1, row))) for row in rows]
+    _groebner(kind, G, new)
+    return [Polynomial(ring, tuple((m, c) for (_pos, m), c in e))
+            for e in G if e[0][0][0] == k]
 
 
 def module_member(elem: FreeModuleElement, gens) -> bool:

@@ -1,10 +1,15 @@
 """Ideal-level operations: sum, intersection, colon, equality, dimension,
 height and minimal generators.
 
-Intersection and colon are read off syzygies (Greuel and Pfister, *A
-Singular Introduction to Commutative Algebra*, §1.8): I ∩ J from the
-syzygies of the generators of I followed by those of J, and a : (f) from
-the syzygies of (f, a_1..a_k); a : I intersects the a : (f_i).
+Intersection and colon are computed by elimination in a free module
+(Greuel and Pfister, *A Singular Introduction to Commutative Algebra*,
+§1.8), each in one run that extends a known Gröbner basis
+(`groebner.last_coordinates`): a : I for I = (f_1, …, f_m) is the ideal of
+the r with (0, …, 0, r) in a^m + R·(f_1, …, f_m, 1), where the reduced
+basis of a at each of the positions 0..m−1 is already a Gröbner basis of
+a^m, and I ∩ J is that of the r with (0, r) in J·e_0 + R·(f, f) over the
+generators f of I.  Every generator of either result is checked against
+the definition before it is returned.
 
 An `Ideal` caches the work that depends only on it: its reduced Gröbner
 basis, `min_gens(I)`, `height(I)`, the augmented basis of `min_gens(I)`
@@ -27,7 +32,7 @@ from .groebner import (
     AugmentedBasis,
     FreeModuleElement,
     GroebnerBasis,
-    ideal_syzygies,
+    last_coordinates,
     minimal_subset,
     normal_form,
     reduced_groebner,
@@ -118,31 +123,24 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I ∩ J, generated by sum(c_i * f_i) over the syzygies (c, d) of the
-    generators (f_1..f_r, g_1..g_t) of I and J."""
+    """I ∩ J, the r with (0, r) in J·e_0 + R·(f, f) over the generators f
+    of I; every generator is checked to lie in I and in J."""
     if I.ring != J.ring:
         raise RingMismatchError("intersect across rings")
     f = [g for g in I.generators if not g.is_zero()]
-    g = [h for h in J.generators if not h.is_zero()]
-    if not f or not g:
+    if not f or J.is_zero():
         return Ideal(I.ring, ())
-    meet = (syz.dot(f) for syz in ideal_syzygies(f + g))
-    return Ideal(I.ring, [h for h in meet if not h.is_zero()])
-
-
-def _colon_principal(a: Ideal, f: Polynomial) -> Ideal:
-    """a : (f), the first coordinates of the syzygies of (f, a_1..a_k)."""
-    ring = a.ring
-    if f.is_zero():
-        return Ideal(ring, (ring.one,))
-    gens = [g for g in a.generators if not g.is_zero()]
-    firsts = (syz.components[0] for syz in ideal_syzygies([f] + gens))
-    return Ideal(ring, [c for c in firsts if not c.is_zero()])
+    meet = last_coordinates(J.groebner(), [(h, h) for h in f])
+    for h in meet:
+        if not (I.contains(h) and J.contains(h)):
+            raise RuntimeError("internal: intersection generator outside I or J")
+    return Ideal(I.ring, meet)
 
 
 def colon(a: Ideal, I: Ideal) -> Ideal:
-    """The quotient ideal a : I = {r : r·I ⊆ a}, memoized on I by the
-    generator tuple of a."""
+    """The quotient ideal a : I = {r : r·I ⊆ a}, the r with (0, …, 0, r) in
+    a^m + R·(f_1, …, f_m, 1) over the generators f of I, memoized on I by
+    the generator tuple of a; r·f ∈ a is checked for every generator r."""
     if a.ring != I.ring:
         raise RingMismatchError("colon across rings")
     result = I._colons.get(a.generators)
@@ -151,9 +149,13 @@ def colon(a: Ideal, I: Ideal) -> Ideal:
     gens = [g for g in I.generators if not g.is_zero()]
     if not gens:
         raise ValueError("colon by the zero ideal")
-    for f in gens:
-        piece = _colon_principal(a, f)
-        result = piece if result is None else intersect(result, piece)
+    basis = a.groebner()
+    quotient = last_coordinates(basis, [(*gens, a.ring.one)])
+    for r in quotient:
+        for f in gens:
+            if not normal_form(r * f, basis).is_zero():
+                raise RuntimeError("internal: colon generator times I outside a")
+    result = Ideal(a.ring, quotient)
     I._colons[a.generators] = result
     return result
 

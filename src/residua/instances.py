@@ -47,7 +47,10 @@ def parse_field(text: str) -> FieldSpec:
         m = re.fullmatch(r"p(\d+)", text)
     if m is None:
         raise ValueError(f"unknown field {text!r}; expected QQ or GF(p)")
-    return FieldSpec(int(m.group(1)))
+    p = int(m.group(1))
+    if p == 0:
+        raise ValueError(f"field {text!r} has characteristic 0; write QQ for the rationals")
+    return FieldSpec(p)
 
 
 def parse_order(text: str) -> MonomialOrder:

@@ -6,15 +6,18 @@ multiples of the generators up to a degree bound, graded pieces of a
 colon from the kernel of multiplication into such truncated quotients,
 monomial colon and intersection from exponent-vector arithmetic, and
 Koszul homology dimensions from ranks of truncated differential matrices.
-The one exception is the graded-Nakayama reference at the end, which
-uses the engine only through its module membership test.
+Two exceptions use the engine's module computations by another route
+than the code under test: the syzygy references for colon and
+intersection, and the graded-Nakayama reference at the end, which uses
+the engine only through its module membership test.
 """
 
 from __future__ import annotations
 
 from itertools import product as iter_product
 
-from residua.groebner import module_member
+from residua.groebner import ideal_syzygies, module_member
+from residua.ideals import Ideal
 from residua.ring import mono_mul
 
 
@@ -185,6 +188,33 @@ def monomial_colon(a_monos, i_monos):
         piece = _mono_colon_single(a_monos, f)
         result = piece if result is None else monomial_intersect(result, piece)
     return _minimalize(result)
+
+
+# ---------------------------------------------------------------------------
+# colon and intersection read off syzygies
+# ---------------------------------------------------------------------------
+
+def reference_intersect(I, J):
+    """I ∩ J generated by sum(c_i * f_i) over the syzygies (c, d) of the
+    generators (f_1..f_r, g_1..g_t) of I and J."""
+    f = [g for g in I.generators if not g.is_zero()]
+    g = [h for h in J.generators if not h.is_zero()]
+    if not f or not g:
+        return Ideal(I.ring, ())
+    meet = (syz.dot(f) for syz in ideal_syzygies(f + g))
+    return Ideal(I.ring, [h for h in meet if not h.is_zero()])
+
+
+def reference_colon(a, I):
+    """a : I as the intersection of the principal colons a : (f), each
+    generated by the first coordinates of the syzygies of (f, a_1..a_k)."""
+    a_gens = [g for g in a.generators if not g.is_zero()]
+    result = None
+    for f in (g for g in I.generators if not g.is_zero()):
+        firsts = (syz.components[0] for syz in ideal_syzygies([f] + a_gens))
+        piece = Ideal(a.ring, [c for c in firsts if not c.is_zero()])
+        result = piece if result is None else reference_intersect(result, piece)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,27 @@ def test_field_override(tmp_path, capsys):
     assert doc["instance"]["ring"].startswith("QQ")
 
 
+@pytest.mark.parametrize("field", ["GF(0)", "p0", "p00"])
+def test_characteristic_zero_prime_spelling_rejected(tmp_path, capsys, field):
+    path = tmp_path / "inst.txt"
+    path.write_text(f"vars = x, y\nfield = {field}\nI = x, y\na = x^2, y^2\n")
+    assert main(["colon", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "line 2" in err and "characteristic 0" in err
+    path.write_text(CI_INSTANCE)
+    assert main(["colon", str(path), "--field", field]) == 1
+    assert "characteristic 0" in capsys.readouterr().err
+
+
+def test_unknown_theorem_rejected_before_the_file_is_read(capsys):
+    # a missing file must not hide the bad theorem id
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "bogus", "/nonexistent/file.txt"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 def test_missing_file_exit_one(capsys):
     assert main(["gb", "/nonexistent/file.txt"]) == 1
     assert "error" in capsys.readouterr().err

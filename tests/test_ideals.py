@@ -1,6 +1,8 @@
 """Ideal operations: intersection, colon, equality, dimension/height,
 minimal generators, and the G_s condition."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -19,7 +21,7 @@ from residua import (
     min_gens,
     mu,
 )
-from residua import ideals
+from residua import corpus, groebner, ideals
 from residua.corpus import generate_instance
 from residua.ideals import NonHomogeneousError
 from residua.fitting import minors
@@ -32,6 +34,8 @@ from oracles import (
     oracle_colon_degree_piece,
     oracle_degree_piece,
     oracle_member,
+    reference_colon,
+    reference_intersect,
 )
 
 
@@ -116,6 +120,66 @@ def test_colon_is_maximal(family, seed):
         assert oracle_degree_piece(gens, d) == expected
 
 
+def _instance_pair(family, seed, field, monkeypatch):
+    """(a generators, I) of a seeded corpus instance, drawn over `field`."""
+    make_ring = corpus._make_ring
+    monkeypatch.setattr(corpus, "_make_ring",
+                        lambda nvars: make_ring(nvars, field.characteristic))
+    inst = generate_instance(family, seed)
+    assert inst.ring.field == field
+    return inst.a_gens, Ideal(inst.ring, inst.I.generators)
+
+
+@pytest.mark.parametrize("field", [GF32003, RATIONALS], ids=["gf", "qq"])
+@pytest.mark.parametrize("family", ["ci", "hb2", "aci", "power"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_colon_and_intersect_match_the_syzygy_path(family, seed, field, monkeypatch):
+    # over every subset of a, the empty one included; the syzygy path over
+    # QQ is slow, so its intersections are compared over GF(32003) only
+    a_gens, I = _instance_pair(family, seed, field, monkeypatch)
+    ring = I.ring
+    for size in range(len(a_gens) + 1):
+        for idx in combinations(a_gens, size):
+            a = Ideal(ring, idx)
+            J = colon(a, I)
+            assert J.groebner().elements == reference_colon(a, I).groebner().elements
+            if field is GF32003:
+                meet = intersect(I, J).groebner().elements
+                assert meet == reference_intersect(I, J).groebner().elements
+
+
+def test_colon_and_intersect_check_every_generator(R3, monkeypatch):
+    a, I = _hb2_pair(R3)
+    last_coordinates = ideals.last_coordinates
+
+    def with_a_non_member(basis, rows):
+        return last_coordinates(basis, rows) + [R3.one]
+
+    monkeypatch.setattr(ideals, "last_coordinates", with_a_non_member)
+    with pytest.raises(RuntimeError, match="colon"):
+        colon(a, I)
+    assert not I._colons
+    with pytest.raises(RuntimeError, match="intersection"):
+        intersect(I, parse_ideal(R3, "x", "y"))
+
+
+def test_colon_is_one_module_run(R3, monkeypatch):
+    a, I = _hb2_pair(R3)
+    a.groebner()
+    runs = []
+    engine = groebner._groebner
+
+    def counted(kind, G, new):
+        runs.append("ideal" if kind.product_criterion else "module")
+        return engine(kind, G, new)
+
+    monkeypatch.setattr(groebner, "_groebner", counted)
+    colon(a, I)
+    assert len(I.generators) == 3 and runs == ["module"]
+    colon(Ideal(R3, a.generators), I)
+    assert runs == ["module"]
+
+
 def test_colon_socle(R2):
     # f * (x,y) in m^2 exactly when f in m
     result = colon(parse_ideal(R2, "x^2", "x*y", "y^2"), parse_ideal(R2, "x", "y"))
@@ -193,16 +257,13 @@ def test_colon_memo_skips_interrupted_runs(R3, monkeypatch):
     expected = colon(Ideal(R3, a.generators), Ideal(R3, I.generators))
     assert colon(a, I).groebner().elements == expected.groebner().elements
 
-    # interrupted after the first principal colon has returned
+    # interrupted after the module run has returned, in the soundness check
     J = Ideal(R3, I.generators)
-    principal = ideals._colon_principal
 
-    def fail_after_first(a_, f):
-        if f is not J.generators[0]:
-            raise ResourceLimitError("interrupted")
-        return principal(a_, f)
+    def interrupted(f, G):
+        raise ResourceLimitError("interrupted")
 
-    monkeypatch.setattr(ideals, "_colon_principal", fail_after_first)
+    monkeypatch.setattr(ideals, "normal_form", interrupted)
     with pytest.raises(ResourceLimitError):
         colon(a, J)
     assert not J._colons
