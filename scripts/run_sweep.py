@@ -37,6 +37,8 @@ def main():
     ap.add_argument("--theorems", help="comma-separated theorem ids")
     ap.add_argument("--out", help="write full JSON reports here")
     args = ap.parse_args()
+    if args.count < 1:
+        ap.error(f"argument --count: must be at least 1, got {args.count}")
 
     theorems = (args.theorems or DEFAULT_THEOREMS[args.family]).split(",")
     for t in theorems:

@@ -7,7 +7,6 @@ from .field import FieldSpec, RATIONALS, GF32003
 from .ring import PolyRing, Polynomial, MonomialOrder, monomial_cmp
 from .groebner import (
     GroebnerBasis,
-    FreeModuleElement,
     buchberger,
     reduce_basis,
     reduced_groebner,
@@ -29,7 +28,6 @@ from .ideals import (
     mu,
 )
 from .fitting import (
-    PresentationMatrix,
     check_Gs,
     minors,
     presentation_of_quotient,

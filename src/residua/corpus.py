@@ -26,6 +26,7 @@ from .residual import (
 FAMILIES = ("ci", "hb2", "aci", "power")
 MAX_VARS = 6
 MAX_DEGREE = 3
+MAX_DRAWS = 25  # draws generate_instance makes before it gives up
 
 
 class GenerationError(RuntimeError):
@@ -136,13 +137,13 @@ def _draw_power(rng):
 _DRAW = {"ci": _draw_ci, "hb2": _draw_hb2, "aci": _draw_aci, "power": _draw_power}
 
 
-def generate_instance(family: str, seed: int, max_draws=25) -> ResidualInstance:
+def generate_instance(family: str, seed: int) -> ResidualInstance:
     """One pre-validated residual instance (retrying seeds internally)."""
     if family not in _DRAW:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
     # string seeds hash deterministically across processes (tuples do not)
     rng = random.Random(f"residua:{family}:{seed}")
-    for _ in range(max_draws):
+    for _ in range(MAX_DRAWS):
         drawn = _DRAW[family](rng)
         if drawn is None:
             continue
@@ -151,17 +152,12 @@ def generate_instance(family: str, seed: int, max_draws=25) -> ResidualInstance:
         # with s >= mu(I), degree-matched combinations regenerate I itself,
         # so bump the target degree until a is a proper subideal
         maxdeg = max(g.total_degree() for g in min_gens(I))
-        degrees = [None] if s < mu(I) else [maxdeg + 1]
-        a_gens = None
-        for degree in degrees:
-            try:
-                cand = generic_generators(I, s, seed=sub_seed, degree=degree)
-            except GenericityError:
-                continue
-            if not ideal_equal(Ideal(I.ring, cand), I):
-                a_gens = cand
-                break
-        if a_gens is None:
+        degree = None if s < mu(I) else maxdeg + 1
+        try:
+            a_gens = generic_generators(I, s, seed=sub_seed, degree=degree)
+        except GenericityError:
+            continue
+        if ideal_equal(Ideal(I.ring, a_gens), I):
             continue
         a = Ideal(I.ring, a_gens)
         if not is_residual(a, I, s):
@@ -170,7 +166,7 @@ def generate_instance(family: str, seed: int, max_draws=25) -> ResidualInstance:
             I.ring, I, tuple(a_gens), s, seed=seed, family_tag=family
         )
     raise GenerationError(
-        f"family {family!r} produced no valid instance within {max_draws} draws"
+        f"family {family!r} produced no valid instance within {MAX_DRAWS} draws"
     )
 
 

@@ -12,7 +12,6 @@ changes none of them, only the number of minors taken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .ring import PolyRing
@@ -22,23 +21,6 @@ from .ideals import Ideal, augmented_basis, height, ideal_sum, min_gens
 
 class NotASubidealError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class PresentationMatrix:
-    ring: PolyRing
-    entries: tuple        # rows of polynomials: syzygy columns, then B-columns
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def column(self, j: int) -> list:
-        return [row[j] for row in self.entries]
 
 
 def _det(ring, rows, row_idx, col_idx, memo):
@@ -91,27 +73,27 @@ def _syzygy_rows(I: Ideal) -> list:
     if I._syzygies is None and x:
         weights = [g.total_degree() for g in x]
         I._syzygies = tuple(minimal_subset(augmented_basis(I).syzygies(), weights))
-    return [[s.components[i] for s in I._syzygies] for i in range(len(x))]
+    return [[s[i] for s in I._syzygies] for i in range(len(x))]
 
 
-def presentation_of_quotient(I: Ideal, a: Ideal) -> PresentationMatrix:
-    """The [A|B] presentation of I/a over min_gens(I)."""
+def presentation_of_quotient(I: Ideal, a: Ideal) -> tuple:
+    """The rows, one per x_i of min_gens(I), of the [A|B] presentation of
+    I/a."""
     if not I.contains_ideal(a):
         raise NotASubidealError("a is not contained in I")
-    x = min_gens(I)
-    if not x:
-        return PresentationMatrix(I.ring, ())
+    if not min_gens(I):
+        return ()
     rows = _syzygy_rows(I)
     for coeffs in augmented_basis(I).express([g for g in a.generators if not g.is_zero()]):
         for row, c in zip(rows, coeffs):
             row.append(c)
-    return PresentationMatrix(I.ring, tuple(tuple(row) for row in rows))
+    return tuple(tuple(row) for row in rows)
 
 
 def fitt0_quotient(I: Ideal, a: Ideal) -> Ideal:
     """Fitt_0(I/a); the zero module (a = I = 0 included) yields (1)."""
     pres = presentation_of_quotient(I, a)
-    return minors(I.ring, pres.entries, pres.rows)
+    return minors(I.ring, pres, len(pres))
 
 
 def fitting_ideal(I: Ideal, j: int) -> Ideal:

@@ -7,9 +7,13 @@ as data (`_TermKind`).  Ideal terms are plain exponent tuples: wrapping
 them as module terms at position 0 would allocate a tuple per term in
 `buchberger` and `normal_form`, which every reduced basis, membership test
 and ideal comparison goes through.  Module terms are (position, exponent)
-pairs, ordered position over term; leads in different positions form no
-pair and never divide each other.  Syzygies, colons and intersections are
-module computations.
+pairs, ordered position over term, the smaller position winning (Greuel
+and Pfister, *A Singular Introduction to Commutative Algebra*, §1.8);
+leads in different positions form no pair and never divide each other.
+A module element is a tuple of polynomials, component i at position i,
+so its canonical terms are its components' terms concatenated in
+position order (`_terms`), and `_vector` splits them back.  Syzygies,
+colons and intersections are module computations.
 
 `_groebner` extends a Gröbner basis by new elements.  Each new element
 waits in the pair heap under the key of its lead, ahead of the pairs with
@@ -22,8 +26,10 @@ instead of being rebuilt: `minimal_subset` keeps one basis of its span,
 expression of elements in terms of it, and `last_coordinates` eliminates
 all but the last position of a free module in one run: the basis of an
 ideal copied to each of the first k positions is already a Gröbner basis
-of theirs, so only the pairs the rows bring in are reduced.  Colons and
-intersections of ideals are read off it.
+of theirs, so only the pairs the rows bring in are reduced, and because
+smaller positions win, the elements it leads at the last position are
+zero at every other one.  Colons and intersections of ideals are read
+off them.
 
 Pairs are taken by the normal selection strategy, least lcm first, ties
 broken by (i, j).  The chain criterion holds for both kinds: a pair (i, j)
@@ -107,18 +113,17 @@ def _ideal_terms(ring) -> _TermKind:
                      mono_mul, mono_divides, mono_div, mono_lcm, True)
 
 
-def _module_terms(ring, dominant) -> _TermKind:
-    """Terms (position, monomial): positions below `dominant` beat the rest;
-    within a block, position over term extending the ring order (smaller
-    position wins)."""
+def _module_terms(ring) -> _TermKind:
+    """Terms (position, monomial), position over term extending the ring
+    order: the smaller position wins, so an element led at position k is
+    zero at every position below k."""
     ring_key, ring_neg_key = ring.key, ring.order.neg_key
 
     def key(t):
         return ring_key(t[1])
 
     def neg_key(t):
-        pos, m = t
-        return (-(pos < dominant), pos, *ring_neg_key(m))
+        return (t[0], *ring_neg_key(t[1]))
 
     def mul(t, mono):
         return (t[0], mono_mul(t[1], mono))
@@ -343,76 +348,57 @@ def reduced_groebner(gens) -> GroebnerBasis:
 # free modules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FreeModuleElement:
-    ring: PolyRing
-    rank: int
-    components: tuple
-
-    def __post_init__(self):
-        if len(self.components) != self.rank:
-            raise ValueError("component count must equal rank")
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.components)
-
-    def dot(self, polys) -> Polynomial:
-        acc = self.ring.zero
-        for c, p in zip(self.components, polys):
-            acc = acc + c * p
-        return acc
-
-    def __str__(self):
-        return "(" + ", ".join(str(c) for c in self.components) + ")"
+def _terms(vec, offset=0) -> tuple:
+    """The canonical terms of the polynomial sequence vec, component i at
+    position offset + i: position over term makes them the components'
+    terms, concatenated in position order."""
+    return tuple(((offset + i, m), c) for i, p in enumerate(vec) for m, c in p.terms)
 
 
-def _to_dict(elem: FreeModuleElement) -> dict:
-    d = {}
-    for pos, poly in enumerate(elem.components):
-        for m, c in poly.terms:
-            d[(pos, m)] = c
-    return d
+def _vector(ring, terms, offset, rank) -> tuple:
+    """The polynomial sequence of length rank whose component i holds the
+    canonical terms at position offset + i; the inverse of `_terms`."""
+    comps = [[] for _ in range(rank)]
+    for (pos, m), c in terms:
+        comps[pos - offset].append((m, c))
+    return tuple(Polynomial(ring, tuple(t)) for t in comps)
 
 
-def _from_dict(ring, rank, d) -> FreeModuleElement:
-    comps = [dict() for _ in range(rank)]
-    for (pos, m), c in d.items():
-        comps[pos][m] = c
-    return FreeModuleElement(ring, rank, tuple(ring.from_dict(c) for c in comps))
-
-
-def _canonical(kind: _TermKind, d: dict) -> tuple:
-    """The dict {(position, monomial): coefficient} as canonical terms."""
-    return tuple(sorted(d.items(), key=lambda t: kind.neg_key(t[0])))
-
-
-def _rank_one(polys) -> list:
-    return [FreeModuleElement(p.ring, 1, (p,)) for p in polys]
+def _combination(coeffs, gens) -> dict:
+    """sum(c_i * g_i) for polynomials c_i and polynomial sequences g_i, as
+    the dict {(position, monomial): coefficient} of its nonzero terms."""
+    F = coeffs[0].ring.field
+    zero, add, mul = F.zero, F.add, F.mul
+    acc = {}
+    for c, g in zip(coeffs, gens):
+        for cm, cc in c.terms:
+            for pos, comp in enumerate(g):
+                for gm, gc in comp.terms:
+                    t = (pos, mono_mul(cm, gm))
+                    acc[t] = add(acc.get(t, zero), mul(cc, gc))
+    return {t: c for t, c in acc.items() if c != zero}
 
 
 class AugmentedBasis:
     """The Gröbner basis of the elements gens_i + e_(rank + i) of a sequence
-    gens of free-module elements, positions below rank dominant.  Its
+    gens of free-module elements, each a tuple of rank polynomials.  Its
     elements led past rank are the syzygies of gens, and a remainder past
     rank expresses an element of the submodule in terms of gens."""
 
     __slots__ = ("ring", "rank", "gens", "kind", "basis")
 
     def __init__(self, gens):
-        gens = tuple(gens)
+        gens = tuple(tuple(g) for g in gens)
         if not gens:
             raise ValueError("augmented basis of an empty sequence")
-        ring, rank = gens[0].ring, gens[0].rank
+        ring, rank = gens[0][0].ring, len(gens[0])
         for g in gens:
-            if g.ring != ring or g.rank != rank:
+            if len(g) != rank or any(c.ring != ring for c in g):
                 raise ValueError("generators must share ring and rank")
-        kind = _module_terms(ring, rank)
+        kind = _module_terms(ring)
         one = (0,) * ring.nvars
-        augmented = []
-        for i, g in enumerate(gens):
-            d = _to_dict(g)
-            d[(rank + i, one)] = ring.field.one
-            augmented.append(_canonical(kind, d))
+        augmented = [_terms(g) + (((rank + i, one), ring.field.one),)
+                     for i, g in enumerate(gens)]
         self.ring, self.rank, self.gens, self.kind = ring, rank, gens, kind
         self.basis = _groebner(kind, [], augmented)
 
@@ -420,22 +406,15 @@ class AugmentedBasis:
         """Generators of the syzygy module of gens; every returned s
         satisfies sum(s_i * gens_i) == 0 (verified here)."""
         ring, rank, gens = self.ring, self.rank, self.gens
-        zero, add, mul = ring.field.zero, ring.field.add, ring.field.mul
         out = []
         for e in self.basis:
             if e[0][0][0] < rank:
                 continue
-            tail = {(p - rank, mm): c for (p, mm), c in e}
+            s = _vector(ring, e, rank, len(gens))
             # exactness check: the defining identity must hold on the nose
-            acc = {}
-            for (idx, mm), c in tail.items():
-                for r_idx, comp in enumerate(gens[idx].components):
-                    for gm, gc in comp.terms:
-                        t = (r_idx, mono_mul(mm, gm))
-                        acc[t] = add(acc.get(t, zero), mul(c, gc))
-            if any(c != zero for c in acc.values()):
+            if _combination(s, gens):
                 raise RuntimeError("internal: syzygy identity violated")
-            out.append(_from_dict(ring, len(gens), tail))
+            out.append(s)
         return out
 
     def express(self, polys) -> list:
@@ -444,16 +423,14 @@ class AugmentedBasis:
         if self.rank != 1:
             raise ValueError("express needs generators of rank one")
         ring, kind, F, n = self.ring, self.kind, self.ring.field, len(self.gens)
-        gens = [g.components[0] for g in self.gens]
         divisors = [_divisor(b) for b in self.basis]
         out = []
         for f in polys:
-            nf = _reduce(_Dividend((((0, mm), c) for mm, c in f.terms), kind), divisors, kind)
-            if any(pos == 0 for (pos, _mm), _c in nf):
+            nf = _reduce(_Dividend(_terms((f,)), kind), divisors, kind)
+            if nf and nf[0][0][0] == 0:
                 raise NotAMemberError(f"{f} is not in the ideal of the given generators")
-            tail = {(p - 1, mm): F.neg(c) for (p, mm), c in nf}
-            coeffs = _from_dict(ring, n, tail).components
-            if FreeModuleElement(ring, n, coeffs).dot(gens) != f:
+            coeffs = _vector(ring, ((t, F.neg(c)) for t, c in nf), 1, n)
+            if _combination(coeffs, self.gens) != dict(_terms((f,))):
                 raise RuntimeError("internal: expression identity violated")
             out.append(list(coeffs))
         return out
@@ -466,13 +443,13 @@ def syzygies(gens) -> list:
 
 def ideal_syzygies(polys) -> list:
     """Syzygies of a polynomial sequence, viewed in a rank-1 free module."""
-    return syzygies(_rank_one(polys))
+    return syzygies((p,) for p in polys)
 
 
 def express_in_terms(polys, gens) -> list:
     """One coefficient list c per f in polys, with f = sum(c_i * gens_i);
     raises NotAMemberError."""
-    return AugmentedBasis(_rank_one(gens)).express(polys)
+    return AugmentedBasis((g,) for g in gens).express(polys)
 
 
 def last_coordinates(basis: GroebnerBasis, rows) -> list:
@@ -480,24 +457,23 @@ def last_coordinates(basis: GroebnerBasis, rows) -> list:
     submodule of R^(k+1) generated by the rows, each a sequence of k+1
     polynomials, and by b·e_i for b in the monic Gröbner basis `basis` and
     i < k.  The b·e_i are already a Gröbner basis of theirs, so one run
-    extends them by the rows; positions below k dominate, so the elements
-    it leads at position k are zero everywhere else."""
+    extends them by the rows; smaller positions win, so the elements it
+    leads at position k are zero everywhere else."""
     ring = basis.ring
     rows = [tuple(row) for row in rows]
     k = len(rows[0]) - 1
-    kind = _module_terms(ring, k)
-    G = [tuple(((i, m), c) for m, c in b.terms) for i in range(k) for b in basis]
-    new = [_canonical(kind, _to_dict(FreeModuleElement(ring, k + 1, row))) for row in rows]
-    _groebner(kind, G, new)
-    return [Polynomial(ring, tuple((m, c) for (_pos, m), c in e))
-            for e in G if e[0][0][0] == k]
+    kind = _module_terms(ring)
+    G = [_terms((b,), i) for i in range(k) for b in basis]
+    _groebner(kind, G, [_terms(row) for row in rows])
+    return [_vector(ring, e, k, 1)[0] for e in G if e[0][0][0] == k]
 
 
-def module_member(elem: FreeModuleElement, gens) -> bool:
-    """Membership of elem in the submodule generated by gens."""
-    kind = _module_terms(elem.ring, elem.rank)
-    gb = _groebner(kind, [], [_canonical(kind, _to_dict(g)) for g in gens])
-    return not _remainder(kind, _to_dict(elem).items(), gb)
+def module_member(elem, gens) -> bool:
+    """Membership of elem in the submodule generated by gens, all of them
+    tuples of polynomials of one rank."""
+    kind = _module_terms(elem[0].ring)
+    gb = _groebner(kind, [], [_terms(g) for g in gens])
+    return not _remainder(kind, _terms(elem), gb)
 
 
 def minimal_subset(elems, weights, span=()) -> list:
@@ -510,18 +486,18 @@ def minimal_subset(elems, weights, span=()) -> list:
     that submodule is extended by each candidate in turn; a candidate is
     kept when the basis grows."""
     def shifted_degree(elem):
-        return max((c.total_degree() + w for c, w in zip(elem.components, weights)
+        return max((c.total_degree() + w for c, w in zip(elem, weights)
                     if not c.is_zero()), default=-1)
 
     elems = list(elems)
     if not elems:
         return []
-    kind = _module_terms(elems[0].ring, elems[0].rank)
-    G = _groebner(kind, [], [_canonical(kind, _to_dict(s)) for s in span])
+    kind = _module_terms(elems[0][0].ring)
+    G = _groebner(kind, [], [_terms(s) for s in span])
     kept = []
     for elem in sorted(elems, key=shifted_degree):
         size = len(G)
-        _groebner(kind, G, [_canonical(kind, _to_dict(elem))])
+        _groebner(kind, G, [_terms(elem)])
         if len(G) > size:
             kept.append(elem)
     return kept

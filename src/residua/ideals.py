@@ -30,7 +30,6 @@ from __future__ import annotations
 from .ring import Polynomial, PolyRing, RingMismatchError
 from .groebner import (
     AugmentedBasis,
-    FreeModuleElement,
     GroebnerBasis,
     last_coordinates,
     minimal_subset,
@@ -215,8 +214,8 @@ def min_gens(I: Ideal) -> list:
         for g in gens:
             if not g.is_homogeneous():
                 raise NonHomogeneousError(f"non-homogeneous generator {g}")
-        kept = minimal_subset([FreeModuleElement(I.ring, 1, (g,)) for g in gens], (0,))
-        I._min_gens = tuple(e.components[0].monic() for e in kept)
+        kept = minimal_subset([(g,) for g in gens], (0,))
+        I._min_gens = tuple(e[0].monic() for e in kept)
     return list(I._min_gens)
 
 
@@ -228,5 +227,5 @@ def augmented_basis(I: Ideal) -> AugmentedBasis:
     """The augmented basis of min_gens(I), built once and kept on I; the
     zero ideal, with no generators, raises ValueError."""
     if I._augmented is None:
-        I._augmented = AugmentedBasis(FreeModuleElement(I.ring, 1, (g,)) for g in min_gens(I))
+        I._augmented = AugmentedBasis((g,) for g in min_gens(I))
     return I._augmented

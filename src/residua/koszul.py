@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .ring import Polynomial, PolyRing
-from .groebner import FreeModuleElement, minimal_subset, syzygies
+from .groebner import minimal_subset, syzygies
 from .ideals import Ideal, NonHomogeneousError, augmented_basis, height, min_gens
 from .fitting import NotASubidealError
 
@@ -88,14 +88,9 @@ class ExteriorElement:
                 out[merged] = out.get(merged, zero) + term
         return ExteriorElement(self.ring, self.n, self.degree + other.degree, out)
 
-    def to_module_element(self, basis) -> FreeModuleElement:
-        comps = tuple(self.coeffs.get(S, self.ring.zero) for S in basis)
-        return FreeModuleElement(self.ring, len(basis), comps)
-
-    @classmethod
-    def from_module_element(cls, elem: FreeModuleElement, n, basis):
-        coeffs = {S: c for S, c in zip(basis, elem.components)}
-        return cls(elem.ring, n, len(basis[0]) if basis else 0, coeffs)
+    def to_module_element(self, basis) -> tuple:
+        """The coefficients of e_S for S in basis, in that order."""
+        return tuple(self.coeffs.get(S, self.ring.zero) for S in basis)
 
     def __str__(self):
         if not self.coeffs:
@@ -171,10 +166,10 @@ def homology_lifts(K: KoszulComplex) -> HomologyData:
     for i in range(1, n + 1):
         basis = K.basis(i)
         z = syzygies(K.differential_columns(i))
-        cycles[i] = [ExteriorElement.from_module_element(s, n, basis) for s in z]
+        cycles[i] = [ExteriorElement(K.ring, n, i, dict(zip(basis, s))) for s in z]
         shifts = [sum(gd[j - 1] for j in S) for S in basis]
         span = [e.to_module_element(basis) for e in K.boundary_elements(i)]
-        lifts[i] = [ExteriorElement.from_module_element(v, n, basis)
+        lifts[i] = [ExteriorElement(K.ring, n, i, dict(zip(basis, v)))
                     for v in minimal_subset(z, shifts, span)]
     return HomologyData(K, cycles, lifts)
 

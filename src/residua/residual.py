@@ -125,14 +125,21 @@ def random_combination(ring, polys, target_degree, rng) -> Polynomial:
     return acc
 
 
-def height_ladder_ok(a_gens, I: Ideal, rng=None, sample_limit=5) -> bool:
+# height_ladder_ok tests every subset when s <= LADDER_SAMPLE_LIMIT, and
+# otherwise 2s sampled subsets of each size
+LADDER_SAMPLE_LIMIT = 5
+# sequences generic_generators draws before it raises GenericityError
+GENERIC_RETRIES = 8
+
+
+def height_ladder_ok(a_gens, I: Ideal, rng=None) -> bool:
     """Height ladder: height((a_subset):I) >= |subset| for every
-    subset (exhaustive for s <= sample_limit, sampled otherwise)."""
+    subset (exhaustive for s <= LADDER_SAMPLE_LIMIT, sampled otherwise)."""
     s = len(a_gens)
     ring = I.ring
     for size in range(1, s + 1):
         subsets = list(combinations(range(s), size))
-        if s > sample_limit and rng is not None and len(subsets) > 2 * s:
+        if s > LADDER_SAMPLE_LIMIT and rng is not None and len(subsets) > 2 * s:
             subsets = rng.sample(subsets, 2 * s)
         for idx in subsets:
             sub = Ideal(ring, tuple(a_gens[i] for i in idx))
@@ -146,7 +153,7 @@ def height_ladder_ok(a_gens, I: Ideal, rng=None, sample_limit=5) -> bool:
     return True
 
 
-def generic_generators(I: Ideal, s: int, seed=0, retries=8, degree=None) -> list:
+def generic_generators(I: Ideal, s: int, seed=0, degree=None) -> list:
     """Seeded random general elements of I, verified by the height ladder;
     raises GenericityError after exhausting the retry budget.
 
@@ -163,7 +170,7 @@ def generic_generators(I: Ideal, s: int, seed=0, retries=8, degree=None) -> list
     if not f:
         raise ValueError("I has no nonzero generator, so it has no general elements")
     target = degree if degree is not None else max(g.total_degree() for g in f)
-    for _attempt in range(retries):
+    for _attempt in range(GENERIC_RETRIES):
         a_gens = []
         ok = True
         for _ in range(s):
@@ -175,7 +182,7 @@ def generic_generators(I: Ideal, s: int, seed=0, retries=8, degree=None) -> list
         if ok and height_ladder_ok(a_gens, I, rng):
             return a_gens
     raise GenericityError(
-        f"no generating sequence passed the height ladder after {retries} attempts "
+        f"no generating sequence passed the height ladder after {GENERIC_RETRIES} attempts "
         f"(s={s}, I={I})"
     )
 

@@ -201,7 +201,8 @@ def reference_intersect(I, J):
     g = [h for h in J.generators if not h.is_zero()]
     if not f or not g:
         return Ideal(I.ring, ())
-    meet = (syz.dot(f) for syz in ideal_syzygies(f + g))
+    meet = (sum((c * h for c, h in zip(syz, f)), I.ring.zero)
+            for syz in ideal_syzygies(f + g))
     return Ideal(I.ring, [h for h in meet if not h.is_zero()])
 
 
@@ -211,7 +212,7 @@ def reference_colon(a, I):
     a_gens = [g for g in a.generators if not g.is_zero()]
     result = None
     for f in (g for g in I.generators if not g.is_zero()):
-        firsts = (syz.components[0] for syz in ideal_syzygies([f] + a_gens))
+        firsts = (syz[0] for syz in ideal_syzygies([f] + a_gens))
         piece = Ideal(a.ring, [c for c in firsts if not c.is_zero()])
         result = piece if result is None else reference_intersect(result, piece)
     return result
@@ -224,7 +225,7 @@ def reference_colon(a, I):
 def truncated_syzygies(gens, bound):
     """All syzygy vectors (c_1..c_m) with deg(c_i * g_i) <= bound, found by
     solving the linear system sum c_i g_i = 0 over monomial coefficients.
-    Returns FreeModuleElement-compatible component tuples."""
+    Returns component tuples."""
     ring = gens[0].ring
     field = ring.field
     unknowns = []  # (gen_index, monomial)
@@ -336,7 +337,7 @@ def reference_minimal_subset(elems, weights, span=()):
     `module_member` of `span` plus the elements kept before it.  Each test
     computes its Gröbner basis from scratch."""
     def shifted_degree(elem):
-        return max((c.total_degree() + w for c, w in zip(elem.components, weights)
+        return max((c.total_degree() + w for c, w in zip(elem, weights)
                     if not c.is_zero()), default=-1)
 
     span = list(span)

@@ -3,6 +3,9 @@ deterministic corpus output."""
 
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -262,6 +265,17 @@ def test_negative_counts_rejected_when_parsed(instance_file, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: argument" in captured.err
+
+
+@pytest.mark.parametrize("count", ["-2", "0", "two"])
+def test_sweep_rejects_counts_below_one(count):
+    # a sweep over no instances checks nothing: a usage error, exit 2
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_sweep.py"
+    proc = subprocess.run([sys.executable, str(script), "--count", count],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error: argument --count" in proc.stderr
 
 
 def test_zero_max_steps_is_a_budget(instance_file, capsys):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from residua import (
-    FreeModuleElement,
     buchberger,
     express_in_terms,
     ideal_syzygies,
@@ -16,8 +15,12 @@ from residua import (
 )
 from residua.corpus import FAMILIES, generate_instance
 from residua.groebner import (
+    AugmentedBasis,
     NotAMemberError,
     ResourceLimitError,
+    _module_terms,
+    _terms,
+    _vector,
     minimal_subset,
     module_member,
     spoly,
@@ -112,17 +115,63 @@ def test_express_in_terms_rejects_nonmember(R2):
         express_in_terms([R2.parse("x^2"), R2.parse("x*y")], gens)
 
 
+def dot(vec, polys):
+    """sum(c * p) over the components c of vec and the polys p."""
+    return sum((c * p for c, p in zip(vec, polys)), polys[0].ring.zero)
+
+
 def test_ideal_syzygies_wrapper(R2):
     gens = [R2.parse("x"), R2.parse("y")]
     syz = ideal_syzygies(gens)
     assert len(syz) == 1
-    assert syz[0].dot(gens).is_zero()
+    assert dot(syz[0], gens).is_zero()
+
+
+def test_syzygy_check_fires_on_a_tampered_basis(R2):
+    B = AugmentedBasis([(R2.parse("x"),), (R2.parse("y"),)])
+    assert len(B.syzygies()) == 1
+    # double the last coefficient of the syzygy (y, -x): y*x - 2*x*y != 0
+    k = next(k for k, e in enumerate(B.basis) if e[0][0][0] >= B.rank)
+    *head, (t, c) = B.basis[k]
+    B.basis[k] = (*head, (t, R2.field.add(c, c)))
+    with pytest.raises(RuntimeError, match="syzygy identity violated"):
+        B.syzygies()
+
+
+def test_expression_check_fires_on_a_tampered_basis(R2):
+    gens = [R2.parse("x^2"), R2.parse("x*y"), R2.parse("y^2")]
+    f = R2.parse("x^3 + x*y^2")
+    B = AugmentedBasis([(g,) for g in gens])
+    assert dot(B.express([f])[0], gens) == f
+    # double the coordinates past position 0 of every element led at 0, so
+    # that the remainder expresses 2f instead of f
+    F = R2.field
+    B.basis[:] = [
+        tuple((t, F.add(c, c) if t[0] > 0 else c) for t, c in e) if e[0][0][0] == 0 else e
+        for e in B.basis
+    ]
+    with pytest.raises(RuntimeError, match="expression identity violated"):
+        B.express([f])
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+@given(data=st.data())
+def test_module_terms_are_the_components_in_position_order(ring, data):
+    # position over term: the components' terms concatenated, with no sort,
+    # are strictly descending canonical terms, and _vector splits them back
+    vec = tuple(data.draw(st.lists(polynomials(ring), min_size=1, max_size=4)))
+    offset = data.draw(st.integers(0, 3))
+    terms = _terms(vec, offset)
+    neg_key = _module_terms(ring).neg_key
+    keys = [neg_key(t) for t, _c in terms]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert _vector(ring, terms, offset, len(vec)) == vec
 
 
 def test_module_member_negative(R2):
     gens = [R2.parse("x^2"), R2.parse("x*y"), R2.parse("y^2")]
     syz = ideal_syzygies(gens)
-    not_a_syzygy = FreeModuleElement(R2, 3, (R2.one, R2.zero, R2.zero))
+    not_a_syzygy = (R2.one, R2.zero, R2.zero)
     assert not module_member(not_a_syzygy, syz)
 
 
@@ -152,8 +201,7 @@ def test_step_limit_enforced_on_modules(R3):
     with pytest.raises(ResourceLimitError, match="^exceeded 1 S-pair reductions$"):
         express_in_terms([f], gens)
     with pytest.raises(ResourceLimitError, match="^exceeded 1 S-pair reductions$"):
-        module_member(FreeModuleElement(R3, 1, (f,)),
-                      [FreeModuleElement(R3, 1, (g,)) for g in gens])
+        module_member((f,), [(g,) for g in gens])
 
 
 def test_gb_of_random_ideals_is_groebner(R3):
@@ -226,10 +274,10 @@ def test_syzygies_generate_every_syzygy(case):
     ring, gens = case
     syz = ideal_syzygies(gens)
     for vec in syz:
-        assert vec.dot(gens).is_zero()
+        assert dot(vec, gens).is_zero()
     bound = 2 * max(g.total_degree() for g in gens)
     for vec in truncated_syzygies(gens, bound):
-        assert module_member(FreeModuleElement(ring, len(vec), vec), syz)
+        assert module_member(vec, syz)
 
 
 @given(in_kernel_ring(lambda ring: (
@@ -252,7 +300,7 @@ def test_reduced_basis_ignores_redundant_generators_and_order(case):
 @pytest.mark.parametrize("seed", range(3))
 def test_minimal_subset_matches_membership_reference(family, seed):
     I = generate_instance(family, seed).I
-    rank_one = [FreeModuleElement(I.ring, 1, (g,)) for g in I.generators]
+    rank_one = [(g,) for g in I.generators]
     assert minimal_subset(rank_one, (0,)) == reference_minimal_subset(rank_one, (0,))
     x = min_gens(I)
     degrees = [g.total_degree() for g in x]
