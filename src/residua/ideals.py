@@ -5,10 +5,12 @@ Intersection and colon are computed by elimination in a free module
 (Greuel and Pfister, *A Singular Introduction to Commutative Algebra*,
 §1.8), each in one run that extends a known Gröbner basis
 (`groebner.last_coordinates`): a : I for I = (f_1, …, f_m) is the ideal of
-the r with (0, …, 0, r) in a^m + R·(f_1, …, f_m, 1), where the reduced
-basis of a at each of the positions 0..m−1 is already a Gröbner basis of
-a^m, and I ∩ J is that of the r with (0, r) in J·e_0 + R·(f, f) over the
-generators f of I.  Every generator of either result is checked against
+the r with (0, …, 0, r) in a^m + R·(f_1, …, f_m, 1), and I ∩ J is that of
+the r with (0, r) in J·e_0 + R·(f, f) over the generators f of I.  The
+reduced basis of a, copied to each of the positions 0..m−1, is already a
+Gröbner basis of a^m, and under position over term, where the smaller
+position wins, the basis elements led at the last position are zero at
+every other one.  Every generator of either result is checked against
 the definition before it is returned.
 
 An `Ideal` caches the work that depends only on it: its reduced Gröbner

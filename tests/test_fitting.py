@@ -109,9 +109,7 @@ def test_fitting_ideal_chain(R2):
 
 def fitting_ideal_of(I, a, j):
     pres = presentation_of_quotient(I, a)
-    ring = I.ring
-    matrix = [[pres[r][c] for c in range(len(pres[0]))] for r in range(len(pres))]
-    return minors(ring, matrix, len(pres) - j)
+    return minors(I.ring, pres, len(pres) - j)
 
 
 def test_fitting_ideal_of_ideal_itself(R2):
