@@ -53,11 +53,33 @@ def _write(text, out_path):
         sys.stdout.write(text)
 
 
+def _check_field_move(text, spec):
+    """Reject moving a file that names a GF(p) field and an explicit `a` to
+    another field: a's coefficients are residues mod p, which read over
+    the new field give another a, in general not inside I."""
+    values = {}
+    for line in text.splitlines():
+        key, _, value = line.partition("=")
+        values[key.strip()] = value
+    if "a" not in values or "field" not in values:
+        return
+    try:
+        named = parse_field(values["field"])
+    except ValueError:
+        return      # the field line is replaced anyway
+    if named.characteristic and named != spec:
+        raise ValueError(
+            f"--field {spec} on a {named} file that names `a`: its coefficients are "
+            f"residues mod {named.characteristic}; replace the `a` line by `s = N` "
+            f"to draw a over {spec}")
+
+
 def _load_instance(path, args):
     with open(path) as fh:
         text = fh.read()
     if args.field:
         spec = parse_field(args.field)
+        _check_field_move(text, spec)
         text = "\n".join(
             line for line in text.splitlines() if not line.strip().startswith("field")
         )

@@ -3,12 +3,21 @@
 Prime-field elements are plain ints kept reduced to [0, p); rational
 coefficients are `fractions.Fraction` (always in lowest terms with a
 positive denominator, which the Fraction type guarantees).
+
+The division kernel and polynomial products work on integer coefficients
+instead (`integer_terms`, `divisor_terms`, `ratio`).  Over QQ a set of
+coefficients becomes integers over one common denominator, so a whole
+reduction or product runs on ints, with no Fraction normalised per
+operation, and each result coefficient becomes a Fraction once, when it
+leaves.  Over GF(p) the integers are the residues themselves; sums of
+products may grow past p and are reduced mod p only when a coefficient
+leaves, so a coefficient has cancelled exactly when it is 0 mod p.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 DEFAULT_PRIME = 32003
 
@@ -26,30 +35,38 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FieldSpec:
-    """An exact coefficient field: characteristic 0 means the rationals."""
+    """An exact coefficient field: characteristic 0 means the rationals.
 
-    characteristic: int = DEFAULT_PRIME
+    `zero` and `one` are the field's elements 0 and 1.  Instances are
+    treated as immutable values: equal and hashed by characteristic."""
 
-    def __post_init__(self):
-        p = self.characteristic
+    __slots__ = ("characteristic", "zero", "one")
+
+    def __init__(self, characteristic: int = DEFAULT_PRIME):
+        p = characteristic
         if p != 0 and not _is_prime(p):
             raise ValueError(f"characteristic must be 0 or prime, got {p}")
+        self.characteristic = p
+        self.zero = 0 if p else Fraction(0)
+        self.one = 1 if p else Fraction(1)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.characteristic == other.characteristic
+
+    def __hash__(self):
+        return hash((self.characteristic,))
+
+    def __repr__(self):
+        return f"FieldSpec(characteristic={self.characteristic!r})"
 
     @property
     def is_prime_field(self) -> bool:
         return self.characteristic != 0
 
     # -- element constructors ------------------------------------------------
-
-    @property
-    def zero(self):
-        return 0 if self.is_prime_field else Fraction(0)
-
-    @property
-    def one(self):
-        return 1 if self.is_prime_field else Fraction(1)
 
     def element(self, value) -> object:
         """Coerce an int, Fraction, or `a/b` string into a field element."""
@@ -96,6 +113,44 @@ class FieldSpec:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
+
+    # -- integer coefficients ------------------------------------------------
+    # (on (key, coefficient) pairs, whatever the keys are: monomials or
+    # module terms)
+
+    def integer_terms(self, terms) -> tuple:
+        """(int_terms, den): the pairs with integer coefficients n and a
+        den > 0 such that each coefficient is n / den.  Over QQ den is the
+        least common denominator; over GF(p) residues are integers, so the
+        pairs come back as they are, with den 1."""
+        if self.characteristic:
+            return terms, 1
+        dens = [c.denominator for _, c in terms]
+        den = lcm(*dens)
+        return [(t, c.numerator * (den // d)) for (t, c), d in zip(terms, dens)], den
+
+    def divisor_terms(self, terms) -> tuple:
+        """Nonzero pairs scaled to the integer unit multiple that division
+        works with: over QQ coprime integers with the first positive, over
+        GF(p) residues with the first equal to 1."""
+        p = self.characteristic
+        if p:
+            if terms[0][1] == 1:
+                return terms
+            inv = pow(terms[0][1], -1, p)
+            return tuple((t, c * inv % p) for t, c in terms)
+        ints, _ = self.integer_terms(terms)
+        g = gcd(*[n for _, n in ints])
+        if ints[0][1] < 0:
+            g = -g
+        return tuple((t, n // g) for t, n in ints)
+
+    def ratio(self, n: int, den: int):
+        """The field element n / den for an integer coefficient n over den
+        (over GF(p) den is 1, and n is reduced mod p)."""
+        if self.characteristic:
+            return n % self.characteristic
+        return Fraction(n, den)
 
     # -- formatting ----------------------------------------------------------
 

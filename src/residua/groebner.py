@@ -40,21 +40,34 @@ ideals, whose S-polynomial then reduces to zero by the Koszul relation
 between the two; module elements have no such relation, so only the ideal
 kind applies it.
 
-Division keeps the dividend as a dict of live terms plus a heap of negated
-order keys, after Monagan and Pearce: the leading term pops off the heap,
-only the divisor's tail times the quotient term is subtracted, a term is
-pushed only when it first appears, and a popped term whose coefficient has
-cancelled is skipped.  Remainder and quotient terms come out in
-descending order, so they need no final sort.  The divisor is always the
-first element of G whose lead divides, so remainders, and with them every
-basis, are the same as by plain repeated subtraction.
+Division keeps the dividend as a dict of live terms plus a heap of
+negated order keys, after Monagan and Pearce: the leading term pops off
+the heap, only the divisor's tail times the quotient term is subtracted,
+a term is pushed only when it first appears, and a popped term whose
+coefficient has cancelled is skipped.  Coefficients are integers
+throughout.  Each divisor is the integer unit multiple of a basis element
+that `FieldSpec.divisor_terms` gives: primitive with a positive lead over
+QQ, monic over GF(p).  Over QQ the live coefficients share one
+denominator den, and a step is a fraction-free pseudo-division: with
+g = gcd(c, lc) for the popped coefficient c and the divisor's lead
+coefficient lc, live <- (lc/g)·live - (c/g)·m·tail and den <- (lc/g)·den.
+A remainder term leaves as c / den with the den in force when it is
+popped; later steps rescale live, not the terms already popped.  Over
+GF(p) the live coefficients are plain ints, reduced mod p only when a
+term is popped, and a term has cancelled when its coefficient is 0 mod p.
+Remainder terms come out in descending order, so they need no final
+sort.  The divisor is always the first element of G whose lead divides,
+and an S-pair is built from the two divisors, so every remainder is the
+one plain repeated subtraction gives, up to a unit, and every basis,
+made monic as its elements arrive, is unchanged.  A `GroebnerBasis`
+builds its divisors once, for all the normal forms taken against it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from math import gcd
 
 from .ring import (
     Polynomial,
@@ -64,6 +77,7 @@ from .ring import (
     mono_divides,
     mono_lcm,
     mono_mul,
+    sum_of_products,
 )
 
 
@@ -88,16 +102,39 @@ def set_step_limit(limit):
     return previous
 
 
-@dataclass(frozen=True)
 class GroebnerBasis:
-    ring: PolyRing
-    elements: tuple
+    """A Gröbner basis: `elements`, a tuple of polynomials of `ring`
+    (`normal_form` also wraps a plain divisor sequence in one).  Equal and
+    hashed by (ring, elements).  `divisors()` is built once."""
+
+    __slots__ = ("ring", "elements", "_divisors")
+
+    def __init__(self, ring: PolyRing, elements: tuple):
+        self.ring, self.elements, self._divisors = ring, elements, None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ring, self.elements) == (other.ring, other.elements)
+
+    def __hash__(self):
+        return hash((self.ring, self.elements))
+
+    def __repr__(self):
+        return f"GroebnerBasis(ring={self.ring!r}, elements={self.elements!r})"
 
     def __iter__(self):
         return iter(self.elements)
 
     def __len__(self):
         return len(self.elements)
+
+    def divisors(self) -> list:
+        """The (lead, lc, tail) integer divisors of the nonzero elements."""
+        if self._divisors is None:
+            F = self.ring.field
+            self._divisors = [_divisor(F, g.terms) for g in self.elements if g.terms]
+        return self._divisors
 
 
 # The monomial arithmetic of one term kind in one ring: `mul(t, m)` is term
@@ -145,50 +182,72 @@ def _module_terms(ring) -> _TermKind:
 # ---------------------------------------------------------------------------
 
 class _Dividend:
-    """A polynomial or module element under division.
+    """A polynomial or module element under division, with integer
+    coefficients.
 
-    `live` maps every term not yet popped to its coefficient (zero once it
-    has cancelled); `heap` holds each of those terms once, keyed on its
-    negated order key, so the leading term pops first.
+    `live` maps every term not yet popped to its integer coefficient (0,
+    or 0 mod p, once it has cancelled); `heap` holds each of those terms
+    once, keyed on its negated order key, so the leading term pops first.
+    Over QQ the terms stand for live / den; over GF(p) den stays 1, and a
+    coefficient is reduced mod p only when its term is popped.
     """
 
-    __slots__ = ("live", "heap", "neg_key", "field", "zero", "mul")
+    __slots__ = ("live", "heap", "neg_key", "mul", "p", "den")
 
-    def __init__(self, terms, kind: _TermKind):
+    def __init__(self, kind: _TermKind, terms, den=1):
         self.live = dict(terms)
         self.neg_key = neg_key = kind.neg_key
         self.heap = [(neg_key(m), m) for m in self.live]
         heapify(self.heap)
-        self.field = kind.field
-        self.zero = kind.field.zero
-        self.mul = kind.mul
+        self.mul, self.p, self.den = kind.mul, kind.field.characteristic, den
 
     def pop(self):
-        """Remove and return the leading (term, coefficient), or None."""
-        live, heap, zero = self.live, self.heap, self.zero
+        """Remove the leading term and return (term, integer coefficient),
+        reduced mod p over GF(p); None when no nonzero term is left."""
+        live, heap, p = self.live, self.heap, self.p
         while heap:
             m = heappop(heap)[1]
             c = live.pop(m)
-            if c != zero:
+            if p:
+                c %= p
+            if c:
                 return m, c
         return None
 
-    def sub_multiple(self, tail, q_m, q_c):
-        """Subtract q_c * q_m * tail; no product may lie above a popped term."""
-        live, heap, neg_key, mul, F = self.live, self.heap, self.neg_key, self.mul, self.field
+    def sub_multiple(self, tail, q_m, c, lc):
+        """Cancel the popped term c * q_m * lead by the divisor (lead, lc,
+        tail), all integers: with g = gcd(c, lc), live <- (lc/g)·live -
+        (c/g)·q_m·tail and den <- (lc/g)·den, which takes (c/den)/lc ·
+        q_m · divisor off the value.  Terms popped before keep the den
+        they were popped with; no product may lie above a popped term."""
+        live, heap, neg_key, mul = self.live, self.heap, self.neg_key, self.mul
+        if lc != 1:
+            g = gcd(c, lc)
+            scale, c = lc // g, c // g
+            if scale != 1:
+                self.den *= scale
+                for m in live:
+                    live[m] *= scale
         for tm, tc in tail:
             m = mul(tm, q_m)
             old = live.get(m)
             if old is None:
-                live[m] = F.neg(F.mul(tc, q_c))
+                live[m] = -c * tc
                 heappush(heap, (neg_key(m), m))
             else:
-                live[m] = F.sub(old, F.mul(tc, q_c))
+                live[m] = old - c * tc
 
 
-def _divisor(terms):
-    """(lead, lead coefficient, tail) of canonical terms."""
-    return terms[0][0], terms[0][1], terms[1:]
+def _dividend(kind: _TermKind, terms) -> _Dividend:
+    """Canonical terms with field coefficients, under division."""
+    return _Dividend(kind, *kind.field.integer_terms(terms))
+
+
+def _divisor(F, terms) -> tuple:
+    """(lead, lc, tail) of nonzero canonical terms, in the integer form of
+    `FieldSpec.divisor_terms` (a monic element over GF(p) is its own)."""
+    d = F.divisor_terms(terms)
+    return d[0][0], d[0][1], d[1:]
 
 
 def _monic(F, terms) -> tuple:
@@ -198,25 +257,26 @@ def _monic(F, terms) -> tuple:
 
 
 def _reduce(p: _Dividend, divisors, kind: _TermKind) -> tuple:
-    """Remainder terms, descending, of the dividend p on division by the
-    (lead, lead coefficient, tail) divisors; each step uses the first
-    divisor whose lead divides."""
-    divides, div, F = kind.divides, kind.div, kind.field
+    """Remainder terms, descending, with field coefficients, of the
+    dividend p on division by the (lead, lc, tail) integer divisors; each
+    step uses the first divisor whose lead divides."""
+    divides, div, ratio = kind.divides, kind.div, kind.field.ratio
     rem = []
     while (term := p.pop()) is not None:
         t, c = term
         for lead, lc, tail in divisors:
             if divides(lead, t):
-                p.sub_multiple(tail, div(t, lead), F.div(c, lc))
+                p.sub_multiple(tail, div(t, lead), c, lc)
                 break
         else:
-            rem.append(term)
+            rem.append((t, ratio(c, p.den)))
     return tuple(rem)
 
 
 def _remainder(kind: _TermKind, terms, basis) -> tuple:
     """Remainder terms of `terms` against the canonical term tuples `basis`."""
-    return _reduce(_Dividend(terms, kind), [_divisor(b) for b in basis], kind)
+    F = kind.field
+    return _reduce(_dividend(kind, terms), [_divisor(F, b) for b in basis], kind)
 
 
 def _groebner(kind: _TermKind, G: list, new) -> list:
@@ -228,7 +288,7 @@ def _groebner(kind: _TermKind, G: list, new) -> list:
     F, key, mul, divides, div, lcm_of = (
         kind.field, kind.key, kind.mul, kind.divides, kind.div, kind.lcm)
     leads = [g[0][0] for g in G]
-    divisors = [_divisor(g) for g in G]
+    divisors = [_divisor(F, g) for g in G]
     new = [t for t in new if t]
     heap = [(key(t[0][0]), -1, k) for k, t in enumerate(new)]
     heapify(heap)
@@ -237,7 +297,7 @@ def _groebner(kind: _TermKind, G: list, new) -> list:
     def insert(r):
         G.append(_monic(F, r))
         leads.append(r[0][0])
-        divisors.append(_divisor(G[-1]))
+        divisors.append(_divisor(F, G[-1]))
         j = len(G) - 1
         for i in range(j):
             lcm = lcm_of(leads[i], leads[j])
@@ -249,7 +309,7 @@ def _groebner(kind: _TermKind, G: list, new) -> list:
     while heap:
         _, i, j = heappop(heap)
         if i < 0:
-            r = _reduce(_Dividend(new[j], kind), divisors, kind)
+            r = _reduce(_dividend(kind, new[j]), divisors, kind)
             if r:
                 insert(r)
             continue
@@ -276,9 +336,12 @@ def _groebner(kind: _TermKind, G: list, new) -> list:
         steps += 1
         if _step_limit is not None and steps > _step_limit:
             raise ResourceLimitError(f"exceeded {_step_limit} S-pair reductions")
+        # the S-pair of the two divisors: their leads cancel at lcm
+        _, lc_i, tail_i = divisors[i]
+        _, lc_j, tail_j = divisors[j]
         q_i = div(lcm, lm_i)
-        s = _Dividend(((mul(t, q_i), c) for t, c in G[i]), kind)
-        s.sub_multiple(G[j], div(lcm, lm_j), F.one)
+        s = _Dividend(kind, ((mul(t, q_i), c) for t, c in tail_i))
+        s.sub_multiple(tail_j, div(lcm, lm_j), lc_i, lc_j)
         r = _reduce(s, divisors, kind)
         if r:
             insert(r)
@@ -286,14 +349,17 @@ def _groebner(kind: _TermKind, G: list, new) -> list:
 
 
 def normal_form(f: Polynomial, G) -> Polynomial:
-    """Remainder of f on division by the elements of G (full tail reduction)."""
-    elements = G.elements if isinstance(G, GroebnerBasis) else tuple(G)
+    """Remainder of f on division by the elements of G, a GroebnerBasis or
+    a sequence of polynomials (full tail reduction)."""
     ring = f.ring
-    for g in elements:
-        if g.ring != ring:
+    if not isinstance(G, GroebnerBasis):
+        G = GroebnerBasis(ring, tuple(G))
+        if any(g.ring != ring for g in G.elements):
             raise RingMismatchError("normal_form across different rings")
-    basis = [g.terms for g in elements if g.terms]
-    return Polynomial(ring, _remainder(_ideal_terms(ring), f.terms, basis))
+    elif G.ring != ring:
+        raise RingMismatchError("normal_form across different rings")
+    kind = _ideal_terms(ring)
+    return Polynomial(ring, _reduce(_dividend(kind, f.terms), G.divisors(), kind))
 
 
 def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -331,11 +397,14 @@ def reduce_basis(G: GroebnerBasis) -> GroebnerBasis:
     for g in elems:
         if not any(mono_divides(h.lm(), g.lm()) for h in minimal):
             minimal.append(g)
-    # tail-reduce each against the others
+    # tail-reduce each against the others: no lead divides another, and
+    # every term under division lies below the lead of g, so g itself
+    # never divides one, and the tail of g can be reduced by all of them
+    M = GroebnerBasis(ring, tuple(minimal))
     reduced = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1:]
-        reduced.append(normal_form(g, others).monic())
+    for g in minimal:
+        tail = normal_form(Polynomial(ring, g.terms[1:]), M)
+        reduced.append(Polynomial(ring, g.terms[:1] + tail.terms))
     reduced.sort(key=lambda g: ring.key(g.lm()))
     return GroebnerBasis(ring, tuple(reduced))
 
@@ -364,19 +433,13 @@ def _vector(ring, terms, offset, rank) -> tuple:
     return tuple(Polynomial(ring, tuple(t)) for t in comps)
 
 
-def _combination(coeffs, gens) -> dict:
-    """sum(c_i * g_i) for polynomials c_i and polynomial sequences g_i, as
-    the dict {(position, monomial): coefficient} of its nonzero terms."""
-    F = coeffs[0].ring.field
-    zero, add, mul = F.zero, F.add, F.mul
-    acc = {}
-    for c, g in zip(coeffs, gens):
-        for cm, cc in c.terms:
-            for pos, comp in enumerate(g):
-                for gm, gc in comp.terms:
-                    t = (pos, mono_mul(cm, gm))
-                    acc[t] = add(acc.get(t, zero), mul(cc, gc))
-    return {t: c for t, c in acc.items() if c != zero}
+def _combination(coeffs, gens) -> tuple:
+    """The canonical terms of sum(c_i * g_i) for polynomials c_i and
+    polynomial sequences g_i."""
+    ring = coeffs[0].ring
+    kind = _module_terms(ring)
+    return sum_of_products(ring.field, kind.neg_key, kind.mul,
+                           [(c.terms, _terms(g)) for c, g in zip(coeffs, gens)])
 
 
 class AugmentedBasis:
@@ -423,14 +486,14 @@ class AugmentedBasis:
         if self.rank != 1:
             raise ValueError("express needs generators of rank one")
         ring, kind, F, n = self.ring, self.kind, self.ring.field, len(self.gens)
-        divisors = [_divisor(b) for b in self.basis]
+        divisors = [_divisor(F, b) for b in self.basis]
         out = []
         for f in polys:
-            nf = _reduce(_Dividend(_terms((f,)), kind), divisors, kind)
+            nf = _reduce(_dividend(kind, _terms((f,))), divisors, kind)
             if nf and nf[0][0][0] == 0:
                 raise NotAMemberError(f"{f} is not in the ideal of the given generators")
             coeffs = _vector(ring, ((t, F.neg(c)) for t, c in nf), 1, n)
-            if _combination(coeffs, self.gens) != dict(_terms((f,))):
+            if _combination(coeffs, self.gens) != _terms((f,)):
                 raise RuntimeError("internal: expression identity violated")
             out.append(list(coeffs))
         return out

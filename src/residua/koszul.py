@@ -5,7 +5,7 @@ subalgebra generated by the zeta elements of a)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .ring import Polynomial, PolyRing
@@ -147,11 +147,9 @@ class KoszulComplex:
         return [self.differential_image(S) for S in self.basis(i + 1)]
 
 
-@dataclass
-class HomologyData:
-    complex: KoszulComplex
-    cycle_gens: dict    # i -> list of ExteriorElement generating Z_i
-    lifts: dict         # i -> trimmed cycle generators representing H_i
+# cycle_gens: i -> list of ExteriorElement generating Z_i;
+# lifts: i -> trimmed cycle generators representing H_i
+HomologyData = namedtuple("HomologyData", "complex cycle_gens lifts")
 
 
 def homology_lifts(K: KoszulComplex) -> HomologyData:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
 from .ring import Polynomial, PolyRing
@@ -41,14 +40,36 @@ class HypothesisError(ValueError):
     """A computed hypothesis of the requested theorem fails."""
 
 
-@dataclass
-class ResidualInstance:
-    ring: PolyRing
-    I: Ideal
-    a_gens: tuple
-    s: int
-    seed: int = 0
-    family_tag: str = "custom"
+class _Record:
+    """Value semantics for a slotted class: equal when every slot is, a
+    repr that lists them, and unhashable (the records are mutable)."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values())) + ")"
+
+
+class ResidualInstance(_Record):
+    """An instance: the ideal I of `ring`, the generators `a_gens` of a, and s."""
+
+    __slots__ = ("ring", "I", "a_gens", "s", "seed", "family_tag")
+
+    def __init__(self, ring: PolyRing, I: Ideal, a_gens: tuple, s: int, seed: int = 0,
+                 family_tag: str = "custom"):
+        self.ring, self.I, self.a_gens, self.s = ring, I, a_gens, s
+        self.seed, self.family_tag = seed, family_tag
 
     @property
     def a(self) -> Ideal:
@@ -65,17 +86,20 @@ class ResidualInstance:
         }
 
 
-@dataclass
-class VerificationReport:
-    instance: dict
-    theorem_id: str
-    lhs_gb: list
-    rhs_gb: list
-    verdict: str                      # equal | lhs-strictly-larger | incomparable
-    hypothesis_checks: list = dc_field(default_factory=list)
-    rhs_contained_in_lhs: bool = False
-    seed: int = 0
-    timing: float = 0.0
+class VerificationReport(_Record):
+    """The outcome of `verify`; `verdict` is equal, lhs-strictly-larger or
+    incomparable."""
+
+    __slots__ = ("instance", "theorem_id", "lhs_gb", "rhs_gb", "verdict",
+                 "hypothesis_checks", "rhs_contained_in_lhs", "seed", "timing")
+
+    def __init__(self, instance: dict, theorem_id: str, lhs_gb: list, rhs_gb: list,
+                 verdict: str, hypothesis_checks: list = None,
+                 rhs_contained_in_lhs: bool = False, seed: int = 0, timing: float = 0.0):
+        self.instance, self.theorem_id = instance, theorem_id
+        self.lhs_gb, self.rhs_gb, self.verdict = lhs_gb, rhs_gb, verdict
+        self.hypothesis_checks = [] if hypothesis_checks is None else hypothesis_checks
+        self.rhs_contained_in_lhs, self.seed, self.timing = rhs_contained_in_lhs, seed, timing
 
     def to_dict(self) -> dict:
         return {

@@ -13,16 +13,18 @@ Kernel invariants:
   MonomialOrder binds its key function once, at construction.
 - Addition and subtraction merge two canonical term tuples in one pass
   and emit a canonical tuple; they never build a dict or sort.
+- Multiplication sums integer products (`FieldSpec.integer_terms`, as
+  the division kernel uses) in a dict over one common denominator, and
+  each sum enters the field once, in one sort: no `from_dict`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
+from math import lcm
 from operator import add, le, neg, sub
-from typing import Callable
 
 from .field import FieldSpec
 
@@ -83,34 +85,41 @@ def _block_neg_key(k: int, m: Monomial):
     return _grevlex_neg_key(m[:k]) + _grevlex_neg_key(m[k:])
 
 
-@dataclass(frozen=True)
 class MonomialOrder:
     """lex, grevlex, or block-elimination(k) eliminating the first k variables.
 
     `key(m)` is the sort key: a larger key means a larger monomial.
     `neg_key(m)` is key(m) with every entry negated, so the smallest
-    neg_key belongs to the largest monomial (for min-heaps).
+    neg_key belongs to the largest monomial (for min-heaps).  Orders are
+    equal and hashed by (kind, block).
     """
 
-    kind: str = "grevlex"
-    block: int = 0
-    key: Callable = dc_field(init=False, repr=False, compare=False)
-    neg_key: Callable = dc_field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "block", "key", "neg_key")
 
-    def __post_init__(self):
-        if self.kind not in ("lex", "grevlex", "block"):
-            raise ValueError(f"unknown monomial order {self.kind!r}")
-        if self.kind == "block" and self.block < 1:
+    def __init__(self, kind: str = "grevlex", block: int = 0):
+        if kind not in ("lex", "grevlex", "block"):
+            raise ValueError(f"unknown monomial order {kind!r}")
+        if kind == "block" and block < 1:
             raise ValueError("block-elimination order needs block >= 1")
-        if self.kind == "grevlex":
+        if kind == "grevlex":
             key, neg_key = _grevlex_key, _grevlex_neg_key
-        elif self.kind == "lex":
+        elif kind == "lex":
             key, neg_key = _lex_key, _lex_neg_key
         else:
-            key = partial(_block_key, self.block)
-            neg_key = partial(_block_neg_key, self.block)
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "neg_key", neg_key)
+            key = partial(_block_key, block)
+            neg_key = partial(_block_neg_key, block)
+        self.kind, self.block, self.key, self.neg_key = kind, block, key, neg_key
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.block) == (other.kind, other.block)
+
+    def __hash__(self):
+        return hash((self.kind, self.block))
+
+    def __repr__(self):
+        return f"MonomialOrder(kind={self.kind!r}, block={self.block!r})"
 
     def __str__(self):
         if self.kind == "block":
@@ -133,32 +142,42 @@ def monomial_cmp(order: MonomialOrder, m1: Monomial, m2: Monomial) -> int:
 # rings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class PolyRing:
-    field: FieldSpec
-    variables: tuple
-    order: MonomialOrder = dc_field(default_factory=MonomialOrder)
-    key: Callable = dc_field(init=False, repr=False, compare=False)  # the order's key
+    """A polynomial ring over `field` in `variables` under `order`; rings
+    are equal and hashed by (field, variables, order).  `key` is the
+    order's key; `zero`, `one` and `gens` (the variables) are built once."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
+    __slots__ = ("field", "variables", "order", "key", "zero", "one", "gens")
+
+    def __init__(self, field: FieldSpec, variables, order: MonomialOrder = None):
+        self.field = field
+        self.variables = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("variable names must be unique")
-        object.__setattr__(self, "key", self.order.key)
+        self.order = MonomialOrder() if order is None else order
+        self.key = self.order.key
+        self.zero = Polynomial(self, ())
+        self.one = self.constant(field.one)
+        self.gens = tuple(self.var(v) for v in self.variables)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.field, self.variables, self.order)
+                == (other.field, other.variables, other.order))
+
+    def __hash__(self):
+        return hash((self.field, self.variables, self.order))
+
+    def __repr__(self):
+        return (f"PolyRing(field={self.field!r}, variables={self.variables!r}, "
+                f"order={self.order!r})")
 
     @property
     def nvars(self) -> int:
         return len(self.variables)
 
     # -- polynomial constructors --------------------------------------------
-
-    @cached_property
-    def zero(self) -> "Polynomial":
-        return Polynomial(self, ())
-
-    @cached_property
-    def one(self) -> "Polynomial":
-        return self.constant(self.field.one)
 
     def constant(self, c) -> "Polynomial":
         c = self.field.element(c)
@@ -170,10 +189,6 @@ class PolyRing:
         i = self.variables.index(name)
         expo = tuple(1 if j == i else 0 for j in range(self.nvars))
         return Polynomial(self, ((expo, self.field.one),))
-
-    @cached_property
-    def gens(self) -> tuple:
-        return tuple(self.var(v) for v in self.variables)
 
     def monomial(self, expo: Monomial, coeff=None) -> "Polynomial":
         coeff = self.field.one if coeff is None else self.field.element(coeff)
@@ -257,18 +272,9 @@ class Polynomial:
     def __mul__(self, other):
         other = self._coerce(other)
         self._check_ring(other)
-        F = self.ring.field
-        zero = F.zero
-        d = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = mono_mul(m1, m2)
-                s = F.add(d.get(m, zero), F.mul(c1, c2))
-                if s == zero:
-                    d.pop(m, None)
-                else:
-                    d[m] = s
-        return self.ring.from_dict(d)
+        ring = self.ring
+        return Polynomial(ring, sum_of_products(
+            ring.field, ring.order.neg_key, mono_mul, [(self.terms, other.terms)]))
 
     def __rmul__(self, other):
         return self * other
@@ -415,6 +421,40 @@ def _merge(ring: PolyRing, a: tuple, b: tuple, subtract: bool) -> tuple:
         out.extend((m, F.neg(c)) for m, c in b[j:])
     else:
         out.extend(b[j:])
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# integer coefficients
+# ---------------------------------------------------------------------------
+
+def sum_of_products(field: FieldSpec, neg_key, mul, pairs) -> tuple:
+    """The canonical terms of the sum of f * g over `pairs` of canonical
+    term tuples (f, g): `mul(t, m)` multiplies a term t of g by a monomial
+    m of f, and `neg_key` is the negated order key of such terms.  The
+    products are summed as integers over one common denominator, and each
+    sum enters the field once (over GF(p), reduced mod p there)."""
+    parts = []
+    for f, g in pairs:
+        a, a_den = field.integer_terms(f)
+        b, b_den = field.integer_terms(g)
+        parts.append((a, b, a_den * b_den))
+    den = lcm(*[d for *_, d in parts])
+    acc = {}
+    get = acc.get
+    for a, b, d in parts:
+        scale = den // d
+        for m, n in a:
+            n *= scale
+            for t, c in b:
+                t = mul(t, m)
+                acc[t] = get(t, 0) + n * c
+    ratio = field.ratio
+    out = []
+    for t in sorted(acc, key=neg_key):
+        c = ratio(acc[t], den)
+        if c:
+            out.append((t, c))
     return tuple(out)
 
 

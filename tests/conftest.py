@@ -52,12 +52,19 @@ def coefficients(field):
     )
 
 
-def polynomials(ring, max_degree=3, max_terms=4):
+def large_fractions():
+    """Nonzero rationals with numerators up to 10^6 and denominators up to 10^4."""
+    return st.builds(Fraction, st.integers(-10**6, 10**6).filter(bool), st.integers(1, 10**4))
+
+
+def polynomials(ring, max_degree=3, max_terms=4, coeffs=None):
+    """Polynomials with coefficients from `coeffs` (default `coefficients`)."""
     def build(pairs):
         return ring.from_dict({m: ring.field.element(c) for m, c in pairs})
 
     return st.lists(
-        st.tuples(monomials(ring.nvars, max_degree), coefficients(ring.field)),
+        st.tuples(monomials(ring.nvars, max_degree),
+                  coefficients(ring.field) if coeffs is None else coeffs),
         min_size=0,
         max_size=max_terms,
     ).map(build)

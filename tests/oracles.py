@@ -6,7 +6,9 @@ multiples of the generators up to a degree bound, graded pieces of a
 colon from the kernel of multiplication into such truncated quotients,
 monomial colon and intersection from exponent-vector arithmetic, and
 Koszul homology dimensions from ranks of truncated differential matrices.
-Two exceptions use the engine's module computations by another route
+Division and products over QQ have plain-Fraction references on dicts
+(`fraction_remainder`, `fraction_product`).  Two exceptions use the
+engine's module computations by another route
 than the code under test: the syzygy references for colon and
 intersection, and the graded-Nakayama reference at the end, which uses
 the engine only through its module membership test.
@@ -14,6 +16,7 @@ the engine only through its module membership test.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product as iter_product
 
 from residua.groebner import ideal_syzygies, module_member
@@ -109,6 +112,47 @@ def oracle_remainder(f, gens, bound):
     columns, index, pivots = truncated_span(gens, bound)
     vec = _reduce_vector(ring.field, _poly_vector(f, columns, index), pivots)
     return ring.from_dict({m: c for m, c in zip(columns, vec) if c != ring.field.zero})
+
+
+def fraction_remainder(f, divisors):
+    """Remainder of f on division by the polynomials `divisors`, in plain
+    Fraction arithmetic on dicts: the largest term (by the ring's key) is
+    cancelled by the first divisor whose lead divides it, or moved to the
+    remainder.  Divisors need not be monic; zero ones are skipped."""
+    ring = f.ring
+    p = {m: Fraction(c) for m, c in f.terms}
+    divs = [(g.lm(), {m: Fraction(c) for m, c in g.terms}) for g in divisors if g.terms]
+    rem = {}
+    while p:
+        m = max(p, key=ring.key)
+        for lead, g in divs:
+            if all(a <= b for a, b in zip(lead, m)):
+                q = tuple(b - a for a, b in zip(lead, m))
+                factor = p[m] / g[lead]
+                for gm, gc in g.items():
+                    t = tuple(a + b for a, b in zip(gm, q))
+                    value = p.get(t, 0) - factor * gc
+                    if value:
+                        p[t] = value
+                    else:
+                        p.pop(t, None)
+                break
+        else:
+            rem[m] = p.pop(m)
+    return ring.from_dict({m: ring.field.element(c) for m, c in rem.items()})
+
+
+def fraction_product(f, g) -> dict:
+    """f * g as {monomial: coefficient}: every pair of terms multiplied in
+    plain Fraction arithmetic, summed, mapped into the field, zeros dropped."""
+    acc = {}
+    for m1, c1 in f.terms:
+        for m2, c2 in g.terms:
+            m = tuple(a + b for a, b in zip(m1, m2))
+            acc[m] = acc.get(m, 0) + Fraction(c1) * Fraction(c2)
+    F = f.ring.field
+    out = {m: F.element(c) for m, c in acc.items()}
+    return {m: c for m, c in out.items() if c != F.zero}
 
 
 def oracle_member(f, gens, bound=None):

@@ -3,6 +3,7 @@ deterministic corpus output."""
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,8 @@ import pytest
 
 from residua import GF32003, RATIONALS, PolyRing, __version__, buchberger
 from residua.cli import main
+from residua.corpus import generate_instance
+from residua.instances import format_instance
 from residua.groebner import ResourceLimitError, set_step_limit
 
 INSTANCE = """\
@@ -179,6 +182,39 @@ def test_field_override(tmp_path, capsys):
     code, doc = run_json(capsys, ["colon", str(path), "--field", "q"])
     assert code == 0
     assert doc["instance"]["ring"].startswith("QQ")
+
+
+def test_field_move_rejects_residues_as_a(tmp_path, capsys):
+    # a corpus file names GF(32003) and its a; read over another field,
+    # a's residues mod 32003 would be another a, in general outside I
+    text = format_instance(generate_instance("hb2", 0))
+    path = tmp_path / "hb2.txt"
+    path.write_text(text)
+    for field in ("q", "p7"):
+        assert main(["colon", str(path), "--field", field]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --field ") and "`s = N`" in err
+        assert "not contained" not in err
+    # the same field is no move, and `s = N` draws a over the new field
+    assert main(["colon", str(path), "--field", "p32003"]) == 0
+    capsys.readouterr()
+    path.write_text("".join("s = 2\n" if line.startswith("a =") else line
+                            for line in text.splitlines(keepends=True)))
+    code, doc = run_json(capsys, ["colon", str(path), "--field", "q"])
+    assert code == 0 and doc["instance"]["ring"].startswith("QQ")
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # both cost start-up time on every `residua` run; modules that the
+    # interpreter's start-up already loaded do not count
+    code = ("import sys; before = set(sys.modules); import residua.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("field", ["GF(0)", "p0", "p00"])

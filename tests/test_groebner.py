@@ -1,5 +1,6 @@
 """Buchberger, normal forms, and module (syzygy) computations."""
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -34,11 +35,13 @@ from conftest import (
     KERNEL_RINGS,
     coefficients,
     in_kernel_ring,
+    large_fractions,
     polynomials,
     random_homogeneous,
     seeded_rng,
 )
 from oracles import (
+    fraction_remainder,
     oracle_member,
     oracle_remainder,
     reference_minimal_subset,
@@ -252,6 +255,29 @@ def test_normal_form_matches_repeated_subtraction(case):
     ring, G, f = case
     G = [g for g in G if not g.is_zero()]
     assert normal_form(f, G).terms == _reference_normal_form(f, G).terms
+
+
+_QQ_RINGS = [ring for ring in KERNEL_RINGS if not ring.field.characteristic]
+_Q = _QQ_RINGS[0]
+
+
+@given(st.sampled_from(_QQ_RINGS).flatmap(lambda ring: st.tuples(
+    st.lists(st.one_of(
+        polynomials(ring, max_degree=2, max_terms=3),
+        polynomials(ring, max_degree=2, max_terms=3, coeffs=large_fractions()),
+    ), max_size=4),
+    st.one_of(polynomials(ring, max_terms=6),
+              polynomials(ring, max_terms=6, coeffs=large_fractions())),
+)))
+# y^2 leaves the remainder at den 1; dividing x*z by 3x + y then scales
+# the live terms by 3, which must not touch y^2
+@example(([_Q.parse("3*x + y")], _Q.parse("y^2 + x*z")))
+@example(([_Q.parse("6*x - 4*y"), _Q.parse("9*y^2 + 2*z^2")], _Q.parse("x*y^2 + 5/7*y*z^2")))
+def test_normal_form_over_qq_matches_fraction_division(case):
+    G, f = case
+    r = normal_form(f, G)
+    assert r == fraction_remainder(f, G)
+    assert all(type(c) is Fraction for _, c in r.terms)
 
 
 @given(in_kernel_ring(lambda ring: (

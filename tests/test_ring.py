@@ -1,12 +1,15 @@
 """Polynomial arithmetic, monomial orders, parsing."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
-from residua import GF32003, MonomialOrder, PolyRing, monomial_cmp
+from residua import GF32003, RATIONALS, FieldSpec, MonomialOrder, PolyRing, monomial_cmp
 from residua.ring import ParseError, mono_div, mono_divides, mono_lcm, mono_mul
 
-from conftest import in_kernel_ring, polynomials
+from conftest import KERNEL_RINGS, in_kernel_ring, large_fractions, polynomials
+from oracles import fraction_product
 
 
 def test_grevlex_order_on_quadrics(R2):
@@ -148,3 +151,49 @@ def test_order_keys_and_mono_helpers(m1, m2):
     assert mono_lcm(m1, m2) == tuple(max(a, b) for a, b in zip(m1, m2))
     assert mono_divides(m1, m2) == all(a <= b for a, b in zip(m1, m2))
     assert mono_div(mono_mul(m1, m2), m2) == m1
+
+
+# small primes, where many integer coefficients cancel to 0 mod p
+SMALL_PRIME_RINGS = tuple(
+    PolyRing(FieldSpec(p), ("x", "y", "z"), MonomialOrder(kind))
+    for p in (2, 3, 7) for kind in ("grevlex", "lex")
+)
+_QQ_LARGE = st.sampled_from([r for r in KERNEL_RINGS if r.field == RATIONALS]).flatmap(
+    lambda ring: st.tuples(*[polynomials(ring, max_terms=6, coeffs=large_fractions())] * 2))
+
+
+@given(st.one_of(
+    st.sampled_from(KERNEL_RINGS + SMALL_PRIME_RINGS).flatmap(
+        lambda ring: st.tuples(*[polynomials(ring, max_terms=6)] * 2)),
+    _QQ_LARGE,
+))
+def test_mul_matches_fraction_product(case):
+    p, q = case
+    ring, F = p.ring, p.ring.field
+    product = p * q
+    assert dict(product.terms) == fraction_product(p, q)
+    keys = [ring.key(m) for m, _ in product.terms]
+    assert all(k1 > k2 for k1, k2 in zip(keys, keys[1:]))
+    if F.characteristic:
+        assert all(type(c) is int and 0 < c < F.characteristic for _, c in product.terms)
+    else:
+        assert all(type(c) is Fraction and c for _, c in product.terms)
+
+
+def test_fields_orders_and_rings_are_values():
+    assert FieldSpec(0) == RATIONALS and hash(FieldSpec(0)) == hash(RATIONALS)
+    assert FieldSpec(7) != FieldSpec(3) and FieldSpec() == GF32003
+    assert (RATIONALS.zero, RATIONALS.one) == (0, 1)
+    assert type(RATIONALS.one) is Fraction and type(GF32003.one) is int
+    assert MonomialOrder("block", 2) == MonomialOrder("block", 2) != MonomialOrder("block", 1)
+    with pytest.raises(ValueError):
+        FieldSpec(6)
+    with pytest.raises(ValueError):
+        MonomialOrder("block", 0)
+    R = PolyRing(RATIONALS, ["x", "y"])
+    same = PolyRing(FieldSpec(0), ("x", "y"), MonomialOrder("grevlex"))
+    assert R == same and hash(R) == hash(same) and len({R, same}) == 1
+    assert R != PolyRing(RATIONALS, ("x", "y"), MonomialOrder("lex"))
+    assert R != PolyRing(GF32003, ("x", "y"))
+    assert R.gens == (R.var("x"), R.var("y")) and R.one == R.constant(1)
+    assert R.zero.is_zero() and R.key is R.order.key

@@ -1,6 +1,8 @@
 """Reduced Gröbner bases against sympy's, an independent implementation.
 
-Skipped when sympy is not installed; it is a test-only dependency.
+Skipped when sympy is not installed; it is a test-only dependency.  Over
+GF(2), GF(3) and GF(7) many integer coefficients of a division cancel to
+0 mod p; over QQ, large denominators make long integer coefficients.
 """
 
 from fractions import Fraction
@@ -8,18 +10,27 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from residua import GF32003, RATIONALS, MonomialOrder, PolyRing, reduced_groebner, set_step_limit
+from residua import (
+    GF32003,
+    RATIONALS,
+    FieldSpec,
+    MonomialOrder,
+    PolyRing,
+    reduced_groebner,
+    set_step_limit,
+)
 
-from conftest import polynomials
+from conftest import large_fractions, polynomials
 
 sympy = pytest.importorskip("sympy")
 
 VARIABLES = ("x", "y", "z")
 SYMBOLS = sympy.symbols(VARIABLES)
+ORDERS = ("grevlex", "lex")
 RINGS = tuple(
     PolyRing(field, VARIABLES, MonomialOrder(kind))
     for field in (GF32003, RATIONALS)
-    for kind in ("grevlex", "lex")
+    for kind in ORDERS
 )
 
 
@@ -44,11 +55,15 @@ def from_sympy(ring, poly):
     ).monic()
 
 
-@given(st.sampled_from(RINGS).flatmap(lambda ring: st.tuples(
-    st.just(ring), st.lists(polynomials(ring, max_degree=2, max_terms=3), min_size=1, max_size=3)
-)))
-def test_reduced_groebner_matches_sympy(case):
-    ring, gens = case
+def _generator_lists(rings, min_size=1, max_size=3, coeffs=None):
+    return st.sampled_from(rings).flatmap(lambda ring: st.tuples(
+        st.just(ring),
+        st.lists(polynomials(ring, max_degree=2, max_terms=3, coeffs=coeffs),
+                 min_size=min_size, max_size=max_size),
+    ))
+
+
+def _assert_matches_sympy(ring, gens):
     gens = [g for g in gens if not g.is_zero()]
     assume(gens)
     options = {"modulus": ring.field.characteristic} if ring.field.characteristic else {}
@@ -63,3 +78,21 @@ def test_reduced_groebner_matches_sympy(case):
         assert list(reduced_groebner(gens)) == expected
     finally:
         set_step_limit(previous)
+
+
+@given(_generator_lists(RINGS))
+def test_reduced_groebner_matches_sympy(case):
+    _assert_matches_sympy(*case)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+@given(data=st.data())
+def test_reduced_groebner_matches_sympy_over_small_primes(p, data):
+    rings = [PolyRing(FieldSpec(p), VARIABLES, MonomialOrder(kind)) for kind in ORDERS]
+    _assert_matches_sympy(*data.draw(_generator_lists(rings, max_size=4)))
+
+
+@given(_generator_lists([r for r in RINGS if r.field == RATIONALS], min_size=2,
+                        coeffs=large_fractions()))
+def test_reduced_groebner_matches_sympy_with_large_denominators(case):
+    _assert_matches_sympy(*case)
