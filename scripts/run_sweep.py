@@ -6,7 +6,10 @@ Usage:
     python3 scripts/run_sweep.py --family ci --count 20 --out sweep.json
 
 Prints one line per (instance, theorem) with the verdict and timing, plus a
-summary; non-equal verdicts set a nonzero exit code.
+summary.  A pair whose right-hand side sums the colons over subsets of size
+s holds a : I by construction (`residual.is_tautological`); it is skipped and
+counted apart, never as a pass.  Exit code: 2 on any non-equal verdict,
+otherwise 3 if any pair was skipped, otherwise 0.
 """
 
 import argparse
@@ -19,7 +22,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from residua.corpus import FAMILIES, generate_corpus  # noqa: E402
-from residua.residual import THEOREM_IDS, verify  # noqa: E402
+from residua.residual import THEOREM_IDS, is_tautological, verify  # noqa: E402
 
 DEFAULT_THEOREMS = {
     "ci": "cor31",
@@ -51,22 +54,29 @@ def main():
           f"in {time.monotonic() - start:.1f}s")
 
     verdicts = Counter()
+    skipped = 0
     reports = []
     for k, inst in enumerate(instances):
         for theorem in theorems:
+            if is_tautological(theorem, inst.I, inst.s):
+                skipped += 1
+                print(f"  [{k:3d}] s={inst.s} {theorem:8s} skipped: tautological")
+                continue
             rep = verify(theorem, inst)
             verdicts[rep.verdict] += 1
             reports.append(rep.to_dict())
             print(f"  [{k:3d}] s={inst.s} {theorem:8s} {rep.verdict:22s} "
                   f"{rep.timing:6.2f}s")
 
-    print(f"\nverdicts: {dict(verdicts)}  "
+    print(f"\nverdicts: {dict(verdicts)}  tautological (skipped): {skipped}  "
           f"total {time.monotonic() - start:.1f}s")
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(reports, fh, indent=2, sort_keys=True)
         print(f"wrote {args.out}")
-    return 0 if set(verdicts) <= {"equal"} else 2
+    if not set(verdicts) <= {"equal"}:
+        return 2
+    return 3 if skipped else 0
 
 
 if __name__ == "__main__":

@@ -25,7 +25,8 @@ class NotASubidealError(ValueError):
 
 def _det(ring, rows, row_idx, col_idx, memo):
     """Determinant of the submatrix on row_idx x col_idx, memoized cofactor
-    expansion along the first row."""
+    expansion along the first row, summed as one sum of products over the
+    nonzero entries whose minor is nonzero."""
     key = (row_idx, col_idx)
     if key in memo:
         return memo[key]
@@ -34,14 +35,16 @@ def _det(ring, rows, row_idx, col_idx, memo):
     else:
         r = row_idx[0]
         rest = row_idx[1:]
-        result = ring.zero
+        pairs = []
         for pos, c in enumerate(col_idx):
             entry = rows[r][c]
             if entry.is_zero():
                 continue
             sub = _det(ring, rows, rest, col_idx[:pos] + col_idx[pos + 1:], memo)
-            term = entry * sub
-            result = result + term if pos % 2 == 0 else result - term
+            if sub.is_zero():
+                continue
+            pairs.append(((-entry if pos % 2 else entry).terms, sub.terms))
+        result = ring.sum_of_products(pairs)
     memo[key] = result
     return result
 

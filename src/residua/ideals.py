@@ -19,7 +19,9 @@ basis, `min_gens(I)`, `height(I)`, the augmented basis of `min_gens(I)`
 elements of I in terms of it); filled in by `fitting`, the minimal
 syzygies of `min_gens(I)` and `height(Fitt_j(I) + I)` per j; and, keyed
 by the exact generator tuple of `a`, every colon `a : I` computed with it
-as the divisor.  The caches live on the ideal and die with it; nothing is
+as the divisor and, filled in by `koszul`, the nonzero generators of `a`
+with their zetas (their expressions in `min_gens(I)` as exterior elements
+of degree one).  The caches live on the ideal and die with it; nothing is
 cached at module level.  An entry is stored only once its computation has
 returned, and nothing assigns `ring` or `generators` after construction,
 so a cached value is exactly what recomputing it from the same generators
@@ -51,7 +53,7 @@ class Ideal:
     unhashable."""
 
     __slots__ = ("ring", "generators", "_gb", "_min_gens", "_height", "_augmented",
-                 "_syzygies", "_fitting_heights", "_colons")
+                 "_syzygies", "_fitting_heights", "_colons", "_zetas")
 
     def __init__(self, ring: PolyRing, generators):
         self.ring = ring
@@ -70,6 +72,7 @@ class Ideal:
         self._syzygies = None
         self._fitting_heights = {}
         self._colons = {}
+        self._zetas = {}
 
     def __eq__(self, other):
         if not isinstance(other, Ideal):

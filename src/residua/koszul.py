@@ -1,7 +1,12 @@
 """Koszul complexes: exterior algebra elements, differentials, cycle and
 homology generators with lifts, and the Kitt ideal via both of its
 constructions (homology lifts, and products of cycles with the Gamma
-subalgebra generated by the zeta elements of a)."""
+subalgebra generated by the zeta elements of a).
+
+Each coefficient of an exterior product is one `ring.sum_of_products`
+over the signed pairs of coefficients that meet in it.  The zetas of
+(a, I) depend only on the generators of a and on I, so all three Kitt
+routes share them through a cache on I (see `ideals`)."""
 
 from __future__ import annotations
 
@@ -70,23 +75,29 @@ class ExteriorElement:
         )
 
     def wedge(self, other: "ExteriorElement") -> "ExteriorElement":
+        """The exterior product; each coefficient is one sum of products over
+        the disjoint (S, T) that merge to its subset, keys in order of first
+        occurrence."""
         if self.n != other.n or self.ring != other.ring:
             raise ValueError("ambient rank mismatch in wedge")
-        out = {}
-        zero = self.ring.zero
+        pairs = {}
         for S, p in self.coeffs.items():
             set_S = set(S)
+            negated = None
             for T, q in other.coeffs.items():
-                if set_S & set(T):
+                if not set_S.isdisjoint(T):
                     continue
                 # sign: parity of #{(s, t) in S x T : s > t}
-                inversions = sum(1 for s in S for t in T if s > t)
-                merged = tuple(sorted(S + T))
-                term = p * q
-                if inversions % 2:
-                    term = -term
-                out[merged] = out.get(merged, zero) + term
-        return ExteriorElement(self.ring, self.n, self.degree + other.degree, out)
+                if sum(1 for s in S for t in T if s > t) % 2:
+                    if negated is None:
+                        negated = (-p).terms
+                    f = negated
+                else:
+                    f = p.terms
+                pairs.setdefault(tuple(sorted(S + T)), []).append((f, q.terms))
+        ring = self.ring
+        out = {U: ring.sum_of_products(fg) for U, fg in pairs.items()}
+        return ExteriorElement(ring, self.n, self.degree + other.degree, out)
 
     def to_module_element(self, basis) -> tuple:
         """The coefficients of e_S for S in basis, in that order."""
@@ -177,18 +188,23 @@ def homology_lifts(K: KoszulComplex) -> HomologyData:
 # ---------------------------------------------------------------------------
 
 def _setup(a: Ideal, I: Ideal):
-    if not I.is_homogeneous():
-        raise NonHomogeneousError("I must be homogeneous")
-    if not I.contains_ideal(a):
-        raise NotASubidealError("a is not contained in I")
-    x = min_gens(I)
-    K = KoszulComplex(I.ring, x)
-    a_gens = [g for g in a.generators if not g.is_zero()]
-    zetas = [
-        ExteriorElement(I.ring, K.n, 1, {(i + 1,): c[i] for i in range(K.n)})
-        for c in augmented_basis(I).express(a_gens)
-    ]
-    return K, a_gens, zetas
+    """The Koszul complex on min_gens(I), the nonzero generators of a and
+    their zetas: the degree-one elements sum_i c_i e_i with a_j = sum_i c_i x_i.
+    The generators and zetas are kept on I, keyed by the generator tuple of
+    a, once every check has passed; the complex is rebuilt on each call."""
+    hit = I._zetas.get(a.generators)
+    if hit is None:
+        if not I.is_homogeneous():
+            raise NonHomogeneousError("I must be homogeneous")
+        if not I.contains_ideal(a):
+            raise NotASubidealError("a is not contained in I")
+        a_gens = tuple(g for g in a.generators if not g.is_zero())
+        zetas = tuple(
+            ExteriorElement(I.ring, len(c), 1, {(i + 1,): ci for i, ci in enumerate(c)})
+            for c in augmented_basis(I).express(a_gens)
+        )
+        hit = I._zetas[a.generators] = (a_gens, zetas)
+    return (KoszulComplex(I.ring, min_gens(I)), *hit)
 
 
 def _wedges(ring, n, elems, count):
@@ -250,8 +266,10 @@ def _cycle_products(ring, n, generators, max_degree):
     def extend(start, acc, factors):
         for k in range(start, len(generators)):
             z = generators[k]
+            if acc.degree + z.degree > max_degree:
+                continue
             nxt = acc.wedge(z)
-            if nxt.is_zero() or nxt.degree > max_degree:
+            if nxt.is_zero():
                 continue
             out.append(nxt)
             if factors + 1 < n:

@@ -279,22 +279,40 @@ def links_in_formula(I: Ideal, a_gens, g: int) -> list:
 # the harness
 # ---------------------------------------------------------------------------
 
-def _rhs_for(theorem_id: str, inst: ResidualInstance):
-    I, a_gens, s = inst.I, inst.a_gens, inst.s
+def _rhs_subset_size(theorem_id: str, I: Ideal, s: int):
+    """The size of the index subsets whose colons (a_subset):I the theorem's
+    right-hand side sums at this s; None for kitt-eq, which has none."""
     n = mu(I)
     g = height(I)
     if theorem_id in ("thm25", "thm47"):
-        return rhs_formula(I, a_gens, max(0, min(n - 2, s)))
+        return max(0, min(n - 2, s))
     if theorem_id in ("cor31", "cor32"):
-        return rhs_formula(I, a_gens, 0)
+        return 0
     if theorem_id in ("cor33", "cor35"):
-        return rhs_formula(I, a_gens, min(g, s))
+        return min(g, s)
     if theorem_id == "thm34":
-        # pure sum of links, no Fitting term
-        return _add_colons(Ideal(I.ring, ()), I, a_gens, g)
+        return g
+    if theorem_id == "kitt-eq":
+        return None
+    raise ValueError(f"unknown theorem id {theorem_id!r}")
+
+
+def is_tautological(theorem_id: str, I: Ideal, s: int) -> bool:
+    """True when the theorem's right-hand side at this s sums the colons
+    over subsets of size s: the one such subset is all of a, so the sum
+    holds a:I itself and `equal` is guaranteed, proving nothing."""
+    return _rhs_subset_size(theorem_id, I, s) == s
+
+
+def _rhs_for(theorem_id: str, inst: ResidualInstance):
+    I, a_gens = inst.I, inst.a_gens
+    size = _rhs_subset_size(theorem_id, I, inst.s)
     if theorem_id == "kitt-eq":
         return kitt(inst.a, I)
-    raise ValueError(f"unknown theorem id {theorem_id!r}")
+    if theorem_id == "thm34":
+        # pure sum of links, no Fitting term
+        return _add_colons(Ideal(I.ring, ()), I, a_gens, size)
+    return rhs_formula(I, a_gens, size)
 
 
 def _hypothesis_checks(theorem_id: str, inst: ResidualInstance, rng) -> list:

@@ -205,6 +205,12 @@ class PolyRing:
     def parse(self, text: str) -> "Polynomial":
         return _Parser(self, text).parse()
 
+    def sum_of_products(self, pairs) -> "Polynomial":
+        """The sum of f * g over `pairs` of canonical term tuples (f, g) of
+        polynomials of this ring, by the module function `sum_of_products`."""
+        return Polynomial(self, sum_of_products(
+            self.field, self.order.neg_key, mono_mul, pairs))
+
     def __str__(self):
         return f"{self.field}[{', '.join(self.variables)}] ({self.order})"
 
@@ -272,9 +278,7 @@ class Polynomial:
     def __mul__(self, other):
         other = self._coerce(other)
         self._check_ring(other)
-        ring = self.ring
-        return Polynomial(ring, sum_of_products(
-            ring.field, ring.order.neg_key, mono_mul, [(self.terms, other.terms)]))
+        return self.ring.sum_of_products([(self.terms, other.terms)])
 
     def __rmul__(self, other):
         return self * other

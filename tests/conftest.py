@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import settings, strategies as st
 
-from residua import GF32003, RATIONALS, Ideal, MonomialOrder, PolyRing
+from residua import GF32003, RATIONALS, FieldSpec, Ideal, MonomialOrder, PolyRing
 
 settings.register_profile("suite", max_examples=25, deadline=None)
 settings.load_profile("suite")
@@ -81,6 +81,25 @@ KERNEL_RINGS = tuple(
         MonomialOrder("block", 2),
     )
 )
+
+
+# small primes, where many integer coefficients cancel to 0 mod p
+SMALL_PRIME_RINGS = tuple(
+    PolyRing(FieldSpec(p), ("x", "y", "z"), MonomialOrder(kind))
+    for p in (2, 3, 7) for kind in ("grevlex", "lex")
+)
+
+
+def rings_and_coefficients():
+    """(ring, coefficient strategy): a ring of KERNEL_RINGS or
+    SMALL_PRIME_RINGS with `coefficients`, or a QQ ring of KERNEL_RINGS with
+    `large_fractions`."""
+    return st.one_of(
+        st.sampled_from(KERNEL_RINGS + SMALL_PRIME_RINGS).map(
+            lambda ring: (ring, coefficients(ring.field))),
+        st.sampled_from([r for r in KERNEL_RINGS if r.field == RATIONALS]).map(
+            lambda ring: (ring, large_fractions())),
+    )
 
 
 def in_kernel_ring(build):

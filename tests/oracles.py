@@ -7,7 +7,9 @@ colon from the kernel of multiplication into such truncated quotients,
 monomial colon and intersection from exponent-vector arithmetic, and
 Koszul homology dimensions from ranks of truncated differential matrices.
 Division and products over QQ have plain-Fraction references on dicts
-(`fraction_remainder`, `fraction_product`).  Two exceptions use the
+(`fraction_remainder`, `fraction_product`); exterior products and
+determinants have term-by-term references (`reference_wedge`, the
+pairwise loop, and `reference_det`, the Leibniz sum over permutations).  Two exceptions use the
 engine's module computations by another route
 than the code under test: the syzygy references for colon and
 intersection, and the graded-Nakayama reference at the end, which uses
@@ -17,7 +19,7 @@ the engine only through its module membership test.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import permutations, product as iter_product
 
 from residua.groebner import ideal_syzygies, module_member
 from residua.ideals import Ideal
@@ -153,6 +155,41 @@ def fraction_product(f, g) -> dict:
     F = f.ring.field
     out = {m: F.element(c) for m, c in acc.items()}
     return {m: c for m, c in out.items() if c != F.zero}
+
+
+def reference_wedge(u, v) -> dict:
+    """u ^ v as {subset: polynomial}: every disjoint pair (S, T) of keys adds
+    the product p * q, negated for an odd number of pairs s > t in S x T,
+    to the coefficient of the merged subset; keys in order of first
+    occurrence, zero coefficients dropped."""
+    out = {}
+    for S, p in u.coeffs.items():
+        for T, q in v.coeffs.items():
+            if set(S) & set(T):
+                continue
+            term = p * q
+            if sum(1 for s in S for t in T if s > t) % 2:
+                term = -term
+            merged = tuple(sorted(S + T))
+            out[merged] = out.get(merged, u.ring.zero) + term
+    return {U: c for U, c in out.items() if not c.is_zero()}
+
+
+def _inversions(perm) -> int:
+    return sum(1 for i, a in enumerate(perm) for b in perm[i + 1:] if a > b)
+
+
+def reference_det(ring, matrix):
+    """The determinant of a square matrix of polynomials by the Leibniz
+    formula: the signed products of the entries (i, perm[i]) over all
+    permutations."""
+    total = ring.zero
+    for perm in permutations(range(len(matrix))):
+        term = ring.one
+        for i, j in enumerate(perm):
+            term = term * matrix[i][j]
+        total = total - term if _inversions(perm) % 2 else total + term
+    return total
 
 
 def oracle_member(f, gens, bound=None):

@@ -29,7 +29,7 @@ from residua import (
     verify,
 )
 from residua.corpus import _DRAW, generate_corpus
-from residua.residual import GenericityError
+from residua.residual import GenericityError, is_tautological
 
 from conftest import parse_ideal, seeded_rng
 from oracles import oracle_member
@@ -94,6 +94,7 @@ def test_criterion_2_thm25_worked_instance(R2):
 
 def test_criterion_3_cor31_sweep(ci_corpus):
     start = time.monotonic()
+    assert not any(is_tautological("cor31", inst.I, inst.s) for inst in ci_corpus)
     verdicts = [verify("cor31", inst).verdict for inst in ci_corpus]
     ok = len(verdicts) >= 20 and all(v == "equal" for v in verdicts)
     report(3, ok, time.monotonic() - start, 60.0, f"{len(verdicts)} instances")
@@ -103,6 +104,8 @@ def test_criterion_4_thm25_and_kitt_eq_on_hb2(hb2_corpus):
     start = time.monotonic()
     s_values = {inst.s for inst in hb2_corpus}
     ok = len(hb2_corpus) >= 10 and s_values == {2, 3}
+    assert not any(is_tautological(theorem, inst.I, inst.s)
+                   for inst in hb2_corpus for theorem in ("thm25", "kitt-eq"))
     for inst in hb2_corpus:
         ok = ok and verify("thm25", inst).verdict == "equal"
         ok = ok and verify("kitt-eq", inst).verdict == "equal"

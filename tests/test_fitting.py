@@ -1,10 +1,15 @@
 """Fitting ideals of cyclic quotients I/a via [A|B] presentations."""
 
+import gc
+import weakref
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from residua import (
+    Ideal,
     KoszulComplex,
     fitt0_quotient,
     fitt0_via_Z1,
@@ -18,9 +23,24 @@ from residua import groebner
 from residua.corpus import FAMILIES, generate_instance
 from residua.fitting import NotASubidealError, _syzygy_rows, check_Gs, fitting_ideal
 from residua.groebner import AugmentedBasis, ideal_syzygies, set_step_limit
-from residua.ideals import colon, height, ideal_equal, ideal_sum, min_gens, mu
+from residua.ideals import (
+    NonHomogeneousError,
+    colon,
+    height,
+    ideal_equal,
+    ideal_sum,
+    min_gens,
+    mu,
+)
 
-from conftest import parse_ideal, random_homogeneous, seeded_rng
+from conftest import (
+    parse_ideal,
+    polynomials,
+    random_homogeneous,
+    rings_and_coefficients,
+    seeded_rng,
+)
+from oracles import reference_det
 
 
 def test_minors_of_koszul_style_matrix(R2):
@@ -40,6 +60,22 @@ def test_minors_degenerate_sizes(R2):
     assert minors(R2, matrix, 2).is_zero()
     # r = 0: empty product, unit ideal
     assert minors(R2, matrix, 0).is_unit()
+
+
+@given(st.data())
+def test_minors_match_leibniz_determinants(data):
+    ring, coeffs = data.draw(rings_and_coefficients())
+    nrows = data.draw(st.integers(1, 4))
+    ncols = data.draw(st.integers(1, 4))
+    entries = polynomials(ring, max_degree=2, max_terms=3, coeffs=coeffs)
+    matrix = [[data.draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    r = data.draw(st.integers(1, min(nrows, ncols)))
+    dets = (
+        reference_det(ring, [[matrix[i][j] for j in cols] for i in rows])
+        for rows in combinations(range(nrows), r)
+        for cols in combinations(range(ncols), r)
+    )
+    assert minors(ring, matrix, r).generators == tuple(d for d in dets if not d.is_zero())
 
 
 def test_presentation_shape_maximal_ideal(R2):
@@ -233,3 +269,63 @@ def test_augmented_basis_built_once_per_ideal(monkeypatch):
     monkeypatch.setattr(groebner, "_groebner", counted_groebner)
     check_Gs(I, 2)
     assert bases == []
+
+
+def test_zetas_computed_once_per_generator_tuple(monkeypatch):
+    inst = generate_instance("hb2", 0)
+    I, a = inst.I, inst.a
+    H = homology_lifts(KoszulComplex(I.ring, min_gens(I)))
+    expressed = []
+    original = AugmentedBasis.express
+
+    def counted(self, polys):
+        polys = tuple(polys)
+        expressed.append(polys)
+        return original(self, polys)
+
+    monkeypatch.setattr(AugmentedBasis, "express", counted)
+    K = kitt(a, I, H)
+    K_cycles = kitt_via_cycles(a, I, H)
+    F = fitt0_via_Z1(a, I, H)
+    assert len(expressed) == 1
+    # another generator tuple for the same ideal a is computed afresh
+    b = Ideal(I.ring, tuple(reversed(a.generators)))
+    assert ideal_equal(kitt(b, I, H), K)
+    assert len(expressed) == 2
+    assert ideal_equal(kitt_via_cycles(b, I, H), K_cycles)
+    assert ideal_equal(fitt0_via_Z1(b, I, H), F)
+    assert len(expressed) == 2
+    assert list(I._zetas) == [a.generators, b.generators]
+
+
+def test_zetas_not_kept_when_a_check_fails(R2):
+    I = parse_ideal(R2, "x^2", "x*y")
+    outside = parse_ideal(R2, "x^2", "y^2")
+    for route in (kitt, kitt_via_cycles, fitt0_via_Z1):
+        for _ in range(2):
+            with pytest.raises(NotASubidealError):
+                route(outside, I)
+    assert I._zetas == {}
+    J = parse_ideal(R2, "x^2 + y", "x*y")
+    with pytest.raises(NonHomogeneousError):
+        kitt(parse_ideal(R2, "x*y"), J)
+    assert J._zetas == {}
+
+
+def test_zetas_memo_keeps_no_complex_alive(monkeypatch):
+    inst = generate_instance("hb2", 0)
+    I, a = inst.I, inst.a
+    made = []
+    original = KoszulComplex.__init__
+
+    def tracked(self, ring, gens):
+        original(self, ring, gens)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(KoszulComplex, "__init__", tracked)
+    kitt(a, I)
+    kitt_via_cycles(a, I)
+    fitt0_via_Z1(a, I)
+    gc.collect()
+    assert I._zetas and len(made) == 3
+    assert all(ref() is None for ref in made)

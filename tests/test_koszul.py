@@ -2,6 +2,10 @@
 
 import gc
 import weakref
+from fractions import Fraction
+from itertools import combinations
+
+from hypothesis import given, strategies as st
 
 from residua import (
     ExteriorElement,
@@ -16,8 +20,14 @@ from residua import (
 )
 from residua.ideals import colon, ideal_equal
 
-from conftest import parse_ideal, random_homogeneous, seeded_rng
-from oracles import koszul_homology_dim
+from conftest import (
+    parse_ideal,
+    polynomials,
+    random_homogeneous,
+    rings_and_coefficients,
+    seeded_rng,
+)
+from oracles import koszul_homology_dim, reference_wedge
 
 
 def test_wedge_antisymmetry(R2):
@@ -39,6 +49,44 @@ def test_wedge_associativity(R3):
     lhs = wedge(wedge(u, v), w)
     rhs = wedge(u, wedge(v, w))
     assert (lhs + (-rhs)).is_zero()
+
+
+def test_wedge_keeps_first_occurrence_order(R2):
+    x, y = R2.gens
+    u = ExteriorElement(R2, 3, 1, {(2,): x, (1,): y})
+    v = ExteriorElement(R2, 3, 1, {(3,): x, (1,): y})
+    # (2) ^ (3), (2) ^ (1), (1) ^ (3): e_23 first, e_12 before e_13
+    assert list(u.wedge(v).coeffs.items()) == [((2, 3), x * x), ((1, 2), -(x * y)),
+                                               ((1, 3), x * y)]
+
+
+def _exterior_elements(ring, n, degree, coeffs):
+    """Degree-`degree` elements on e_1..e_n, keys in drawn order."""
+    return st.dictionaries(
+        st.sampled_from(list(combinations(range(1, n + 1), degree))),
+        polynomials(ring, max_degree=2, max_terms=3, coeffs=coeffs),
+    ).map(lambda d: ExteriorElement(ring, n, degree, d))
+
+
+@given(st.data())
+def test_wedge_matches_pairwise_reference(data):
+    ring, coeffs = data.draw(rings_and_coefficients())
+    n = data.draw(st.integers(1, 4))
+    d1 = data.draw(st.integers(0, n))
+    d2 = data.draw(st.integers(0, n - d1))
+    u = data.draw(_exterior_elements(ring, n, d1, coeffs))
+    v = data.draw(_exterior_elements(ring, n, d2, coeffs))
+    got = u.wedge(v)
+    expected = reference_wedge(u, v)
+    assert got.degree == d1 + d2
+    # same keys in the same (first-occurrence) order, same coefficients
+    assert list(got.coeffs.items()) == list(expected.items())
+    p = ring.field.characteristic
+    for c in got.coeffs.values():
+        if p:
+            assert all(type(x) is int and 0 < x < p for _, x in c.terms)
+        else:
+            assert all(type(x) is Fraction and x for _, x in c.terms)
 
 
 def test_differential_signs(R2):

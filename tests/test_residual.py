@@ -13,12 +13,19 @@ from residua import (
     is_geometric,
     is_residual,
     links_in_formula,
+    mu,
     rhs_formula,
     verify,
 )
 from residua.corpus import generate_corpus, generate_instance
 from residua.instances import format_instance, parse_instance
-from residua.residual import GenericityError, HypothesisError, height_ladder_ok
+from residua.residual import (
+    THEOREM_IDS,
+    GenericityError,
+    HypothesisError,
+    height_ladder_ok,
+    is_tautological,
+)
 
 from conftest import parse_ideal
 
@@ -183,6 +190,26 @@ def test_parse_instance_rejects_bad_input():
 
 
 # --- corpus ---------------------------------------------------------------
+
+def test_is_tautological_when_the_subset_size_is_s(R3):
+    # mu = 4 and g = 2: thm25 and thm47 sum colons over subsets of size
+    # min(mu - 2, s), cor33 and cor35 of size min(g, s), thm34 of size g
+    I = parse_ideal(R3, "x^2", "x*y", "y^2", "x*z")
+    assert (mu(I), height(I)) == (4, 2)
+    expected = {
+        1: {"thm25", "thm47", "cor33", "cor35"},
+        2: {"thm25", "thm47", "cor33", "cor35", "thm34"},
+        3: set(),
+    }
+    for s, tautological in expected.items():
+        assert {t for t in THEOREM_IDS if is_tautological(t, I, s)} == tautological
+    # the pair that rhs_formula builds at s = 2 holds a : I by construction
+    a_gens = tuple(generic_generators(I, 2, seed=0))
+    a = Ideal(R3, a_gens)
+    assert rhs_formula(I, a_gens, 2).contains_ideal(colon(a, I))
+    with pytest.raises(ValueError):
+        is_tautological("thm99", I, 2)
+
 
 def test_generate_instance_deterministic():
     a = generate_instance("power", 0)

@@ -8,7 +8,13 @@ from hypothesis import given, strategies as st
 from residua import GF32003, RATIONALS, FieldSpec, MonomialOrder, PolyRing, monomial_cmp
 from residua.ring import ParseError, mono_div, mono_divides, mono_lcm, mono_mul
 
-from conftest import KERNEL_RINGS, in_kernel_ring, large_fractions, polynomials
+from conftest import (
+    KERNEL_RINGS,
+    SMALL_PRIME_RINGS,
+    in_kernel_ring,
+    large_fractions,
+    polynomials,
+)
 from oracles import fraction_product
 
 
@@ -153,11 +159,6 @@ def test_order_keys_and_mono_helpers(m1, m2):
     assert mono_div(mono_mul(m1, m2), m2) == m1
 
 
-# small primes, where many integer coefficients cancel to 0 mod p
-SMALL_PRIME_RINGS = tuple(
-    PolyRing(FieldSpec(p), ("x", "y", "z"), MonomialOrder(kind))
-    for p in (2, 3, 7) for kind in ("grevlex", "lex")
-)
 _QQ_LARGE = st.sampled_from([r for r in KERNEL_RINGS if r.field == RATIONALS]).flatmap(
     lambda ring: st.tuples(*[polynomials(ring, max_terms=6, coeffs=large_fractions())] * 2))
 
