@@ -5,7 +5,10 @@
 - the exit code, stdout and stderr of `residua gb|colon|fitt0|kitt FILE`
   and of `residua verify THEOREM FILE` for every theorem id, run on that
   instance's file with its `a`, and on the same file with the `a` line
-  replaced by `s = N` under `--field q`.
+  replaced by `s = N` under `--field q`;
+- for the hb2 and aci instances, the same for `gb`, `colon`, `fitt0`,
+  `kitt`, `verify thm25` and `verify kitt-eq` on the file with its `a`
+  rewritten with `order = lex` and with `order = block(1)`.
 
 Only a change that is meant to change outputs regenerates the file, with
 
@@ -41,6 +44,11 @@ def _run(argv):
     return _sha(f"{code}\n{out.getvalue()}\n{err.getvalue()}")
 
 
+ORDERS = (("lex", "lex"), ("block1", "block(1)"))
+ORDER_FAMILIES = ("hb2", "aci")
+ORDER_COMMANDS = [[cmd] for cmd in IDEAL_COMMANDS] + [["verify", "thm25"], ["verify", "kitt-eq"]]
+
+
 def digests(directory) -> dict:
     """The digest of every pinned output; instance files go in `directory`."""
     commands = [[cmd] for cmd in IDEAL_COMMANDS] + [["verify", t] for t in THEOREM_IDS]
@@ -56,6 +64,13 @@ def digests(directory) -> dict:
             path.write_text(body)
             for cmd in commands:
                 out[f"{family}/{variant}/{' '.join(cmd)}"] = _run(cmd + [str(path)] + flags)
+        if family not in ORDER_FAMILIES:
+            continue
+        for variant, order in ORDERS:
+            path = Path(directory) / f"{family}-{variant}.txt"
+            path.write_text(text.replace("order = grevlex\n", f"order = {order}\n"))
+            for cmd in ORDER_COMMANDS:
+                out[f"{family}/{variant}/{' '.join(cmd)}"] = _run(cmd + [str(path)])
     return out
 
 
