@@ -4,7 +4,7 @@ on polynomial ideals over exact fields."""
 __version__ = "0.1.0"
 
 from .field import FieldSpec, RATIONALS, GF32003
-from .ring import PolyRing, Polynomial, MonomialOrder, monomial_cmp
+from .ring import PolyRing, Polynomial, MonomialOrder
 from .groebner import (
     GroebnerBasis,
     buchberger,

@@ -49,7 +49,7 @@ def _random_form(ring, degree, rng) -> Polynomial:
     ]
     d = {}
     for expo in monos:
-        d[expo] = _random_scalar(ring, rng)
+        d[ring.monomial(expo)] = _random_scalar(ring, rng)
     return ring.from_dict(d)
 
 
@@ -63,7 +63,7 @@ def substitute(p: Polynomial, images) -> Polynomial:
     acc = ring.zero
     for m, c in p.terms:
         term = ring.constant(c)
-        for img, e in zip(images, m):
+        for img, e in zip(images, p.ring.exponents(m)):
             if e:
                 term = term * img ** e
         acc = acc + term

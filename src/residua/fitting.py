@@ -79,6 +79,21 @@ def _syzygy_rows(I: Ideal) -> list:
     return [[s[i] for s in I._syzygies] for i in range(len(x))]
 
 
+def expressions(I: Ideal, a: Ideal) -> tuple:
+    """(a_gens, coefficient lists): the nonzero generators of a and, for
+    each, its c with a_j = sum c_i x_i over x = min_gens(I).  Kept on I,
+    keyed by the generator tuple of a, once a is checked to lie in I and
+    the expressions have returned."""
+    hit = I._zetas.get(a.generators)
+    if hit is None:
+        if not I.contains_ideal(a):
+            raise NotASubidealError("a is not contained in I")
+        a_gens = tuple(g for g in a.generators if not g.is_zero())
+        coeffs = tuple(tuple(c) for c in augmented_basis(I).express(a_gens))
+        hit = I._zetas[a.generators] = (a_gens, coeffs)
+    return hit
+
+
 def presentation_of_quotient(I: Ideal, a: Ideal) -> tuple:
     """The rows, one per x_i of min_gens(I), of the [A|B] presentation of
     I/a."""
@@ -87,7 +102,7 @@ def presentation_of_quotient(I: Ideal, a: Ideal) -> tuple:
     if not min_gens(I):
         return ()
     rows = _syzygy_rows(I)
-    for coeffs in augmented_basis(I).express([g for g in a.generators if not g.is_zero()]):
+    for coeffs in expressions(I, a)[1]:
         for row, c in zip(rows, coeffs):
             row.append(c)
     return tuple(tuple(row) for row in rows)

@@ -2,48 +2,51 @@
 
 The engine, one pair loop (`_groebner`) and one division loop (`_reduce`),
 works on canonical tuples of (term, coefficient) pairs, strictly
-descending, lead first, and takes the monomial arithmetic of the term kind
-as data (`_TermKind`).  Ideal terms are plain exponent tuples: wrapping
-them as module terms at position 0 would allocate a tuple per term in
-`buchberger` and `normal_form`, which every reduced basis, membership test
-and ideal comparison goes through.  Module terms are (position, exponent)
-pairs, ordered position over term, the smaller position winning (Greuel
-and Pfister, *A Singular Introduction to Commutative Algebra*, §1.8);
-leads in different positions form no pair and never divide each other.
-A module element is a tuple of polynomials, component i at position i,
-so its canonical terms are its components' terms concatenated in
-position order (`_terms`), and `_vector` splits them back.  Syzygies,
-colons and intersections are module computations.
+descending, lead first.  A term is one int (see `ring`): a monomial, or a
+module term m - i * 2^K for the monomial m at position i, so the integer
+order is position over term, the smaller position winning (Greuel and
+Pfister, *A Singular Introduction to Commutative Algebra*, §1.8), and a
+position-0 term is the monomial itself.  Ideals and modules share one
+term kind: integer `+` multiplies a term by a monomial, one subtraction,
+offset and mask (`PolyRing.divisibility`) tests divisibility and gives
+the quotient, and leads in different positions neither divide each other
+nor form a pair.  A module element is a tuple of polynomials, component i
+at position i, so its canonical terms are its components' terms
+concatenated in position order (`_terms`), and `_vector` splits them
+back.  Syzygies, colons and intersections are module computations.
 
-`_groebner` extends a Gröbner basis by new elements.  Each new element
-waits in the pair heap under the key of its lead, ahead of the pairs with
-the same key, and is reduced by the basis of the moment when it is
-popped: a nonzero remainder joins the basis, monic, with its pairs, and a
-zero one is dropped before it makes any.  So a redundant input generator
-costs one division and no S-pair, and a basis grows from what is new
-instead of being rebuilt: `minimal_subset` keeps one basis of its span,
-`AugmentedBasis` serves both the syzygies of a sequence and the
-expression of elements in terms of it, and `last_coordinates` eliminates
-all but the last position of a free module in one run: the basis of an
-ideal copied to each of the first k positions is already a Gröbner basis
-of theirs, so only the pairs the rows bring in are reduced, and because
-smaller positions win, the elements it leads at the last position are
-zero at every other one.  Colons and intersections of ideals are read
-off them.
+`_groebner` extends a Gröbner basis, kept as two parallel lists: its
+monic canonical term tuples and their integer divisors, each divisor
+built once, when its element joins.  Each new element waits in the pair
+heap under its lead, ahead of the pairs with the same key, and is reduced
+by the basis of the moment when it is popped: a nonzero remainder joins
+the basis, monic, with its pairs, and a zero one is dropped before it
+makes any.  So a redundant input generator costs one division and no
+S-pair, and a basis grows from what is new instead of being rebuilt:
+`minimal_subset` keeps one basis of its span, `AugmentedBasis` serves
+both the syzygies of a sequence and the expression of elements in terms
+of it, and `last_coordinates` eliminates all but the last position of a
+free module in one run: the basis of an ideal copied to each of the
+first k positions is already a Gröbner basis of theirs (its divisors are
+the ideal basis's, shifted), so only the pairs the rows bring in are
+reduced, and because smaller positions win, the elements it leads at the
+last position are zero at every other one.  Colons and intersections of
+ideals are read off them.
 
 Pairs are taken by the normal selection strategy, least lcm first, ties
-broken by (i, j).  The chain criterion holds for both kinds: a pair (i, j)
-is skipped when another lead divides its lcm and the pairs (i, k) and
-(j, k) are done (Gebauer and Möller, "On an installation of Buchberger's
-algorithm", 1988).  The product criterion (coprime leads) holds only for
-ideals, whose S-polynomial then reduces to zero by the Koszul relation
-between the two; module elements have no such relation, so only the ideal
-kind applies it.
+broken by (i, j); a pair's key is the monomial part of its lcm, so module
+pairs in different positions interleave by their monomials.  The chain
+criterion holds for both kinds: a pair (i, j) is skipped when another
+lead divides its lcm and the pairs (i, k) and (j, k) are done (Gebauer and
+Möller, "On an installation of Buchberger's algorithm", 1988).  The
+product criterion (coprime leads) holds only for ideals, whose
+S-polynomial then reduces to zero by the Koszul relation between the two;
+module elements have no such relation, so only ideal runs apply it.
 
 Division keeps the dividend as a dict of live terms plus a heap of
-negated order keys, after Monagan and Pearce: the leading term pops off
-the heap, only the divisor's tail times the quotient term is subtracted,
-a term is pushed only when it first appears, and a popped term whose
+negated terms, after Monagan and Pearce: the leading term pops off the
+heap, only the divisor's tail times the quotient term is subtracted, a
+term is pushed only when it first appears, and a popped term whose
 coefficient has cancelled is skipped.  Coefficients are integers
 throughout.  Each divisor is the integer unit multiple of a basis element
 that `FieldSpec.divisor_terms` gives: primitive with a positive lead over
@@ -65,20 +68,10 @@ builds its divisors once, for all the normal forms taken against it.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from heapq import heapify, heappop, heappush
 from math import gcd
 
-from .ring import (
-    Polynomial,
-    PolyRing,
-    RingMismatchError,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-    sum_of_products,
-)
+from .ring import Polynomial, PolyRing, RingMismatchError, sum_of_products
 
 
 class NotAMemberError(ValueError):
@@ -137,46 +130,6 @@ class GroebnerBasis:
         return self._divisors
 
 
-# The monomial arithmetic of one term kind in one ring: `mul(t, m)` is term
-# times monomial; `divides(a, t)` says whether lead a divides term t, and
-# `div(t, a)` is then their monomial quotient; `lcm(a, b)` is the lcm of two
-# leads, or None when they form no pair; `key` orders lcms, `neg_key` terms.
-_TermKind = namedtuple(
-    "_TermKind", "field key neg_key mul divides div lcm product_criterion")
-
-
-def _ideal_terms(ring) -> _TermKind:
-    return _TermKind(ring.field, ring.key, ring.order.neg_key,
-                     mono_mul, mono_divides, mono_div, mono_lcm, True)
-
-
-def _module_terms(ring) -> _TermKind:
-    """Terms (position, monomial), position over term extending the ring
-    order: the smaller position wins, so an element led at position k is
-    zero at every position below k."""
-    ring_key, ring_neg_key = ring.key, ring.order.neg_key
-
-    def key(t):
-        return ring_key(t[1])
-
-    def neg_key(t):
-        return (t[0], *ring_neg_key(t[1]))
-
-    def mul(t, mono):
-        return (t[0], mono_mul(t[1], mono))
-
-    def divides(a, t):
-        return a[0] == t[0] and mono_divides(a[1], t[1])
-
-    def div(t, a):
-        return mono_div(t[1], a[1])
-
-    def lcm(a, b):
-        return (a[0], mono_lcm(a[1], b[1])) if a[0] == b[0] else None
-
-    return _TermKind(ring.field, key, neg_key, mul, divides, div, lcm, False)
-
-
 # ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
@@ -187,60 +140,60 @@ class _Dividend:
 
     `live` maps every term not yet popped to its integer coefficient (0,
     or 0 mod p, once it has cancelled); `heap` holds each of those terms
-    once, keyed on its negated order key, so the leading term pops first.
-    Over QQ the terms stand for live / den; over GF(p) den stays 1, and a
-    coefficient is reduced mod p only when its term is popped.
+    once, negated, so the leading term pops first.  Over QQ the terms
+    stand for live / den; over GF(p) den stays 1, and a coefficient is
+    reduced mod p only when its term is popped.
     """
 
-    __slots__ = ("live", "heap", "neg_key", "mul", "p", "den")
+    __slots__ = ("live", "heap", "p", "den")
 
-    def __init__(self, kind: _TermKind, terms, den=1):
+    def __init__(self, field, terms, den=1):
         self.live = dict(terms)
-        self.neg_key = neg_key = kind.neg_key
-        self.heap = [(neg_key(m), m) for m in self.live]
+        self.heap = [-t for t in self.live]
         heapify(self.heap)
-        self.mul, self.p, self.den = kind.mul, kind.field.characteristic, den
+        self.p, self.den = field.characteristic, den
 
     def pop(self):
         """Remove the leading term and return (term, integer coefficient),
         reduced mod p over GF(p); None when no nonzero term is left."""
         live, heap, p = self.live, self.heap, self.p
         while heap:
-            m = heappop(heap)[1]
-            c = live.pop(m)
+            t = -heappop(heap)
+            c = live.pop(t)
             if p:
                 c %= p
             if c:
-                return m, c
+                return t, c
         return None
 
-    def sub_multiple(self, tail, q_m, c, lc):
-        """Cancel the popped term c * q_m * lead by the divisor (lead, lc,
-        tail), all integers: with g = gcd(c, lc), live <- (lc/g)·live -
-        (c/g)·q_m·tail and den <- (lc/g)·den, which takes (c/den)/lc ·
-        q_m · divisor off the value.  Terms popped before keep the den
-        they were popped with; no product may lie above a popped term."""
-        live, heap, neg_key, mul = self.live, self.heap, self.neg_key, self.mul
+    def sub_multiple(self, tail, q, c, lc):
+        """Cancel the popped term c * q * lead by the divisor (lead, lc,
+        tail), all integers, q a monomial: with g = gcd(c, lc), live <-
+        (lc/g)·live - (c/g)·q·tail and den <- (lc/g)·den, which takes
+        (c/den)/lc · q · divisor off the value.  Terms popped before keep
+        the den they were popped with; no product may lie above a popped
+        term."""
+        live, heap = self.live, self.heap
         if lc != 1:
             g = gcd(c, lc)
             scale, c = lc // g, c // g
             if scale != 1:
                 self.den *= scale
-                for m in live:
-                    live[m] *= scale
-        for tm, tc in tail:
-            m = mul(tm, q_m)
-            old = live.get(m)
+                for t in live:
+                    live[t] *= scale
+        for t, tc in tail:
+            t += q
+            old = live.get(t)
             if old is None:
-                live[m] = -c * tc
-                heappush(heap, (neg_key(m), m))
+                live[t] = -c * tc
+                heappush(heap, -t)
             else:
-                live[m] = old - c * tc
+                live[t] = old - c * tc
 
 
-def _dividend(kind: _TermKind, terms) -> _Dividend:
+def _dividend(field, terms) -> _Dividend:
     """Canonical terms with field coefficients, under division."""
-    return _Dividend(kind, *kind.field.integer_terms(terms))
+    return _Dividend(field, *field.integer_terms(terms))
 
 
 def _divisor(F, terms) -> tuple:
@@ -256,75 +209,76 @@ def _monic(F, terms) -> tuple:
     return tuple((t, F.mul(c, inv)) for t, c in terms)
 
 
-def _reduce(p: _Dividend, divisors, kind: _TermKind) -> tuple:
+def _reduce(ring: PolyRing, p: _Dividend, divisors) -> tuple:
     """Remainder terms, descending, with field coefficients, of the
     dividend p on division by the (lead, lc, tail) integer divisors; each
     step uses the first divisor whose lead divides."""
-    divides, div, ratio = kind.divides, kind.div, kind.field.ratio
+    offset, mask, want = ring.divisibility
+    ratio = ring.field.ratio
     rem = []
     while (term := p.pop()) is not None:
         t, c = term
+        u = t + offset
         for lead, lc, tail in divisors:
-            if divides(lead, t):
-                p.sub_multiple(tail, div(t, lead), c, lc)
+            if (u - lead) & mask == want:
+                p.sub_multiple(tail, t - lead, c, lc)
                 break
         else:
             rem.append((t, ratio(c, p.den)))
     return tuple(rem)
 
 
-def _remainder(kind: _TermKind, terms, basis) -> tuple:
-    """Remainder terms of `terms` against the canonical term tuples `basis`."""
-    F = kind.field
-    return _reduce(_dividend(kind, terms), [_divisor(F, b) for b in basis], kind)
-
-
-def _groebner(kind: _TermKind, G: list, new) -> list:
-    """Extend the Gröbner basis G of monic canonical term tuples, in place,
-    to one of G and the canonical term tuples `new` (normal selection
-    strategy) and return it.  A new element is queued under the key of its
-    lead, ahead of S-pairs with that key; popped, it is reduced by G, and
-    a nonzero remainder joins G while a zero one is dropped."""
-    F, key, mul, divides, div, lcm_of = (
-        kind.field, kind.key, kind.mul, kind.divides, kind.div, kind.lcm)
-    leads = [g[0][0] for g in G]
-    divisors = [_divisor(F, g) for g in G]
+def _groebner(ring: PolyRing, G: list, divisors: list, new, product_criterion=False) -> list:
+    """Extend the Gröbner basis G of monic canonical term tuples, with
+    `divisors` its integer divisors, both in place, to one of G and the
+    canonical term tuples `new` (normal selection strategy) and return G.
+    A new element is queued under its lead, ahead of S-pairs with that
+    key; popped, it is reduced by G, and a nonzero remainder joins G while
+    a zero one is dropped.  `product_criterion` is for ideals only."""
+    F, lcm_of = ring.field, ring.lcm
+    offset, mask, want = ring.divisibility
+    shift = ring.position_shift
+    monomial = (1 << shift) - 1
+    leads = [d[0] for d in divisors]
     new = [t for t in new if t]
-    heap = [(key(t[0][0]), -1, k) for k, t in enumerate(new)]
+    heap = [(t[0][0] & monomial, -1, k) for k, t in enumerate(new)]
     heapify(heap)
     pending = set()
 
     def insert(r):
-        G.append(_monic(F, r))
-        leads.append(r[0][0])
-        divisors.append(_divisor(F, G[-1]))
+        g = _monic(F, r)
+        G.append(g)
+        divisors.append(_divisor(F, g))
+        lead = g[0][0]
+        leads.append(lead)
         j = len(G) - 1
+        place, m = lead >> shift, lead & monomial
         for i in range(j):
-            lcm = lcm_of(leads[i], leads[j])
-            if lcm is not None:
-                heappush(heap, (key(lcm), i, j))
+            if leads[i] >> shift == place:
+                heappush(heap, (lcm_of(leads[i] & monomial, m), i, j))
                 pending.add((i, j))
 
     steps = 0
     while heap:
-        _, i, j = heappop(heap)
+        key, i, j = heappop(heap)
         if i < 0:
-            r = _reduce(_dividend(kind, new[j]), divisors, kind)
+            r = _reduce(ring, _dividend(F, new[j]), divisors)
             if r:
                 insert(r)
             continue
         pending.discard((i, j))
         lm_i, lm_j = leads[i], leads[j]
-        lcm = lcm_of(lm_i, lm_j)
+        lcm = key + (lm_i & ~monomial)      # the lcm at the pair's position
         # product criterion, coprime leads: ideals only
-        if kind.product_criterion and lcm == mono_mul(lm_i, lm_j):
+        if product_criterion and lcm == lm_i + lm_j:
             continue
         # chain criterion
         skip = False
+        u = lcm + offset
         for k, lm_k in enumerate(leads):
-            if k in (i, j):
+            if k == i or k == j:
                 continue
-            if divides(lm_k, lcm):
+            if (u - lm_k) & mask == want:
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
                 if pik not in pending and pjk not in pending:
@@ -339,10 +293,10 @@ def _groebner(kind: _TermKind, G: list, new) -> list:
         # the S-pair of the two divisors: their leads cancel at lcm
         _, lc_i, tail_i = divisors[i]
         _, lc_j, tail_j = divisors[j]
-        q_i = div(lcm, lm_i)
-        s = _Dividend(kind, ((mul(t, q_i), c) for t, c in tail_i))
-        s.sub_multiple(tail_j, div(lcm, lm_j), lc_i, lc_j)
-        r = _reduce(s, divisors, kind)
+        q_i = lcm - lm_i
+        s = _Dividend(F, ((t + q_i, c) for t, c in tail_i))
+        s.sub_multiple(tail_j, lcm - lm_j, lc_i, lc_j)
+        r = _reduce(ring, s, divisors)
         if r:
             insert(r)
     return G
@@ -358,15 +312,14 @@ def normal_form(f: Polynomial, G) -> Polynomial:
             raise RingMismatchError("normal_form across different rings")
     elif G.ring != ring:
         raise RingMismatchError("normal_form across different rings")
-    kind = _ideal_terms(ring)
-    return Polynomial(ring, _reduce(_dividend(kind, f.terms), G.divisors(), kind))
+    return Polynomial(ring, _reduce(ring, _dividend(ring.field, f.terms), G.divisors()))
 
 
 def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     F = f.ring.field
-    lcm = mono_lcm(f.lm(), g.lm())
-    a = f.mul_term(mono_div(lcm, f.lm()), F.inv(f.lc()))
-    b = g.mul_term(mono_div(lcm, g.lm()), F.inv(g.lc()))
+    lcm = f.ring.lcm(f.lm(), g.lm())
+    a = f.mul_term(lcm - f.lm(), F.inv(f.lc()))
+    b = g.mul_term(lcm - g.lm(), F.inv(g.lc()))
     return a - b
 
 
@@ -383,7 +336,7 @@ def buchberger(gens) -> GroebnerBasis:
     for g in gens:
         if g.ring != ring:
             raise RingMismatchError("generators from different rings")
-    G = _groebner(_ideal_terms(ring), [], [g.terms for g in gens])
+    G = _groebner(ring, [], [], [g.terms for g in gens], product_criterion=True)
     return GroebnerBasis(ring, tuple(Polynomial(ring, g) for g in G))
 
 
@@ -392,10 +345,10 @@ def reduce_basis(G: GroebnerBasis) -> GroebnerBasis:
     ring = G.ring
     elems = [g.monic() for g in G.elements if not g.is_zero()]
     # minimalize: drop elements whose leading monomial is divisible by another's
-    elems.sort(key=lambda g: ring.key(g.lm()))
+    elems.sort(key=Polynomial.lm)
     minimal = []
     for g in elems:
-        if not any(mono_divides(h.lm(), g.lm()) for h in minimal):
+        if not any(ring.divides(h.lm(), g.lm()) for h in minimal):
             minimal.append(g)
     # tail-reduce each against the others: no lead divides another, and
     # every term under division lies below the lead of g, so g itself
@@ -405,7 +358,7 @@ def reduce_basis(G: GroebnerBasis) -> GroebnerBasis:
     for g in minimal:
         tail = normal_form(Polynomial(ring, g.terms[1:]), M)
         reduced.append(Polynomial(ring, g.terms[:1] + tail.terms))
-    reduced.sort(key=lambda g: ring.key(g.lm()))
+    reduced.sort(key=Polynomial.lm)
     return GroebnerBasis(ring, tuple(reduced))
 
 
@@ -421,34 +374,39 @@ def _terms(vec, offset=0) -> tuple:
     """The canonical terms of the polynomial sequence vec, component i at
     position offset + i: position over term makes them the components'
     terms, concatenated in position order."""
-    return tuple(((offset + i, m), c) for i, p in enumerate(vec) for m, c in p.terms)
+    if not vec:
+        return ()
+    shift = vec[0].ring.position_shift
+    return tuple((m - ((offset + i) << shift), c)
+                 for i, p in enumerate(vec) for m, c in p.terms)
 
 
 def _vector(ring, terms, offset, rank) -> tuple:
     """The polynomial sequence of length rank whose component i holds the
     canonical terms at position offset + i; the inverse of `_terms`."""
+    shift = ring.position_shift
+    monomial = (1 << shift) - 1
     comps = [[] for _ in range(rank)]
-    for (pos, m), c in terms:
-        comps[pos - offset].append((m, c))
+    for t, c in terms:
+        comps[-(t >> shift) - offset].append((t & monomial, c))
     return tuple(Polynomial(ring, tuple(t)) for t in comps)
 
 
 def _combination(coeffs, gens) -> tuple:
     """The canonical terms of sum(c_i * g_i) for polynomials c_i and
     polynomial sequences g_i."""
-    ring = coeffs[0].ring
-    kind = _module_terms(ring)
-    return sum_of_products(ring.field, kind.neg_key, kind.mul,
+    return sum_of_products(coeffs[0].ring.field,
                            [(c.terms, _terms(g)) for c, g in zip(coeffs, gens)])
 
 
 class AugmentedBasis:
     """The Gröbner basis of the elements gens_i + e_(rank + i) of a sequence
-    gens of free-module elements, each a tuple of rank polynomials.  Its
-    elements led past rank are the syzygies of gens, and a remainder past
-    rank expresses an element of the submodule in terms of gens."""
+    gens of free-module elements, each a tuple of rank polynomials, with
+    its divisors.  Its elements led past rank are the syzygies of gens,
+    and a remainder past rank expresses an element of the submodule in
+    terms of gens."""
 
-    __slots__ = ("ring", "rank", "gens", "kind", "basis")
+    __slots__ = ("ring", "rank", "gens", "basis", "divisors")
 
     def __init__(self, gens):
         gens = tuple(tuple(g) for g in gens)
@@ -458,20 +416,21 @@ class AugmentedBasis:
         for g in gens:
             if len(g) != rank or any(c.ring != ring for c in g):
                 raise ValueError("generators must share ring and rank")
-        kind = _module_terms(ring)
-        one = (0,) * ring.nvars
-        augmented = [_terms(g) + (((rank + i, one), ring.field.one),)
+        shift, one = ring.position_shift, ring.field.one
+        augmented = [_terms(g) + ((-((rank + i) << shift), one),)
                      for i, g in enumerate(gens)]
-        self.ring, self.rank, self.gens, self.kind = ring, rank, gens, kind
-        self.basis = _groebner(kind, [], augmented)
+        self.ring, self.rank, self.gens = ring, rank, gens
+        self.basis, self.divisors = [], []
+        _groebner(ring, self.basis, self.divisors, augmented)
 
     def syzygies(self) -> list:
         """Generators of the syzygy module of gens; every returned s
         satisfies sum(s_i * gens_i) == 0 (verified here)."""
         ring, rank, gens = self.ring, self.rank, self.gens
+        shift = ring.position_shift
         out = []
         for e in self.basis:
-            if e[0][0][0] < rank:
+            if -(e[0][0] >> shift) < rank:
                 continue
             s = _vector(ring, e, rank, len(gens))
             # exactness check: the defining identity must hold on the nose
@@ -485,15 +444,14 @@ class AugmentedBasis:
         with f = sum(c_i * g_i); raises NotAMemberError."""
         if self.rank != 1:
             raise ValueError("express needs generators of rank one")
-        ring, kind, F, n = self.ring, self.kind, self.ring.field, len(self.gens)
-        divisors = [_divisor(F, b) for b in self.basis]
+        ring, F, n = self.ring, self.ring.field, len(self.gens)
         out = []
         for f in polys:
-            nf = _reduce(_dividend(kind, _terms((f,))), divisors, kind)
-            if nf and nf[0][0][0] == 0:
+            nf = _reduce(ring, _dividend(F, f.terms), self.divisors)
+            if nf and nf[0][0] >= 0:
                 raise NotAMemberError(f"{f} is not in the ideal of the given generators")
             coeffs = _vector(ring, ((t, F.neg(c)) for t, c in nf), 1, n)
-            if _combination(coeffs, self.gens) != _terms((f,)):
+            if _combination(coeffs, self.gens) != f.terms:
                 raise RuntimeError("internal: expression identity violated")
             out.append(list(coeffs))
         return out
@@ -519,24 +477,30 @@ def last_coordinates(basis: GroebnerBasis, rows) -> list:
     """A Gröbner basis, monic, of the polynomials r with (0, …, 0, r) in the
     submodule of R^(k+1) generated by the rows, each a sequence of k+1
     polynomials, and by b·e_i for b in the monic Gröbner basis `basis` and
-    i < k.  The b·e_i are already a Gröbner basis of theirs, so one run
-    extends them by the rows; smaller positions win, so the elements it
-    leads at position k are zero everywhere else."""
+    i < k.  The b·e_i are already a Gröbner basis of theirs, with the
+    divisors of `basis` moved to position i, so one run extends them by
+    the rows; smaller positions win, so the elements it leads at position
+    k are zero everywhere else."""
     ring = basis.ring
     rows = [tuple(row) for row in rows]
     k = len(rows[0]) - 1
-    kind = _module_terms(ring)
-    G = [_terms((b,), i) for i in range(k) for b in basis]
-    _groebner(kind, G, [_terms(row) for row in rows])
-    return [_vector(ring, e, k, 1)[0] for e in G if e[0][0][0] == k]
+    G, divisors = [], []
+    for i in range(k):
+        s = i << ring.position_shift
+        G += [tuple((t - s, c) for t, c in b.terms) for b in basis]
+        divisors += [(lead - s, lc, tuple((t - s, c) for t, c in tail))
+                     for lead, lc, tail in basis.divisors()]
+    _groebner(ring, G, divisors, [_terms(row) for row in rows])
+    return [_vector(ring, e, k, 1)[0] for e in G if -(e[0][0] >> ring.position_shift) == k]
 
 
 def module_member(elem, gens) -> bool:
     """Membership of elem in the submodule generated by gens, all of them
     tuples of polynomials of one rank."""
-    kind = _module_terms(elem[0].ring)
-    gb = _groebner(kind, [], [_terms(g) for g in gens])
-    return not _remainder(kind, _terms(elem), gb)
+    ring = elem[0].ring
+    divisors = []
+    _groebner(ring, [], divisors, [_terms(g) for g in gens])
+    return not _reduce(ring, _dividend(ring.field, _terms(elem)), divisors)
 
 
 def minimal_subset(elems, weights, span=()) -> list:
@@ -546,8 +510,8 @@ def minimal_subset(elems, weights, span=()) -> list:
     submodule generated by `span` and the elements kept before it.  For
     homogeneous elements the kept ones, with `span`, minimally generate
     the submodule that `span` and `elems` generate.  One Gröbner basis of
-    that submodule is extended by each candidate in turn; a candidate is
-    kept when the basis grows."""
+    that submodule, with its divisors, is extended by each candidate in
+    turn; a candidate is kept when the basis grows."""
     def shifted_degree(elem):
         return max((c.total_degree() + w for c, w in zip(elem, weights)
                     if not c.is_zero()), default=-1)
@@ -555,12 +519,13 @@ def minimal_subset(elems, weights, span=()) -> list:
     elems = list(elems)
     if not elems:
         return []
-    kind = _module_terms(elems[0][0].ring)
-    G = _groebner(kind, [], [_terms(s) for s in span])
+    ring = elems[0][0].ring
+    G, divisors = [], []
+    _groebner(ring, G, divisors, [_terms(s) for s in span])
     kept = []
     for elem in sorted(elems, key=shifted_degree):
         size = len(G)
-        _groebner(kind, G, [_terms(elem)])
+        _groebner(ring, G, divisors, [_terms(elem)])
         if len(G) > size:
             kept.append(elem)
     return kept

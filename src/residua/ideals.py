@@ -19,9 +19,9 @@ basis, `min_gens(I)`, `height(I)`, the augmented basis of `min_gens(I)`
 elements of I in terms of it); filled in by `fitting`, the minimal
 syzygies of `min_gens(I)` and `height(Fitt_j(I) + I)` per j; and, keyed
 by the exact generator tuple of `a`, every colon `a : I` computed with it
-as the divisor and, filled in by `koszul`, the nonzero generators of `a`
-with their zetas (their expressions in `min_gens(I)` as exterior elements
-of degree one).  The caches live on the ideal and die with it; nothing is
+as the divisor and, filled in by `fitting.expressions`, the nonzero
+generators of `a` with their expressions in `min_gens(I)`, which the
+presentation of I/a and the zetas of the Kitt routes both read.  The caches live on the ideal and die with it; nothing is
 cached at module level.  An entry is stored only once its computation has
 returned, and nothing assigns `ring` or `generators` after construction,
 so a cached value is exactly what recomputing it from the same generators
@@ -180,7 +180,7 @@ def dimension(I: Ideal) -> int:
     if I.is_unit():
         return -1
     nv = I.ring.nvars
-    lts = [g.lm() for g in I.groebner().elements]
+    lts = [I.ring.exponents(g.lm()) for g in I.groebner().elements]
     if not lts:
         return nv
     best = 0

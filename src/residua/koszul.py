@@ -6,7 +6,8 @@ subalgebra generated by the zeta elements of a).
 Each coefficient of an exterior product is one `ring.sum_of_products`
 over the signed pairs of coefficients that meet in it.  The zetas of
 (a, I) depend only on the generators of a and on I, so all three Kitt
-routes share them through a cache on I (see `ideals`)."""
+routes, and the presentation of I/a in `fitting`, share their
+coefficient lists through a cache on I (`fitting.expressions`)."""
 
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ from itertools import combinations
 
 from .ring import Polynomial, PolyRing
 from .groebner import minimal_subset, syzygies
-from .ideals import Ideal, NonHomogeneousError, augmented_basis, height, min_gens
-from .fitting import NotASubidealError
+from .ideals import Ideal, height, min_gens
+from .fitting import expressions
 
 
 # ---------------------------------------------------------------------------
@@ -190,21 +191,16 @@ def homology_lifts(K: KoszulComplex) -> HomologyData:
 def _setup(a: Ideal, I: Ideal):
     """The Koszul complex on min_gens(I), the nonzero generators of a and
     their zetas: the degree-one elements sum_i c_i e_i with a_j = sum_i c_i x_i.
-    The generators and zetas are kept on I, keyed by the generator tuple of
-    a, once every check has passed; the complex is rebuilt on each call."""
-    hit = I._zetas.get(a.generators)
-    if hit is None:
-        if not I.is_homogeneous():
-            raise NonHomogeneousError("I must be homogeneous")
-        if not I.contains_ideal(a):
-            raise NotASubidealError("a is not contained in I")
-        a_gens = tuple(g for g in a.generators if not g.is_zero())
-        zetas = tuple(
-            ExteriorElement(I.ring, len(c), 1, {(i + 1,): ci for i, ci in enumerate(c)})
-            for c in augmented_basis(I).express(a_gens)
-        )
-        hit = I._zetas[a.generators] = (a_gens, zetas)
-    return (KoszulComplex(I.ring, min_gens(I)), *hit)
+    The coefficient lists c are those `fitting.expressions` keeps on I;
+    the complex and the zetas are rebuilt on each call.  `min_gens` raises
+    NonHomogeneousError unless I is homogeneous."""
+    x = min_gens(I)
+    a_gens, coeffs = expressions(I, a)
+    zetas = tuple(
+        ExteriorElement(I.ring, len(c), 1, {(i + 1,): ci for i, ci in enumerate(c)})
+        for c in coeffs
+    )
+    return KoszulComplex(I.ring, x), a_gens, zetas
 
 
 def _wedges(ring, n, elems, count):

@@ -130,11 +130,11 @@ def _random_scalar(ring, rng):
     return F.element(rng.randint(1, F.characteristic - 1))
 
 
-def _random_monomial(ring, degree, rng):
+def _random_monomial(ring, degree, rng) -> int:
     expo = [0] * ring.nvars
     for _ in range(degree):
         expo[rng.randrange(ring.nvars)] += 1
-    return ring.monomial(tuple(expo))
+    return ring.monomial(expo)
 
 
 def random_combination(ring, polys, target_degree, rng) -> Polynomial:
@@ -145,7 +145,7 @@ def random_combination(ring, polys, target_degree, rng) -> Polynomial:
         if gap < 0:
             continue
         m = _random_monomial(ring, gap, rng)
-        acc = acc + m.scale(_random_scalar(ring, rng)) * f
+        acc = acc + f.mul_term(m, _random_scalar(ring, rng))
     return acc
 
 

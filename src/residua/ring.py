@@ -1,114 +1,99 @@
-"""Polynomial rings: monomials, monomial orders, and canonical sparse polynomials.
+"""Polynomial rings: packed monomials, monomial orders, and canonical sparse
+polynomials.
 
-Monomials are plain exponent tuples.  A Polynomial stores its terms as a
-tuple of (monomial, coefficient) pairs, strictly descending in the ring's
-monomial order with no zero coefficients, so equal polynomials compare
-equal structurally.
+A monomial is one int.  The order key of an exponent vector is a flat tuple
+of linear forms in the exponents (`MonomialOrder.digits`), and every key of
+one ring has the same length L: grevlex packs (deg, -x_n, ..., -x_1), lex
+(x_1, ..., x_n), and block(k) the grevlex key of the first k variables
+followed by the grevlex key of the rest.  The int holds those L digits,
+most significant first, as balanced base-2^16 digits.  Every monomial has
+total degree at most MAX_DEGREE = 2^15 - 1, so no digit reaches 2^15 in
+absolute value, and then:
 
-Kernel invariants:
+- the encoding is linear, so integer `+` is the monomial product, and the
+  quotient of t by a divisor m is t - m;
+- integer `<` is the monomial order (balanced digit strings compare as
+  their leading differing digit), for lex, grevlex and block(k) alike, so
+  sorting, heaps and merges need no key function; 1 packs as 0, the least
+  monomial, so every monomial is a non-negative int below 2^(16L - 1);
+- m divides t exactly when every exponent digit of t - m has the sign of
+  an exponent; after one offset per digit that is one mask
+  (`PolyRing.divides`).
 
-- Order keys are flat tuples, and every key of one ring has the same
-  length, so keys compare as plain tuples (a block key is the grevlex key
-  of the first block followed by the grevlex key of the second).  Each
-  MonomialOrder binds its key function once, at construction.
-- Addition and subtraction merge two canonical term tuples in one pass
-  and emit a canonical tuple; they never build a dict or sort.
-- Multiplication sums integer products (`FieldSpec.integer_terms`, as
-  the division kernel uses) in a dict over one common denominator, and
-  each sum enters the field once, in one sort: no `from_dict`.
+A module term, the monomial m at position i of a free module, is the int
+m - i * 2^K with K = 16L (`PolyRing.position_shift`): integer order is
+then position over term, the smaller position winning, a position-0 term
+is the monomial itself, m is the term & (2^K - 1), and -i is term >> K.
+
+`PolyRing.exponents`, `degree` and `monomial` convert between packed
+monomials and exponent tuples.  `monomial`, `**` and parsing raise
+ValueError past MAX_DEGREE, where a degree enters from outside; products,
+divisions and lcms of monomials within the bound are not checked, so a
+computation whose monomials pass it is outside the kernel's contract.
+
+A Polynomial stores its terms as a tuple of (monomial, coefficient)
+pairs, strictly descending, with no zero coefficients, so equal
+polynomials compare equal structurally.  Addition and subtraction merge
+two canonical term tuples in one pass and never build a dict or sort.
+Multiplication sums integer products (`FieldSpec.integer_terms`, as the
+division kernel uses) in a dict over one common denominator, and each sum
+enters the field once, in one sort: no `from_dict`.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import partial
 from math import lcm
-from operator import add, le, neg, sub
+from operator import mul
 
 from .field import FieldSpec
 
-Monomial = tuple  # exponent vectors, one entry per ring variable
-
-LT, EQ, GT = -1, 0, 1
+_BITS = 16                      # bits per digit of a packed monomial
+_FIELD = (1 << _BITS) - 1
+_HALF = 1 << (_BITS - 1)
+MAX_DEGREE = _HALF - 1          # the largest total degree of a monomial
 
 
 class RingMismatchError(ValueError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# monomial helpers
-# ---------------------------------------------------------------------------
-
-def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(map(add, m1, m2))
+def _check_degree(degree: int):
+    if degree > MAX_DEGREE:
+        raise ValueError(f"total degree {degree} exceeds the bound {MAX_DEGREE}")
 
 
-def mono_divides(m1: Monomial, m2: Monomial) -> bool:
-    """True when m1 divides m2."""
-    return all(map(le, m1, m2))
-
-
-def mono_div(m1: Monomial, m2: Monomial) -> Monomial:
-    """m1 / m2; caller must ensure divisibility."""
-    return tuple(map(sub, m1, m2))
-
-
-def mono_lcm(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(map(max, m1, m2))
-
-
-def _grevlex_key(m: Monomial):
-    return (sum(m), *map(neg, reversed(m)))
-
-
-def _grevlex_neg_key(m: Monomial):
-    return (-sum(m), *reversed(m))
-
-
-def _lex_key(m: Monomial):
-    return m
-
-
-def _lex_neg_key(m: Monomial):
-    return tuple(map(neg, m))
-
-
-def _block_key(k: int, m: Monomial):
-    # the first part always has k + 1 entries, so the flat tuple compares
-    # exactly as the pair (grevlex key of m[:k], grevlex key of m[k:])
-    return _grevlex_key(m[:k]) + _grevlex_key(m[k:])
-
-
-def _block_neg_key(k: int, m: Monomial):
-    return _grevlex_neg_key(m[:k]) + _grevlex_neg_key(m[k:])
+def _grevlex_digits(lo: int, hi: int) -> list:
+    """(deg, -x_hi-1, ..., -x_lo) of the variables lo..hi-1."""
+    return [(1, lo, hi)] + [(-1, i, i + 1) for i in reversed(range(lo, hi))]
 
 
 class MonomialOrder:
     """lex, grevlex, or block-elimination(k) eliminating the first k variables.
 
-    `key(m)` is the sort key: a larger key means a larger monomial.
-    `neg_key(m)` is key(m) with every entry negated, so the smallest
-    neg_key belongs to the largest monomial (for min-heaps).  Orders are
-    equal and hashed by (kind, block).
-    """
+    Orders are equal and hashed by (kind, block); `digits(n)` is the order
+    key in n variables."""
 
-    __slots__ = ("kind", "block", "key", "neg_key")
+    __slots__ = ("kind", "block")
 
     def __init__(self, kind: str = "grevlex", block: int = 0):
         if kind not in ("lex", "grevlex", "block"):
             raise ValueError(f"unknown monomial order {kind!r}")
         if kind == "block" and block < 1:
             raise ValueError("block-elimination order needs block >= 1")
-        if kind == "grevlex":
-            key, neg_key = _grevlex_key, _grevlex_neg_key
-        elif kind == "lex":
-            key, neg_key = _lex_key, _lex_neg_key
-        else:
-            key = partial(_block_key, block)
-            neg_key = partial(_block_neg_key, block)
-        self.kind, self.block, self.key, self.neg_key = kind, block, key, neg_key
+        self.kind, self.block = kind, block
+
+    def digits(self, nvars: int) -> list:
+        """The order key as linear forms in the exponents, most significant
+        first: (sign, lo, hi) is sign times the sum of the exponents of
+        the variables lo..hi-1.  A larger key is a larger monomial."""
+        if self.kind == "lex":
+            return [(1, i, i + 1) for i in range(nvars)]
+        if self.kind == "grevlex":
+            return _grevlex_digits(0, nvars)
+        k = min(self.block, nvars)
+        return _grevlex_digits(0, k) + _grevlex_digits(k, nvars)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -127,27 +112,19 @@ class MonomialOrder:
         return self.kind
 
 
-def monomial_cmp(order: MonomialOrder, m1: Monomial, m2: Monomial) -> int:
-    if len(m1) != len(m2):
-        raise ValueError("monomials have different variable counts")
-    k1, k2 = order.key(m1), order.key(m2)
-    if k1 < k2:
-        return LT
-    if k1 > k2:
-        return GT
-    return EQ
-
-
 # ---------------------------------------------------------------------------
 # rings
 # ---------------------------------------------------------------------------
 
 class PolyRing:
     """A polynomial ring over `field` in `variables` under `order`; rings
-    are equal and hashed by (field, variables, order).  `key` is the
-    order's key; `zero`, `one` and `gens` (the variables) are built once."""
+    are equal and hashed by (field, variables, order).  `zero`, `one` and
+    `gens` (the variables) are built once, and so is the packing of the
+    order's key: `position_shift` is K, and `divisibility` the (offset,
+    mask, want) of the test in `divides`."""
 
-    __slots__ = ("field", "variables", "order", "key", "zero", "one", "gens")
+    __slots__ = ("field", "variables", "order", "zero", "one", "gens",
+                 "position_shift", "divisibility", "_weights", "_places", "_halves")
 
     def __init__(self, field: FieldSpec, variables, order: MonomialOrder = None):
         self.field = field
@@ -155,7 +132,31 @@ class PolyRing:
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("variable names must be unique")
         self.order = MonomialOrder() if order is None else order
-        self.key = self.order.key
+        n = len(self.variables)
+        digits = self.order.digits(n)
+        size = len(digits)
+        # digit j sits f bits up; a variable's weight is its packed exponent
+        # vector, and its place the least significant digit that holds it
+        weights, places = [0] * n, [None] * n
+        offset = mask = want = 0
+        for j, (sign, lo, hi) in enumerate(digits):
+            f = _BITS * (size - 1 - j)
+            for i in range(lo, hi):
+                weights[i] += sign << f
+                places[i] = (f, sign)
+            # after the offset, the top bit of the digit of t - m is clear
+            # exactly when a negated exponent is <= 0 and set exactly when
+            # an exponent (or degree) is >= 0
+            offset += (_HALF - (sign < 0)) << f
+            mask |= _HALF << f
+            if sign > 0:
+                want |= _HALF << f
+        self.position_shift = _BITS * size
+        # bits above the monomial must be clear: a term at another position
+        # never divides
+        self.divisibility = (offset, mask | -(1 << self.position_shift), want)
+        self._weights, self._places = tuple(weights), tuple(places)
+        self._halves = sum(_HALF << (_BITS * f) for f in range(size))
         self.zero = Polynomial(self, ())
         self.one = self.constant(field.one)
         self.gens = tuple(self.var(v) for v in self.variables)
@@ -177,29 +178,54 @@ class PolyRing:
     def nvars(self) -> int:
         return len(self.variables)
 
+    # -- packed monomials ----------------------------------------------------
+
+    def monomial(self, expo) -> int:
+        """The packed monomial of an exponent vector; ValueError past
+        MAX_DEGREE."""
+        expo = tuple(expo)
+        if len(expo) != len(self.variables) or any(e < 0 for e in expo):
+            raise ValueError(f"bad exponent vector {expo!r} for {self}")
+        _check_degree(sum(expo))
+        return sum(map(mul, expo, self._weights))
+
+    def exponents(self, m: int) -> tuple:
+        """The exponent vector of the packed monomial m."""
+        u = m + self._halves        # every digit + 2^15, a plain 16-bit field
+        return tuple([sign * (((u >> f) & _FIELD) - _HALF) for f, sign in self._places])
+
+    def degree(self, m: int) -> int:
+        """The total degree of the packed monomial m."""
+        return sum(self.exponents(m))
+
+    def divides(self, m: int, t: int) -> bool:
+        """True when the monomial m divides the monomial t, or the module
+        term m the module term t (same position); t - m is the quotient."""
+        offset, mask, want = self.divisibility
+        return (t - m + offset) & mask == want
+
+    def lcm(self, m1: int, m2: int) -> int:
+        """The lcm of two packed monomials."""
+        return sum(map(mul, map(max, self.exponents(m1), self.exponents(m2)),
+                       self._weights))
+
     # -- polynomial constructors --------------------------------------------
 
     def constant(self, c) -> "Polynomial":
         c = self.field.element(c)
         if c == self.field.zero:
             return self.zero
-        return Polynomial(self, (((0,) * self.nvars, c),))
+        return Polynomial(self, ((0, c),))
 
     def var(self, name: str) -> "Polynomial":
         i = self.variables.index(name)
-        expo = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, ((expo, self.field.one),))
-
-    def monomial(self, expo: Monomial, coeff=None) -> "Polynomial":
-        coeff = self.field.one if coeff is None else self.field.element(coeff)
-        if coeff == self.field.zero:
-            return self.zero
-        return Polynomial(self, ((tuple(expo), coeff),))
+        return Polynomial(self, ((self._weights[i], self.field.one),))
 
     def from_dict(self, d: dict) -> "Polynomial":
+        """The polynomial with coefficient d[m] at each packed monomial m."""
         zero = self.field.zero
         return Polynomial(self, tuple(
-            (m, d[m]) for m in sorted(d, key=self.key, reverse=True) if d[m] != zero
+            (m, d[m]) for m in sorted(d, reverse=True) if d[m] != zero
         ))
 
     def parse(self, text: str) -> "Polynomial":
@@ -208,8 +234,7 @@ class PolyRing:
     def sum_of_products(self, pairs) -> "Polynomial":
         """The sum of f * g over `pairs` of canonical term tuples (f, g) of
         polynomials of this ring, by the module function `sum_of_products`."""
-        return Polynomial(self, sum_of_products(
-            self.field, self.order.neg_key, mono_mul, pairs))
+        return Polynomial(self, sum_of_products(self.field, pairs))
 
     def __str__(self):
         return f"{self.field}[{', '.join(self.variables)}] ({self.order})"
@@ -234,7 +259,7 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def lm(self) -> Monomial:
+    def lm(self) -> int:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
         return self.terms[0][0]
@@ -247,13 +272,11 @@ class Polynomial:
     def total_degree(self) -> int:
         if not self.terms:
             return -1
-        return max(sum(m) for m, _ in self.terms)
+        return max(map(self.ring.degree, [m for m, _ in self.terms]))
 
     def is_homogeneous(self) -> bool:
-        if not self.terms:
-            return True
-        degs = {sum(m) for m, _ in self.terms}
-        return len(degs) == 1
+        degree = self.ring.degree
+        return len({degree(m) for m, _ in self.terms}) <= 1
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -264,12 +287,12 @@ class Polynomial:
     def __add__(self, other):
         other = self._coerce(other)
         self._check_ring(other)
-        return Polynomial(self.ring, _merge(self.ring, self.terms, other.terms, False))
+        return Polynomial(self.ring, _merge(self.ring.field, self.terms, other.terms, False))
 
     def __sub__(self, other):
         other = self._coerce(other)
         self._check_ring(other)
-        return Polynomial(self.ring, _merge(self.ring, self.terms, other.terms, True))
+        return Polynomial(self.ring, _merge(self.ring.field, self.terms, other.terms, True))
 
     def __neg__(self):
         F = self.ring.field
@@ -292,13 +315,16 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
+        if n:
+            _check_degree(n * self.total_degree())
         result = self.ring.one
         base = self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def scale(self, c) -> "Polynomial":
@@ -314,13 +340,12 @@ class Polynomial:
             return self
         return self.scale(self.ring.field.inv(self.lc()))
 
-    def mul_term(self, mono: Monomial, coeff) -> "Polynomial":
-        """Multiply by a single term; preserves descending term order."""
+    def mul_term(self, mono: int, coeff) -> "Polynomial":
+        """Multiply by the single term coeff * mono (a packed monomial);
+        preserves descending term order."""
         F = self.ring.field
         return Polynomial(
-            self.ring,
-            tuple((mono_mul(m, mono), F.mul(c, coeff)) for m, c in self.terms),
-        )
+            self.ring, tuple((m + mono, F.mul(c, coeff)) for m, c in self.terms))
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -348,11 +373,12 @@ class Polynomial:
     def __str__(self):
         if not self.terms:
             return "0"
-        F = self.ring.field
+        ring = self.ring
+        F = ring.field
         parts = []
         for m, c in self.terms:
             factors = []
-            for name, e in zip(self.ring.variables, m):
+            for name, e in zip(ring.variables, ring.exponents(m)):
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
@@ -377,15 +403,14 @@ class Polynomial:
         return f"<{self}>"
 
 
-def _merge(ring: PolyRing, a: tuple, b: tuple, subtract: bool) -> tuple:
+def _merge(F: FieldSpec, a: tuple, b: tuple, subtract: bool) -> tuple:
     """Terms of a + b, or of a - b when `subtract`, for canonical term
-    tuples a and b: one pass over both, each monomial keyed once."""
-    F = ring.field
+    tuples a and b: one pass over both."""
     if not b:
         return a
     if not a:
         return tuple((m, F.neg(c)) for m, c in b) if subtract else b
-    key, zero = ring.key, F.zero
+    zero = F.zero
     combine = F.sub if subtract else F.add
     out = []
     append = out.append
@@ -393,22 +418,19 @@ def _merge(ring: PolyRing, a: tuple, b: tuple, subtract: bool) -> tuple:
     i = j = 0
     ma, ca = a[0]
     mb, cb = b[0]
-    ka, kb = key(ma), key(mb)
     while True:
-        if ka > kb:
+        if ma > mb:
             append((ma, ca))
             i += 1
             if i == na:
                 break
             ma, ca = a[i]
-            ka = key(ma)
-        elif ka < kb:
+        elif ma < mb:
             append((mb, F.neg(cb)) if subtract else (mb, cb))
             j += 1
             if j == nb:
                 break
             mb, cb = b[j]
-            kb = key(mb)
         else:
             s = combine(ca, cb)
             if s != zero:
@@ -419,7 +441,6 @@ def _merge(ring: PolyRing, a: tuple, b: tuple, subtract: bool) -> tuple:
                 break
             ma, ca = a[i]
             mb, cb = b[j]
-            ka, kb = key(ma), key(mb)
     out.extend(a[i:])
     if subtract:
         out.extend((m, F.neg(c)) for m, c in b[j:])
@@ -432,12 +453,12 @@ def _merge(ring: PolyRing, a: tuple, b: tuple, subtract: bool) -> tuple:
 # integer coefficients
 # ---------------------------------------------------------------------------
 
-def sum_of_products(field: FieldSpec, neg_key, mul, pairs) -> tuple:
+def sum_of_products(field: FieldSpec, pairs) -> tuple:
     """The canonical terms of the sum of f * g over `pairs` of canonical
-    term tuples (f, g): `mul(t, m)` multiplies a term t of g by a monomial
-    m of f, and `neg_key` is the negated order key of such terms.  The
-    products are summed as integers over one common denominator, and each
-    sum enters the field once (over GF(p), reduced mod p there)."""
+    term tuples (f, g): f holds monomials, g monomials or module terms
+    (a term of g times a monomial of f is their sum).  The products are
+    summed as integers over one common denominator, and each sum enters
+    the field once (over GF(p), reduced mod p there)."""
     parts = []
     for f, g in pairs:
         a, a_den = field.integer_terms(f)
@@ -451,11 +472,11 @@ def sum_of_products(field: FieldSpec, neg_key, mul, pairs) -> tuple:
         for m, n in a:
             n *= scale
             for t, c in b:
-                t = mul(t, m)
+                t += m
                 acc[t] = get(t, 0) + n * c
     ratio = field.ratio
     out = []
-    for t in sorted(acc, key=neg_key):
+    for t in sorted(acc, reverse=True):
         c = ratio(acc[t], den)
         if c:
             out.append((t, c))
@@ -536,7 +557,9 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.next()
-                p = p * self.factor()
+                q = self.factor()
+                _check_degree(p.total_degree() + q.total_degree())
+                p = p * q
             else:
                 return p
 

@@ -36,7 +36,8 @@ def parse_ideal(ring, *texts):
 # --- hypothesis strategies -------------------------------------------------
 
 def monomials(nvars, max_degree=3):
-    # sampled from the list rather than filtered, which would reject most draws
+    """Exponent tuples; sampled from the list rather than filtered, which
+    would reject most draws."""
     return st.sampled_from([
         m for m in product(range(max_degree + 1), repeat=nvars) if sum(m) <= max_degree
     ])
@@ -60,7 +61,7 @@ def large_fractions():
 def polynomials(ring, max_degree=3, max_terms=4, coeffs=None):
     """Polynomials with coefficients from `coeffs` (default `coefficients`)."""
     def build(pairs):
-        return ring.from_dict({m: ring.field.element(c) for m, c in pairs})
+        return ring.from_dict({ring.monomial(m): ring.field.element(c) for m, c in pairs})
 
     return st.lists(
         st.tuples(monomials(ring.nvars, max_degree),
@@ -115,10 +116,10 @@ def random_homogeneous(ring, degree, rng, density=0.8):
     d = {}
     for expo in product(range(degree + 1), repeat=ring.nvars):
         if sum(expo) == degree and rng.random() < density:
-            d[expo] = ring.field.element(rng.randint(1, ring.field.characteristic - 1))
+            d[ring.monomial(expo)] = ring.field.element(
+                rng.randint(1, ring.field.characteristic - 1))
     if not d:
-        expo = (degree,) + (0,) * (ring.nvars - 1)
-        d[expo] = ring.field.one
+        d[ring.monomial((degree,) + (0,) * (ring.nvars - 1))] = ring.field.one
     return ring.from_dict(d)
 
 

@@ -14,6 +14,11 @@ engine's module computations by another route
 than the code under test: the syzygy references for colon and
 intersection, and the graded-Nakayama reference at the end, which uses
 the engine only through its module membership test.
+
+The oracles work on exponent tuples, ordered by the flat tuple keys
+below (`tuple_key`), and meet the packed monomials of the code under test
+only through `PolyRing.monomial` and `PolyRing.exponents`; the packing
+tests check the packed ints against these keys and tuple helpers.
 """
 
 from __future__ import annotations
@@ -23,28 +28,66 @@ from itertools import permutations, product as iter_product
 
 from residua.groebner import ideal_syzygies, module_member
 from residua.ideals import Ideal
-from residua.ring import mono_mul
+
+
+# ---------------------------------------------------------------------------
+# monomials as exponent tuples, and the flat tuple keys of the orders
+# ---------------------------------------------------------------------------
+
+def grevlex_key(m):
+    return (sum(m), *(-e for e in reversed(m)))
+
+
+def lex_key(m):
+    return tuple(m)
+
+
+def block_key(k, m):
+    # the first part always has k + 1 entries, so the flat tuple compares
+    # exactly as the pair (grevlex key of m[:k], grevlex key of m[k:])
+    return grevlex_key(m[:k]) + grevlex_key(m[k:])
+
+
+def tuple_key(order):
+    """The flat tuple key of a MonomialOrder on exponent tuples: a larger
+    key is a larger monomial."""
+    if order.kind == "grevlex":
+        return grevlex_key
+    if order.kind == "lex":
+        return lex_key
+    return lambda m: block_key(order.block, m)
+
+
+def mono_mul(m1, m2):
+    return tuple(a + b for a, b in zip(m1, m2))
+
+
+def mono_div(m1, m2):
+    return tuple(a - b for a, b in zip(m1, m2))
+
+
+def mono_divides(m1, m2):
+    return all(a <= b for a, b in zip(m1, m2))
+
+
+def mono_lcm(m1, m2):
+    return tuple(max(a, b) for a, b in zip(m1, m2))
 
 
 def monomials_up_to(ring, degree):
-    """All monomials of total degree <= degree, descending in the ring order."""
+    """All exponent tuples of total degree <= degree, descending in the
+    ring order."""
     monos = [
         expo
         for expo in iter_product(range(degree + 1), repeat=ring.nvars)
         if sum(expo) <= degree
     ]
-    monos.sort(key=ring.key, reverse=True)
+    monos.sort(key=tuple_key(ring.order), reverse=True)
     return monos
 
 
 def monomials_of_degree(ring, degree):
-    monos = [
-        expo
-        for expo in iter_product(range(degree + 1), repeat=ring.nvars)
-        if sum(expo) == degree
-    ]
-    monos.sort(key=ring.key, reverse=True)
-    return monos
+    return [m for m in monomials_up_to(ring, degree) if sum(m) == degree]
 
 
 def _row_reduce(field, rows):
@@ -79,16 +122,17 @@ def _reduce_vector(field, vec, pivots):
 
 
 def _poly_vector(p, columns, index):
-    field = p.ring.field
-    vec = [field.zero] * len(columns)
+    """The coefficients of p at the exponent tuples `columns`."""
+    ring = p.ring
+    vec = [ring.field.zero] * len(columns)
     for m, c in p.terms:
-        vec[index[m]] = c
+        vec[index[ring.exponents(m)]] = c
     return vec
 
 
 def truncated_span(gens, bound):
-    """Row-reduced basis of span{m * g : deg(m * g) <= bound} with columns
-    ordered by the ring's monomial order, descending."""
+    """Row-reduced basis of span{m * g : deg(m * g) <= bound} with columns,
+    exponent tuples, ordered by the ring's monomial order, descending."""
     ring = gens[0].ring
     columns = monomials_up_to(ring, bound)
     index = {m: i for i, m in enumerate(columns)}
@@ -100,11 +144,16 @@ def truncated_span(gens, bound):
         if room < 0:
             continue
         for m in monomials_up_to(ring, room):
-            prod = g.mul_term(m, ring.field.one)
+            prod = g.mul_term(ring.monomial(m), ring.field.one)
             if prod.total_degree() <= bound:
                 rows.append(_poly_vector(prod, columns, index))
     pivots = _row_reduce(ring.field, rows)
     return columns, index, pivots
+
+
+def from_exponents(ring, d):
+    """The polynomial with coefficient d[m] at each exponent tuple m."""
+    return ring.from_dict({ring.monomial(m): c for m, c in d.items()})
 
 
 def oracle_remainder(f, gens, bound):
@@ -113,7 +162,7 @@ def oracle_remainder(f, gens, bound):
     ring = f.ring
     columns, index, pivots = truncated_span(gens, bound)
     vec = _reduce_vector(ring.field, _poly_vector(f, columns, index), pivots)
-    return ring.from_dict({m: c for m, c in zip(columns, vec) if c != ring.field.zero})
+    return from_exponents(ring, {m: c for m, c in zip(columns, vec) if c != ring.field.zero})
 
 
 def fraction_remainder(f, divisors):
@@ -122,11 +171,13 @@ def fraction_remainder(f, divisors):
     cancelled by the first divisor whose lead divides it, or moved to the
     remainder.  Divisors need not be monic; zero ones are skipped."""
     ring = f.ring
-    p = {m: Fraction(c) for m, c in f.terms}
-    divs = [(g.lm(), {m: Fraction(c) for m, c in g.terms}) for g in divisors if g.terms]
+    key, expo = tuple_key(ring.order), ring.exponents
+    p = {expo(m): Fraction(c) for m, c in f.terms}
+    divs = [{expo(m): Fraction(c) for m, c in g.terms} for g in divisors if g.terms]
+    divs = [(max(g, key=key), g) for g in divs]
     rem = {}
     while p:
-        m = max(p, key=ring.key)
+        m = max(p, key=key)
         for lead, g in divs:
             if all(a <= b for a, b in zip(lead, m)):
                 q = tuple(b - a for a, b in zip(lead, m))
@@ -141,19 +192,21 @@ def fraction_remainder(f, divisors):
                 break
         else:
             rem[m] = p.pop(m)
-    return ring.from_dict({m: ring.field.element(c) for m, c in rem.items()})
+    return from_exponents(ring, {m: ring.field.element(c) for m, c in rem.items()})
 
 
 def fraction_product(f, g) -> dict:
-    """f * g as {monomial: coefficient}: every pair of terms multiplied in
-    plain Fraction arithmetic, summed, mapped into the field, zeros dropped."""
+    """f * g as {packed monomial: coefficient}: every pair of terms
+    multiplied in plain Fraction arithmetic on exponent tuples, summed,
+    mapped into the field, zeros dropped."""
+    ring = f.ring
     acc = {}
     for m1, c1 in f.terms:
         for m2, c2 in g.terms:
-            m = tuple(a + b for a, b in zip(m1, m2))
+            m = mono_mul(ring.exponents(m1), ring.exponents(m2))
             acc[m] = acc.get(m, 0) + Fraction(c1) * Fraction(c2)
-    F = f.ring.field
-    out = {m: F.element(c) for m, c in acc.items()}
+    F = ring.field
+    out = {ring.monomial(m): F.element(c) for m, c in acc.items()}
     return {m: c for m, c in out.items() if c != F.zero}
 
 
@@ -202,7 +255,7 @@ def oracle_member(f, gens, bound=None):
         bound = f.total_degree()
     by_degree = {}
     for m, c in f.terms:
-        by_degree.setdefault(sum(m), {})[m] = c
+        by_degree.setdefault(ring.degree(m), {})[m] = c
     for d, terms in by_degree.items():
         comp = ring.from_dict(terms)
         if not oracle_remainder(comp, gens, d).is_zero():
@@ -229,7 +282,7 @@ def oracle_colon_degree_piece(a_gens, i_gens, degree):
             continue
         columns, index, pivots = truncated_span(a_gens, degree + f.total_degree())
         for image, m in zip(images, unknowns):
-            vec = _poly_vector(f.mul_term(m, field.one), columns, index)
+            vec = _poly_vector(f.mul_term(ring.monomial(m), field.one), columns, index)
             image.extend(_reduce_vector(field, vec, pivots))
     rows = [list(row) for row in zip(*images)]
     return len(_kernel_basis(field, rows, len(unknowns)))
@@ -322,9 +375,8 @@ def truncated_syzygies(gens, bound):
     rows = [[field.zero] * len(unknowns) for _ in columns]
     for u, (i, m) in enumerate(unknowns):
         for gm, gc in gens[i].terms:
-            rows[col_index[mono_mul(m, gm)]][u] = field.add(
-                rows[col_index[mono_mul(m, gm)]][u], gc
-            )
+            r = col_index[mono_mul(m, ring.exponents(gm))]
+            rows[r][u] = field.add(rows[r][u], gc)
     kernel = _kernel_basis(field, rows, len(unknowns))
     out = []
     for vec in kernel:
@@ -333,7 +385,7 @@ def truncated_syzygies(gens, bound):
             if c != field.zero:
                 i, m = unknowns[u]
                 comps[i][m] = c
-        out.append(tuple(ring.from_dict(d) for d in comps))
+        out.append(tuple(from_exponents(ring, d) for d in comps))
     return out
 
 
@@ -385,7 +437,7 @@ def koszul_homology_dim(K, i, degree):
             img = K.differential_image(S)
             for T, p in img.coeffs.items():
                 for pm, pc in p.terms:
-                    r = index[(T, mono_mul(pm, m))]
+                    r = index[(T, mono_mul(ring.exponents(pm), m))]
                     mat[r][c] = field.add(mat[r][c], pc)
         return mat, len(cols_basis)
 

@@ -208,9 +208,9 @@ def _random_form(ring, degree, rng):
     d = {}
     for expo in product(range(degree + 1), repeat=ring.nvars):
         if sum(expo) == degree and rng.random() < 0.8:
-            d[expo] = ring.field.element(rng.randint(1, 32002))
+            d[ring.monomial(expo)] = ring.field.element(rng.randint(1, 32002))
     if not d:
-        d[(degree,) + (0,) * (ring.nvars - 1)] = ring.field.one
+        d[ring.monomial((degree,) + (0,) * (ring.nvars - 1))] = ring.field.one
     return ring.from_dict(d)
 
 
@@ -220,5 +220,5 @@ def _random_poly(ring, max_degree, rng):
         expo = [0] * ring.nvars
         for _ in range(rng.randint(0, max_degree)):
             expo[rng.randrange(ring.nvars)] += 1
-        d[tuple(expo)] = ring.field.element(rng.randint(1, 32002))
+        d[ring.monomial(expo)] = ring.field.element(rng.randint(1, 32002))
     return ring.from_dict(d)

@@ -262,9 +262,9 @@ def test_augmented_basis_built_once_per_ideal(monkeypatch):
     bases = []
     original_groebner = groebner._groebner
 
-    def counted_groebner(kind, G, new):
+    def counted_groebner(ring, G, divisors, new, *rest):
         bases.append(len(new))
-        return original_groebner(kind, G, new)
+        return original_groebner(ring, G, divisors, new, *rest)
 
     monkeypatch.setattr(groebner, "_groebner", counted_groebner)
     check_Gs(I, 2)

@@ -19,7 +19,7 @@ from residua.groebner import (
     AugmentedBasis,
     NotAMemberError,
     ResourceLimitError,
-    _module_terms,
+    _divisor,
     _terms,
     _vector,
     minimal_subset,
@@ -27,9 +27,9 @@ from residua.groebner import (
     spoly,
     syzygies,
 )
-from residua.ideals import min_gens
+from residua import groebner
+from residua.ideals import colon, min_gens
 from residua.koszul import KoszulComplex
-from residua.ring import mono_div, mono_divides
 
 from conftest import (
     KERNEL_RINGS,
@@ -42,6 +42,9 @@ from conftest import (
 )
 from oracles import (
     fraction_remainder,
+    from_exponents,
+    mono_div,
+    mono_divides,
     oracle_member,
     oracle_remainder,
     reference_minimal_subset,
@@ -134,7 +137,8 @@ def test_syzygy_check_fires_on_a_tampered_basis(R2):
     B = AugmentedBasis([(R2.parse("x"),), (R2.parse("y"),)])
     assert len(B.syzygies()) == 1
     # double the last coefficient of the syzygy (y, -x): y*x - 2*x*y != 0
-    k = next(k for k, e in enumerate(B.basis) if e[0][0][0] >= B.rank)
+    shift = R2.position_shift
+    k = next(k for k, e in enumerate(B.basis) if -(e[0][0] >> shift) >= B.rank)
     *head, (t, c) = B.basis[k]
     B.basis[k] = (*head, (t, R2.field.add(c, c)))
     with pytest.raises(RuntimeError, match="syzygy identity violated"):
@@ -147,12 +151,14 @@ def test_expression_check_fires_on_a_tampered_basis(R2):
     B = AugmentedBasis([(g,) for g in gens])
     assert dot(B.express([f])[0], gens) == f
     # double the coordinates past position 0 of every element led at 0, so
-    # that the remainder expresses 2f instead of f
+    # that the remainder expresses 2f instead of f (position-0 terms are
+    # the non-negative ones)
     F = R2.field
     B.basis[:] = [
-        tuple((t, F.add(c, c) if t[0] > 0 else c) for t, c in e) if e[0][0][0] == 0 else e
+        tuple((t, F.add(c, c) if t < 0 else c) for t, c in e) if e[0][0] >= 0 else e
         for e in B.basis
     ]
+    B.divisors[:] = [_divisor(F, e) for e in B.basis]
     with pytest.raises(RuntimeError, match="expression identity violated"):
         B.express([f])
 
@@ -165,9 +171,7 @@ def test_module_terms_are_the_components_in_position_order(ring, data):
     vec = tuple(data.draw(st.lists(polynomials(ring), min_size=1, max_size=4)))
     offset = data.draw(st.integers(0, 3))
     terms = _terms(vec, offset)
-    neg_key = _module_terms(ring).neg_key
-    keys = [neg_key(t) for t, _c in terms]
-    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert all(a > b for (a, _), (b, _) in zip(terms, terms[1:]))
     assert _vector(ring, terms, offset, len(vec)) == vec
 
 
@@ -191,7 +195,7 @@ def test_redundant_generators_cost_no_spairs(R2):
     # pair; the one pair left, (x^2, y^2), has coprime leads
     set_step_limit(0)
     G = buchberger([R2.parse("x^2"), R2.parse("y^2"), R2.parse("x^2*y")])
-    assert sorted(g.lm() for g in G) == [(0, 2), (2, 0)]
+    assert sorted(R2.exponents(g.lm()) for g in G) == [(0, 2), (2, 0)]
 
 
 def test_step_limit_enforced_on_modules(R3):
@@ -223,22 +227,25 @@ def forms(ring, degree):
     monos = [m for m in product(range(degree + 1), repeat=ring.nvars) if sum(m) == degree]
     return st.dictionaries(
         st.sampled_from(monos), coefficients(ring.field), min_size=1, max_size=3
-    ).map(ring.from_dict)
+    ).map(lambda d: from_exponents(ring, d))
 
 
 def _reference_normal_form(f, G):
-    """Division by repeated subtraction of whole polynomials."""
-    F = f.ring.field
-    rem, p = f.ring.zero, f
+    """Division by repeated subtraction of whole polynomials, with the
+    divisibility and quotients of exponent tuples."""
+    ring = f.ring
+    F, expo = ring.field, ring.exponents
+    rem, p = ring.zero, f
     while not p.is_zero():
         m, c = p.terms[0]
         for g in G:
-            if mono_divides(g.lm(), m):
-                p = p - g.mul_term(mono_div(m, g.lm()), F.div(c, g.lc()))
+            if mono_divides(expo(g.lm()), expo(m)):
+                q = ring.monomial(mono_div(expo(m), expo(g.lm())))
+                p = p - g.mul_term(q, F.div(c, g.lc()))
                 break
         else:
-            rem = rem + f.ring.monomial(m, c)
-            p = p - f.ring.monomial(m, c)
+            rem = rem + ring.from_dict({m: c})
+            p = p - ring.from_dict({m: c})
     return rem
 
 
@@ -340,3 +347,26 @@ def test_minimal_subset_matches_membership_reference(family, seed):
         shifts = [sum(degrees[j - 1] for j in S) for S in basis]
         span = [e.to_module_element(basis) for e in K.boundary_elements(i)]
         assert minimal_subset(z, shifts, span) == reference_minimal_subset(z, shifts, span)
+
+
+def test_divisors_are_built_once_per_basis_element(monkeypatch):
+    # each element that joins a basis gets its divisor once, when it joins:
+    # a basis that grows, is read by express, or is the start of a colon
+    # run keeps the divisors it has
+    inst = generate_instance("hb2", 0)
+    I, a = inst.I, inst.a
+    x = min_gens(I)
+    a.groebner().divisors()
+    built, joined = [], []
+    divisor, monic = groebner._divisor, groebner._monic
+    monkeypatch.setattr(groebner, "_divisor", lambda F, t: built.append(t) or divisor(F, t))
+    monkeypatch.setattr(groebner, "_monic", lambda F, t: joined.append(t) or monic(F, t))
+    B = AugmentedBasis([(g,) for g in x])
+    assert len(built) == len(joined) == len(B.basis) == len(B.divisors)
+    B.express([g for g in a.generators if not g.is_zero()])
+    syz = B.syzygies()
+    assert len(built) == len(B.basis)
+    kept = minimal_subset(syz, [g.total_degree() for g in x])
+    assert kept and len(built) == len(joined)
+    colon(a, I)
+    assert len(joined) > len(B.basis) and len(built) == len(joined)

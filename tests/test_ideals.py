@@ -47,7 +47,7 @@ def test_intersection_of_monomial_ideals(R2):
 
 
 def _monomial_ideal(ring, exponents):
-    return Ideal(ring, [ring.monomial(m) for m in exponents])
+    return Ideal(ring, [ring.from_dict({ring.monomial(m): ring.field.one}) for m in exponents])
 
 
 def _monomial_ideal_pairs():
@@ -169,9 +169,9 @@ def test_colon_is_one_module_run(R3, monkeypatch):
     runs = []
     engine = groebner._groebner
 
-    def counted(kind, G, new):
-        runs.append("ideal" if kind.product_criterion else "module")
-        return engine(kind, G, new)
+    def counted(ring, G, divisors, new, product_criterion=False):
+        runs.append("ideal" if product_criterion else "module")
+        return engine(ring, G, divisors, new, product_criterion)
 
     monkeypatch.setattr(groebner, "_groebner", counted)
     colon(a, I)

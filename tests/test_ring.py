@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from residua import GF32003, RATIONALS, FieldSpec, MonomialOrder, PolyRing, monomial_cmp
-from residua.ring import ParseError, mono_div, mono_divides, mono_lcm, mono_mul
+from residua import GF32003, RATIONALS, FieldSpec, MonomialOrder, PolyRing
+from residua.ring import MAX_DEGREE, ParseError
 
 from conftest import (
     KERNEL_RINGS,
@@ -15,38 +15,51 @@ from conftest import (
     large_fractions,
     polynomials,
 )
-from oracles import fraction_product
+from oracles import (
+    block_key,
+    fraction_product,
+    grevlex_key,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+    tuple_key,
+)
 
 
 def test_grevlex_order_on_quadrics(R2):
     # x^2 > xy > y^2 > x > y > 1
     order = [(2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)]
     for a, b in zip(order, order[1:]):
-        assert monomial_cmp(R2.order, a, b) > 0
+        assert R2.monomial(a) > R2.monomial(b)
+    assert R2.monomial((0, 0)) == 0
 
 
 def test_grevlex_tiebreak():
     # grevlex in 3 vars: x*z > y^2 is false; y^2 > x*z (last variable smallest)
     ring = PolyRing(GF32003, ("x", "y", "z"))
-    assert monomial_cmp(ring.order, (0, 2, 0), (1, 0, 1)) > 0
+    assert ring.monomial((0, 2, 0)) > ring.monomial((1, 0, 1))
 
 
 def test_lex_order():
     ring = PolyRing(GF32003, ("x", "y"), MonomialOrder("lex"))
-    assert monomial_cmp(ring.order, (1, 0), (0, 5)) > 0
+    assert ring.monomial((1, 0)) > ring.monomial((0, 5))
 
 
 def test_block_order_eliminates_first_variables():
     # block(1): any monomial containing t beats every t-free monomial
     ring = PolyRing(GF32003, ("t", "x", "y"), MonomialOrder("block", 1))
-    assert monomial_cmp(ring.order, (1, 0, 0), (0, 4, 4)) > 0
-    assert monomial_cmp(ring.order, (0, 2, 0), (0, 1, 1)) > 0  # grevlex inside block
+    assert ring.monomial((1, 0, 0)) > ring.monomial((0, 4, 4))
+    assert ring.monomial((0, 2, 0)) > ring.monomial((0, 1, 1))  # grevlex inside block
 
 
-def test_mono_helpers():
-    assert mono_mul((1, 2), (3, 0)) == (4, 2)
-    assert mono_div((4, 2), (1, 2)) == (3, 0)
-    assert mono_lcm((1, 2), (3, 0)) == (3, 2)
+def test_mono_helpers(R2):
+    m = R2.monomial
+    assert m((1, 2)) + m((3, 0)) == m((4, 2))
+    assert m((4, 2)) - m((1, 2)) == m((3, 0))
+    assert R2.lcm(m((1, 2)), m((3, 0))) == m((3, 2))
+    assert R2.divides(m((1, 2)), m((4, 2))) and not R2.divides(m((1, 2)), m((4, 1)))
+    assert R2.exponents(m((4, 2))) == (4, 2) and R2.degree(m((4, 2))) == 6
 
 
 def test_parse_roundtrip(R2):
@@ -70,8 +83,8 @@ def test_rational_field_arithmetic(Q2):
 def test_canonical_term_order(R2):
     x, y = R2.gens
     p = y * y + x * x + x * y
-    assert [m for m, _ in p.terms] == [(2, 0), (1, 1), (0, 2)]
-    assert p.lm() == (2, 0)
+    assert [R2.exponents(m) for m, _ in p.terms] == [(2, 0), (1, 1), (0, 2)]
+    assert p.lm() == R2.monomial((2, 0))
 
 
 def test_homogeneity(R2):
@@ -120,8 +133,9 @@ def _reference_sum(p, q, subtract):
 @given(in_kernel_ring(lambda ring: [polynomials(ring, max_terms=6)] * 2))
 def test_add_sub_merge_is_canonical(case):
     ring, p, q = case
+    key = tuple_key(ring.order)
     for subtract, result in ((False, p + q), (True, p - q)):
-        keys = [ring.key(m) for m, _ in result.terms]
+        keys = [key(ring.exponents(m)) for m, _ in result.terms]
         assert all(k1 > k2 for k1, k2 in zip(keys, keys[1:]))
         assert all(c != ring.field.zero for _, c in result.terms)
         assert result.terms == _reference_sum(p, q, subtract).terms
@@ -129,6 +143,7 @@ def test_add_sub_merge_is_canonical(case):
 
 
 exponents = st.tuples(*[st.integers(min_value=0, max_value=3)] * 4)
+_FOUR = ("w", "x", "y", "z")
 
 
 def _nested_grevlex(m):
@@ -137,25 +152,31 @@ def _nested_grevlex(m):
 
 @given(st.lists(exponents, min_size=2, max_size=8), st.integers(1, 3))
 def test_flat_block_key_orders_as_nested_pair(monos, k):
-    order = MonomialOrder("block", k)
+    ring = PolyRing(GF32003, _FOUR, MonomialOrder("block", k))
 
     def nested(m):
         return (_nested_grevlex(m[:k]), _nested_grevlex(m[k:]))
 
-    assert sorted(monos, key=order.key) == sorted(monos, key=nested)
+    assert sorted(monos, key=lambda m: block_key(k, m)) == sorted(monos, key=nested)
+    assert sorted(monos, key=ring.monomial) == sorted(monos, key=nested)
     for m1, m2 in zip(monos, monos[1:]):
-        assert (order.key(m1) < order.key(m2)) == (nested(m1) < nested(m2))
+        assert (block_key(k, m1) < block_key(k, m2)) == (nested(m1) < nested(m2))
+        assert (ring.monomial(m1) < ring.monomial(m2)) == (nested(m1) < nested(m2))
 
 
 @given(exponents, exponents)
 def test_order_keys_and_mono_helpers(m1, m2):
-    assert MonomialOrder("grevlex").key(m1) == _nested_grevlex(m1)
+    assert grevlex_key(m1) == _nested_grevlex(m1)
     for order in (MonomialOrder("grevlex"), MonomialOrder("lex"),
-                  MonomialOrder("block", 1), MonomialOrder("block", 3)):
-        assert order.neg_key(m1) == tuple(-e for e in order.key(m1))
-    assert mono_mul(m1, m2) == tuple(a + b for a, b in zip(m1, m2))
-    assert mono_lcm(m1, m2) == tuple(max(a, b) for a, b in zip(m1, m2))
-    assert mono_divides(m1, m2) == all(a <= b for a, b in zip(m1, m2))
+                  MonomialOrder("block", 1), MonomialOrder("block", 3),
+                  MonomialOrder("block", 5)):
+        ring, key = PolyRing(GF32003, _FOUR, order), tuple_key(order)
+        p1, p2 = ring.monomial(m1), ring.monomial(m2)
+        assert (p1 < p2) == (key(m1) < key(m2)) and (p1 == p2) == (m1 == m2)
+        assert p1 + p2 == ring.monomial(mono_mul(m1, m2))
+        assert ring.lcm(p1, p2) == ring.monomial(mono_lcm(m1, m2))
+        assert ring.divides(p1, p2) == mono_divides(m1, m2)
+        assert (p1 + p2) - p2 == p1 and ring.divides(p2, p1 + p2)
     assert mono_div(mono_mul(m1, m2), m2) == m1
 
 
@@ -173,8 +194,8 @@ def test_mul_matches_fraction_product(case):
     ring, F = p.ring, p.ring.field
     product = p * q
     assert dict(product.terms) == fraction_product(p, q)
-    keys = [ring.key(m) for m, _ in product.terms]
-    assert all(k1 > k2 for k1, k2 in zip(keys, keys[1:]))
+    monos = [m for m, _ in product.terms]
+    assert all(m1 > m2 for m1, m2 in zip(monos, monos[1:]))
     if F.characteristic:
         assert all(type(c) is int and 0 < c < F.characteristic for _, c in product.terms)
     else:
@@ -197,4 +218,83 @@ def test_fields_orders_and_rings_are_values():
     assert R != PolyRing(RATIONALS, ("x", "y"), MonomialOrder("lex"))
     assert R != PolyRing(GF32003, ("x", "y"))
     assert R.gens == (R.var("x"), R.var("y")) and R.one == R.constant(1)
-    assert R.zero.is_zero() and R.key is R.order.key
+    assert R.zero.is_zero() and R.one.terms == ((0, RATIONALS.one),)
+
+
+# --- packed monomials against exponent tuples ------------------------------
+
+def _vectors(n, bound):
+    """Exponent vectors in n variables of total degree at most bound, from
+    small ones to ones at the bound."""
+    def cap(e):
+        total = sum(e)
+        return tuple(x * bound // total for x in e) if total > bound else tuple(e)
+
+    return st.one_of(
+        st.tuples(*[st.integers(0, 4)] * n),
+        st.lists(st.integers(0, bound), min_size=n, max_size=n).map(cap),
+    )
+
+
+_PACKING_RINGS = st.sampled_from(KERNEL_RINGS + SMALL_PRIME_RINGS)
+
+
+@given(_PACKING_RINGS.flatmap(lambda ring: st.tuples(
+    st.just(ring), _vectors(ring.nvars, MAX_DEGREE), _vectors(ring.nvars, MAX_DEGREE))))
+def test_packing_round_trip_and_order(case):
+    ring, e1, e2 = case
+    key = tuple_key(ring.order)
+    p1, p2 = ring.monomial(e1), ring.monomial(e2)
+    assert ring.exponents(p1) == e1 and ring.degree(p1) == sum(e1)
+    assert 0 <= p1 < 1 << ring.position_shift
+    assert (p1 < p2) == (key(e1) < key(e2))
+    assert (p1 == p2) == (e1 == e2)
+
+
+@given(_PACKING_RINGS.flatmap(lambda ring: st.tuples(
+    st.just(ring), *[_vectors(ring.nvars, MAX_DEGREE // 2)] * 3)))
+def test_packed_product_divisibility_and_lcm(case):
+    ring, e1, e2, e3 = case
+    p1, p2, p3 = (ring.monomial(e) for e in (e1, e2, e3))
+    assert p1 + p2 == ring.monomial(mono_mul(e1, e2))
+    assert ring.lcm(p1, p2) == ring.monomial(mono_lcm(e1, e2))
+    assert ring.divides(p1, p2) == mono_divides(e1, e2)
+    if mono_divides(e1, e2):
+        assert p2 - p1 == ring.monomial(mono_div(e2, e1))
+    # multiplying by p3 keeps the order and the divisibility
+    key = tuple_key(ring.order)
+    assert (p1 + p3 < p2 + p3) == (key(e1) < key(e2))
+    assert ring.divides(p1 + p3, p2 + p3) == mono_divides(e1, e2)
+
+
+@given(_PACKING_RINGS.flatmap(lambda ring: st.tuples(
+    st.just(ring), *[_vectors(ring.nvars, MAX_DEGREE // 2)] * 2,
+    st.integers(0, 40), st.integers(0, 40))))
+def test_module_terms_are_position_over_term(case):
+    ring, e1, e2, i1, i2 = case
+    shift, key = ring.position_shift, tuple_key(ring.order)
+    t1 = ring.monomial(e1) - (i1 << shift)
+    t2 = ring.monomial(e2) - (i2 << shift)
+    # the smaller position wins, then the monomial order
+    assert (t1 < t2) == ((-i1, key(e1)) < (-i2, key(e2)))
+    assert t1 & ((1 << shift) - 1) == ring.monomial(e1) and -(t1 >> shift) == i1
+    assert ring.divides(t1, t2) == (i1 == i2 and mono_divides(e1, e2))
+    # a monomial times a module term keeps its position
+    assert t2 + ring.monomial(e1) == ring.monomial(mono_mul(e1, e2)) - (i2 << shift)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+def test_degree_bound_raises(ring):
+    top = (MAX_DEGREE,) + (0,) * (ring.nvars - 1)
+    assert ring.exponents(ring.monomial(top)) == top
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        ring.monomial((MAX_DEGREE + 1,) + (0,) * (ring.nvars - 1))
+    with pytest.raises(ValueError):
+        ring.monomial((-1,) + (0,) * (ring.nvars - 1))
+    x, y = ring.gens[:2]
+    assert (x ** MAX_DEGREE).lm() == ring.monomial(top)
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        (x * y) ** (MAX_DEGREE // 2 + 1)
+    for text in (f"x^{MAX_DEGREE + 1}", f"x^{MAX_DEGREE} * y", f"(x*y)^{MAX_DEGREE // 2} * x^2"):
+        with pytest.raises(ValueError, match="exceeds the bound"):
+            ring.parse(text)

@@ -21,6 +21,7 @@ from residua import (
 )
 
 from conftest import large_fractions, polynomials
+from oracles import from_exponents, tuple_key
 
 sympy = pytest.importorskip("sympy")
 
@@ -39,7 +40,7 @@ def to_sympy(p):
     for m, c in p.terms:
         c = Fraction(c)
         term = sympy.Rational(c.numerator, c.denominator)
-        for s, e in zip(SYMBOLS, m):
+        for s, e in zip(SYMBOLS, p.ring.exponents(m)):
             term *= s**e
         expr += term
     return expr
@@ -50,8 +51,8 @@ def from_sympy(ring, poly):
     are not monic: over QQ they are integer-primitive, and modulo p the
     coefficients are symmetric residues."""
     F = ring.field
-    return ring.from_dict(
-        {m: F.element(Fraction(int(c.p), int(c.q))) for m, c in poly.terms()}
+    return from_exponents(
+        ring, {m: F.element(Fraction(int(c.p), int(c.q))) for m, c in poly.terms()}
     ).monic()
 
 
@@ -70,8 +71,9 @@ def _assert_matches_sympy(ring, gens):
     theirs = sympy.groebner(
         [to_sympy(g) for g in gens], *SYMBOLS, order=str(ring.order), **options
     )
+    key = tuple_key(ring.order)
     expected = sorted(
-        (from_sympy(ring, q) for q in theirs.polys), key=lambda g: ring.key(g.lm())
+        (from_sympy(ring, q) for q in theirs.polys), key=lambda g: key(ring.exponents(g.lm()))
     )
     previous = set_step_limit(200000)
     try:
