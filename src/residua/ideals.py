@@ -179,22 +179,14 @@ def dimension(I: Ideal) -> int:
     modulo the leading-term ideal.  The unit ideal reports -1."""
     if I.is_unit():
         return -1
-    nv = I.ring.nvars
-    lts = [I.ring.exponents(g.lm()) for g in I.groebner().elements]
-    if not lts:
-        return nv
+    # the variable sets of the leading monomials, as bit masks
+    supports = [sum(1 << i for i, e in enumerate(I.ring.exponents(g.lm())) if e)
+                for g in I.groebner().elements]
     best = 0
-    for mask in range(1 << nv):
+    for mask in range(1 << I.ring.nvars):
         size = mask.bit_count()
-        if size <= best:
-            continue
         # S is independent iff no leading monomial is supported inside S
-        ok = True
-        for m in lts:
-            if all(e == 0 or (mask >> i) & 1 for i, e in enumerate(m)):
-                ok = False
-                break
-        if ok:
+        if size > best and all(s & ~mask for s in supports):
             best = size
     return best
 

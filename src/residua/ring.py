@@ -45,7 +45,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
-from operator import mul
 
 from .field import FieldSpec
 
@@ -124,7 +123,7 @@ class PolyRing:
     mask, want) of the test in `divides`."""
 
     __slots__ = ("field", "variables", "order", "zero", "one", "gens",
-                 "position_shift", "divisibility", "_weights", "_places", "_halves")
+                 "position_shift", "divisibility", "_places", "_halves")
 
     def __init__(self, field: FieldSpec, variables, order: MonomialOrder = None):
         self.field = field
@@ -137,7 +136,7 @@ class PolyRing:
         size = len(digits)
         # digit j sits f bits up; a variable's weight is its packed exponent
         # vector, and its place the least significant digit that holds it
-        weights, places = [0] * n, [None] * n
+        weights, places = [0] * n, [0] * n
         offset = mask = want = 0
         for j, (sign, lo, hi) in enumerate(digits):
             f = _BITS * (size - 1 - j)
@@ -155,7 +154,7 @@ class PolyRing:
         # bits above the monomial must be clear: a term at another position
         # never divides
         self.divisibility = (offset, mask | -(1 << self.position_shift), want)
-        self._weights, self._places = tuple(weights), tuple(places)
+        self._places = tuple((f, sign, w) for (f, sign), w in zip(places, weights))
         self._halves = sum(_HALF << (_BITS * f) for f in range(size))
         self.zero = Polynomial(self, ())
         self.one = self.constant(field.one)
@@ -187,12 +186,13 @@ class PolyRing:
         if len(expo) != len(self.variables) or any(e < 0 for e in expo):
             raise ValueError(f"bad exponent vector {expo!r} for {self}")
         _check_degree(sum(expo))
-        return sum(map(mul, expo, self._weights))
+        return sum([e * w for e, (_, _, w) in zip(expo, self._places)])
 
     def exponents(self, m: int) -> tuple:
-        """The exponent vector of the packed monomial m."""
+        """The exponent vector of the packed monomial m; of a quotient t - m
+        of two monomials, the difference of their exponent vectors."""
         u = m + self._halves        # every digit + 2^15, a plain 16-bit field
-        return tuple([sign * (((u >> f) & _FIELD) - _HALF) for f, sign in self._places])
+        return tuple([sign * (((u >> f) & _FIELD) - _HALF) for f, sign, _ in self._places])
 
     def degree(self, m: int) -> int:
         """The total degree of the packed monomial m."""
@@ -205,9 +205,14 @@ class PolyRing:
         return (t - m + offset) & mask == want
 
     def lcm(self, m1: int, m2: int) -> int:
-        """The lcm of two packed monomials."""
-        return sum(map(mul, map(max, self.exponents(m1), self.exponents(m2)),
-                       self._weights))
+        """The lcm of two packed monomials: m1 times the positive part of
+        m2 / m1, whose exponents `exponents(m2 - m1)` would give."""
+        u = m2 - m1 + self._halves
+        for f, sign, w in self._places:
+            e = sign * (((u >> f) & _FIELD) - _HALF)
+            if e > 0:
+                m1 += e * w
+        return m1
 
     # -- polynomial constructors --------------------------------------------
 
@@ -218,8 +223,8 @@ class PolyRing:
         return Polynomial(self, ((0, c),))
 
     def var(self, name: str) -> "Polynomial":
-        i = self.variables.index(name)
-        return Polynomial(self, ((self._weights[i], self.field.one),))
+        w = self._places[self.variables.index(name)][2]
+        return Polynomial(self, ((w, self.field.one),))
 
     def from_dict(self, d: dict) -> "Polynomial":
         """The polynomial with coefficient d[m] at each packed monomial m."""
