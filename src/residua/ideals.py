@@ -21,12 +21,12 @@ syzygies of `min_gens(I)` and `height(Fitt_j(I) + I)` per j; and, keyed
 by the exact generator tuple of `a`, every colon `a : I` computed with it
 as the divisor and, filled in by `fitting.expressions`, the nonzero
 generators of `a` with their expressions in `min_gens(I)`, which the
-presentation of I/a and the zetas of the Kitt routes both read.  The caches live on the ideal and die with it; nothing is
-cached at module level.  An entry is stored only once its computation has
-returned, and nothing assigns `ring` or `generators` after construction,
-so a cached value is exactly what recomputing it from the same generators
-would give: outputs cannot change, and repeated inputs share one result
-object.
+presentation of I/a and the zetas of the Kitt routes both read.  The
+caches live on the ideal and die with it; nothing is cached at module
+level.  An entry is stored only once its computation has returned, and
+nothing assigns `ring` or `generators` after construction, so a cached
+value is exactly what recomputing it from the same generators would
+give: outputs cannot change, and repeated inputs share one result object.
 """
 
 from __future__ import annotations

@@ -287,6 +287,8 @@ def test_zetas_computed_once_per_generator_tuple(monkeypatch):
     K = kitt(a, I, H)
     K_cycles = kitt_via_cycles(a, I, H)
     F = fitt0_via_Z1(a, I, H)
+    # the presentation of I/a reads the same expressions of a
+    assert ideal_equal(fitt0_quotient(I, a), F)
     assert len(expressed) == 1
     # another generator tuple for the same ideal a is computed afresh
     b = Ideal(I.ring, tuple(reversed(a.generators)))
