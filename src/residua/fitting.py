@@ -96,13 +96,14 @@ def expressions(I: Ideal, a: Ideal) -> tuple:
 
 def presentation_of_quotient(I: Ideal, a: Ideal) -> tuple:
     """The rows, one per x_i of min_gens(I), of the [A|B] presentation of
-    I/a."""
-    if not I.contains_ideal(a):
-        raise NotASubidealError("a is not contained in I")
-    if not min_gens(I):
+    I/a; `expressions` checks that a lies in I."""
+    if I.is_zero():
+        if not I.contains_ideal(a):
+            raise NotASubidealError("a is not contained in I")
         return ()
+    _a_gens, columns = expressions(I, a)
     rows = _syzygy_rows(I)
-    for coeffs in expressions(I, a)[1]:
+    for coeffs in columns:
         for row, c in zip(rows, coeffs):
             row.append(c)
     return tuple(tuple(row) for row in rows)

@@ -18,20 +18,20 @@ back.  Syzygies, colons and intersections are module computations.
 `_groebner` extends a Gröbner basis, kept as two parallel lists: its
 monic canonical term tuples and their integer divisors, each divisor
 built once, when its element joins.  Each new element waits in the pair
-heap under its lead, ahead of the pairs with the same key, and is reduced
-by the basis of the moment when it is popped: a nonzero remainder joins
-the basis, monic, with its pairs, and a zero one is dropped before it
-makes any.  So a redundant input generator costs one division and no
-S-pair, and a basis grows from what is new instead of being rebuilt:
-`minimal_subset` keeps one basis of its span, `AugmentedBasis` serves
-both the syzygies of a sequence and the expression of elements in terms
-of it, and `last_coordinates` eliminates all but the last position of a
-free module in one run: the basis of an ideal copied to each of the
-first k positions is already a Gröbner basis of theirs (its divisors are
-the ideal basis's, shifted), so only the pairs the rows bring in are
-reduced, and because smaller positions win, the elements it leads at the
-last position are zero at every other one.  Colons and intersections of
-ideals are read off them.
+heap under the monomial of its lead, ahead of the pairs with that key,
+and is reduced by the basis of the moment when it is popped: a nonzero
+remainder joins the basis, monic, with its pairs, and a zero one is
+dropped before it makes any.  So a redundant input generator costs one
+division and no S-pair, and a basis grows from what is new instead of
+being rebuilt: `minimal_subset` keeps one basis of its span,
+`AugmentedBasis` serves both the syzygies of a sequence and the
+expression of elements in terms of it, and `last_coordinates` eliminates
+all but the last position of a free module in one run: the basis of an
+ideal copied to each of the first k positions is already a Gröbner basis
+of theirs (its divisors are the ideal basis's, shifted), so only the
+pairs the rows bring in are reduced, and because smaller positions win,
+the elements it leads at the last position are zero at every other one.
+Colons and intersections of ideals are read off them.
 
 Pairs are taken by the normal selection strategy, least lcm first, ties
 broken by (i, j); a pair's key is the monomial part of its lcm, so module
