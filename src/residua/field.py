@@ -62,17 +62,13 @@ class FieldSpec:
     def __repr__(self):
         return f"FieldSpec(characteristic={self.characteristic!r})"
 
-    @property
-    def is_prime_field(self) -> bool:
-        return self.characteristic != 0
-
     # -- element constructors ------------------------------------------------
 
     def element(self, value) -> object:
         """Coerce an int, Fraction, or `a/b` string into a field element."""
         if isinstance(value, str):
             value = Fraction(value)
-        if self.is_prime_field:
+        if self.characteristic:
             p = self.characteristic
             if isinstance(value, Fraction):
                 den = value.denominator % p
@@ -153,9 +149,6 @@ class FieldSpec:
         return Fraction(n, den)
 
     # -- formatting ----------------------------------------------------------
-
-    def format(self, a) -> str:
-        return str(a)
 
     def __str__(self):
         return "QQ" if self.characteristic == 0 else f"GF({self.characteristic})"

@@ -71,7 +71,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from math import gcd
 
-from .ring import Polynomial, PolyRing, RingMismatchError, sum_of_products
+from .ring import Polynomial, PolyRing, RingMismatchError, PAST_BOUND, sum_of_products
 
 
 class NotAMemberError(ValueError):
@@ -145,13 +145,13 @@ class _Dividend:
     reduced mod p only when its term is popped.
     """
 
-    __slots__ = ("live", "heap", "p", "den")
+    __slots__ = ("live", "heap", "p", "den", "bounds")
 
-    def __init__(self, field, terms, den=1):
+    def __init__(self, ring, terms, den=1):
         self.live = dict(terms)
         self.heap = [-t for t in self.live]
         heapify(self.heap)
-        self.p, self.den = field.characteristic, den
+        self.p, self.den, self.bounds = ring.field.characteristic, den, ring.bounds
 
     def pop(self):
         """Remove the leading term and return (term, integer coefficient),
@@ -174,6 +174,7 @@ class _Dividend:
         the den they were popped with; no product may lie above a popped
         term."""
         live, heap = self.live, self.heap
+        offset, mask, want = self.bounds
         if lc != 1:
             g = gcd(c, lc)
             scale, c = lc // g, c // g
@@ -185,15 +186,17 @@ class _Dividend:
             t += q
             old = live.get(t)
             if old is None:
+                if (t + offset) & mask != want:
+                    raise ValueError(PAST_BOUND)
                 live[t] = -c * tc
                 heappush(heap, -t)
             else:
                 live[t] = old - c * tc
 
 
-def _dividend(field, terms) -> _Dividend:
+def _dividend(ring, terms) -> _Dividend:
     """Canonical terms with field coefficients, under division."""
-    return _Dividend(field, *field.integer_terms(terms))
+    return _Dividend(ring, *ring.field.integer_terms(terms))
 
 
 def _divisor(F, terms) -> tuple:
@@ -262,7 +265,7 @@ def _groebner(ring: PolyRing, G: list, divisors: list, new, product_criterion=Fa
     while heap:
         key, i, j = heappop(heap)
         if i < 0:
-            r = _reduce(ring, _dividend(F, new[j]), divisors)
+            r = _reduce(ring, _dividend(ring, new[j]), divisors)
             if r:
                 insert(r)
             continue
@@ -293,8 +296,8 @@ def _groebner(ring: PolyRing, G: list, divisors: list, new, product_criterion=Fa
         # the S-pair of the two divisors: their leads cancel at lcm
         _, lc_i, tail_i = divisors[i]
         _, lc_j, tail_j = divisors[j]
-        q_i = lcm - lm_i
-        s = _Dividend(F, ((t + q_i, c) for t, c in tail_i))
+        s = _Dividend(ring, ())
+        s.sub_multiple(tail_i, lcm - lm_i, -1, 1)    # s = (lcm / lm_i)·tail_i
         s.sub_multiple(tail_j, lcm - lm_j, lc_i, lc_j)
         r = _reduce(ring, s, divisors)
         if r:
@@ -312,7 +315,7 @@ def normal_form(f: Polynomial, G) -> Polynomial:
             raise RingMismatchError("normal_form across different rings")
     elif G.ring != ring:
         raise RingMismatchError("normal_form across different rings")
-    return Polynomial(ring, _reduce(ring, _dividend(ring.field, f.terms), G.divisors()))
+    return Polynomial(ring, _reduce(ring, _dividend(ring, f.terms), G.divisors()))
 
 
 def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -395,7 +398,7 @@ def _vector(ring, terms, offset, rank) -> tuple:
 def _combination(coeffs, gens) -> tuple:
     """The canonical terms of sum(c_i * g_i) for polynomials c_i and
     polynomial sequences g_i."""
-    return sum_of_products(coeffs[0].ring.field,
+    return sum_of_products(coeffs[0].ring,
                            [(c.terms, _terms(g)) for c, g in zip(coeffs, gens)])
 
 
@@ -447,7 +450,7 @@ class AugmentedBasis:
         ring, F, n = self.ring, self.ring.field, len(self.gens)
         out = []
         for f in polys:
-            nf = _reduce(ring, _dividend(F, f.terms), self.divisors)
+            nf = _reduce(ring, _dividend(ring, f.terms), self.divisors)
             if nf and nf[0][0] >= 0:
                 raise NotAMemberError(f"{f} is not in the ideal of the given generators")
             coeffs = _vector(ring, ((t, F.neg(c)) for t, c in nf), 1, n)
@@ -500,7 +503,7 @@ def module_member(elem, gens) -> bool:
     ring = elem[0].ring
     divisors = []
     _groebner(ring, [], divisors, [_terms(g) for g in gens])
-    return not _reduce(ring, _dividend(ring.field, _terms(elem)), divisors)
+    return not _reduce(ring, _dividend(ring, _terms(elem)), divisors)
 
 
 def minimal_subset(elems, weights, span=()) -> list:

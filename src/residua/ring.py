@@ -6,9 +6,9 @@ of linear forms in the exponents (`MonomialOrder.digits`), and every key of
 one ring has the same length L: grevlex packs (deg, -x_n, ..., -x_1), lex
 (x_1, ..., x_n), and block(k) the grevlex key of the first k variables
 followed by the grevlex key of the rest.  The int holds those L digits,
-most significant first, as balanced base-2^16 digits.  Every monomial has
-total degree at most MAX_DEGREE = 2^15 - 1, so no digit reaches 2^15 in
-absolute value, and then:
+most significant first, as balanced base-2^16 digits.  No digit of a key
+passes MAX_DEGREE = 2^15 - 1 in absolute value (a total degree at most
+MAX_DEGREE keeps them all below it), and then:
 
 - the encoding is linear, so integer `+` is the monomial product, and the
   quotient of t by a divisor m is t - m;
@@ -27,9 +27,9 @@ is the monomial itself, m is the term & (2^K - 1), and -i is term >> K.
 
 `PolyRing.exponents`, `degree` and `monomial` convert between packed
 monomials and exponent tuples.  `monomial`, `**` and parsing raise
-ValueError past MAX_DEGREE, where a degree enters from outside; products,
-divisions and lcms of monomials within the bound are not checked, so a
-computation whose monomials pass it is outside the kernel's contract.
+ValueError past total degree MAX_DEGREE; a monomial made inside (a
+product, an lcm, a division step) raises it where it first appears if a
+digit of its key passes MAX_DEGREE, which one mask shows (`bounds`).
 
 A Polynomial stores its terms as a tuple of (monomial, coefficient)
 pairs, strictly descending, with no zero coefficients, so equal
@@ -51,7 +51,8 @@ from .field import FieldSpec
 _BITS = 16                      # bits per digit of a packed monomial
 _FIELD = (1 << _BITS) - 1
 _HALF = 1 << (_BITS - 1)
-MAX_DEGREE = _HALF - 1          # the largest total degree of a monomial
+MAX_DEGREE = _HALF - 1          # the largest digit of a key in absolute value
+PAST_BOUND = f"a digit of a monomial's key exceeds the bound {MAX_DEGREE}"
 
 
 class RingMismatchError(ValueError):
@@ -119,11 +120,12 @@ class PolyRing:
     """A polynomial ring over `field` in `variables` under `order`; rings
     are equal and hashed by (field, variables, order).  `zero`, `one` and
     `gens` (the variables) are built once, and so is the packing of the
-    order's key: `position_shift` is K, and `divisibility` the (offset,
-    mask, want) of the test in `divides`."""
+    order's key: `position_shift` is K, `divisibility` the (offset, mask,
+    want) of the test in `divides`, and `bounds` that of the range check:
+    (t + offset) & mask == want when the term t's monomial is in range."""
 
     __slots__ = ("field", "variables", "order", "zero", "one", "gens",
-                 "position_shift", "divisibility", "_places", "_halves")
+                 "position_shift", "divisibility", "bounds", "_places", "_halves")
 
     def __init__(self, field: FieldSpec, variables, order: MonomialOrder = None):
         self.field = field
@@ -154,6 +156,7 @@ class PolyRing:
         # bits above the monomial must be clear: a term at another position
         # never divides
         self.divisibility = (offset, mask | -(1 << self.position_shift), want)
+        self.bounds = (offset, mask, want)
         self._places = tuple((f, sign, w) for (f, sign), w in zip(places, weights))
         self._halves = sum(_HALF << (_BITS * f) for f in range(size))
         self.zero = Polynomial(self, ())
@@ -212,6 +215,9 @@ class PolyRing:
             e = sign * (((u >> f) & _FIELD) - _HALF)
             if e > 0:
                 m1 += e * w
+        offset, mask, want = self.bounds
+        if (m1 + offset) & mask != want:
+            raise ValueError(PAST_BOUND)
         return m1
 
     # -- polynomial constructors --------------------------------------------
@@ -239,7 +245,7 @@ class PolyRing:
     def sum_of_products(self, pairs) -> "Polynomial":
         """The sum of f * g over `pairs` of canonical term tuples (f, g) of
         polynomials of this ring, by the module function `sum_of_products`."""
-        return Polynomial(self, sum_of_products(self.field, pairs))
+        return Polynomial(self, sum_of_products(self, pairs))
 
     def __str__(self):
         return f"{self.field}[{', '.join(self.variables)}] ({self.order})"
@@ -346,11 +352,9 @@ class Polynomial:
         return self.scale(self.ring.field.inv(self.lc()))
 
     def mul_term(self, mono: int, coeff) -> "Polynomial":
-        """Multiply by the single term coeff * mono (a packed monomial);
-        preserves descending term order."""
-        F = self.ring.field
-        return Polynomial(
-            self.ring, tuple((m + mono, F.mul(c, coeff)) for m, c in self.terms))
+        """Multiply by the single term coeff * mono (a packed monomial and
+        a field element)."""
+        return self.ring.sum_of_products([(((mono, coeff),), self.terms)])
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -391,7 +395,7 @@ class Polynomial:
             neg = False
             if F.characteristic == 0 and c < 0:
                 neg, c = True, -c
-            coeff_str = F.format(c)
+            coeff_str = str(c)
             if factors and c == F.one:
                 body = "*".join(factors)
             elif factors:
@@ -458,12 +462,13 @@ def _merge(F: FieldSpec, a: tuple, b: tuple, subtract: bool) -> tuple:
 # integer coefficients
 # ---------------------------------------------------------------------------
 
-def sum_of_products(field: FieldSpec, pairs) -> tuple:
+def sum_of_products(ring: PolyRing, pairs) -> tuple:
     """The canonical terms of the sum of f * g over `pairs` of canonical
-    term tuples (f, g): f holds monomials, g monomials or module terms
-    (a term of g times a monomial of f is their sum).  The products are
-    summed as integers over one common denominator, and each sum enters
-    the field once (over GF(p), reduced mod p there)."""
+    term tuples (f, g) of `ring`: f holds monomials, g monomials or module
+    terms (a term of g times a monomial of f is their sum).  The products
+    are summed as integers over one common denominator, and each sum
+    enters the field once (over GF(p), reduced mod p there)."""
+    field, (offset, mask, want) = ring.field, ring.bounds
     parts = []
     for f, g in pairs:
         a, a_den = field.integer_terms(f)
@@ -482,6 +487,8 @@ def sum_of_products(field: FieldSpec, pairs) -> tuple:
     ratio = field.ratio
     out = []
     for t in sorted(acc, reverse=True):
+        if (t + offset) & mask != want:
+            raise ValueError(PAST_BOUND)
         c = ratio(acc[t], den)
         if c:
             out.append((t, c))

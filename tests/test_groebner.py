@@ -7,6 +7,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from residua import (
+    GF32003,
+    MonomialOrder,
+    PolyRing,
     buchberger,
     express_in_terms,
     ideal_syzygies,
@@ -370,3 +373,24 @@ def test_divisors_are_built_once_per_basis_element(monkeypatch):
     assert kept and len(built) == len(joined)
     colon(a, I)
     assert len(joined) > len(B.basis) and len(built) == len(joined)
+
+
+def test_monomials_past_the_bound_raise_in_the_engine():
+    # under lex a reduction raises the degree: x^20 by x - y^2000 ends at
+    # y^40000, whose digit would carry into the x digit and read as x^4
+    L = PolyRing(GF32003, ("x", "y"), MonomialOrder("lex"))
+    x, y = L.gens
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        normal_form(x**20, [L.parse("x - y^2000")])
+    assert normal_form(x**2, [L.parse("x - y^2000")]) == y**4000
+    # under grevlex a product, an S-pair lcm and a module lcm of degree
+    # 40000 raise; under lex the same product is in range
+    R = PolyRing(GF32003, ("x", "y", "z"))
+    x, y, z = R.gens
+    for make in (lambda: x**20000 * y**20000,
+                 lambda: buchberger([x**20000 + z, y**20000 + z]),
+                 lambda: syzygies([(x**20000, z), (y**20000, z)])):
+        with pytest.raises(ValueError, match="exceeds the bound"):
+            make()
+    x, y = L.gens
+    assert L.exponents((x**20000 * y**20000).lm()) == (20000, 20000)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from residua import GF32003, RATIONALS, FieldSpec, MonomialOrder, PolyRing
-from residua.ring import MAX_DEGREE, ParseError
+from residua.ring import MAX_DEGREE, ParseError, sum_of_products
 
 from conftest import (
     KERNEL_RINGS,
@@ -298,3 +298,29 @@ def test_degree_bound_raises(ring):
     for text in (f"x^{MAX_DEGREE + 1}", f"x^{MAX_DEGREE} * y", f"(x*y)^{MAX_DEGREE // 2} * x^2"):
         with pytest.raises(ValueError, match="exceeds the bound"):
             ring.parse(text)
+
+
+@given(_PACKING_RINGS.flatmap(lambda ring: st.tuples(
+    st.just(ring), _vectors(ring.nvars, MAX_DEGREE), _vectors(ring.nvars, MAX_DEGREE))))
+def test_monomials_made_past_the_bound_raise(case):
+    """A product or an lcm with a key digit past MAX_DEGREE raises instead
+    of carrying into the next digit or into the position bits."""
+    ring, e1, e2 = case
+    key, one, shift = tuple_key(ring.order), ring.field.one, ring.position_shift
+    p1, p2 = ring.monomial(e1), ring.monomial(e2)
+    f, g = ring.from_dict({p1: one}), ring.from_dict({p2: one})
+
+    def module_product():
+        ((t, _),) = sum_of_products(ring, [(g.terms, ((p1 - (3 << shift), one),))])
+        assert -(t >> shift) == 3
+        return t & ((1 << shift) - 1)
+
+    for e, make in ((mono_mul(e1, e2), lambda: (f * g).lm()),
+                    (mono_mul(e1, e2), lambda: f.mul_term(p2, one).lm()),
+                    (mono_mul(e1, e2), module_product),
+                    (mono_lcm(e1, e2), lambda: ring.lcm(p1, p2))):
+        if max(map(abs, key(e))) > MAX_DEGREE:
+            with pytest.raises(ValueError, match="exceeds the bound"):
+                make()
+        else:
+            assert ring.exponents(make()) == e
