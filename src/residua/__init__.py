@@ -7,8 +7,6 @@ from .field import FieldSpec, RATIONALS, GF32003
 from .ring import PolyRing, Polynomial, MonomialOrder
 from .groebner import (
     GroebnerBasis,
-    buchberger,
-    reduce_basis,
     reduced_groebner,
     normal_form,
     syzygies,

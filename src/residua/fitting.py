@@ -50,10 +50,13 @@ def _det(ring, rows, row_idx, col_idx, memo):
 
 
 def minors(ring: PolyRing, matrix, r: int) -> Ideal:
-    """Ideal of r x r minors; r <= 0 gives (1), r > min(dims) gives (0)."""
+    """Ideal of r x r minors; r <= 0 gives (1), r > min(dims) gives (0).
+    A matrix whose rows differ in length raises ValueError."""
     rows = [tuple(row) for row in matrix]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("minors of a non-rectangular matrix")
     if r <= 0:
         return Ideal(ring, (ring.one,))
     if r > min(nrows, ncols):

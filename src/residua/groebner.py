@@ -30,8 +30,14 @@ all but the last position of a free module in one run: the basis of an
 ideal copied to each of the first k positions is already a Gröbner basis
 of theirs (its divisors are the ideal basis's, shifted), so only the
 pairs the rows bring in are reduced, and because smaller positions win,
-the elements it leads at the last position are zero at every other one.
-Colons and intersections of ideals are read off them.
+the elements it leads at the last position are zero at every other one
+and are a Gröbner basis of the ideal they make there.  Colons and
+intersections of ideals are read off them.
+
+A run's output becomes a reduced basis once, in `_reduced`, which builds
+the divisors of the reduced elements into the `GroebnerBasis` it returns.
+`reduced_groebner` and `last_coordinates` both end in it, so a colon or an
+intersection comes with its reduced basis, never rebuilt from itself.
 
 Pairs are taken by the normal selection strategy, least lcm first, ties
 broken by (i, j); a pair's key is the monomial part of its lcm, so module
@@ -63,7 +69,8 @@ sort.  The divisor is always the first element of G whose lead divides,
 and an S-pair is built from the two divisors, so every remainder is the
 one plain repeated subtraction gives, up to a unit, and every basis,
 made monic as its elements arrive, is unchanged.  A `GroebnerBasis`
-builds its divisors once, for all the normal forms taken against it.
+carries the divisors of its elements, for all the normal forms taken
+against it.
 """
 
 from __future__ import annotations
@@ -96,38 +103,20 @@ def set_step_limit(limit):
 
 
 class GroebnerBasis:
-    """A Gröbner basis: `elements`, a tuple of polynomials of `ring`
-    (`normal_form` also wraps a plain divisor sequence in one).  Equal and
-    hashed by (ring, elements).  `divisors()` is built once."""
+    """A reduced Gröbner basis, as `_reduced` makes it: `elements`, a tuple
+    of polynomials of `ring` in increasing order of their leads, and
+    `divisors`, their integer divisors, built once with them."""
 
-    __slots__ = ("ring", "elements", "_divisors")
+    __slots__ = ("ring", "elements", "divisors")
 
-    def __init__(self, ring: PolyRing, elements: tuple):
-        self.ring, self.elements, self._divisors = ring, elements, None
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ring, self.elements) == (other.ring, other.elements)
-
-    def __hash__(self):
-        return hash((self.ring, self.elements))
-
-    def __repr__(self):
-        return f"GroebnerBasis(ring={self.ring!r}, elements={self.elements!r})"
+    def __init__(self, ring: PolyRing, elements: tuple, divisors: list):
+        self.ring, self.elements, self.divisors = ring, elements, divisors
 
     def __iter__(self):
         return iter(self.elements)
 
     def __len__(self):
         return len(self.elements)
-
-    def divisors(self) -> list:
-        """The (lead, lc, tail) integer divisors of the nonzero elements."""
-        if self._divisors is None:
-            F = self.ring.field
-            self._divisors = [_divisor(F, g.terms) for g in self.elements if g.terms]
-        return self._divisors
 
 
 # ---------------------------------------------------------------------------
@@ -305,17 +294,54 @@ def _groebner(ring: PolyRing, G: list, divisors: list, new, product_criterion=Fa
     return G
 
 
+def _reduced(ring: PolyRing, G: list, divisors: list) -> GroebnerBasis:
+    """The reduced Gröbner basis of what G, a Gröbner basis of monic
+    canonical term tuples with the integer divisors `divisors`, generates:
+    the elements whose lead no other lead divides, in increasing order of
+    their leads, each tail reduced by all of them as they are (no kept lead
+    divides another, and a tail lies below its own lead)."""
+    leads = [d[0] for d in divisors]
+    kept = sorted((i for i, lead in enumerate(leads)
+                   if not any(ring.divides(m, lead) for m in leads if m != lead)),
+                  key=leads.__getitem__)
+    minimal = [divisors[i] for i in kept]
+    elements, reduced = [], []
+    for i in kept:
+        terms = G[i][:1] + _reduce(ring, _dividend(ring, G[i][1:]), minimal)
+        elements.append(Polynomial(ring, terms))
+        reduced.append(_divisor(ring.field, terms))
+    return GroebnerBasis(ring, tuple(elements), reduced)
+
+
+def reduced_groebner(gens) -> GroebnerBasis:
+    """The reduced Gröbner basis of the ideal generated by gens, one or more
+    polynomials of one ring: one engine run (normal selection strategy),
+    zero generators dropped, then `_reduced`."""
+    gens = list(gens)
+    if not gens:
+        raise ValueError("reduced_groebner needs at least one generator")
+    ring = gens[0].ring
+    for g in gens:
+        if g.ring != ring:
+            raise RingMismatchError("generators from different rings")
+    G, divisors = [], []
+    _groebner(ring, G, divisors, [g.terms for g in gens], product_criterion=True)
+    return _reduced(ring, G, divisors)
+
+
 def normal_form(f: Polynomial, G) -> Polynomial:
     """Remainder of f on division by the elements of G, a GroebnerBasis or
     a sequence of polynomials (full tail reduction)."""
     ring = f.ring
-    if not isinstance(G, GroebnerBasis):
-        G = GroebnerBasis(ring, tuple(G))
-        if any(g.ring != ring for g in G.elements):
+    if isinstance(G, GroebnerBasis):
+        if G.ring != ring:
             raise RingMismatchError("normal_form across different rings")
-    elif G.ring != ring:
-        raise RingMismatchError("normal_form across different rings")
-    return Polynomial(ring, _reduce(ring, _dividend(ring, f.terms), G.divisors()))
+        divisors = G.divisors
+    else:
+        if any(g.ring != ring for g in G):
+            raise RingMismatchError("normal_form across different rings")
+        divisors = [_divisor(ring.field, g.terms) for g in G if g.terms]
+    return Polynomial(ring, _reduce(ring, _dividend(ring, f.terms), divisors))
 
 
 def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -324,49 +350,6 @@ def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     a = f.mul_term(lcm - f.lm(), F.inv(f.lc()))
     b = g.mul_term(lcm - g.lm(), F.inv(g.lc()))
     return a - b
-
-
-def buchberger(gens) -> GroebnerBasis:
-    """Gröbner basis of the ideal generated by gens (normal selection strategy).
-
-    Deterministic for a fixed generator order.  Zero generators are dropped;
-    an empty ideal yields an empty basis.
-    """
-    gens = list(gens)
-    if not gens:
-        raise ValueError("buchberger needs at least one generator")
-    ring = gens[0].ring
-    for g in gens:
-        if g.ring != ring:
-            raise RingMismatchError("generators from different rings")
-    G = _groebner(ring, [], [], [g.terms for g in gens], product_criterion=True)
-    return GroebnerBasis(ring, tuple(Polynomial(ring, g) for g in G))
-
-
-def reduce_basis(G: GroebnerBasis) -> GroebnerBasis:
-    """The unique reduced Gröbner basis of the ideal of G."""
-    ring = G.ring
-    elems = [g.monic() for g in G.elements if not g.is_zero()]
-    # minimalize: drop elements whose leading monomial is divisible by another's
-    elems.sort(key=Polynomial.lm)
-    minimal = []
-    for g in elems:
-        if not any(ring.divides(h.lm(), g.lm()) for h in minimal):
-            minimal.append(g)
-    # tail-reduce each against the others: no lead divides another, and
-    # every term under division lies below the lead of g, so g itself
-    # never divides one, and the tail of g can be reduced by all of them
-    M = GroebnerBasis(ring, tuple(minimal))
-    reduced = []
-    for g in minimal:
-        tail = normal_form(Polynomial(ring, g.terms[1:]), M)
-        reduced.append(Polynomial(ring, g.terms[:1] + tail.terms))
-    reduced.sort(key=Polynomial.lm)
-    return GroebnerBasis(ring, tuple(reduced))
-
-
-def reduced_groebner(gens) -> GroebnerBasis:
-    return reduce_basis(buchberger(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -476,25 +459,35 @@ def express_in_terms(polys, gens) -> list:
     return AugmentedBasis((g,) for g in gens).express(polys)
 
 
-def last_coordinates(basis: GroebnerBasis, rows) -> list:
-    """A Gröbner basis, monic, of the polynomials r with (0, …, 0, r) in the
-    submodule of R^(k+1) generated by the rows, each a sequence of k+1
-    polynomials, and by b·e_i for b in the monic Gröbner basis `basis` and
-    i < k.  The b·e_i are already a Gröbner basis of theirs, with the
-    divisors of `basis` moved to position i, so one run extends them by
-    the rows; smaller positions win, so the elements it leads at position
-    k are zero everywhere else."""
-    ring = basis.ring
+def _moved(terms, s) -> tuple:
+    """The canonical terms with s added to each term: s = -i·2^K moves them
+    i positions on, and i·2^K moves them back."""
+    return tuple((t + s, c) for t, c in terms)
+
+
+def last_coordinates(basis: GroebnerBasis, rows) -> GroebnerBasis:
+    """The reduced Gröbner basis of the ideal of the polynomials r with
+    (0, …, 0, r) in the submodule of R^(k+1) generated by the rows, each a
+    sequence of k+1 polynomials, and by b·e_i for b in the reduced Gröbner
+    basis `basis` and i < k.  The b·e_i are already a Gröbner basis of
+    theirs, with the divisors of `basis` moved to position i, so one run
+    extends them by the rows; smaller positions win, so the elements it
+    leads at position k are zero everywhere else, and moved back to
+    position 0 they are a Gröbner basis of that ideal."""
+    ring, shift = basis.ring, basis.ring.position_shift
     rows = [tuple(row) for row in rows]
     k = len(rows[0]) - 1
     G, divisors = [], []
     for i in range(k):
-        s = i << ring.position_shift
-        G += [tuple((t - s, c) for t, c in b.terms) for b in basis]
-        divisors += [(lead - s, lc, tuple((t - s, c) for t, c in tail))
-                     for lead, lc, tail in basis.divisors()]
+        s = i << shift
+        G += [_moved(b.terms, -s) for b in basis]
+        divisors += [(lead - s, lc, _moved(tail, -s)) for lead, lc, tail in basis.divisors]
     _groebner(ring, G, divisors, [_terms(row) for row in rows])
-    return [_vector(ring, e, k, 1)[0] for e in G if -(e[0][0] >> ring.position_shift) == k]
+    last = [i for i, e in enumerate(G) if -(e[0][0] >> shift) == k]
+    s = k << shift
+    return _reduced(ring, [_moved(G[i], s) for i in last],
+                    [(lead + s, lc, _moved(tail, s))
+                     for lead, lc, tail in (divisors[i] for i in last)])
 
 
 def module_member(elem, gens) -> bool:

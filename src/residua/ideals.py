@@ -10,7 +10,9 @@ the r with (0, r) in J·e_0 + R·(f, f) over the generators f of I.  The
 reduced basis of a, copied to each of the positions 0..m−1, is already a
 Gröbner basis of a^m, and under position over term, where the smaller
 position wins, the basis elements led at the last position are zero at
-every other one.  Every generator of either result is checked against
+every other one.  The run hands back their reduced basis, which becomes
+both the generators and the cached basis of the result, so no second
+run rebuilds it.  Every generator of either result is checked against
 the definition before it is returned.
 
 An `Ideal` caches the work that depends only on it: its reduced Gröbner
@@ -89,11 +91,8 @@ class Ideal:
     def groebner(self) -> GroebnerBasis:
         """Reduced Gröbner basis; computed once and cached."""
         if self._gb is None:
-            gens = [g for g in self.generators if not g.is_zero()]
-            if not gens:
-                self._gb = GroebnerBasis(self.ring, ())
-            else:
-                self._gb = reduced_groebner(gens)
+            self._gb = (reduced_groebner(self.generators) if self.generators
+                        else GroebnerBasis(self.ring, (), []))
         return self._gb
 
     def contains(self, f: Polynomial) -> bool:
@@ -138,7 +137,9 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     for h in meet:
         if not (I.contains(h) and J.contains(h)):
             raise RuntimeError("internal: intersection generator outside I or J")
-    return Ideal(I.ring, meet)
+    result = Ideal(I.ring, meet.elements)
+    result._gb = meet
+    return result
 
 
 def colon(a: Ideal, I: Ideal) -> Ideal:
@@ -159,7 +160,8 @@ def colon(a: Ideal, I: Ideal) -> Ideal:
         for f in gens:
             if not normal_form(r * f, basis).is_zero():
                 raise RuntimeError("internal: colon generator times I outside a")
-    result = Ideal(a.ring, quotient)
+    result = Ideal(a.ring, quotient.elements)
+    result._gb = quotient
     I._colons[a.generators] = result
     return result
 

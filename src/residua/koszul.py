@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .ring import Polynomial, PolyRing
 from .groebner import minimal_subset, syzygies
-from .ideals import Ideal, height, min_gens
+from .ideals import Ideal, min_gens
 from .fitting import expressions
 
 
@@ -26,7 +26,8 @@ from .fitting import expressions
 
 class ExteriorElement:
     """Homogeneous degree-i element of the exterior algebra on e_1..e_n,
-    a map from sorted i-subsets of {1..n} to nonzero polynomials."""
+    a map from strictly increasing i-subsets of {1..n} to nonzero
+    polynomials; any other key raises ValueError."""
 
     __slots__ = ("ring", "n", "degree", "coeffs")
 
@@ -36,8 +37,9 @@ class ExteriorElement:
         self.degree = degree
         self.coeffs = {S: p for S, p in coeffs.items() if not p.is_zero()}
         for S in self.coeffs:
-            if len(S) != degree or list(S) != sorted(S):
-                raise ValueError(f"bad subset key {S} for degree {degree}")
+            if (len(S) != degree or list(S) != sorted(set(S))
+                    or S and not 0 < S[0] <= S[-1] <= n):
+                raise ValueError(f"bad subset key {S} for degree {degree} in rank {n}")
 
     @classmethod
     def zero(cls, ring, n, degree):
@@ -237,20 +239,12 @@ def _top_coefficients(ring, n, zetas, elems) -> list:
 
 def kitt(a: Ideal, I: Ideal, homology: HomologyData = None) -> Ideal:
     """The Kitt ideal from homology lifts:
-    Kitt * e_top = a * e_top + sum over i of Gamma_{n-i} * H~_i."""
+    Kitt * e_top = a * e_top + sum over i of Gamma_{n-i} * H~_i, over all
+    lifts (Gamma stops at degree min(s, n), and lifts at n - ht I)."""
     K, a_gens, zetas = _setup(a, I)
-    n, s = K.n, len(zetas)
-    g = height(I)
     H = homology if homology is not None else homology_lifts(K)
-    full = tuple(range(1, n + 1))
-    gens = list(a_gens)
-    for i in range(max(0, n - s), n - g + 1):
-        for gamma in _wedges(I.ring, n, zetas, n - i):
-            for h in H.lifts.get(i, []):
-                c = gamma.wedge(h).coefficient(full)
-                if not c.is_zero():
-                    gens.append(c)
-    return Ideal(I.ring, gens)
+    lifts = [h for hs in H.lifts.values() for h in hs]
+    return Ideal(I.ring, list(a_gens) + _top_coefficients(I.ring, K.n, zetas, lifts))
 
 
 def _cycle_products(ring, n, generators, max_degree):

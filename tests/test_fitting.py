@@ -62,6 +62,15 @@ def test_minors_degenerate_sizes(R2):
     assert minors(R2, matrix, 0).is_unit()
 
 
+def test_minors_reject_a_ragged_matrix(R2):
+    # a longer later row used to lose its extra entries, a shorter one
+    # raised IndexError
+    x, y = R2.gens
+    for matrix in ([[x], [y, x * y]], [[x, y], [x * y]]):
+        with pytest.raises(ValueError, match="non-rectangular"):
+            minors(R2, matrix, 1)
+
+
 @given(st.data())
 def test_minors_match_leibniz_determinants(data):
     ring, coeffs = data.draw(rings_and_coefficients())

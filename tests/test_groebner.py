@@ -10,7 +10,6 @@ from residua import (
     GF32003,
     MonomialOrder,
     PolyRing,
-    buchberger,
     express_in_terms,
     ideal_syzygies,
     normal_form,
@@ -31,7 +30,7 @@ from residua.groebner import (
     syzygies,
 )
 from residua import groebner
-from residua.ideals import colon, min_gens
+from residua.ideals import Ideal, colon, min_gens
 from residua.koszul import KoszulComplex
 
 from conftest import (
@@ -65,7 +64,7 @@ def _step_budget():
 def test_gb_contains_spoly_reduction(R2):
     # S(x^2+y^2, x*y) = y^3 up to scalar, so y^3 must enter the basis
     gens = [R2.parse("x^2 + y^2"), R2.parse("x*y")]
-    G = buchberger(gens)
+    G = reduced_groebner(gens)
     y3 = R2.parse("y^3")
     assert any(g.monic() == y3 for g in G)
 
@@ -190,14 +189,14 @@ def test_step_limit_enforced(R3):
     gens = [random_homogeneous(R3, 2, rng) for _ in range(3)]
     set_step_limit(1)
     with pytest.raises(ResourceLimitError):
-        buchberger(gens)
+        reduced_groebner(gens)
 
 
 def test_redundant_generators_cost_no_spairs(R2):
     # x^2*y arrives after x^2 and y^2 and reduces to zero before it makes a
     # pair; the one pair left, (x^2, y^2), has coprime leads
     set_step_limit(0)
-    G = buchberger([R2.parse("x^2"), R2.parse("y^2"), R2.parse("x^2*y")])
+    G = reduced_groebner([R2.parse("x^2"), R2.parse("y^2"), R2.parse("x^2*y")])
     assert sorted(R2.exponents(g.lm()) for g in G) == [(0, 2), (2, 0)]
 
 
@@ -353,13 +352,14 @@ def test_minimal_subset_matches_membership_reference(family, seed):
 
 
 def test_divisors_are_built_once_per_basis_element(monkeypatch):
-    # each element that joins a basis gets its divisor once, when it joins:
-    # a basis that grows, is read by express, or is the start of a colon
-    # run keeps the divisors it has
+    # each element that joins a basis gets its divisor once, when it joins,
+    # and each element of a reduced basis once, when it is reduced: a basis
+    # that grows, is read by express, or is the start of a colon run keeps
+    # the divisors it has
     inst = generate_instance("hb2", 0)
     I, a = inst.I, inst.a
     x = min_gens(I)
-    a.groebner().divisors()
+    a.groebner()
     built, joined = [], []
     divisor, monic = groebner._divisor, groebner._monic
     monkeypatch.setattr(groebner, "_divisor", lambda F, t: built.append(t) or divisor(F, t))
@@ -371,8 +371,11 @@ def test_divisors_are_built_once_per_basis_element(monkeypatch):
     assert len(built) == len(B.basis)
     kept = minimal_subset(syz, [g.total_degree() for g in x])
     assert kept and len(built) == len(joined)
-    colon(a, I)
-    assert len(joined) > len(B.basis) and len(built) == len(joined)
+    # a fresh divisor ideal, so the colon is not a memo hit
+    J = colon(a, Ideal(I.ring, I.generators))
+    assert len(joined) > len(B.basis) and len(built) == len(joined) + len(J.groebner())
+    J.contains(x[0])
+    assert len(built) == len(joined) + len(J.groebner())
 
 
 def test_monomials_past_the_bound_raise_in_the_engine():
@@ -388,7 +391,7 @@ def test_monomials_past_the_bound_raise_in_the_engine():
     R = PolyRing(GF32003, ("x", "y", "z"))
     x, y, z = R.gens
     for make in (lambda: x**20000 * y**20000,
-                 lambda: buchberger([x**20000 + z, y**20000 + z]),
+                 lambda: reduced_groebner([x**20000 + z, y**20000 + z]),
                  lambda: syzygies([(x**20000, z), (y**20000, z)])):
         with pytest.raises(ValueError, match="exceeds the bound"):
             make()

@@ -25,9 +25,9 @@ from residua import corpus, groebner, ideals
 from residua.corpus import generate_instance
 from residua.ideals import NonHomogeneousError
 from residua.fitting import minors
-from residua.groebner import ResourceLimitError, set_step_limit
+from residua.groebner import GroebnerBasis, ResourceLimitError, _divisor, set_step_limit
 
-from conftest import parse_ideal, random_homogeneous, seeded_rng
+from conftest import in_kernel_ring, parse_ideal, polynomials, random_homogeneous, seeded_rng
 from oracles import (
     monomial_colon,
     monomial_intersect,
@@ -148,12 +148,34 @@ def test_colon_and_intersect_match_the_syzygy_path(family, seed, field, monkeypa
                 assert meet == reference_intersect(I, J).groebner().elements
 
 
+@given(in_kernel_ring(lambda ring: [
+    st.lists(polynomials(ring, max_degree=2, max_terms=3), min_size=1, max_size=3),
+    st.lists(polynomials(ring, max_degree=2, max_terms=3).filter(lambda f: not f.is_zero()),
+             min_size=1, max_size=2),
+]))
+def test_colon_and_intersect_hand_over_their_reduced_basis(case):
+    # the basis that comes with the result is the one its generators give,
+    # with the divisors of its elements; only a zero intersection, found
+    # without a run, comes without one
+    ring, a_gens, i_gens = case
+    a, I = Ideal(ring, a_gens), Ideal(ring, i_gens)
+    for result in (colon(a, I), intersect(a, I)):
+        assert result._gb is not None or not result.generators
+        gb = result.groebner()
+        assert gb.elements == result.generators
+        assert gb.elements == Ideal(ring, result.generators).groebner().elements
+        assert gb.divisors == [_divisor(ring.field, g.terms) for g in gb]
+
+
 def test_colon_and_intersect_check_every_generator(R3, monkeypatch):
+    # the last generator handed over, 1, is in neither a : I nor I ∩ J
     a, I = _hb2_pair(R3)
     last_coordinates = ideals.last_coordinates
 
     def with_a_non_member(basis, rows):
-        return last_coordinates(basis, rows) + [R3.one]
+        gb = last_coordinates(basis, rows)
+        return GroebnerBasis(R3, gb.elements + (R3.one,),
+                             gb.divisors + [_divisor(R3.field, R3.one.terms)])
 
     monkeypatch.setattr(ideals, "last_coordinates", with_a_non_member)
     with pytest.raises(RuntimeError, match="colon"):
@@ -174,8 +196,11 @@ def test_colon_is_one_module_run(R3, monkeypatch):
         return engine(ring, G, divisors, new, product_criterion)
 
     monkeypatch.setattr(groebner, "_groebner", counted)
-    colon(a, I)
+    J = colon(a, I)
     assert len(I.generators) == 3 and runs == ["module"]
+    # the colon comes with its reduced basis
+    J.groebner()
+    assert runs == ["module"]
     colon(Ideal(R3, a.generators), I)
     assert runs == ["module"]
 

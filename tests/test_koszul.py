@@ -5,6 +5,7 @@ import weakref
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, strategies as st
 
 from residua import (
@@ -49,6 +50,16 @@ def test_wedge_associativity(R3):
     lhs = wedge(wedge(u, v), w)
     rhs = wedge(u, wedge(v, w))
     assert (lhs + (-rhs)).is_zero()
+
+
+def test_exterior_keys_are_increasing_subsets_of_the_rank(R2):
+    # a repeated index or one outside 1..n is no basis element of rank n;
+    # accepted, the second made e_1 ^ e_5 = e_15 in rank 2
+    x = R2.gens[0]
+    for key in ((1, 1), (5,), (0,), (2, 1)):
+        with pytest.raises(ValueError, match="bad subset key"):
+            ExteriorElement(R2, 2, len(key), {key: x})
+    assert ExteriorElement(R2, 2, 2, {(1, 2): x}).coefficient((1, 2)) == x
 
 
 def test_wedge_keeps_first_occurrence_order(R2):
