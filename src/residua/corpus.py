@@ -13,7 +13,7 @@ from itertools import product as iter_product
 
 from .field import FieldSpec, DEFAULT_PRIME
 from .ring import PolyRing, Polynomial
-from .ideals import Ideal, height, ideal_equal, min_gens, mu
+from .ideals import Ideal, colon, height, min_gens, mu
 from .fitting import minors
 from .residual import (
     GenericityError,
@@ -25,7 +25,6 @@ from .residual import (
 
 FAMILIES = ("ci", "hb2", "aci", "power")
 MAX_VARS = 6
-MAX_DEGREE = 3
 MAX_DRAWS = 25  # draws generate_instance makes before it gives up
 
 
@@ -157,9 +156,11 @@ def generate_instance(family: str, seed: int) -> ResidualInstance:
             a_gens = generic_generators(I, s, seed=sub_seed, degree=degree)
         except GenericityError:
             continue
-        if ideal_equal(Ideal(I.ring, a_gens), I):
-            continue
+        # a lies in I, so a = I exactly when a : I is the unit ideal; the
+        # height ladder has already computed that colon on I
         a = Ideal(I.ring, a_gens)
+        if colon(a, I).is_unit():
+            continue
         if not is_residual(a, I, s):
             continue
         return ResidualInstance(

@@ -107,9 +107,6 @@ class FieldSpec:
             return pow(a, -1, self.characteristic)
         return 1 / a
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     # -- integer coefficients ------------------------------------------------
     # (on (key, coefficient) pairs, whatever the keys are: monomials or
     # module terms)

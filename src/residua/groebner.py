@@ -344,14 +344,6 @@ def normal_form(f: Polynomial, G) -> Polynomial:
     return Polynomial(ring, _reduce(ring, _dividend(ring, f.terms), divisors))
 
 
-def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
-    F = f.ring.field
-    lcm = f.ring.lcm(f.lm(), g.lm())
-    a = f.mul_term(lcm - f.lm(), F.inv(f.lc()))
-    b = g.mul_term(lcm - g.lm(), F.inv(g.lc()))
-    return a - b
-
-
 # ---------------------------------------------------------------------------
 # free modules
 # ---------------------------------------------------------------------------
@@ -448,17 +440,6 @@ def syzygies(gens) -> list:
     return AugmentedBasis(gens).syzygies()
 
 
-def ideal_syzygies(polys) -> list:
-    """Syzygies of a polynomial sequence, viewed in a rank-1 free module."""
-    return syzygies((p,) for p in polys)
-
-
-def express_in_terms(polys, gens) -> list:
-    """One coefficient list c per f in polys, with f = sum(c_i * gens_i);
-    raises NotAMemberError."""
-    return AugmentedBasis((g,) for g in gens).express(polys)
-
-
 def _moved(terms, s) -> tuple:
     """The canonical terms with s added to each term: s = -i·2^K moves them
     i positions on, and i·2^K moves them back."""
@@ -488,15 +469,6 @@ def last_coordinates(basis: GroebnerBasis, rows) -> GroebnerBasis:
     return _reduced(ring, [_moved(G[i], s) for i in last],
                     [(lead + s, lc, _moved(tail, s))
                      for lead, lc, tail in (divisors[i] for i in last)])
-
-
-def module_member(elem, gens) -> bool:
-    """Membership of elem in the submodule generated by gens, all of them
-    tuples of polynomials of one rank."""
-    ring = elem[0].ring
-    divisors = []
-    _groebner(ring, [], divisors, [_terms(g) for g in gens])
-    return not _reduce(ring, _dividend(ring, _terms(elem)), divisors)
 
 
 def minimal_subset(elems, weights, span=()) -> list:

@@ -120,8 +120,15 @@ class Ideal:
 # ---------------------------------------------------------------------------
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
+    """I + J, generated by the generators of I followed by those of J; when
+    one side has no generators the sum is the other side itself, with
+    whatever it has cached."""
     if I.ring != J.ring:
         raise RingMismatchError("ideal_sum across rings")
+    if not I.generators:
+        return J
+    if not J.generators:
+        return I
     return Ideal(I.ring, I.generators + J.generators)
 
 

@@ -49,10 +49,6 @@ class ExteriorElement:
     def scalar(cls, ring, n, poly: Polynomial):
         return cls(ring, n, 0, {(): poly})
 
-    @classmethod
-    def basis_vector(cls, ring, n, subset):
-        return cls(ring, n, len(subset), {tuple(subset): ring.one})
-
     def is_zero(self):
         return not self.coeffs
 
@@ -116,10 +112,6 @@ class ExteriorElement:
         return " + ".join(parts)
 
 
-def wedge(u: ExteriorElement, v: ExteriorElement) -> ExteriorElement:
-    return u.wedge(v)
-
-
 # ---------------------------------------------------------------------------
 # the complex
 # ---------------------------------------------------------------------------
@@ -163,7 +155,7 @@ class KoszulComplex:
 
 # cycle_gens: i -> list of ExteriorElement generating Z_i;
 # lifts: i -> trimmed cycle generators representing H_i
-HomologyData = namedtuple("HomologyData", "complex cycle_gens lifts")
+HomologyData = namedtuple("HomologyData", "cycle_gens lifts")
 
 
 def homology_lifts(K: KoszulComplex) -> HomologyData:
@@ -183,7 +175,7 @@ def homology_lifts(K: KoszulComplex) -> HomologyData:
         span = [e.to_module_element(basis) for e in K.boundary_elements(i)]
         lifts[i] = [ExteriorElement(K.ring, n, i, dict(zip(basis, v)))
                     for v in minimal_subset(z, shifts, span)]
-    return HomologyData(K, cycles, lifts)
+    return HomologyData(cycles, lifts)
 
 
 # ---------------------------------------------------------------------------

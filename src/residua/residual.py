@@ -40,28 +40,7 @@ class HypothesisError(ValueError):
     """A computed hypothesis of the requested theorem fails."""
 
 
-class _Record:
-    """Value semantics for a slotted class: equal when every slot is, a
-    repr that lists them, and unhashable (the records are mutable)."""
-
-    __slots__ = ()
-
-    def _values(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"{type(self).__name__}(" + ", ".join(
-            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values())) + ")"
-
-
-class ResidualInstance(_Record):
+class ResidualInstance:
     """An instance: the ideal I of `ring`, the generators `a_gens` of a, and s."""
 
     __slots__ = ("ring", "I", "a_gens", "s", "seed", "family_tag")
@@ -86,20 +65,20 @@ class ResidualInstance(_Record):
         }
 
 
-class VerificationReport(_Record):
+class VerificationReport:
     """The outcome of `verify`; `verdict` is equal, lhs-strictly-larger or
     incomparable."""
 
     __slots__ = ("instance", "theorem_id", "lhs_gb", "rhs_gb", "verdict",
-                 "hypothesis_checks", "rhs_contained_in_lhs", "seed", "timing")
+                 "hypothesis_checks", "seed", "timing")
 
     def __init__(self, instance: dict, theorem_id: str, lhs_gb: list, rhs_gb: list,
-                 verdict: str, hypothesis_checks: list = None,
-                 rhs_contained_in_lhs: bool = False, seed: int = 0, timing: float = 0.0):
+                 verdict: str, hypothesis_checks: list = None, seed: int = 0,
+                 timing: float = 0.0):
         self.instance, self.theorem_id = instance, theorem_id
         self.lhs_gb, self.rhs_gb, self.verdict = lhs_gb, rhs_gb, verdict
         self.hypothesis_checks = [] if hypothesis_checks is None else hypothesis_checks
-        self.rhs_contained_in_lhs, self.seed, self.timing = rhs_contained_in_lhs, seed, timing
+        self.seed, self.timing = seed, timing
 
     def to_dict(self) -> dict:
         return {
@@ -111,7 +90,6 @@ class VerificationReport(_Record):
             "hypotheses": [
                 {"name": name, "status": status} for name, status in self.hypothesis_checks
             ],
-            "rhs_contained_in_lhs": self.rhs_contained_in_lhs,
             "seed": self.seed,
             "timing_seconds": round(self.timing, 4),
         }
@@ -364,10 +342,9 @@ def verify(theorem_id: str, inst: ResidualInstance) -> VerificationReport:
     rhs = _rhs_for(theorem_id, inst)
     lhs_gb = lhs.groebner().elements
     rhs_gb = rhs.groebner().elements
-    rhs_in_lhs = all(lhs.contains(p) for p in rhs.generators)
     if lhs_gb == rhs_gb:
         verdict = "equal"
-    elif rhs_in_lhs:
+    elif lhs.contains_ideal(rhs):
         verdict = "lhs-strictly-larger"
     else:
         verdict = "incomparable"
@@ -378,7 +355,6 @@ def verify(theorem_id: str, inst: ResidualInstance) -> VerificationReport:
         rhs_gb=[str(p) for p in rhs_gb],
         verdict=verdict,
         hypothesis_checks=checks,
-        rhs_contained_in_lhs=rhs_in_lhs,
         seed=inst.seed,
         timing=time.monotonic() - start,
     )

@@ -7,7 +7,9 @@ from itertools import product
 import pytest
 from hypothesis import settings, strategies as st
 
-from residua import GF32003, RATIONALS, FieldSpec, Ideal, MonomialOrder, PolyRing
+from residua.field import GF32003, RATIONALS, FieldSpec
+from residua.ideals import Ideal
+from residua.ring import MonomialOrder, PolyRing
 
 settings.register_profile("suite", max_examples=25, deadline=None)
 settings.load_profile("suite")

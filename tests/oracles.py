@@ -9,11 +9,13 @@ Koszul homology dimensions from ranks of truncated differential matrices.
 Division and products over QQ have plain-Fraction references on dicts
 (`fraction_remainder`, `fraction_product`); exterior products and
 determinants have term-by-term references (`reference_wedge`, the
-pairwise loop, and `reference_det`, the Leibniz sum over permutations).  Two exceptions use the
-engine's module computations by another route
-than the code under test: the syzygy references for colon and
-intersection, and the graded-Nakayama reference at the end, which uses
-the engine only through its module membership test.
+pairwise loop, and `reference_det`, the Leibniz sum over permutations).
+`spoly` is the S-polynomial by its definition, for checking that a
+basis is a Gröbner basis.  Two exceptions use the engine's module
+computations by another route than the code under test: the syzygy
+references for colon and intersection, and the graded-Nakayama reference
+at the end, which uses the engine only through `module_member`, one
+Gröbner basis of the submodule computed from scratch per test.
 
 The oracles work on exponent tuples, ordered by the flat tuple keys
 below (`tuple_key`), and meet the packed monomials of the code under test
@@ -26,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product as iter_product
 
-from residua.groebner import ideal_syzygies, module_member
+from residua.groebner import _dividend, _groebner, _reduce, _terms, syzygies
 from residua.ideals import Ideal
 
 
@@ -336,7 +338,7 @@ def reference_intersect(I, J):
     if not f or not g:
         return Ideal(I.ring, ())
     meet = (sum((c * h for c, h in zip(syz, f)), I.ring.zero)
-            for syz in ideal_syzygies(f + g))
+            for syz in syzygies((h,) for h in f + g))
     return Ideal(I.ring, [h for h in meet if not h.is_zero()])
 
 
@@ -346,7 +348,7 @@ def reference_colon(a, I):
     a_gens = [g for g in a.generators if not g.is_zero()]
     result = None
     for f in (g for g in I.generators if not g.is_zero()):
-        firsts = (syz[0] for syz in ideal_syzygies([f] + a_gens))
+        firsts = (syz[0] for syz in syzygies((h,) for h in [f] + a_gens))
         piece = Ideal(a.ring, [c for c in firsts if not c.is_zero()])
         result = piece if result is None else reference_intersect(result, piece)
     return result
@@ -461,8 +463,29 @@ def koszul_homology_dim(K, i, degree):
 
 
 # ---------------------------------------------------------------------------
-# graded Nakayama by one membership test per candidate
+# S-polynomials, module membership, and graded Nakayama by one membership
+# test per candidate
 # ---------------------------------------------------------------------------
+
+def spoly(f, g):
+    """The S-polynomial of f and g: the monic multiples of both at the lcm
+    of their leads, subtracted."""
+    F = f.ring.field
+    lcm = f.ring.lcm(f.lm(), g.lm())
+    a = f.mul_term(lcm - f.lm(), F.inv(f.lc()))
+    b = g.mul_term(lcm - g.lm(), F.inv(g.lc()))
+    return a - b
+
+
+def module_member(elem, gens) -> bool:
+    """Membership of elem in the submodule generated by gens, all of them
+    tuples of polynomials of one rank: the remainder of elem on division
+    by a Gröbner basis of gens, computed from scratch, is zero."""
+    ring = elem[0].ring
+    divisors = []
+    _groebner(ring, [], divisors, [_terms(g) for g in gens])
+    return not _reduce(ring, _dividend(ring, _terms(elem)), divisors)
+
 
 def reference_minimal_subset(elems, weights, span=()):
     """What `groebner.minimal_subset` keeps, by its definition: in order of

@@ -9,27 +9,19 @@ from itertools import product
 
 import pytest
 
-from residua import (
-    GF32003,
-    Ideal,
-    KoszulComplex,
-    PolyRing,
+from residua.corpus import _DRAW, generate_corpus
+from residua.field import GF32003
+from residua.fitting import fitt0_quotient
+from residua.ideals import Ideal, colon, height, ideal_equal, min_gens, mu
+from residua.koszul import KoszulComplex, fitt0_via_Z1, homology_lifts, kitt, kitt_via_cycles
+from residua.residual import (
+    GenericityError,
     ResidualInstance,
-    colon,
-    fitt0_quotient,
-    fitt0_via_Z1,
     generic_generators,
-    height,
-    homology_lifts,
-    ideal_equal,
-    kitt,
-    kitt_via_cycles,
-    min_gens,
-    mu,
+    is_tautological,
     verify,
 )
-from residua.corpus import _DRAW, generate_corpus
-from residua.residual import GenericityError, is_tautological
+from residua.ring import PolyRing
 
 from conftest import parse_ideal, seeded_rng
 from oracles import oracle_member

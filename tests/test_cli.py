@@ -2,6 +2,7 @@
 deterministic corpus output."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,11 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from residua import GF32003, RATIONALS, PolyRing, __version__, reduced_groebner
+from residua import __version__
 from residua.cli import main
 from residua.corpus import generate_instance
+from residua.field import GF32003, RATIONALS
 from residua.instances import format_instance
-from residua.groebner import ResourceLimitError, set_step_limit
+from residua.groebner import ResourceLimitError, reduced_groebner, set_step_limit
+from residua.ring import PolyRing
 
 INSTANCE = """\
 field = GF(32003)
@@ -215,6 +218,30 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_import_loads_the_kernel_but_not_the_cli():
+    # perfbench's tracer wraps the functions of the residua modules loaded
+    # when it installs, after `import residua`; the package must not load
+    # residua.cli, or `python -m residua.cli` would run that module twice
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("tracer", root / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = ("import json, sys, residua; "
+            "print(json.dumps(sorted(n for n in sys.modules if n.startswith('residua.'))))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    kernel = {f"residua.{m}" for m in ("ring", "field", *tracer.WRAPPED_MODULES) if m != "cli"}
+    assert kernel <= loaded
+    assert "residua.cli" not in loaded
+    cmd = [sys.executable, "-W", "error", "-m", "residua.cli", "corpus", "power", "1"]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("field = ")
 
 
 @pytest.mark.parametrize("field", ["GF(0)", "p0", "p00"])

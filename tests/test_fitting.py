@@ -8,22 +8,20 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from residua import (
-    Ideal,
-    KoszulComplex,
+from residua import groebner
+from residua.corpus import FAMILIES, generate_instance
+from residua.fitting import (
+    NotASubidealError,
+    _syzygy_rows,
+    check_Gs,
     fitt0_quotient,
-    fitt0_via_Z1,
-    homology_lifts,
-    kitt,
-    kitt_via_cycles,
+    fitting_ideal,
     minors,
     presentation_of_quotient,
 )
-from residua import groebner
-from residua.corpus import FAMILIES, generate_instance
-from residua.fitting import NotASubidealError, _syzygy_rows, check_Gs, fitting_ideal
-from residua.groebner import AugmentedBasis, ideal_syzygies, set_step_limit
+from residua.groebner import AugmentedBasis, set_step_limit, syzygies
 from residua.ideals import (
+    Ideal,
     NonHomogeneousError,
     colon,
     height,
@@ -32,6 +30,7 @@ from residua.ideals import (
     min_gens,
     mu,
 )
+from residua.koszul import KoszulComplex, fitt0_via_Z1, homology_lifts, kitt, kitt_via_cycles
 
 from conftest import (
     parse_ideal,
@@ -209,7 +208,7 @@ def test_minimal_syzygy_count_of_maximal_minors(R3, m):
 def test_fitting_ideals_match_the_unpruned_syzygy_matrix(family, seed):
     I = generate_instance(family, seed).I
     x = min_gens(I)
-    syz = ideal_syzygies(x)
+    syz = syzygies([(g,) for g in x])
     rows = [[z[i] for z in syz] for i in range(len(x))]
     for j in range(len(x) + 1):
         assert ideal_equal(fitting_ideal(I, j), minors(I.ring, rows, len(x) - j))

@@ -6,12 +6,12 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, strategies as st
 
-from residua import (
-    GF32003,
-    RATIONALS,
+from residua import corpus, groebner, ideals
+from residua.corpus import generate_instance
+from residua.field import GF32003, RATIONALS
+from residua.ideals import (
     Ideal,
-    PolyRing,
-    check_Gs,
+    NonHomogeneousError,
     colon,
     dimension,
     height,
@@ -21,11 +21,9 @@ from residua import (
     min_gens,
     mu,
 )
-from residua import corpus, groebner, ideals
-from residua.corpus import generate_instance
-from residua.ideals import NonHomogeneousError
-from residua.fitting import minors
+from residua.fitting import check_Gs, minors
 from residua.groebner import GroebnerBasis, ResourceLimitError, _divisor, set_step_limit
+from residua.ring import PolyRing
 
 from conftest import in_kernel_ring, parse_ideal, polynomials, random_homogeneous, seeded_rng
 from oracles import (

@@ -1,30 +1,27 @@
 """Generic-element selection, residual predicates, the RHS formula, and the
 verification harness."""
 
+from collections import Counter
+
 import pytest
 
-from residua import (
-    Ideal,
-    ResidualInstance,
-    colon,
-    generic_generators,
-    height,
-    ideal_equal,
-    is_geometric,
-    is_residual,
-    links_in_formula,
-    mu,
-    rhs_formula,
-    verify,
-)
+from residua import groebner
 from residua.corpus import generate_corpus, generate_instance
+from residua.ideals import Ideal, colon, height, ideal_equal, mu
 from residua.instances import format_instance, parse_instance
 from residua.residual import (
     THEOREM_IDS,
     GenericityError,
     HypothesisError,
+    ResidualInstance,
+    generic_generators,
     height_ladder_ok,
+    is_geometric,
+    is_residual,
     is_tautological,
+    links_in_formula,
+    rhs_formula,
+    verify,
 )
 
 from conftest import parse_ideal
@@ -132,6 +129,27 @@ def test_verify_cor31(R2):
     d = report.to_dict()
     assert d["verdict"] == "equal"
     assert {"name", "status"} <= set(d["hypotheses"][0])
+
+
+def test_no_engine_run_repeats_its_input(monkeypatch):
+    # every Gröbner run that starts from an empty basis, keyed by its input
+    # term tuples, runs once over one generation and one verify: a = I is
+    # rejected on the colon a : I that the height ladder has memoized, and
+    # at j = 0 check_Gs reads the height of I itself, since Fitt_0(I) has no
+    # generators and the sum with no generators on one side is the other
+    runs = Counter()
+    engine = groebner._groebner
+
+    def counting(ring, G, divisors, new, product_criterion=False):
+        new = list(new)
+        if not G and new:
+            runs[ring, tuple(new), product_criterion] += 1
+        return engine(ring, G, divisors, new, product_criterion)
+
+    monkeypatch.setattr(groebner, "_groebner", counting)
+    verify("thm25", generate_instance("hb2", 3))
+    assert runs
+    assert [key for key, count in runs.items() if count > 1] == []
 
 
 def test_verify_rejects_failed_computed_hypothesis(R2):

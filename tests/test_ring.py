@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from residua import GF32003, RATIONALS, FieldSpec, MonomialOrder, PolyRing
-from residua.ring import MAX_DEGREE, ParseError, sum_of_products
+from residua.field import GF32003, RATIONALS, FieldSpec
+from residua.ring import MAX_DEGREE, MonomialOrder, ParseError, PolyRing, sum_of_products
 
 from conftest import (
     KERNEL_RINGS,

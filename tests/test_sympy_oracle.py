@@ -10,15 +10,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from residua import (
-    GF32003,
-    RATIONALS,
-    FieldSpec,
-    MonomialOrder,
-    PolyRing,
-    reduced_groebner,
-    set_step_limit,
-)
+from residua.field import GF32003, RATIONALS, FieldSpec
+from residua.groebner import reduced_groebner, set_step_limit
+from residua.ring import MonomialOrder, PolyRing
 
 from conftest import large_fractions, polynomials
 from oracles import from_exponents, tuple_key
