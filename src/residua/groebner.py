@@ -23,9 +23,10 @@ and is reduced by the basis of the moment when it is popped: a nonzero
 remainder joins the basis, monic, with its pairs, and a zero one is
 dropped before it makes any.  So a redundant input generator costs one
 division and no S-pair, and a basis grows from what is new instead of
-being rebuilt: `minimal_subset` keeps one basis of its span,
-`AugmentedBasis` serves both the syzygies of a sequence and the
-expression of elements in terms of it, and `last_coordinates` eliminates
+being rebuilt: `minimal_subset` extends one basis of its span,
+`AugmentedBasis` serves the syzygies of a sequence, the expression of
+elements in terms of it and a Gröbner basis of the submodule it
+generates, and `last_coordinates` eliminates
 all but the last position of a free module in one run: the basis of an
 ideal copied to each of the first k positions is already a Gröbner basis
 of theirs (its divisors are the ideal basis's, shifted), so only the
@@ -381,8 +382,9 @@ class AugmentedBasis:
     """The Gröbner basis of the elements gens_i + e_(rank + i) of a sequence
     gens of free-module elements, each a tuple of rank polynomials, with
     its divisors.  Its elements led past rank are the syzygies of gens,
-    and a remainder past rank expresses an element of the submodule in
-    terms of gens."""
+    the others, cut at rank, a Gröbner basis of the submodule that gens
+    generate, and a remainder past rank expresses an element of that
+    submodule in terms of gens."""
 
     __slots__ = ("ring", "rank", "gens", "basis", "divisors")
 
@@ -417,6 +419,20 @@ class AugmentedBasis:
             out.append(s)
         return out
 
+    def image(self) -> tuple:
+        """A Gröbner basis of the submodule that gens generate, as (monic
+        canonical term tuples, their divisors): the elements led below rank,
+        with their terms past rank dropped.  Smaller positions win, so an
+        element v = sum(c_i * gens_i) of the submodule, tagged as
+        v + sum(c_i * e_(rank + i)), keeps the lead of v, which the lead of
+        some element led below rank divides; and each of those elements,
+        cut, lies in the submodule."""
+        ring, rank = self.ring, self.rank
+        shift = ring.position_shift
+        G = [tuple((t, c) for t, c in e if -(t >> shift) < rank)
+             for e in self.basis if -(e[0][0] >> shift) < rank]
+        return G, [_divisor(ring.field, g) for g in G]
+
     def express(self, polys) -> list:
         """For rank-one gens (g_i): one coefficient list c per f in polys,
         with f = sum(c_i * g_i); raises NotAMemberError."""
@@ -433,11 +449,6 @@ class AugmentedBasis:
                 raise RuntimeError("internal: expression identity violated")
             out.append(list(coeffs))
         return out
-
-
-def syzygies(gens) -> list:
-    """Generators of the syzygy module of a sequence of free-module elements."""
-    return AugmentedBasis(gens).syzygies()
 
 
 def _moved(terms, s) -> tuple:
@@ -471,15 +482,17 @@ def last_coordinates(basis: GroebnerBasis, rows) -> GroebnerBasis:
                      for lead, lc, tail in (divisors[i] for i in last)])
 
 
-def minimal_subset(elems, weights, span=()) -> list:
+def minimal_subset(elems, weights, span=((), ())) -> list:
     """The elements of `elems` kept by graded Nakayama: taken in order of
     shifted degree max(deg c_i + weights[i]) over their nonzero components
     c_i, ties by input position, each is kept unless it lies in the
-    submodule generated by `span` and the elements kept before it.  For
-    homogeneous elements the kept ones, with `span`, minimally generate
-    the submodule that `span` and `elems` generate.  One Gröbner basis of
-    that submodule, with its divisors, is extended by each candidate in
-    turn; a candidate is kept when the basis grows."""
+    submodule generated by the span and the elements kept before it.
+    `span` is a Gröbner basis of the span, (monic canonical term tuples,
+    their divisors) as `AugmentedBasis.image` gives it; the default is the
+    zero module.  For homogeneous elements the kept ones, with the span,
+    minimally generate the submodule that the span and `elems` generate.
+    A copy of `span` is extended by each candidate in turn; a candidate is
+    kept when the basis grows."""
     def shifted_degree(elem):
         return max((c.total_degree() + w for c, w in zip(elem, weights)
                     if not c.is_zero()), default=-1)
@@ -488,8 +501,7 @@ def minimal_subset(elems, weights, span=()) -> list:
     if not elems:
         return []
     ring = elems[0][0].ring
-    G, divisors = [], []
-    _groebner(ring, G, divisors, [_terms(s) for s in span])
+    G, divisors = list(span[0]), list(span[1])
     kept = []
     for elem in sorted(elems, key=shifted_degree):
         size = len(G)

@@ -18,12 +18,14 @@ the definition before it is returned.
 An `Ideal` caches the work that depends only on it: its reduced Gröbner
 basis, `min_gens(I)`, `height(I)`, the augmented basis of `min_gens(I)`
 (`augmented_basis`, which serves its syzygies and the expression of
-elements of I in terms of it); filled in by `fitting`, the minimal
+elements of I in terms of it, and is d_1's in the Koszul homology of
+`min_gens(I)`); filled in by `fitting`, the minimal
 syzygies of `min_gens(I)` and `height(Fitt_j(I) + I)` per j; and, keyed
 by the exact generator tuple of `a`, every colon `a : I` computed with it
-as the divisor and, filled in by `fitting.expressions`, the nonzero
+as the divisor; filled in by `fitting.expressions`, the nonzero
 generators of `a` with their expressions in `min_gens(I)`, which the
-presentation of I/a and the zetas of the Kitt routes both read.  The
+presentation of I/a and the zetas of the Kitt routes both read; and,
+filled in by `koszul`, the Gamma monomials of those zetas by degree.  The
 caches live on the ideal and die with it; nothing is cached at module
 level.  An entry is stored only once its computation has returned, and
 nothing assigns `ring` or `generators` after construction, so a cached
@@ -55,7 +57,7 @@ class Ideal:
     unhashable."""
 
     __slots__ = ("ring", "generators", "_gb", "_min_gens", "_height", "_augmented",
-                 "_syzygies", "_fitting_heights", "_colons", "_zetas")
+                 "_syzygies", "_fitting_heights", "_colons", "_zetas", "_gammas")
 
     def __init__(self, ring: PolyRing, generators):
         self.ring = ring
@@ -75,6 +77,7 @@ class Ideal:
         self._fitting_heights = {}
         self._colons = {}
         self._zetas = {}
+        self._gammas = {}
 
     def __eq__(self, other):
         if not isinstance(other, Ideal):

@@ -1,13 +1,20 @@
 """Koszul complexes: exterior algebra elements, differentials, cycle and
 homology generators with lifts, and the Kitt ideal via both of its
-constructions (homology lifts, and products of cycles with the Gamma
-subalgebra generated by the zeta elements of a).
+constructions (homology lifts, and cycles with the Gamma subalgebra
+generated by the zeta elements of a).
 
+Each object is computed once.  The augmented basis of each differential
+d_i serves twice: its syzygies generate Z_i, and its elements led below
+its rank, cut there, are a Gröbner basis of the boundaries B_(i-1), from
+which the lifts at degree i - 1 are picked.  The columns of d_1 are
+min_gens(I), so d_1's augmented basis is I's own (`ideals.augmented_basis`),
+shared in whichever order the homology and I's basis are first asked for.
 Each coefficient of an exterior product is one `ring.sum_of_products`
 over the signed pairs of coefficients that meet in it.  The zetas of
 (a, I) depend only on the generators of a and on I, so all three Kitt
 routes, and the presentation of I/a in `fitting`, share their
-coefficient lists through a cache on I (`fitting.expressions`)."""
+coefficient lists through a cache on I (`fitting.expressions`), and the
+routes share the Gamma monomials of the zetas through another."""
 
 from __future__ import annotations
 
@@ -15,8 +22,8 @@ from collections import namedtuple
 from itertools import combinations
 
 from .ring import Polynomial, PolyRing
-from .groebner import minimal_subset, syzygies
-from .ideals import Ideal, min_gens
+from .groebner import AugmentedBasis, minimal_subset
+from .ideals import Ideal, augmented_basis, min_gens
 from .fitting import expressions
 
 
@@ -148,14 +155,12 @@ class KoszulComplex:
             cols.append(img.to_module_element(rows))
         return cols
 
-    def boundary_elements(self, i: int):
-        """Generators of B_i, i.e. d(e_S) for |S| = i+1 (empty for i = n)."""
-        return [self.differential_image(S) for S in self.basis(i + 1)]
-
 
 # cycle_gens: i -> list of ExteriorElement generating Z_i;
-# lifts: i -> trimmed cycle generators representing H_i
-HomologyData = namedtuple("HomologyData", "cycle_gens lifts")
+# lifts: i -> trimmed cycle generators representing H_i;
+# d1: the augmented basis of d_1, whose columns are the generators again
+# (None when there are none)
+HomologyData = namedtuple("HomologyData", "cycle_gens lifts d1")
 
 
 def homology_lifts(K: KoszulComplex) -> HomologyData:
@@ -163,39 +168,33 @@ def homology_lifts(K: KoszulComplex) -> HomologyData:
     `minimal_subset` keeps with the boundaries as span and e_S weighted by
     the sum of deg x_j over j in S, so that their classes minimally
     generate the homology (ties by input order)."""
+    return _homology(K, AugmentedBasis(K.differential_columns(1)) if K.n else None)
+
+
+def _homology(K: KoszulComplex, d1) -> HomologyData:
+    """`homology_lifts`, given the augmented basis d1 of d_1 (None when
+    n = 0).  The augmented basis of each d_i serves twice: its syzygies
+    generate Z_i, and cut at its rank it is the Gröbner basis of
+    B_(i-1) = im d_i that `minimal_subset` starts from at degree i - 1."""
     n = K.n
     one = ExteriorElement.scalar(K.ring, n, K.ring.one)
     cycles, lifts = {0: [one]}, {0: [one]}
+    bases = [None, d1] + [AugmentedBasis(K.differential_columns(i)) for i in range(2, n + 1)]
     gd = [g.total_degree() for g in K.gens]
     for i in range(1, n + 1):
         basis = K.basis(i)
-        z = syzygies(K.differential_columns(i))
+        z = bases[i].syzygies()
         cycles[i] = [ExteriorElement(K.ring, n, i, dict(zip(basis, s))) for s in z]
         shifts = [sum(gd[j - 1] for j in S) for S in basis]
-        span = [e.to_module_element(basis) for e in K.boundary_elements(i)]
+        span = bases[i + 1].image() if i < n else ((), ())
         lifts[i] = [ExteriorElement(K.ring, n, i, dict(zip(basis, v)))
                     for v in minimal_subset(z, shifts, span)]
-    return HomologyData(cycles, lifts)
+    return HomologyData(cycles, lifts, d1)
 
 
 # ---------------------------------------------------------------------------
 # the Kitt ideal
 # ---------------------------------------------------------------------------
-
-def _setup(a: Ideal, I: Ideal):
-    """The Koszul complex on min_gens(I), the nonzero generators of a and
-    their zetas: the degree-one elements sum_i c_i e_i with a_j = sum_i c_i x_i.
-    The coefficient lists c are those `fitting.expressions` keeps on I;
-    the complex and the zetas are rebuilt on each call.  `min_gens` raises
-    NonHomogeneousError unless I is homogeneous."""
-    x = min_gens(I)
-    a_gens, coeffs = expressions(I, a)
-    zetas = tuple(
-        ExteriorElement(I.ring, len(c), 1, {(i + 1,): ci for i, ci in enumerate(c)})
-        for c in coeffs
-    )
-    return KoszulComplex(I.ring, x), a_gens, zetas
-
 
 def _wedges(ring, n, elems, count):
     """The nonzero wedge products of `count` of the degree-one elements
@@ -215,11 +214,40 @@ def _wedges(ring, n, elems, count):
     return out
 
 
-def _top_coefficients(ring, n, zetas, elems) -> list:
+def _setup(a: Ideal, I: Ideal, homology):
+    """(n, the nonzero generators of a, the Gamma monomials, the homology)
+    for x = min_gens(I) and n = len(x).  The Gamma monomials, by degree
+    0..min(s, n), are the wedge products of the zetas: the degree-one
+    elements sum_i c_i e_i with a_j = sum_i c_i x_i, for the coefficient
+    lists c that `fitting.expressions` keeps on I.  They are kept on I next
+    to them, keyed by the generator tuple of a, once they have returned.
+    A given homology whose d_1 was built on x lends I its augmented basis
+    when I has none; without one, the homology of K(x) is computed from
+    I's augmented basis, on a complex that dies with the call.  `min_gens`
+    raises NonHomogeneousError unless I is homogeneous."""
+    x = min_gens(I)
+    n = len(x)
+    if (homology is not None and I._augmented is None and homology.d1 is not None
+            and [g for (g,) in homology.d1.gens] == x):
+        I._augmented = homology.d1
+    a_gens, coeffs = expressions(I, a)
+    gammas = I._gammas.get(a.generators)
+    if gammas is None:
+        zetas = tuple(
+            ExteriorElement(I.ring, n, 1, {(i + 1,): ci for i, ci in enumerate(c)})
+            for c in coeffs
+        )
+        gammas = {d: _wedges(I.ring, n, zetas, d) for d in range(min(len(zetas), n) + 1)}
+        I._gammas[a.generators] = gammas
+    if homology is None:
+        homology = _homology(KoszulComplex(I.ring, x), augmented_basis(I))
+    return n, a_gens, gammas, homology
+
+
+def _top_coefficients(n, gammas, elems) -> list:
     """The nonzero e_1..e_n coefficients of gamma ^ z, for each z of elems in
     order and each Gamma monomial gamma of the complementary degree n - deg z."""
     full = tuple(range(1, n + 1))
-    gammas = {d: _wedges(ring, n, zetas, d) for d in range(min(len(zetas), n) + 1)}
     out = []
     for z in elems:
         for gamma in gammas.get(n - z.degree, []):
@@ -233,53 +261,28 @@ def kitt(a: Ideal, I: Ideal, homology: HomologyData = None) -> Ideal:
     """The Kitt ideal from homology lifts:
     Kitt * e_top = a * e_top + sum over i of Gamma_{n-i} * H~_i, over all
     lifts (Gamma stops at degree min(s, n), and lifts at n - ht I)."""
-    K, a_gens, zetas = _setup(a, I)
-    H = homology if homology is not None else homology_lifts(K)
+    n, a_gens, gammas, H = _setup(a, I, homology)
     lifts = [h for hs in H.lifts.values() for h in hs]
-    return Ideal(I.ring, list(a_gens) + _top_coefficients(I.ring, K.n, zetas, lifts))
-
-
-def _cycle_products(ring, n, generators, max_degree):
-    """All wedge products (with repetition) of cycle generators with at
-    most n factors and total degree <= max_degree, plus the empty product."""
-    one = ExteriorElement.scalar(ring, n, ring.one)
-    out = [one]
-
-    def extend(start, acc, factors):
-        for k in range(start, len(generators)):
-            z = generators[k]
-            if acc.degree + z.degree > max_degree:
-                continue
-            nxt = acc.wedge(z)
-            if nxt.is_zero():
-                continue
-            out.append(nxt)
-            if factors + 1 < n:
-                extend(k, nxt, factors + 1)
-
-    extend(0, one, 0)
-    return out
+    return Ideal(I.ring, list(a_gens) + _top_coefficients(n, gammas, lifts))
 
 
 def kitt_via_cycles(a: Ideal, I: Ideal, homology: HomologyData = None) -> Ideal:
-    """The Kitt ideal as the degree-n component of Gamma * Z (products of
-    the Gamma subalgebra with the cycle subalgebra)."""
-    K, _a_gens, zetas = _setup(a, I)
-    n = K.n
-    H = homology if homology is not None else homology_lifts(K)
-    z_gens = [z for i in range(1, n + 1) for z in H.cycle_gens[i]]
-    products = _cycle_products(I.ring, n, z_gens, n)
-    return Ideal(I.ring, _top_coefficients(I.ring, n, zetas, products))
+    """The Kitt ideal as the degree-n component of Gamma * Z, which is
+    the sum over i = 0..n of Gamma_(n-i) ^ Z_i.  Z is closed under ^ and
+    the cycle generators of degree i generate Z_i as an R-module, so a
+    product of cycles is an R-combination of the generators of its degree
+    and adds nothing: the generators alone give the whole component."""
+    n, _a_gens, gammas, H = _setup(a, I, homology)
+    cycles = [z for i in range(n + 1) for z in H.cycle_gens[i]]
+    return Ideal(I.ring, _top_coefficients(n, gammas, cycles))
 
 
 def fitt0_via_Z1(a: Ideal, I: Ideal, homology: HomologyData = None) -> Ideal:
     """Degree-n span of Gamma times products of Z_1 generators; equals
     Fitt_0(I/a)."""
-    K, _a_gens, zetas = _setup(a, I)
-    n = K.n
-    H = homology if homology is not None else homology_lifts(K)
+    n, _a_gens, gammas, H = _setup(a, I, homology)
     z1 = H.cycle_gens.get(1, [])
     products = []
     for size in range(min(len(z1), n) + 1):
         products += _wedges(I.ring, n, z1, size)
-    return Ideal(I.ring, _top_coefficients(I.ring, n, zetas, products))
+    return Ideal(I.ring, _top_coefficients(n, gammas, products))

@@ -4,8 +4,10 @@ These deliberately avoid the Gröbner engine: membership and remainders
 come from row-reducing the finite-dimensional space spanned by monomial
 multiples of the generators up to a degree bound, graded pieces of a
 colon from the kernel of multiplication into such truncated quotients,
-monomial colon and intersection from exponent-vector arithmetic, and
-Koszul homology dimensions from ranks of truncated differential matrices.
+monomial colon and intersection from exponent-vector arithmetic,
+Koszul homology dimensions from ranks of truncated differential matrices,
+and the cycle subalgebra from every product of cycle generators
+(`reference_cycle_products`).
 Division and products over QQ have plain-Fraction references on dicts
 (`fraction_remainder`, `fraction_product`); exterior products and
 determinants have term-by-term references (`reference_wedge`, the
@@ -28,8 +30,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product as iter_product
 
-from residua.groebner import _dividend, _groebner, _reduce, _terms, syzygies
+from residua.groebner import AugmentedBasis, _dividend, _groebner, _reduce, _terms
 from residua.ideals import Ideal
+from residua.koszul import ExteriorElement
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +341,7 @@ def reference_intersect(I, J):
     if not f or not g:
         return Ideal(I.ring, ())
     meet = (sum((c * h for c, h in zip(syz, f)), I.ring.zero)
-            for syz in syzygies((h,) for h in f + g))
+            for syz in AugmentedBasis((h,) for h in f + g).syzygies())
     return Ideal(I.ring, [h for h in meet if not h.is_zero()])
 
 
@@ -348,7 +351,7 @@ def reference_colon(a, I):
     a_gens = [g for g in a.generators if not g.is_zero()]
     result = None
     for f in (g for g in I.generators if not g.is_zero()):
-        firsts = (syz[0] for syz in syzygies((h,) for h in [f] + a_gens))
+        firsts = (syz[0] for syz in AugmentedBasis((h,) for h in [f] + a_gens).syzygies())
         piece = Ideal(a.ring, [c for c in firsts if not c.is_zero()])
         result = piece if result is None else reference_intersect(result, piece)
     return result
@@ -460,6 +463,30 @@ def koszul_homology_dim(K, i, degree):
         mat_n, _ = graded_matrix(i + 1)
         rank_next = rank(mat_n)
     return dim_ker - rank_next
+
+
+def reference_cycle_products(ring, n, generators, max_degree):
+    """Every wedge product, with repetition, of the cycle generators with
+    at most n factors and total degree <= max_degree, plus the empty
+    product: the products that span the cycle subalgebra Z by definition,
+    where `koszul.kitt_via_cycles` takes the generators of each Z_i alone."""
+    one = ExteriorElement.scalar(ring, n, ring.one)
+    out = [one]
+
+    def extend(start, acc, factors):
+        for k in range(start, len(generators)):
+            z = generators[k]
+            if acc.degree + z.degree > max_degree:
+                continue
+            nxt = acc.wedge(z)
+            if nxt.is_zero():
+                continue
+            out.append(nxt)
+            if factors + 1 < n:
+                extend(k, nxt, factors + 1)
+
+    extend(0, one, 0)
+    return out
 
 
 # ---------------------------------------------------------------------------

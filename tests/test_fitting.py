@@ -19,10 +19,11 @@ from residua.fitting import (
     minors,
     presentation_of_quotient,
 )
-from residua.groebner import AugmentedBasis, set_step_limit, syzygies
+from residua.groebner import AugmentedBasis, set_step_limit
 from residua.ideals import (
     Ideal,
     NonHomogeneousError,
+    augmented_basis,
     colon,
     height,
     ideal_equal,
@@ -208,7 +209,7 @@ def test_minimal_syzygy_count_of_maximal_minors(R3, m):
 def test_fitting_ideals_match_the_unpruned_syzygy_matrix(family, seed):
     I = generate_instance(family, seed).I
     x = min_gens(I)
-    syz = syzygies([(g,) for g in x])
+    syz = AugmentedBasis([(g,) for g in x]).syzygies()
     rows = [[z[i] for z in syz] for i in range(len(x))]
     for j in range(len(x) + 1):
         assert ideal_equal(fitting_ideal(I, j), minors(I.ring, rows, len(x) - j))
@@ -243,29 +244,44 @@ def test_syzygies_computed_once_per_ideal(monkeypatch):
 
 
 def test_augmented_basis_built_once_per_ideal(monkeypatch):
-    inst = generate_instance("hb2", 0)
-    I, a = inst.I, inst.a
-    x = min_gens(I)
-    # the homology of K(x) builds the augmented basis of its first
-    # differential, whose columns are x again: compute it beforehand
-    H = homology_lifts(KoszulComplex(I.ring, x))
     built = []
     original = AugmentedBasis.__init__
 
     def counted(self, gens):
         gens = tuple(gens)
-        built.append([g[0] for g in gens])
+        built.append(gens)
         original(self, gens)
 
+    inst = generate_instance("hb2", 0)
+    I, a = inst.I, inst.a
+    x = min_gens(I)
     monkeypatch.setattr(AugmentedBasis, "__init__", counted)
-    check_Gs(I, 2)
-    fitting_ideal(I, 1)
-    presentation_of_quotient(I, a)
-    fitt0_quotient(I, a)
+    # the homology of K(x) builds the augmented basis of each differential
+    # once; d_1's, whose columns are x again, becomes I's when a route is
+    # given the homology, so no route and no Fitting ideal builds another
+    K = KoszulComplex(I.ring, x)
+    H = homology_lifts(K)
+    assert built == [tuple(K.differential_columns(i)) for i in range(1, K.n + 1)]
+    built.clear()
     kitt(a, I, H)
     kitt_via_cycles(a, I, H)
     fitt0_via_Z1(a, I, H)
-    assert built == [x]
+    fitt0_quotient(I, a)
+    check_Gs(I, 2)
+    fitting_ideal(I, 1)
+    presentation_of_quotient(I, a)
+    assert built == []
+    assert augmented_basis(I) is H.d1
+
+    # a route that computes the homology itself starts from I's basis, so
+    # only the differentials of degree 2 and up get theirs
+    fresh = generate_instance("hb2", 0)
+    J, b = fresh.I, fresh.a
+    augmented_basis(J)
+    assert built == [tuple((g,) for g in x)]
+    built.clear()
+    kitt(b, J)
+    assert built == [tuple(K.differential_columns(i)) for i in range(2, K.n + 1)]
 
     bases = []
     original_groebner = groebner._groebner
@@ -306,6 +322,12 @@ def test_zetas_computed_once_per_generator_tuple(monkeypatch):
     assert ideal_equal(fitt0_via_Z1(b, I, H), F)
     assert len(expressed) == 2
     assert list(I._zetas) == [a.generators, b.generators]
+    # so are the Gamma monomials of the zetas, built by the first route
+    assert list(I._gammas) == [a.generators, b.generators]
+    gammas = I._gammas[a.generators]
+    kitt_via_cycles(a, I, H)
+    fitt0_via_Z1(a, I, H)
+    assert I._gammas[a.generators] is gammas
 
 
 def test_zetas_not_kept_when_a_check_fails(R2):
@@ -315,11 +337,11 @@ def test_zetas_not_kept_when_a_check_fails(R2):
         for _ in range(2):
             with pytest.raises(NotASubidealError):
                 route(outside, I)
-    assert I._zetas == {}
+    assert I._zetas == {} and I._gammas == {}
     J = parse_ideal(R2, "x^2 + y", "x*y")
     with pytest.raises(NonHomogeneousError):
         kitt(parse_ideal(R2, "x*y"), J)
-    assert J._zetas == {}
+    assert J._zetas == {} and J._gammas == {}
 
 
 def test_zetas_memo_keeps_no_complex_alive(monkeypatch):

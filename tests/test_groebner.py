@@ -13,14 +13,15 @@ from residua.groebner import (
     AugmentedBasis,
     NotAMemberError,
     ResourceLimitError,
+    _dividend,
     _divisor,
+    _reduce,
     _terms,
     _vector,
     minimal_subset,
     normal_form,
     reduced_groebner,
     set_step_limit,
-    syzygies,
 )
 from residua.ideals import Ideal, colon, min_gens
 from residua.koszul import KoszulComplex
@@ -168,7 +169,7 @@ def test_module_terms_are_the_components_in_position_order(ring, data):
 
 def test_module_member_negative(R2):
     gens = [R2.parse("x^2"), R2.parse("x*y"), R2.parse("y^2")]
-    syz = syzygies([(g,) for g in gens])
+    syz = AugmentedBasis([(g,) for g in gens]).syzygies()
     not_a_syzygy = (R2.one, R2.zero, R2.zero)
     assert not module_member(not_a_syzygy, syz)
 
@@ -194,13 +195,20 @@ def test_step_limit_enforced_on_modules(R3):
     gens = [random_homogeneous(R3, 2, rng) for _ in range(3)]
     f = R3.gens[0] * gens[0]
     rank_one = [(g,) for g in gens]
+    span = AugmentedBasis(rank_one).image()
     set_step_limit(1)
     with pytest.raises(ResourceLimitError, match="^exceeded 1 S-pair reductions$"):
-        syzygies(rank_one)
+        AugmentedBasis(rank_one).syzygies()
     with pytest.raises(ResourceLimitError, match="^exceeded 1 S-pair reductions$"):
         AugmentedBasis(rank_one).express([f])
+    # the span's basis is given, so only the pairs a candidate brings in
+    # are reduced: x*y is outside the span and needs more than one, while f
+    # lies in it and reduces to zero on arrival, before it makes a pair
+    x, y, _z = R3.gens
     with pytest.raises(ResourceLimitError, match="^exceeded 1 S-pair reductions$"):
-        minimal_subset([(f,)], (0,), rank_one)
+        minimal_subset([(x * y,)], (0,), span)
+    set_step_limit(0)
+    assert minimal_subset([(f,)], (0,), span) == []
 
 
 def test_gb_of_random_ideals_is_groebner(R3):
@@ -297,7 +305,7 @@ _X, _Y = _R.gens[:2]
 @example((_R, [_X**2, _X * _Y, _Y**2]))
 def test_syzygies_generate_every_syzygy(case):
     ring, gens = case
-    syz = syzygies([(g,) for g in gens])
+    syz = AugmentedBasis([(g,) for g in gens]).syzygies()
     for vec in syz:
         assert dot(vec, gens).is_zero()
     bound = 2 * max(g.total_degree() for g in gens)
@@ -329,16 +337,51 @@ def test_minimal_subset_matches_membership_reference(family, seed):
     assert minimal_subset(rank_one, (0,)) == reference_minimal_subset(rank_one, (0,))
     x = min_gens(I)
     degrees = [g.total_degree() for g in x]
-    syz = syzygies([(g,) for g in x])
+    syz = AugmentedBasis([(g,) for g in x]).syzygies()
     assert minimal_subset(syz, degrees) == reference_minimal_subset(syz, degrees)
-    # Koszul cycles modulo the boundaries, as in homology_lifts
+    # Koszul cycles modulo the boundaries, as in homology_lifts: the span
+    # B_i = im d_(i+1) is given by the Gröbner basis read off the augmented
+    # basis of d_(i+1), the reference takes its generators
     K = KoszulComplex(I.ring, x)
     for i in range(1, K.n + 1):
         basis = K.basis(i)
-        z = syzygies(K.differential_columns(i))
+        z = AugmentedBasis(K.differential_columns(i)).syzygies()
         shifts = [sum(degrees[j - 1] for j in S) for S in basis]
-        span = [e.to_module_element(basis) for e in K.boundary_elements(i)]
-        assert minimal_subset(z, shifts, span) == reference_minimal_subset(z, shifts, span)
+        boundaries = K.differential_columns(i + 1) if i < K.n else []
+        span = AugmentedBasis(boundaries).image() if boundaries else ((), ())
+        assert (minimal_subset(z, shifts, span)
+                == reference_minimal_subset(z, shifts, boundaries))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("seed", range(2))
+def test_boundary_basis_is_a_basis_of_the_boundaries(family, seed):
+    # the augmented basis of d_(i+1), cut at its rank, is what minimal_subset
+    # starts from at degree i: every generator of B_i = im d_(i+1), and every
+    # R-combination of them, reduces to zero by it, and each of its
+    # elements, monic, lies in B_i by a from-scratch membership test
+    I = generate_instance(family, seed).I
+    ring = I.ring
+    K = KoszulComplex(ring, min_gens(I))
+    rng = seeded_rng("boundary-basis", family, seed)
+    for i in range(1, K.n):
+        boundaries = K.differential_columns(i + 1)
+        rank = len(K.basis(i))
+        G, divisors = AugmentedBasis(boundaries).image()
+        assert G and len(G) == len(divisors)
+
+        def reduces_to_zero(vec):
+            return not _reduce(ring, _dividend(ring, _terms(vec)), divisors)
+
+        assert all(reduces_to_zero(b) for b in boundaries)
+        for _ in range(3):
+            coeffs = [random_homogeneous(ring, rng.choice([1, 2]), rng) for _ in boundaries]
+            combo = tuple(sum((c * b[k] for c, b in zip(coeffs, boundaries)), ring.zero)
+                          for k in range(rank))
+            assert reduces_to_zero(combo)
+        for g in G:
+            assert g[0][1] == ring.field.one
+            assert module_member(_vector(ring, g, 0, rank), boundaries)
 
 
 def test_divisors_are_built_once_per_basis_element(monkeypatch):
@@ -382,7 +425,7 @@ def test_monomials_past_the_bound_raise_in_the_engine():
     x, y, z = R.gens
     for make in (lambda: x**20000 * y**20000,
                  lambda: reduced_groebner([x**20000 + z, y**20000 + z]),
-                 lambda: syzygies([(x**20000, z), (y**20000, z)])):
+                 lambda: AugmentedBasis([(x**20000, z), (y**20000, z)]).syzygies()):
         with pytest.raises(ValueError, match="exceeds the bound"):
             make()
     x, y = L.gens

@@ -8,8 +8,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from residua.fitting import fitt0_quotient
-from residua.ideals import Ideal, colon, ideal_equal
+from residua import corpus
+from residua.corpus import FAMILIES
+from residua.field import GF32003, RATIONALS, FieldSpec
+from residua.fitting import expressions, fitt0_quotient
+from residua.ideals import Ideal, colon, ideal_equal, min_gens
 from residua.koszul import (
     ExteriorElement,
     KoszulComplex,
@@ -18,6 +21,8 @@ from residua.koszul import (
     kitt,
     kitt_via_cycles,
 )
+from residua.residual import random_combination
+from residua.ring import PolyRing
 
 from conftest import (
     parse_ideal,
@@ -26,7 +31,7 @@ from conftest import (
     rings_and_coefficients,
     seeded_rng,
 )
-from oracles import koszul_homology_dim, reference_wedge
+from oracles import koszul_homology_dim, reference_cycle_products, reference_wedge
 
 
 def test_wedge_antisymmetry(R2):
@@ -211,3 +216,61 @@ def test_complex_is_freed_after_use(R2):
     del K
     gc.collect()
     assert ref() is None
+
+
+# --- Gamma * Z from the cycle generators, against every product of cycles ---
+
+# GF(32003), a second prime and QQ
+CROSS_FIELDS = (GF32003, FieldSpec(101), RATIONALS)
+
+
+def _gamma_z_by_products(a, I):
+    """The degree-n component of Gamma * Z by its definition: the e_1..e_n
+    coefficient of every Gamma monomial (a product of distinct zetas) times
+    every product of cycle generators of the complementary degree."""
+    ring, x = I.ring, min_gens(I)
+    n = len(x)
+    _a_gens, coeffs = expressions(I, a)
+    zetas = [ExteriorElement(ring, n, 1, {(i + 1,): c for i, c in enumerate(cs)})
+             for cs in coeffs]
+    cycles = homology_lifts(KoszulComplex(ring, x)).cycle_gens
+    products = reference_cycle_products(
+        ring, n, [z for i in range(1, n + 1) for z in cycles[i]], n)
+    full = tuple(range(1, n + 1))
+    gens = []
+    for k in range(min(len(zetas), n) + 1):
+        for idx in combinations(range(len(zetas)), k):
+            gamma = ExteriorElement.scalar(ring, n, ring.one)
+            for j in idx:
+                gamma = gamma.wedge(zetas[j])
+            gens += [gamma.wedge(p).coefficient(full) for p in products
+                     if p.degree == n - k]
+    return Ideal(ring, gens)
+
+
+@pytest.mark.parametrize("field", CROSS_FIELDS, ids=str)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_kitt_via_cycles_matches_cycle_products(monkeypatch, field, family):
+    # the family's I drawn over the field, with a made of s = 2 and 3
+    # random combinations of min_gens(I), one degree up once s >= mu(I)
+    monkeypatch.setattr(corpus, "_make_ring",
+                        lambda nvars: PolyRing(field, ("x", "y", "z")[:nvars]))
+    rng = seeded_rng("kitt-via-cycles", family, field)
+    drawn = None
+    while drawn is None:
+        drawn = corpus._DRAW[family](rng)
+    I = drawn[0]
+    x = min_gens(I)
+    top = max(g.total_degree() for g in x)
+    for s in (2, 3):
+        degree = top if s < len(x) else top + 1
+        a = Ideal(I.ring, [random_combination(I.ring, x, degree, rng) for _ in range(s)])
+        assert ideal_equal(kitt_via_cycles(a, I), _gamma_z_by_products(a, I))
+
+
+@pytest.mark.parametrize("field", CROSS_FIELDS, ids=str)
+def test_kitt_via_cycles_worked_examples_match_cycle_products(field):
+    R = PolyRing(field, ("x", "y"))
+    a = parse_ideal(R, "x^2", "y^2")
+    for I in (parse_ideal(R, "x", "y"), parse_ideal(R, "x^2", "x*y", "y^2")):
+        assert ideal_equal(kitt_via_cycles(a, I), _gamma_z_by_products(a, I))
