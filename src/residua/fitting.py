@@ -5,9 +5,12 @@ generating set of the syzygies of a minimal generating sequence x_1..x_n
 of I, followed by one column per generator a_j of a recording
 a_j = sum c_ij x_i.  Fitt_0(I/a) is then the ideal of n x n minors.  The
 Fitting ideals of I itself, and with them G_s, are minors of A alone;
-`_syzygy_rows` is the one place that builds A, once per ideal.  Fitting
-ideals do not depend on the presentation, so pruning A to a minimal set
-changes none of them, only the number of minors taken.
+`_syzygy_rows` is the one place that builds A.  Its columns are the
+minimal syzygies of I's augmented basis (`ideals.augmented_basis`),
+computed once there, and the Koszul homology of x takes the same ones as
+the cycle generators of Z_1.  Fitting ideals do not depend on the
+presentation, so pruning A to a minimal set changes none of them, only
+the number of minors taken.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 from itertools import combinations
 
 from .ring import PolyRing
-from .groebner import minimal_subset
 from .ideals import Ideal, augmented_basis, height, ideal_sum, min_gens
 
 
@@ -73,13 +75,13 @@ def minors(ring: PolyRing, matrix, r: int) -> Ideal:
 
 def _syzygy_rows(I: Ideal) -> list:
     """Rows, one per x_i of x = min_gens(I), of the matrix A whose columns
-    minimally generate the syzygies of x; the columns are computed once
-    and kept on I.  The zero ideal has no rows."""
+    minimally generate the syzygies of x: the minimal syzygies of I's
+    augmented basis, computed once there.  The zero ideal has no rows."""
     x = min_gens(I)
-    if I._syzygies is None and x:
-        weights = [g.total_degree() for g in x]
-        I._syzygies = tuple(minimal_subset(augmented_basis(I).syzygies(), weights))
-    return [[s[i] for s in I._syzygies] for i in range(len(x))]
+    if not x:
+        return []
+    syz = augmented_basis(I).minimal_syzygies()
+    return [[s[i] for s in syz] for i in range(len(x))]
 
 
 def expressions(I: Ideal, a: Ideal) -> tuple:

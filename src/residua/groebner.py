@@ -24,7 +24,8 @@ remainder joins the basis, monic, with its pairs, and a zero one is
 dropped before it makes any.  So a redundant input generator costs one
 division and no S-pair, and a basis grows from what is new instead of
 being rebuilt: `minimal_subset` extends one basis of its span,
-`AugmentedBasis` serves the syzygies of a sequence, the expression of
+`AugmentedBasis` serves the syzygies of a sequence (all of them, and a
+minimal set, each read off once), the expression of
 elements in terms of it and a Gröbner basis of the submodule it
 generates, and `last_coordinates` eliminates
 all but the last position of a free module in one run: the basis of an
@@ -34,6 +35,12 @@ pairs the rows bring in are reduced, and because smaller positions win,
 the elements it leads at the last position are zero at every other one
 and are a Gröbner basis of the ideal they make there.  Colons and
 intersections of ideals are read off them.
+
+A run may be truncated at a degree: `minimal_subset` tests homogeneous
+candidates for membership, and a test in degree at most D reads only the
+pairs of degree at most D (the degree of a pair's lcm plus the weight of
+its position), so the run never queues the others.  Its basis is then a
+Gröbner basis up to degree D, never a reduced one, and never leaves it.
 
 A run's output becomes a reduced basis once, in `_reduced`, which builds
 the divisors of the reduced elements into the `GroebnerBasis` it returns.
@@ -83,6 +90,10 @@ from .ring import Polynomial, PolyRing, RingMismatchError, PAST_BOUND, sum_of_pr
 
 
 class NotAMemberError(ValueError):
+    pass
+
+
+class NonHomogeneousError(ValueError):
     pass
 
 
@@ -221,14 +232,20 @@ def _reduce(ring: PolyRing, p: _Dividend, divisors) -> tuple:
     return tuple(rem)
 
 
-def _groebner(ring: PolyRing, G: list, divisors: list, new, product_criterion=False) -> list:
+def _groebner(ring: PolyRing, G: list, divisors: list, new, product_criterion=False,
+              truncation=None) -> list:
     """Extend the Gröbner basis G of monic canonical term tuples, with
     `divisors` its integer divisors, both in place, to one of G and the
     canonical term tuples `new` (normal selection strategy) and return G.
     A new element is queued under its lead, ahead of S-pairs with that
     key; popped, it is reduced by G, and a nonzero remainder joins G while
-    a zero one is dropped.  `product_criterion` is for ideals only."""
-    F, lcm_of = ring.field, ring.lcm
+    a zero one is dropped.  `product_criterion` is for ideals only.
+    `truncation`, (weights, bound), leaves out every pair whose degree,
+    the degree of its lcm's monomial plus the weight of its position, is
+    above bound: for elements homogeneous under the weights, G is then a
+    Gröbner basis up to degree bound, and an element of degree at most
+    bound lies in the submodule exactly when it reduces to zero by G."""
+    F, lcm_of, degree = ring.field, ring.lcm, ring.degree
     offset, mask, want = ring.divisibility
     shift = ring.position_shift
     monomial = (1 << shift) - 1
@@ -237,6 +254,8 @@ def _groebner(ring: PolyRing, G: list, divisors: list, new, product_criterion=Fa
     heap = [(t[0][0] & monomial, -1, k) for k, t in enumerate(new)]
     heapify(heap)
     pending = set()
+    if truncation is not None:
+        weights, bound = truncation
 
     def insert(r):
         g = _monic(F, r)
@@ -248,7 +267,10 @@ def _groebner(ring: PolyRing, G: list, divisors: list, new, product_criterion=Fa
         place, m = lead >> shift, lead & monomial
         for i in range(j):
             if leads[i] >> shift == place:
-                heappush(heap, (lcm_of(leads[i] & monomial, m), i, j))
+                key = lcm_of(leads[i] & monomial, m)
+                if truncation is not None and degree(key) + weights[-place] > bound:
+                    continue
+                heappush(heap, (key, i, j))
                 pending.add((i, j))
 
     steps = 0
@@ -386,7 +408,7 @@ class AugmentedBasis:
     generate, and a remainder past rank expresses an element of that
     submodule in terms of gens."""
 
-    __slots__ = ("ring", "rank", "gens", "basis", "divisors")
+    __slots__ = ("ring", "rank", "gens", "basis", "divisors", "_syzygies", "_minimal")
 
     def __init__(self, gens):
         gens = tuple(tuple(g) for g in gens)
@@ -401,23 +423,37 @@ class AugmentedBasis:
                      for i, g in enumerate(gens)]
         self.ring, self.rank, self.gens = ring, rank, gens
         self.basis, self.divisors = [], []
+        self._syzygies = self._minimal = None
         _groebner(ring, self.basis, self.divisors, augmented)
 
     def syzygies(self) -> list:
-        """Generators of the syzygy module of gens; every returned s
-        satisfies sum(s_i * gens_i) == 0 (verified here)."""
-        ring, rank, gens = self.ring, self.rank, self.gens
-        shift = ring.position_shift
-        out = []
-        for e in self.basis:
-            if -(e[0][0] >> shift) < rank:
-                continue
-            s = _vector(ring, e, rank, len(gens))
-            # exactness check: the defining identity must hold on the nose
-            if _combination(s, gens):
-                raise RuntimeError("internal: syzygy identity violated")
-            out.append(s)
-        return out
+        """Generators of the syzygy module of gens, a new list on every
+        call; every one satisfies sum(s_i * gens_i) == 0, verified once,
+        when they are first read off the basis."""
+        if self._syzygies is None:
+            ring, rank, gens = self.ring, self.rank, self.gens
+            shift = ring.position_shift
+            out = []
+            for e in self.basis:
+                if -(e[0][0] >> shift) < rank:
+                    continue
+                s = _vector(ring, e, rank, len(gens))
+                # exactness check: the defining identity must hold on the nose
+                if _combination(s, gens):
+                    raise RuntimeError("internal: syzygy identity violated")
+                out.append(s)
+            self._syzygies = tuple(out)
+        return list(self._syzygies)
+
+    def minimal_syzygies(self) -> list:
+        """For rank-one gens (g_i): the syzygies that `minimal_subset`
+        keeps with e_i weighted by deg g_i, which for homogeneous gens
+        minimally generate the syzygy module.  Computed once; a new list on
+        every call."""
+        if self._minimal is None:
+            weights = [g.total_degree() for (g,) in self.gens]
+            self._minimal = tuple(minimal_subset(self.syzygies(), weights))
+        return list(self._minimal)
 
     def image(self) -> tuple:
         """A Gröbner basis of the submodule that gens generate, as (monic
@@ -484,28 +520,44 @@ def last_coordinates(basis: GroebnerBasis, rows) -> GroebnerBasis:
 
 def minimal_subset(elems, weights, span=((), ())) -> list:
     """The elements of `elems` kept by graded Nakayama: taken in order of
-    shifted degree max(deg c_i + weights[i]) over their nonzero components
+    shifted degree, deg c + weights[i] for every term c of a component
     c_i, ties by input position, each is kept unless it lies in the
     submodule generated by the span and the elements kept before it.
-    `span` is a Gröbner basis of the span, (monic canonical term tuples,
-    their divisors) as `AugmentedBasis.image` gives it; the default is the
-    zero module.  For homogeneous elements the kept ones, with the span,
-    minimally generate the submodule that the span and `elems` generate.
-    A copy of `span` is extended by each candidate in turn; a candidate is
-    kept when the basis grows."""
-    def shifted_degree(elem):
-        return max((c.total_degree() + w for c, w in zip(elem, weights)
-                    if not c.is_zero()), default=-1)
+    Every element must be homogeneous under the weights (one shifted
+    degree for all its terms), or NonHomogeneousError is raised; the kept
+    ones, with the span, then minimally generate the submodule that the
+    span and `elems` generate.  `span` is a Gröbner basis of the span,
+    (monic canonical term tuples, their divisors) as
+    `AugmentedBasis.image` gives it; the default is the zero module.
 
+    A copy of `span` is extended by each candidate in turn, and a
+    candidate is kept when the basis grows.  The extension is truncated
+    at the largest shifted degree D of the candidates: a pair of degree
+    above D is never queued, since no candidate's membership test reads
+    it (Kreuzer and Robbiano, *Computational Commutative Algebra 2*,
+    §4.5)."""
     elems = list(elems)
     if not elems:
         return []
     ring = elems[0][0].ring
+    degree = ring.degree
+
+    def shifted_degree(elem):
+        found = {degree(m) + w for c, w in zip(elem, weights) for m, _ in c.terms}
+        if len(found) > 1:
+            text = ", ".join(map(str, elem))
+            if any(weights):
+                text = f"({text}) under the weights {weights}"
+            raise NonHomogeneousError(f"non-homogeneous generator {text}")
+        return found.pop() if found else -1
+
+    degrees = [shifted_degree(e) for e in elems]
+    truncation = (weights, max(degrees))
     G, divisors = list(span[0]), list(span[1])
     kept = []
-    for elem in sorted(elems, key=shifted_degree):
+    for k in sorted(range(len(elems)), key=degrees.__getitem__):
         size = len(G)
-        _groebner(ring, G, divisors, [_terms(elem)])
+        _groebner(ring, G, divisors, [_terms(elems[k])], truncation=truncation)
         if len(G) > size:
-            kept.append(elem)
+            kept.append(elems[k])
     return kept

@@ -17,10 +17,11 @@ the definition before it is returned.
 
 An `Ideal` caches the work that depends only on it: its reduced Gröbner
 basis, `min_gens(I)`, `height(I)`, the augmented basis of `min_gens(I)`
-(`augmented_basis`, which serves its syzygies and the expression of
-elements of I in terms of it, and is d_1's in the Koszul homology of
-`min_gens(I)`); filled in by `fitting`, the minimal
-syzygies of `min_gens(I)` and `height(Fitt_j(I) + I)` per j; and, keyed
+(`augmented_basis`, which serves its syzygies, keeps their minimal
+subset for the presentation in `fitting` and for Z_1 in `koszul`, and
+expresses elements of I in terms of `min_gens(I)`; it is d_1's in the
+Koszul homology of `min_gens(I)`); filled in by `fitting`,
+`height(Fitt_j(I) + I)` per j; and, keyed
 by the exact generator tuple of `a`, every colon `a : I` computed with it
 as the divisor; filled in by `fitting.expressions`, the nonzero
 generators of `a` with their expressions in `min_gens(I)`, which the
@@ -39,15 +40,12 @@ from .ring import Polynomial, PolyRing, RingMismatchError
 from .groebner import (
     AugmentedBasis,
     GroebnerBasis,
+    NonHomogeneousError,
     last_coordinates,
     minimal_subset,
     normal_form,
     reduced_groebner,
 )
-
-
-class NonHomogeneousError(ValueError):
-    pass
 
 
 class Ideal:
@@ -57,7 +55,7 @@ class Ideal:
     unhashable."""
 
     __slots__ = ("ring", "generators", "_gb", "_min_gens", "_height", "_augmented",
-                 "_syzygies", "_fitting_heights", "_colons", "_zetas", "_gammas")
+                 "_fitting_heights", "_colons", "_zetas", "_gammas")
 
     def __init__(self, ring: PolyRing, generators):
         self.ring = ring
@@ -73,7 +71,6 @@ class Ideal:
         self._min_gens = None
         self._height = None
         self._augmented = None
-        self._syzygies = None
         self._fitting_heights = {}
         self._colons = {}
         self._zetas = {}
@@ -217,13 +214,11 @@ def height(I: Ideal) -> int:
 
 def min_gens(I: Ideal) -> list:
     """A minimal homogeneous generating sequence, monic, by graded Nakayama
-    (`minimal_subset`); a new list on every call."""
+    (`minimal_subset`, which raises NonHomogeneousError on a
+    non-homogeneous generator); a new list on every call."""
     if I._min_gens is None:
-        gens = [g for g in I.generators if not g.is_zero()]
-        for g in gens:
-            if not g.is_homogeneous():
-                raise NonHomogeneousError(f"non-homogeneous generator {g}")
-        kept = minimal_subset([(g,) for g in gens], (0,))
+        gens = [(g,) for g in I.generators if not g.is_zero()]
+        kept = minimal_subset(gens, (0,))
         I._min_gens = tuple(e[0].monic() for e in kept)
     return list(I._min_gens)
 

@@ -6,9 +6,13 @@ generated by the zeta elements of a).
 Each object is computed once.  The augmented basis of each differential
 d_i serves twice: its syzygies generate Z_i, and its elements led below
 its rank, cut there, are a Gröbner basis of the boundaries B_(i-1), from
-which the lifts at degree i - 1 are picked.  The columns of d_1 are
-min_gens(I), so d_1's augmented basis is I's own (`ideals.augmented_basis`),
-shared in whichever order the homology and I's basis are first asked for.
+which the lifts at degree i - 1 are picked.  At degree 1 the cycle
+generators, and the candidates for the lifts, are d_1's minimal
+syzygies, so the routes wedge fewer products of Z_1.  The columns of d_1
+are min_gens(I), so d_1's augmented basis is I's own
+(`ideals.augmented_basis`), shared in whichever order the homology and
+I's basis are first asked for, and its minimal syzygies are the columns
+A of the presentation of I/a in `fitting`.
 Each coefficient of an exterior product is one `ring.sum_of_products`
 over the signed pairs of coefficients that meet in it.  The zetas of
 (a, I) depend only on the generators of a and on I, so all three Kitt
@@ -156,8 +160,10 @@ class KoszulComplex:
         return cols
 
 
-# cycle_gens: i -> list of ExteriorElement generating Z_i;
-# lifts: i -> trimmed cycle generators representing H_i;
+# cycle_gens: i -> list of ExteriorElement generating Z_i, at i = 1 the
+# minimal syzygies of the generators (the columns A in `fitting`);
+# lifts: i -> the cycle generators, trimmed, whose classes minimally
+# generate H_i;
 # d1: the augmented basis of d_1, whose columns are the generators again
 # (None when there are none)
 HomologyData = namedtuple("HomologyData", "cycle_gens lifts d1")
@@ -167,15 +173,19 @@ def homology_lifts(K: KoszulComplex) -> HomologyData:
     """Cycle generators per degree plus lifts: the cycles that
     `minimal_subset` keeps with the boundaries as span and e_S weighted by
     the sum of deg x_j over j in S, so that their classes minimally
-    generate the homology (ties by input order)."""
+    generate the homology (ties by input order).  The generators of K
+    must be homogeneous: NonHomogeneousError otherwise."""
     return _homology(K, AugmentedBasis(K.differential_columns(1)) if K.n else None)
 
 
 def _homology(K: KoszulComplex, d1) -> HomologyData:
     """`homology_lifts`, given the augmented basis d1 of d_1 (None when
     n = 0).  The augmented basis of each d_i serves twice: its syzygies
-    generate Z_i, and cut at its rank it is the Gröbner basis of
-    B_(i-1) = im d_i that `minimal_subset` starts from at degree i - 1."""
+    generate Z_i (at i = 1 its minimal syzygies, which d1 keeps), and cut
+    at its rank it is the Gröbner basis of B_(i-1) = im d_i that
+    `minimal_subset` starts from at degree i - 1.  The lifts are picked
+    among the cycle generators; minimal_subset raises NonHomogeneousError
+    unless the generators of K are homogeneous."""
     n = K.n
     one = ExteriorElement.scalar(K.ring, n, K.ring.one)
     cycles, lifts = {0: [one]}, {0: [one]}
@@ -183,9 +193,9 @@ def _homology(K: KoszulComplex, d1) -> HomologyData:
     gd = [g.total_degree() for g in K.gens]
     for i in range(1, n + 1):
         basis = K.basis(i)
-        z = bases[i].syzygies()
-        cycles[i] = [ExteriorElement(K.ring, n, i, dict(zip(basis, s))) for s in z]
         shifts = [sum(gd[j - 1] for j in S) for S in basis]
+        z = bases[i].minimal_syzygies() if i == 1 else bases[i].syzygies()
+        cycles[i] = [ExteriorElement(K.ring, n, i, dict(zip(basis, s))) for s in z]
         span = bases[i + 1].image() if i < n else ((), ())
         lifts[i] = [ExteriorElement(K.ring, n, i, dict(zip(basis, v)))
                     for v in minimal_subset(z, shifts, span)]

@@ -8,9 +8,10 @@ from hypothesis import example, given, strategies as st
 
 from residua import groebner
 from residua.corpus import FAMILIES, generate_instance
-from residua.field import GF32003
+from residua.field import GF32003, RATIONALS, FieldSpec
 from residua.groebner import (
     AugmentedBasis,
+    NonHomogeneousError,
     NotAMemberError,
     ResourceLimitError,
     _dividend,
@@ -126,15 +127,35 @@ def dot(vec, polys):
 
 
 def test_syzygy_check_fires_on_a_tampered_basis(R2):
-    B = AugmentedBasis([(R2.parse("x"),), (R2.parse("y"),)])
-    assert len(B.syzygies()) == 1
-    # double the last coefficient of the syzygy (y, -x): y*x - 2*x*y != 0
+    gens = [(R2.parse("x"),), (R2.parse("y"),)]
+    assert len(AugmentedBasis(gens).syzygies()) == 1
+    # the syzygies are read off the basis and checked once, on the first
+    # read, so tamper before it: double the last coefficient of the
+    # syzygy (y, -x), and y*x - 2*x*y != 0
+    B = AugmentedBasis(gens)
     shift = R2.position_shift
     k = next(k for k, e in enumerate(B.basis) if -(e[0][0] >> shift) >= B.rank)
     *head, (t, c) = B.basis[k]
     B.basis[k] = (*head, (t, R2.field.add(c, c)))
     with pytest.raises(RuntimeError, match="syzygy identity violated"):
         B.syzygies()
+
+
+def test_syzygies_are_read_and_checked_once(R2, monkeypatch):
+    # every call hands out a new list of the same syzygies; the identity
+    # check runs on the first read only
+    B = AugmentedBasis([(R2.parse("x^2"),), (R2.parse("x*y"),), (R2.parse("y^2"),)])
+    checks = []
+    combination = groebner._combination
+    monkeypatch.setattr(groebner, "_combination",
+                        lambda c, g: checks.append(len(c)) or combination(c, g))
+    first, second = B.syzygies(), B.syzygies()
+    assert first == second and first is not second and len(checks) == len(first)
+    first.clear()
+    assert B.syzygies() == second
+    minimal = B.minimal_syzygies()
+    assert minimal == B.minimal_syzygies() and len(minimal) == 2
+    assert len(checks) == len(second)
 
 
 def test_expression_check_fires_on_a_tampered_basis(R2):
@@ -202,13 +223,18 @@ def test_step_limit_enforced_on_modules(R3):
     with pytest.raises(ResourceLimitError, match="^exceeded 1 S-pair reductions$"):
         AugmentedBasis(rank_one).express([f])
     # the span's basis is given, so only the pairs a candidate brings in
-    # are reduced: x*y is outside the span and needs more than one, while f
-    # lies in it and reduces to zero on arrival, before it makes a pair
+    # are reduced, up to the largest degree of the candidates: x*y is
+    # outside the span, and its pairs of degree at most 3, that of f, need
+    # more than one
     x, y, _z = R3.gens
     with pytest.raises(ResourceLimitError, match="^exceeded 1 S-pair reductions$"):
-        minimal_subset([(x * y,)], (0,), span)
+        minimal_subset([(x * y,), (f,)], (0,), span)
     set_step_limit(0)
-    assert minimal_subset([(f,)], (0,), span) == []
+    # alone, x*y makes no pair of degree at most 2, its own
+    assert minimal_subset([(x * y,)], (0,), span) == [(x * y,)]
+    # f and x*f lie in the span: each reduces to zero on arrival, before
+    # it makes a pair
+    assert minimal_subset([(x * f,), (f,)], (0,), span) == []
 
 
 def test_gb_of_random_ideals_is_groebner(R3):
@@ -329,10 +355,10 @@ def test_reduced_basis_ignores_redundant_generators_and_order(case):
     assert reduced_groebner(mixed).elements == reduced_groebner(gens).elements
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("seed", range(3))
-def test_minimal_subset_matches_membership_reference(family, seed):
-    I = generate_instance(family, seed).I
+def _check_minimal_subset_against_reference(I):
+    """minimal_subset on the generators of I, on their syzygies and on the
+    Koszul cycles modulo the boundaries keeps what the from-scratch
+    membership reference keeps."""
     rank_one = [(g,) for g in I.generators]
     assert minimal_subset(rank_one, (0,)) == reference_minimal_subset(rank_one, (0,))
     x = min_gens(I)
@@ -351,6 +377,54 @@ def test_minimal_subset_matches_membership_reference(family, seed):
         span = AugmentedBasis(boundaries).image() if boundaries else ((), ())
         assert (minimal_subset(z, shifts, span)
                 == reference_minimal_subset(z, shifts, boundaries))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("seed", range(3))
+def test_minimal_subset_matches_membership_reference(family, seed):
+    _check_minimal_subset_against_reference(generate_instance(family, seed).I)
+
+
+# the orders and fields of the test above, apart from its grevlex over GF(32003)
+OTHER_ORDERS_AND_FIELDS = [
+    (order, field)
+    for order in (MonomialOrder(), MonomialOrder("lex"), MonomialOrder("block", 1))
+    for field in (GF32003, RATIONALS, FieldSpec(101))
+][1:]
+
+
+@pytest.mark.parametrize("order, field", OTHER_ORDERS_AND_FIELDS, ids=str)
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("seed", range(3))
+def test_minimal_subset_matches_reference_in_other_orders_and_fields(family, seed,
+                                                                     order, field):
+    # the truncated pass is exact for homogeneous elements under any
+    # monomial order: the corpus I's generators, read in another ring
+    I = generate_instance(family, seed).I
+    ring = PolyRing(field, I.ring.variables, order)
+    _check_minimal_subset_against_reference(
+        Ideal(ring, [ring.parse(str(g)) for g in I.generators]))
+
+
+def test_min_gens_of_generic_quadrics_reduces_no_spair():
+    # the candidates all have degree 2 and every pair of theirs degree 3 or
+    # more, so the truncated pass queues none: each candidate is reduced
+    # once
+    rng = seeded_rng("generic-quadrics")
+    R = PolyRing(GF32003, ("x", "y", "z"))
+    gens = [random_homogeneous(R, 2, rng, density=1.0) for _ in range(3)]
+    set_step_limit(0)
+    assert min_gens(Ideal(R, gens)) == [g.monic() for g in gens]
+
+
+def test_minimal_subset_rejects_non_homogeneous_elements(R3):
+    x, y, z = R3.gens
+    with pytest.raises(NonHomogeneousError, match=r"^non-homogeneous generator y\^2 \+ x$"):
+        minimal_subset([(x * y,), (x + y * y,)], (0,))
+    # homogeneous under the weights, though not as a pair of polynomials
+    assert minimal_subset([(x * y, z)], (0, 1)) == [(x * y, z)]
+    with pytest.raises(NonHomogeneousError, match=r"under the weights \(0, 2\)$"):
+        minimal_subset([(x * y, z)], (0, 2))
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -343,7 +343,7 @@ def test_mu_of_hilbert_burch(R3):
 
 
 def test_mu_requires_homogeneous(R2):
-    with pytest.raises(NonHomogeneousError):
+    with pytest.raises(NonHomogeneousError, match=r"^non-homogeneous generator x\^2 \+ y$"):
         mu(parse_ideal(R2, "x^2 + y"))
 
 

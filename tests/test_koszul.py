@@ -11,8 +11,8 @@ from hypothesis import given, strategies as st
 from residua import corpus
 from residua.corpus import FAMILIES
 from residua.field import GF32003, RATIONALS, FieldSpec
-from residua.fitting import expressions, fitt0_quotient
-from residua.ideals import Ideal, colon, ideal_equal, min_gens
+from residua.fitting import _syzygy_rows, expressions, fitt0_quotient
+from residua.ideals import Ideal, NonHomogeneousError, colon, ideal_equal, min_gens
 from residua.koszul import (
     ExteriorElement,
     KoszulComplex,
@@ -162,6 +162,28 @@ def test_homology_regular_sequence(R2):
     x, y = R2.gens
     H = homology_lifts(KoszulComplex(R2, [x, y]))
     assert H.lifts[1] == [] and H.lifts[2] == []
+
+
+def test_homology_lifts_rejects_non_homogeneous_generators(R3):
+    # "minimal" means nothing for the lifts of non-homogeneous generators
+    x, y, z = R3.gens
+    with pytest.raises(NonHomogeneousError):
+        homology_lifts(KoszulComplex(R3, [x * y, x + y * y, x * z + y]))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("seed", range(3))
+def test_degree_one_cycles_are_the_presentation_columns(family, seed):
+    # Z_1 is generated by the minimal syzygies of min_gens(I), the columns
+    # A of the presentation of I/a, computed once on I's augmented basis
+    I = corpus.generate_instance(family, seed).I
+    x = min_gens(I)
+    H = homology_lifts(KoszulComplex(I.ring, x))
+    basis = tuple((j,) for j in range(1, len(x) + 1))
+    cycles = [z.to_module_element(basis) for z in H.cycle_gens[1]]
+    assert cycles == list(zip(*_syzygy_rows(I)))
+    # the degree-1 lifts are picked among them
+    assert all(h.to_module_element(basis) in cycles for h in H.lifts[1])
 
 
 def test_kitt_worked_example(R2):

@@ -156,11 +156,11 @@ def test_no_engine_run_repeats_its_input(monkeypatch):
     runs = Counter()
     engine = groebner._groebner
 
-    def counting(ring, G, divisors, new, product_criterion=False):
+    def counting(ring, G, divisors, new, product_criterion=False, truncation=None):
         new = list(new)
         if not G and new:
             runs[ring, tuple(new), product_criterion] += 1
-        return engine(ring, G, divisors, new, product_criterion)
+        return engine(ring, G, divisors, new, product_criterion, truncation)
 
     monkeypatch.setattr(groebner, "_groebner", counting)
     for run in (lambda inst: verify("thm25", inst), lambda inst: verify("kitt-eq", inst),
