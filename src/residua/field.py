@@ -4,10 +4,10 @@ Prime-field elements are plain ints kept reduced to [0, p); rational
 coefficients are `fractions.Fraction` (always in lowest terms with a
 positive denominator, which the Fraction type guarantees).
 
-The division kernel and polynomial products work on integer coefficients
-instead (`integer_terms`, `divisor_terms`, `ratio`).  Over QQ a set of
-coefficients becomes integers over one common denominator, so a whole
-reduction or product runs on ints, with no Fraction normalised per
+The division kernel and polynomial sums and products work on integer
+coefficients instead (`integer_terms`, `divisor_terms`, `ratio`).  Over QQ
+a set of coefficients becomes integers over one common denominator, so a
+whole reduction, sum or product runs on ints, with no Fraction normalised per
 operation, and each result coefficient becomes a Fraction once, when it
 leaves.  Over GF(p) the integers are the residues themselves; sums of
 products may grow past p and are reduced mod p only when a coefficient

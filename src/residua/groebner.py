@@ -15,15 +15,15 @@ at position i, so its canonical terms are its components' terms
 concatenated in position order (`_terms`), and `_vector` splits them
 back.  Syzygies, colons and intersections are module computations.
 
-`_groebner` extends a Gröbner basis, kept as two parallel lists: its
-monic canonical term tuples and their integer divisors, each divisor
-built once, when its element joins.  Each new element waits in the pair
-heap under the monomial of its lead, ahead of the pairs with that key,
-and is reduced by the basis of the moment when it is popped: a nonzero
-remainder joins the basis, monic, with its pairs, and a zero one is
-dropped before it makes any.  So a redundant input generator costs one
-division and no S-pair, and a basis grows from what is new instead of
-being rebuilt: `minimal_subset` extends one basis of its span,
+`_groebner` extends a Gröbner basis, kept in one form: the list of the
+integer divisors (lead, lc, tail) of its elements, each built once,
+straight from the remainder that joins.  Each new element waits in the
+pair heap under the monomial of its lead, ahead of the pairs with that
+key, and is reduced by the basis of the moment when it is popped: a
+nonzero remainder joins the basis, as its divisor, with its pairs, and a
+zero one is dropped before it makes any.  So a redundant input generator
+costs one division and no S-pair, and a basis grows from what is new
+instead of being rebuilt: `minimal_subset` extends one basis of its span,
 `AugmentedBasis` serves the syzygies of a sequence (all of them, and a
 minimal set, each read off once), the expression of
 elements in terms of it and a Gröbner basis of the submodule it
@@ -62,11 +62,11 @@ negated terms, after Monagan and Pearce: the leading term pops off the
 heap, only the divisor's tail times the quotient term is subtracted, a
 term is pushed only when it first appears, and a popped term whose
 coefficient has cancelled is skipped.  Coefficients are integers
-throughout.  Each divisor is the integer unit multiple of a basis element
-that `FieldSpec.divisor_terms` gives: primitive with a positive lead over
-QQ, monic over GF(p).  Over QQ the live coefficients share one
-denominator den, and a step is a fraction-free pseudo-division: with
-g = gcd(c, lc) for the popped coefficient c and the divisor's lead
+throughout.  Each divisor that joins a basis is the integer unit multiple
+of its element that `FieldSpec.divisor_terms` gives: primitive with a
+positive lead over QQ, monic over GF(p).  Over QQ the live coefficients
+share one denominator den, and a step is a fraction-free pseudo-division:
+with g = gcd(c, lc) for the popped coefficient c and the divisor's lead
 coefficient lc, live <- (lc/g)·live - (c/g)·m·tail and den <- (lc/g)·den.
 A remainder term leaves as c / den with the den in force when it is
 popped; later steps rescale live, not the terms already popped.  Over
@@ -74,9 +74,14 @@ GF(p) the live coefficients are plain ints, reduced mod p only when a
 term is popped, and a term has cancelled when its coefficient is 0 mod p.
 Remainder terms come out in descending order, so they need no final
 sort.  The divisor is always the first element of G whose lead divides,
-and an S-pair is built from the two divisors, so every remainder is the
-one plain repeated subtraction gives, up to a unit, and every basis,
-made monic as its elements arrive, is unchanged.  A `GroebnerBasis`
+and a step reads only its lead and the ratios c/lc of its terms, so
+every remainder is the same field values whatever unit multiple a
+divisor holds (a divisor cut at a rank, which `AugmentedBasis.image`
+gives, need not be primitive over QQ); an S-pair is built from the two
+divisors, so its remainder is the one plain repeated subtraction gives
+up to a unit, and the element that joins gets the same divisor.  A
+basis element is made monic only where it leaves the engine: `_reduced`
+for a reduced basis, `_element` for a syzygy.  A `GroebnerBasis`
 carries the divisors of its elements, for all the normal forms taken
 against it.
 """
@@ -207,10 +212,13 @@ def _divisor(F, terms) -> tuple:
     return d[0][0], d[0][1], d[1:]
 
 
-def _monic(F, terms) -> tuple:
-    """The canonical terms scaled so the leading coefficient is one."""
-    inv = F.inv(terms[0][1])
-    return tuple((t, F.mul(c, inv)) for t, c in terms)
+def _element(F, divisor) -> tuple:
+    """The monic canonical terms of the basis element whose integer divisor
+    is (lead, lc, tail): each coefficient c becomes the field element
+    c/lc (over GF(p) a divisor is monic, lc = 1)."""
+    lead, lc, tail = divisor
+    ratio = F.ratio
+    return ((lead, F.one),) + tuple([(t, ratio(c, lc)) for t, c in tail])
 
 
 def _reduce(ring: PolyRing, p: _Dividend, divisors) -> tuple:
@@ -232,14 +240,14 @@ def _reduce(ring: PolyRing, p: _Dividend, divisors) -> tuple:
     return tuple(rem)
 
 
-def _groebner(ring: PolyRing, G: list, divisors: list, new, product_criterion=False,
+def _groebner(ring: PolyRing, divisors: list, new, product_criterion=False,
               truncation=None) -> list:
-    """Extend the Gröbner basis G of monic canonical term tuples, with
-    `divisors` its integer divisors, both in place, to one of G and the
-    canonical term tuples `new` (normal selection strategy) and return G.
-    A new element is queued under its lead, ahead of S-pairs with that
-    key; popped, it is reduced by G, and a nonzero remainder joins G while
-    a zero one is dropped.  `product_criterion` is for ideals only.
+    """Extend the Gröbner basis G held as the integer divisors `divisors`,
+    in place, to one of G and the canonical term tuples `new` (normal
+    selection strategy) and return `divisors`.  A new element is queued
+    under its lead, ahead of S-pairs with that key; popped, it is reduced
+    by G, and a nonzero remainder joins G as its divisor while a zero one
+    is dropped.  `product_criterion` is for ideals only.
     `truncation`, (weights, bound), leaves out every pair whose degree,
     the degree of its lcm's monomial plus the weight of its position, is
     above bound: for elements homogeneous under the weights, G is then a
@@ -258,12 +266,10 @@ def _groebner(ring: PolyRing, G: list, divisors: list, new, product_criterion=Fa
         weights, bound = truncation
 
     def insert(r):
-        g = _monic(F, r)
-        G.append(g)
-        divisors.append(_divisor(F, g))
-        lead = g[0][0]
+        divisors.append(_divisor(F, r))
+        lead = r[0][0]
         leads.append(lead)
-        j = len(G) - 1
+        j = len(leads) - 1
         place, m = lead >> shift, lead & monomial
         for i in range(j):
             if leads[i] >> shift == place:
@@ -314,23 +320,25 @@ def _groebner(ring: PolyRing, G: list, divisors: list, new, product_criterion=Fa
         r = _reduce(ring, s, divisors)
         if r:
             insert(r)
-    return G
+    return divisors
 
 
-def _reduced(ring: PolyRing, G: list, divisors: list) -> GroebnerBasis:
-    """The reduced Gröbner basis of what G, a Gröbner basis of monic
-    canonical term tuples with the integer divisors `divisors`, generates:
-    the elements whose lead no other lead divides, in increasing order of
-    their leads, each tail reduced by all of them as they are (no kept lead
-    divides another, and a tail lies below its own lead)."""
+def _reduced(ring: PolyRing, divisors: list) -> GroebnerBasis:
+    """The reduced Gröbner basis of what the Gröbner basis held as the
+    integer divisors `divisors` generates: the elements whose lead no other
+    lead divides, in increasing order of their leads, each made monic and
+    its tail reduced by all of them as they are (no kept lead divides
+    another, and a tail lies below its own lead).  The monic tail of
+    (lead, lc, tail) is the integer tail over the denominator lc."""
     leads = [d[0] for d in divisors]
     kept = sorted((i for i, lead in enumerate(leads)
                    if not any(ring.divides(m, lead) for m in leads if m != lead)),
                   key=leads.__getitem__)
     minimal = [divisors[i] for i in kept]
+    one = ring.field.one
     elements, reduced = [], []
-    for i in kept:
-        terms = G[i][:1] + _reduce(ring, _dividend(ring, G[i][1:]), minimal)
+    for lead, lc, tail in minimal:
+        terms = ((lead, one),) + _reduce(ring, _Dividend(ring, tail, lc), minimal)
         elements.append(Polynomial(ring, terms))
         reduced.append(_divisor(ring.field, terms))
     return GroebnerBasis(ring, tuple(elements), reduced)
@@ -347,24 +355,17 @@ def reduced_groebner(gens) -> GroebnerBasis:
     for g in gens:
         if g.ring != ring:
             raise RingMismatchError("generators from different rings")
-    G, divisors = [], []
-    _groebner(ring, G, divisors, [g.terms for g in gens], product_criterion=True)
-    return _reduced(ring, G, divisors)
+    divisors = _groebner(ring, [], [g.terms for g in gens], product_criterion=True)
+    return _reduced(ring, divisors)
 
 
-def normal_form(f: Polynomial, G) -> Polynomial:
-    """Remainder of f on division by the elements of G, a GroebnerBasis or
-    a sequence of polynomials (full tail reduction)."""
+def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
+    """Remainder of f on division by the reduced Gröbner basis G (full
+    tail reduction), by the divisors G carries."""
     ring = f.ring
-    if isinstance(G, GroebnerBasis):
-        if G.ring != ring:
-            raise RingMismatchError("normal_form across different rings")
-        divisors = G.divisors
-    else:
-        if any(g.ring != ring for g in G):
-            raise RingMismatchError("normal_form across different rings")
-        divisors = [_divisor(ring.field, g.terms) for g in G if g.terms]
-    return Polynomial(ring, _reduce(ring, _dividend(ring, f.terms), divisors))
+    if G.ring != ring:
+        raise RingMismatchError("normal_form across different rings")
+    return Polynomial(ring, _reduce(ring, _dividend(ring, f.terms), G.divisors))
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +403,13 @@ def _combination(coeffs, gens) -> tuple:
 
 class AugmentedBasis:
     """The Gröbner basis of the elements gens_i + e_(rank + i) of a sequence
-    gens of free-module elements, each a tuple of rank polynomials, with
-    its divisors.  Its elements led past rank are the syzygies of gens,
-    the others, cut at rank, a Gröbner basis of the submodule that gens
-    generate, and a remainder past rank expresses an element of that
-    submodule in terms of gens."""
+    gens of free-module elements, each a tuple of rank polynomials, held
+    as its integer divisors.  Its elements led past rank are the syzygies
+    of gens, the others, cut at rank, a Gröbner basis of the submodule
+    that gens generate, and a remainder past rank expresses an element of
+    that submodule in terms of gens."""
 
-    __slots__ = ("ring", "rank", "gens", "basis", "divisors", "_syzygies", "_minimal")
+    __slots__ = ("ring", "rank", "gens", "divisors", "_syzygies", "_minimal")
 
     def __init__(self, gens):
         gens = tuple(tuple(g) for g in gens)
@@ -422,9 +423,8 @@ class AugmentedBasis:
         augmented = [_terms(g) + ((-((rank + i) << shift), one),)
                      for i, g in enumerate(gens)]
         self.ring, self.rank, self.gens = ring, rank, gens
-        self.basis, self.divisors = [], []
         self._syzygies = self._minimal = None
-        _groebner(ring, self.basis, self.divisors, augmented)
+        self.divisors = _groebner(ring, [], augmented)
 
     def syzygies(self) -> list:
         """Generators of the syzygy module of gens, a new list on every
@@ -434,10 +434,10 @@ class AugmentedBasis:
             ring, rank, gens = self.ring, self.rank, self.gens
             shift = ring.position_shift
             out = []
-            for e in self.basis:
-                if -(e[0][0] >> shift) < rank:
+            for d in self.divisors:
+                if -(d[0] >> shift) < rank:
                     continue
-                s = _vector(ring, e, rank, len(gens))
+                s = _vector(ring, _element(ring.field, d), rank, len(gens))
                 # exactness check: the defining identity must hold on the nose
                 if _combination(s, gens):
                     raise RuntimeError("internal: syzygy identity violated")
@@ -455,19 +455,19 @@ class AugmentedBasis:
             self._minimal = tuple(minimal_subset(self.syzygies(), weights))
         return list(self._minimal)
 
-    def image(self) -> tuple:
-        """A Gröbner basis of the submodule that gens generate, as (monic
-        canonical term tuples, their divisors): the elements led below rank,
-        with their terms past rank dropped.  Smaller positions win, so an
-        element v = sum(c_i * gens_i) of the submodule, tagged as
-        v + sum(c_i * e_(rank + i)), keeps the lead of v, which the lead of
-        some element led below rank divides; and each of those elements,
-        cut, lies in the submodule."""
-        ring, rank = self.ring, self.rank
-        shift = ring.position_shift
-        G = [tuple((t, c) for t, c in e if -(t >> shift) < rank)
-             for e in self.basis if -(e[0][0] >> shift) < rank]
-        return G, [_divisor(ring.field, g) for g in G]
+    def image(self) -> list:
+        """A Gröbner basis of the submodule that gens generate, as integer
+        divisors: those led below rank, with their terms past rank dropped.
+        Smaller positions win, so an element v = sum(c_i * gens_i) of the
+        submodule, tagged as v + sum(c_i * e_(rank + i)), keeps the lead of
+        v, which the lead of some element led below rank divides; and each
+        of those elements, cut, lies in the submodule.  Over QQ a cut
+        divisor need not be primitive; it is still an integer unit multiple
+        of its element, and division reads only its lead and the ratios
+        c/lc of its terms, so it divides as the primitive one would."""
+        rank, shift = self.rank, self.ring.position_shift
+        return [(lead, lc, tuple([(t, c) for t, c in tail if -(t >> shift) < rank]))
+                for lead, lc, tail in self.divisors if -(lead >> shift) < rank]
 
     def express(self, polys) -> list:
         """For rank-one gens (g_i): one coefficient list c per f in polys,
@@ -505,20 +505,17 @@ def last_coordinates(basis: GroebnerBasis, rows) -> GroebnerBasis:
     ring, shift = basis.ring, basis.ring.position_shift
     rows = [tuple(row) for row in rows]
     k = len(rows[0]) - 1
-    G, divisors = [], []
+    divisors = []
     for i in range(k):
         s = i << shift
-        G += [_moved(b.terms, -s) for b in basis]
         divisors += [(lead - s, lc, _moved(tail, -s)) for lead, lc, tail in basis.divisors]
-    _groebner(ring, G, divisors, [_terms(row) for row in rows])
-    last = [i for i, e in enumerate(G) if -(e[0][0] >> shift) == k]
+    _groebner(ring, divisors, [_terms(row) for row in rows])
     s = k << shift
-    return _reduced(ring, [_moved(G[i], s) for i in last],
-                    [(lead + s, lc, _moved(tail, s))
-                     for lead, lc, tail in (divisors[i] for i in last)])
+    return _reduced(ring, [(lead + s, lc, _moved(tail, s))
+                           for lead, lc, tail in divisors if -(lead >> shift) == k])
 
 
-def minimal_subset(elems, weights, span=((), ())) -> list:
+def minimal_subset(elems, weights, span=()) -> list:
     """The elements of `elems` kept by graded Nakayama: taken in order of
     shifted degree, deg c + weights[i] for every term c of a component
     c_i, ties by input position, each is kept unless it lies in the
@@ -526,9 +523,9 @@ def minimal_subset(elems, weights, span=((), ())) -> list:
     Every element must be homogeneous under the weights (one shifted
     degree for all its terms), or NonHomogeneousError is raised; the kept
     ones, with the span, then minimally generate the submodule that the
-    span and `elems` generate.  `span` is a Gröbner basis of the span,
-    (monic canonical term tuples, their divisors) as
-    `AugmentedBasis.image` gives it; the default is the zero module.
+    span and `elems` generate.  `span` is a Gröbner basis of the span, as
+    the integer divisors that `AugmentedBasis.image` gives; the default is
+    the zero module.
 
     A copy of `span` is extended by each candidate in turn, and a
     candidate is kept when the basis grows.  The extension is truncated
@@ -553,11 +550,11 @@ def minimal_subset(elems, weights, span=((), ())) -> list:
 
     degrees = [shifted_degree(e) for e in elems]
     truncation = (weights, max(degrees))
-    G, divisors = list(span[0]), list(span[1])
+    divisors = list(span)
     kept = []
     for k in sorted(range(len(elems)), key=degrees.__getitem__):
-        size = len(G)
-        _groebner(ring, G, divisors, [_terms(elems[k])], truncation=truncation)
-        if len(G) > size:
+        size = len(divisors)
+        _groebner(ring, divisors, [_terms(elems[k])], truncation=truncation)
+        if len(divisors) > size:
             kept.append(elems[k])
     return kept

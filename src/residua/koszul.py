@@ -14,9 +14,10 @@ are min_gens(I), so d_1's augmented basis is I's own
 I's basis are first asked for, and its minimal syzygies are the columns
 A of the presentation of I/a in `fitting`.
 Each coefficient of an exterior product is one `ring.sum_of_products`
-over the signed pairs of coefficients that meet in it.  The zetas of
-(a, I) depend only on the generators of a and on I, so all three Kitt
-routes, and the presentation of I/a in `fitting`, share their
+over the signed pairs of coefficients that meet in it, and each of
+d(e_S) is one signed generator, so the layer adds no polynomials.  The
+zetas of (a, I) depend only on the generators of a and on I, so all
+three Kitt routes, and the presentation of I/a in `fitting`, share their
 coefficient lists through a cache on I (`fitting.expressions`), and the
 routes share the Gamma monomials of the zetas through another."""
 
@@ -139,15 +140,14 @@ class KoszulComplex:
         return tuple(combinations(range(1, self.n + 1), i))
 
     def differential_image(self, subset) -> ExteriorElement:
-        """d(e_S) as an exterior element of degree |S| - 1."""
-        out = {}
+        """d(e_S) as an exterior element of degree |S| - 1.  Each S - j
+        occurs once, so each coefficient is one signed generator, with no
+        sum."""
         S = tuple(subset)
+        out = {}
         for pos, j in enumerate(S, start=1):
-            rest = tuple(k for k in S if k != j)
             term = self.gens[j - 1]
-            if pos % 2 == 0:
-                term = -term
-            out[rest] = out.get(rest, self.ring.zero) + term
+            out[S[:pos - 1] + S[pos:]] = term if pos % 2 else -term
         return ExteriorElement(self.ring, self.n, len(S) - 1, out)
 
     def differential_columns(self, i: int):
@@ -196,7 +196,7 @@ def _homology(K: KoszulComplex, d1) -> HomologyData:
         shifts = [sum(gd[j - 1] for j in S) for S in basis]
         z = bases[i].minimal_syzygies() if i == 1 else bases[i].syzygies()
         cycles[i] = [ExteriorElement(K.ring, n, i, dict(zip(basis, s))) for s in z]
-        span = bases[i + 1].image() if i < n else ((), ())
+        span = bases[i + 1].image() if i < n else ()
         lifts[i] = [ExteriorElement(K.ring, n, i, dict(zip(basis, v)))
                     for v in minimal_subset(z, shifts, span)]
     return HomologyData(cycles, lifts, d1)

@@ -33,11 +33,12 @@ digit of its key passes MAX_DEGREE, which one mask shows (`bounds`).
 
 A Polynomial stores its terms as a tuple of (monomial, coefficient)
 pairs, strictly descending, with no zero coefficients, so equal
-polynomials compare equal structurally.  Addition and subtraction merge
-two canonical term tuples in one pass and never build a dict or sort.
-Multiplication sums integer products (`FieldSpec.integer_terms`, as the
-division kernel uses) in a dict over one common denominator, and each sum
-enters the field once, in one sort: no `from_dict`.
+polynomials compare equal structurally.  Addition, subtraction and
+multiplication are one arithmetic path, `sum_of_products`: p + q is
+1·p + 1·q and p - q is 1·p + (-1)·q.  It sums integer products
+(`FieldSpec.integer_terms`, as the division kernel uses) in a dict over
+one common denominator, and each sum enters the field once, in one sort:
+no `from_dict`.
 """
 
 from __future__ import annotations
@@ -298,12 +299,14 @@ class Polynomial:
     def __add__(self, other):
         other = self._coerce(other)
         self._check_ring(other)
-        return Polynomial(self.ring, _merge(self.ring.field, self.terms, other.terms, False))
+        one = self.ring.one
+        return self.ring.sum_of_products([(one.terms, self.terms), (one.terms, other.terms)])
 
     def __sub__(self, other):
         other = self._coerce(other)
         self._check_ring(other)
-        return Polynomial(self.ring, _merge(self.ring.field, self.terms, other.terms, True))
+        one = self.ring.one
+        return self.ring.sum_of_products([(one.terms, self.terms), ((-one).terms, other.terms)])
 
     def __neg__(self):
         F = self.ring.field
@@ -410,52 +413,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{self}>"
-
-
-def _merge(F: FieldSpec, a: tuple, b: tuple, subtract: bool) -> tuple:
-    """Terms of a + b, or of a - b when `subtract`, for canonical term
-    tuples a and b: one pass over both."""
-    if not b:
-        return a
-    if not a:
-        return tuple((m, F.neg(c)) for m, c in b) if subtract else b
-    zero = F.zero
-    combine = F.sub if subtract else F.add
-    out = []
-    append = out.append
-    na, nb = len(a), len(b)
-    i = j = 0
-    ma, ca = a[0]
-    mb, cb = b[0]
-    while True:
-        if ma > mb:
-            append((ma, ca))
-            i += 1
-            if i == na:
-                break
-            ma, ca = a[i]
-        elif ma < mb:
-            append((mb, F.neg(cb)) if subtract else (mb, cb))
-            j += 1
-            if j == nb:
-                break
-            mb, cb = b[j]
-        else:
-            s = combine(ca, cb)
-            if s != zero:
-                append((ma, s))
-            i += 1
-            j += 1
-            if i == na or j == nb:
-                break
-            ma, ca = a[i]
-            mb, cb = b[j]
-    out.extend(a[i:])
-    if subtract:
-        out.extend((m, F.neg(c)) for m, c in b[j:])
-    else:
-        out.extend(b[j:])
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +546,12 @@ class _Parser:
     def atom(self) -> Polynomial:
         kind, val, pos = self.next()
         if kind == "num":
-            return self.ring.constant(Fraction(val))
+            # a zero denominator, or over GF(p) one divisible by p
+            try:
+                return self.ring.constant(Fraction(val))
+            except ZeroDivisionError:
+                raise ParseError(f"the denominator of {val} is zero in {self.ring.field}",
+                                 pos) from None
         if kind == "ident":
             if val not in self.ring.variables:
                 raise ParseError(f"unknown variable {val!r}", pos)

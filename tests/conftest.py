@@ -114,12 +114,15 @@ def in_kernel_ring(build):
 
 
 def random_homogeneous(ring, degree, rng, density=0.8):
-    """Seeded random homogeneous form (test-data helper, not a strategy)."""
+    """Seeded random homogeneous form (test-data helper, not a strategy):
+    residues over GF(p), fractions n/d with 1 <= n <= 99 and 1 <= d <= 9
+    over QQ."""
+    p = ring.field.characteristic
     d = {}
     for expo in product(range(degree + 1), repeat=ring.nvars):
         if sum(expo) == degree and rng.random() < density:
             d[ring.monomial(expo)] = ring.field.element(
-                rng.randint(1, ring.field.characteristic - 1))
+                rng.randint(1, p - 1) if p else Fraction(rng.randint(1, 99), rng.randint(1, 9)))
     if not d:
         d[ring.monomial((degree,) + (0,) * (ring.nvars - 1))] = ring.field.one
     return ring.from_dict(d)

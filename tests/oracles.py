@@ -509,8 +509,7 @@ def module_member(elem, gens) -> bool:
     tuples of polynomials of one rank: the remainder of elem on division
     by a Gröbner basis of gens, computed from scratch, is zero."""
     ring = elem[0].ring
-    divisors = []
-    _groebner(ring, [], divisors, [_terms(g) for g in gens])
+    divisors = _groebner(ring, [], [_terms(g) for g in gens])
     return not _reduce(ring, _dividend(ring, _terms(elem)), divisors)
 
 

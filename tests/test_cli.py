@@ -277,6 +277,21 @@ def test_malformed_instance_exit_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, number", [("QQ", "1/0"), ("GF(32003)", "1/32003")])
+def test_zero_denominator_reports_its_line(tmp_path, field, number):
+    # 1/0, and over GF(p) a denominator divisible by p, is a parse error on
+    # its line, not a traceback
+    path = tmp_path / "zero.txt"
+    path.write_text(f"field = {field}\nI = x^2 + {number}*y^2, x*y\nvars = x, y\ns = 2\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "residua.cli", "colon", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: line 2: ")
+    assert f"denominator of {number} is zero" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "bad_line, lineno",
     [("s = abc", 3), ("s = 2.5", 3), ("s = -1", 3), ("s = 1\nseed = q", 4)],

@@ -16,6 +16,7 @@ from residua.groebner import (
     ResourceLimitError,
     _dividend,
     _divisor,
+    _element,
     _reduce,
     _terms,
     _vector,
@@ -26,7 +27,7 @@ from residua.groebner import (
 )
 from residua.ideals import Ideal, colon, min_gens
 from residua.koszul import KoszulComplex
-from residua.ring import MonomialOrder, PolyRing
+from residua.ring import MonomialOrder, Polynomial, PolyRing
 
 from conftest import (
     KERNEL_RINGS,
@@ -83,7 +84,7 @@ def test_all_spairs_reduce_to_zero(R3):
         basis = list(G)
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
-                assert normal_form(spoly(basis[i], basis[j]), basis).is_zero()
+                assert normal_form(spoly(basis[i], basis[j]), G).is_zero()
 
 
 def test_normal_form_matches_truncation_oracle(R2):
@@ -129,14 +130,14 @@ def dot(vec, polys):
 def test_syzygy_check_fires_on_a_tampered_basis(R2):
     gens = [(R2.parse("x"),), (R2.parse("y"),)]
     assert len(AugmentedBasis(gens).syzygies()) == 1
-    # the syzygies are read off the basis and checked once, on the first
-    # read, so tamper before it: double the last coefficient of the
+    # the syzygies are read off the divisors and checked once, on the
+    # first read, so tamper before it: double the last coefficient of the
     # syzygy (y, -x), and y*x - 2*x*y != 0
     B = AugmentedBasis(gens)
     shift = R2.position_shift
-    k = next(k for k, e in enumerate(B.basis) if -(e[0][0] >> shift) >= B.rank)
-    *head, (t, c) = B.basis[k]
-    B.basis[k] = (*head, (t, R2.field.add(c, c)))
+    k = next(k for k, (lead, _, _) in enumerate(B.divisors) if -(lead >> shift) >= B.rank)
+    lead, lc, (*head, (t, c)) = B.divisors[k]
+    B.divisors[k] = (lead, lc, (*head, (t, R2.field.add(c, c))))
     with pytest.raises(RuntimeError, match="syzygy identity violated"):
         B.syzygies()
 
@@ -163,15 +164,15 @@ def test_expression_check_fires_on_a_tampered_basis(R2):
     f = R2.parse("x^3 + x*y^2")
     B = AugmentedBasis([(g,) for g in gens])
     assert dot(B.express([f])[0], gens) == f
-    # double the coordinates past position 0 of every element led at 0, so
-    # that the remainder expresses 2f instead of f (position-0 terms are
-    # the non-negative ones)
+    # double the coordinates past position 0 of the divisor of every
+    # element led at 0, so that the remainder expresses 2f instead of f
+    # (position-0 terms are the non-negative ones)
     F = R2.field
-    B.basis[:] = [
-        tuple((t, F.add(c, c) if t < 0 else c) for t, c in e) if e[0][0] >= 0 else e
-        for e in B.basis
+    B.divisors[:] = [
+        (lead, lc, tuple((t, F.add(c, c) if t < 0 else c) for t, c in tail))
+        if lead >= 0 else (lead, lc, tail)
+        for lead, lc, tail in B.divisors
     ]
-    B.divisors[:] = [_divisor(F, e) for e in B.basis]
     with pytest.raises(RuntimeError, match="expression identity violated"):
         B.express([f])
 
@@ -244,7 +245,7 @@ def test_gb_of_random_ideals_is_groebner(R3):
         G = reduced_groebner(gens)
         # generators reduce to zero against their own basis
         for g in gens:
-            assert normal_form(g, list(G)).is_zero()
+            assert normal_form(g, G).is_zero()
 
 
 # --- kernel invariants -----------------------------------------------------
@@ -275,6 +276,15 @@ def _reference_normal_form(f, G):
     return rem
 
 
+def _remainder(f, G):
+    """The remainder of f on division by the sequence G of polynomials, by
+    the division kernel that `normal_form` runs, with the divisors built
+    here."""
+    ring = f.ring
+    divisors = [_divisor(ring.field, g.terms) for g in G if g.terms]
+    return Polynomial(ring, _reduce(ring, _dividend(ring, f.terms), divisors))
+
+
 _R = KERNEL_RINGS[0]
 
 
@@ -287,7 +297,7 @@ _R = KERNEL_RINGS[0]
 def test_normal_form_matches_repeated_subtraction(case):
     ring, G, f = case
     G = [g for g in G if not g.is_zero()]
-    assert normal_form(f, G).terms == _reference_normal_form(f, G).terms
+    assert _remainder(f, G).terms == _reference_normal_form(f, G).terms
 
 
 _QQ_RINGS = [ring for ring in KERNEL_RINGS if not ring.field.characteristic]
@@ -308,7 +318,7 @@ _Q = _QQ_RINGS[0]
 @example(([_Q.parse("6*x - 4*y"), _Q.parse("9*y^2 + 2*z^2")], _Q.parse("x*y^2 + 5/7*y*z^2")))
 def test_normal_form_over_qq_matches_fraction_division(case):
     G, f = case
-    r = normal_form(f, G)
+    r = _remainder(f, G)
     assert r == fraction_remainder(f, G)
     assert all(type(c) is Fraction for _, c in r.terms)
 
@@ -374,7 +384,7 @@ def _check_minimal_subset_against_reference(I):
         z = AugmentedBasis(K.differential_columns(i)).syzygies()
         shifts = [sum(degrees[j - 1] for j in S) for S in basis]
         boundaries = K.differential_columns(i + 1) if i < K.n else []
-        span = AugmentedBasis(boundaries).image() if boundaries else ((), ())
+        span = AugmentedBasis(boundaries).image() if boundaries else ()
         assert (minimal_subset(z, shifts, span)
                 == reference_minimal_subset(z, shifts, boundaries))
 
@@ -427,22 +437,19 @@ def test_minimal_subset_rejects_non_homogeneous_elements(R3):
         minimal_subset([(x * y, z)], (0, 2))
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("seed", range(2))
-def test_boundary_basis_is_a_basis_of_the_boundaries(family, seed):
-    # the augmented basis of d_(i+1), cut at its rank, is what minimal_subset
-    # starts from at degree i: every generator of B_i = im d_(i+1), and every
-    # R-combination of them, reduces to zero by it, and each of its
-    # elements, monic, lies in B_i by a from-scratch membership test
-    I = generate_instance(family, seed).I
+def _check_boundary_basis(I, rng):
+    """The augmented basis of d_(i+1), cut at its rank, is what
+    minimal_subset starts from at degree i: every generator of
+    B_i = im d_(i+1), and every R-combination of them, reduces to zero by
+    its divisors, and each element they stand for, monic, lies in B_i by a
+    from-scratch membership test."""
     ring = I.ring
     K = KoszulComplex(ring, min_gens(I))
-    rng = seeded_rng("boundary-basis", family, seed)
     for i in range(1, K.n):
         boundaries = K.differential_columns(i + 1)
         rank = len(K.basis(i))
-        G, divisors = AugmentedBasis(boundaries).image()
-        assert G and len(G) == len(divisors)
+        divisors = AugmentedBasis(boundaries).image()
+        assert divisors
 
         def reduces_to_zero(vec):
             return not _reduce(ring, _dividend(ring, _terms(vec)), divisors)
@@ -453,9 +460,30 @@ def test_boundary_basis_is_a_basis_of_the_boundaries(family, seed):
             combo = tuple(sum((c * b[k] for c, b in zip(coeffs, boundaries)), ring.zero)
                           for k in range(rank))
             assert reduces_to_zero(combo)
-        for g in G:
+        for d in divisors:
+            g = _element(ring.field, d)
             assert g[0][1] == ring.field.one
             assert module_member(_vector(ring, g, 0, rank), boundaries)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("seed", range(2))
+def test_boundary_basis_is_a_basis_of_the_boundaries(family, seed):
+    _check_boundary_basis(generate_instance(family, seed).I,
+                          seeded_rng("boundary-basis", family, seed))
+
+
+@pytest.mark.parametrize("field", [RATIONALS, FieldSpec(101)], ids=str)
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("seed", range(2))
+def test_boundary_basis_in_other_fields(family, seed, field):
+    # the corpus I read in the field's ring, as in the test of minimal_subset
+    # in other orders and fields; over QQ a cut divisor need not be
+    # primitive, and it divides as the primitive one would
+    I = generate_instance(family, seed).I
+    ring = PolyRing(field, I.ring.variables, I.ring.order)
+    _check_boundary_basis(Ideal(ring, [ring.parse(str(g)) for g in I.generators]),
+                          seeded_rng("boundary-basis", family, seed, field))
 
 
 def test_divisors_are_built_once_per_basis_element(monkeypatch):
@@ -467,22 +495,30 @@ def test_divisors_are_built_once_per_basis_element(monkeypatch):
     I, a = inst.I, inst.a
     x = min_gens(I)
     a.groebner()
-    built, joined = [], []
-    divisor, monic = groebner._divisor, groebner._monic
+    built, grown = [], []
+    divisor, engine = groebner._divisor, groebner._groebner
     monkeypatch.setattr(groebner, "_divisor", lambda F, t: built.append(t) or divisor(F, t))
-    monkeypatch.setattr(groebner, "_monic", lambda F, t: joined.append(t) or monic(F, t))
+
+    def counted(ring, divisors, new, *rest, **options):
+        # the number of elements that join the basis in this run
+        size = len(divisors)
+        engine(ring, divisors, new, *rest, **options)
+        grown.append(len(divisors) - size)
+        return divisors
+
+    monkeypatch.setattr(groebner, "_groebner", counted)
     B = AugmentedBasis([(g,) for g in x])
-    assert len(built) == len(joined) == len(B.basis) == len(B.divisors)
+    assert len(built) == sum(grown) == len(B.divisors)
     B.express([g for g in a.generators if not g.is_zero()])
     syz = B.syzygies()
-    assert len(built) == len(B.basis)
+    assert len(built) == len(B.divisors)
     kept = minimal_subset(syz, [g.total_degree() for g in x])
-    assert kept and len(built) == len(joined)
+    assert kept and len(built) == sum(grown)
     # a fresh divisor ideal, so the colon is not a memo hit
     J = colon(a, Ideal(I.ring, I.generators))
-    assert len(joined) > len(B.basis) and len(built) == len(joined) + len(J.groebner())
+    assert sum(grown) > len(B.divisors) and len(built) == sum(grown) + len(J.groebner())
     J.contains(x[0])
-    assert len(built) == len(joined) + len(J.groebner())
+    assert len(built) == sum(grown) + len(J.groebner())
 
 
 def test_monomials_past_the_bound_raise_in_the_engine():
@@ -491,8 +527,8 @@ def test_monomials_past_the_bound_raise_in_the_engine():
     L = PolyRing(GF32003, ("x", "y"), MonomialOrder("lex"))
     x, y = L.gens
     with pytest.raises(ValueError, match="exceeds the bound"):
-        normal_form(x**20, [L.parse("x - y^2000")])
-    assert normal_form(x**2, [L.parse("x - y^2000")]) == y**4000
+        normal_form(x**20, reduced_groebner([L.parse("x - y^2000")]))
+    assert normal_form(x**2, reduced_groebner([L.parse("x - y^2000")])) == y**4000
     # under grevlex a product, an S-pair lcm and a module lcm of degree
     # 40000 raise; under lex the same product is in range
     R = PolyRing(GF32003, ("x", "y", "z"))

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from residua.field import GF32003, RATIONALS, FieldSpec
 from residua.ring import MAX_DEGREE, MonomialOrder, ParseError, PolyRing, sum_of_products
@@ -74,6 +74,20 @@ def test_parse_rejects_garbage(R2):
         R2.parse("w + 1")
 
 
+@pytest.mark.parametrize("field", [RATIONALS, GF32003], ids=str)
+def test_parse_rejects_a_zero_denominator(field):
+    # 1/0 in every field, and over GF(p) a denominator divisible by p: a
+    # ParseError at the number, not a ZeroDivisionError
+    ring = PolyRing(field, ("x", "y"))
+    with pytest.raises(ParseError, match=r"denominator of 1/0 is zero .*position 5\)$"):
+        ring.parse("x^2 + 1/0*y^2")
+    if field.characteristic:
+        with pytest.raises(ParseError, match=r"denominator of 1/32003 is zero in GF\(32003\)"):
+            ring.parse("x^2 + 1/32003*y^2")
+    else:
+        assert str(ring.parse("x^2 + 1/32003*y^2")) == "x^2 + 1/32003*y^2"
+
+
 def test_rational_field_arithmetic(Q2):
     x, y = Q2.gens
     p = x.scale(Q2.field.element("1/2")) + y
@@ -130,7 +144,16 @@ def _reference_sum(p, q, subtract):
     return p.ring.from_dict(d)
 
 
+_GF, _QQ = KERNEL_RINGS[0], KERNEL_RINGS[4]     # grevlex over GF(32003) and QQ
+
+
 @given(in_kernel_ring(lambda ring: [polynomials(ring, max_terms=6)] * 2))
+# a zero operand on either side: p + 0, p - 0, 0 + q and 0 - q
+@example((_GF, _GF.parse("x^2 - 3*y*z + 2"), _GF.zero))
+@example((_GF, _GF.zero, _GF.parse("x^2 - 3*y*z + 2")))
+@example((_QQ, _QQ.parse("1/2*x^2 - 3*y*z + 2"), _QQ.zero))
+@example((_QQ, _QQ.zero, _QQ.parse("1/2*x^2 - 3*y*z + 2")))
+@example((_QQ, _QQ.zero, _QQ.zero))
 def test_add_sub_merge_is_canonical(case):
     ring, p, q = case
     key = tuple_key(ring.order)
