@@ -23,11 +23,10 @@ key, and is reduced by the basis of the moment when it is popped: a
 nonzero remainder joins the basis, as its divisor, with its pairs, and a
 zero one is dropped before it makes any.  So a redundant input generator
 costs one division and no S-pair, and a basis grows from what is new
-instead of being rebuilt: `minimal_subset` extends one basis of its span,
-`AugmentedBasis` serves the syzygies of a sequence (all of them, and a
-minimal set, each read off once), the expression of
-elements in terms of it and a Gröbner basis of the submodule it
-generates, and `last_coordinates` eliminates
+instead of being rebuilt: `minimal_subset` extends one basis of its span
+by each candidate in turn, `AugmentedBasis` serves the syzygies of a
+sequence (all of them, and a minimal set, each read off once) and the
+expression of elements in terms of it, and `last_coordinates` eliminates
 all but the last position of a free module in one run: the basis of an
 ideal copied to each of the first k positions is already a Gröbner basis
 of theirs (its divisors are the ideal basis's, shifted), so only the
@@ -39,8 +38,12 @@ intersections of ideals are read off them.
 A run may be truncated at a degree: `minimal_subset` tests homogeneous
 candidates for membership, and a test in degree at most D reads only the
 pairs of degree at most D (the degree of a pair's lcm plus the weight of
-its position), so the run never queues the others.  Its basis is then a
-Gröbner basis up to degree D, never a reduced one, and never leaves it.
+its position), so the run never queues the others, and drops a new
+element of degree above D as it arrives, since every pair it could make
+lies above D too.  So a span given by its generators, such as the
+columns of a Koszul differential, costs only its part up to degree D.
+The basis is then a Gröbner basis up to degree D, never a reduced one,
+and never leaves the run.
 
 A run's output becomes a reduced basis once, in `_reduced`, which builds
 the divisors of the reduced elements into the `GroebnerBasis` it returns.
@@ -76,10 +79,9 @@ Remainder terms come out in descending order, so they need no final
 sort.  The divisor is always the first element of G whose lead divides,
 and a step reads only its lead and the ratios c/lc of its terms, so
 every remainder is the same field values whatever unit multiple a
-divisor holds (a divisor cut at a rank, which `AugmentedBasis.image`
-gives, need not be primitive over QQ); an S-pair is built from the two
-divisors, so its remainder is the one plain repeated subtraction gives
-up to a unit, and the element that joins gets the same divisor.  A
+divisor holds; an S-pair is built from the two divisors, so its
+remainder is the one plain repeated subtraction gives up to a unit, and
+the element that joins gets the same divisor.  A
 basis element is made monic only where it leaves the engine: `_reduced`
 for a reduced basis, `_element` for a syzygy.  A `GroebnerBasis`
 carries the divisors of its elements, for all the normal forms taken
@@ -248,22 +250,26 @@ def _groebner(ring: PolyRing, divisors: list, new, product_criterion=False,
     under its lead, ahead of S-pairs with that key; popped, it is reduced
     by G, and a nonzero remainder joins G as its divisor while a zero one
     is dropped.  `product_criterion` is for ideals only.
-    `truncation`, (weights, bound), leaves out every pair whose degree,
-    the degree of its lcm's monomial plus the weight of its position, is
-    above bound: for elements homogeneous under the weights, G is then a
-    Gröbner basis up to degree bound, and an element of degree at most
-    bound lies in the submodule exactly when it reduces to zero by G."""
+    `truncation`, (weights, bound), drops every new element and leaves
+    out every pair whose degree, the degree of its lead's or its lcm's
+    monomial plus the weight of its position, is above bound: for
+    elements homogeneous under the weights, G is then a Gröbner basis up
+    to degree bound, and an element of degree at most bound lies in the
+    submodule exactly when it reduces to zero by G."""
     F, lcm_of, degree = ring.field, ring.lcm, ring.degree
     offset, mask, want = ring.divisibility
     shift = ring.position_shift
     monomial = (1 << shift) - 1
     leads = [d[0] for d in divisors]
     new = [t for t in new if t]
+    if truncation is not None:
+        weights, bound = truncation
+        # a new element above the bound makes only pairs above it
+        new = [t for t in new
+               if degree(t[0][0] & monomial) + weights[-(t[0][0] >> shift)] <= bound]
     heap = [(t[0][0] & monomial, -1, k) for k, t in enumerate(new)]
     heapify(heap)
     pending = set()
-    if truncation is not None:
-        weights, bound = truncation
 
     def insert(r):
         divisors.append(_divisor(F, r))
@@ -455,20 +461,6 @@ class AugmentedBasis:
             self._minimal = tuple(minimal_subset(self.syzygies(), weights))
         return list(self._minimal)
 
-    def image(self) -> list:
-        """A Gröbner basis of the submodule that gens generate, as integer
-        divisors: those led below rank, with their terms past rank dropped.
-        Smaller positions win, so an element v = sum(c_i * gens_i) of the
-        submodule, tagged as v + sum(c_i * e_(rank + i)), keeps the lead of
-        v, which the lead of some element led below rank divides; and each
-        of those elements, cut, lies in the submodule.  Over QQ a cut
-        divisor need not be primitive; it is still an integer unit multiple
-        of its element, and division reads only its lead and the ratios
-        c/lc of its terms, so it divides as the primitive one would."""
-        rank, shift = self.rank, self.ring.position_shift
-        return [(lead, lc, tuple([(t, c) for t, c in tail if -(t >> shift) < rank]))
-                for lead, lc, tail in self.divisors if -(lead >> shift) < rank]
-
     def express(self, polys) -> list:
         """For rank-one gens (g_i): one coefficient list c per f in polys,
         with f = sum(c_i * g_i); raises NotAMemberError."""
@@ -523,15 +515,16 @@ def minimal_subset(elems, weights, span=()) -> list:
     Every element must be homogeneous under the weights (one shifted
     degree for all its terms), or NonHomogeneousError is raised; the kept
     ones, with the span, then minimally generate the submodule that the
-    span and `elems` generate.  `span` is a Gröbner basis of the span, as
-    the integer divisors that `AugmentedBasis.image` gives; the default is
-    the zero module.
+    span and `elems` generate.  `span` is a sequence of generators of the
+    span, free-module elements of the same rank, homogeneous under the
+    weights too; the default is the zero module.
 
-    A copy of `span` is extended by each candidate in turn, and a
-    candidate is kept when the basis grows.  The extension is truncated
-    at the largest shifted degree D of the candidates: a pair of degree
-    above D is never queued, since no candidate's membership test reads
-    it (Kreuzer and Robbiano, *Computational Commutative Algebra 2*,
+    One truncated run makes a basis of the span, and it is extended by
+    each candidate in turn; a candidate is kept when the basis grows.
+    Every run is truncated at the largest shifted degree D of the
+    candidates: a generator of the span above D is dropped, and a pair of
+    degree above D is never queued, since no candidate's membership test
+    reads it (Kreuzer and Robbiano, *Computational Commutative Algebra 2*,
     §4.5)."""
     elems = list(elems)
     if not elems:
@@ -550,7 +543,9 @@ def minimal_subset(elems, weights, span=()) -> list:
 
     degrees = [shifted_degree(e) for e in elems]
     truncation = (weights, max(degrees))
-    divisors = list(span)
+    divisors = []
+    if span:
+        _groebner(ring, divisors, [_terms(s) for s in span], truncation=truncation)
     kept = []
     for k in sorted(range(len(elems)), key=degrees.__getitem__):
         size = len(divisors)

@@ -183,21 +183,29 @@ def ideal_equal(I: Ideal, J: Ideal) -> bool:
 # dimension theory
 # ---------------------------------------------------------------------------
 
-def dimension(I: Ideal) -> int:
-    """Krull dimension of R/I: the largest variable subset independent
-    modulo the leading-term ideal.  The unit ideal reports -1."""
-    if I.is_unit():
-        return -1
+def lead_dimension(ring: PolyRing, leads) -> int:
+    """Krull dimension of R modulo the monomial ideal of the leading
+    monomials `leads`, those of a Gröbner basis of an ideal I, so that of
+    R/I: the size of the largest variable subset that no lead is supported
+    inside.  A constant lead (I the unit ideal) leaves no subset but the
+    empty one, so 0."""
     # the variable sets of the leading monomials, as bit masks
-    supports = [sum(1 << i for i, e in enumerate(I.ring.exponents(g.lm())) if e)
-                for g in I.groebner().elements]
+    supports = [sum(1 << i for i, e in enumerate(ring.exponents(m)) if e) for m in leads]
     best = 0
-    for mask in range(1 << I.ring.nvars):
+    for mask in range(1 << ring.nvars):
         size = mask.bit_count()
         # S is independent iff no leading monomial is supported inside S
         if size > best and all(s & ~mask for s in supports):
             best = size
     return best
+
+
+def dimension(I: Ideal) -> int:
+    """Krull dimension of R/I (`lead_dimension` of its reduced basis).
+    The unit ideal reports -1."""
+    if I.is_unit():
+        return -1
+    return lead_dimension(I.ring, [g.lm() for g in I.groebner().elements])
 
 
 def height(I: Ideal) -> int:

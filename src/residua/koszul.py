@@ -3,16 +3,21 @@ homology generators with lifts, and the Kitt ideal via both of its
 constructions (homology lifts, and cycles with the Gamma subalgebra
 generated by the zeta elements of a).
 
-Each object is computed once.  The augmented basis of each differential
-d_i serves twice: its syzygies generate Z_i, and its elements led below
-its rank, cut there, are a Gröbner basis of the boundaries B_(i-1), from
-which the lifts at degree i - 1 are picked.  At degree 1 the cycle
-generators, and the candidates for the lifts, are d_1's minimal
-syzygies, so the routes wedge fewer products of Z_1.  The columns of d_1
-are min_gens(I), so d_1's augmented basis is I's own
+Each object is computed once, and only the homology that can be nonzero
+is computed: over a polynomial ring H_i = 0 for i > n - ht I (depth
+sensitivity), so there Z_i = B_i is generated by the columns of d_(i+1),
+with no Gröbner run, and has no lifts.  At or below n - ht I the
+syzygies of d_i's augmented basis generate Z_i, and the lifts are picked
+from them modulo the boundaries, which `minimal_subset` takes as the
+columns of d_(i+1) and reads only up to the lifts' degree.  At degree 1
+the cycle generators, and the candidates for the lifts, are d_1's
+minimal syzygies, so the routes wedge fewer products of Z_1, and when no
+column of d_2 lies at or below their degree they are the lifts.  The
+columns of d_1 are min_gens(I), so d_1's augmented basis is I's own
 (`ideals.augmented_basis`), shared in whichever order the homology and
 I's basis are first asked for, and its minimal syzygies are the columns
-A of the presentation of I/a in `fitting`.
+A of the presentation of I/a in `fitting`; the height that bounds the
+homology is read off its leads.
 Each coefficient of an exterior product is one `ring.sum_of_products`
 over the signed pairs of coefficients that meet in it, and each of
 d(e_S) is one signed generator, so the layer adds no polynomials.  The
@@ -28,7 +33,7 @@ from itertools import combinations
 
 from .ring import Polynomial, PolyRing
 from .groebner import AugmentedBasis, minimal_subset
-from .ideals import Ideal, augmented_basis, min_gens
+from .ideals import Ideal, augmented_basis, lead_dimension, min_gens
 from .fitting import expressions
 
 
@@ -160,10 +165,12 @@ class KoszulComplex:
         return cols
 
 
-# cycle_gens: i -> list of ExteriorElement generating Z_i, at i = 1 the
-# minimal syzygies of the generators (the columns A in `fitting`);
+# cycle_gens: i -> list of ExteriorElement generating Z_i: at i = 1 the
+# minimal syzygies of the generators (the columns A in `fitting`), above
+# n - ht the columns of d_(i+1), which generate Z_i = B_i there, and in
+# between the syzygies of d_i;
 # lifts: i -> the cycle generators, trimmed, whose classes minimally
-# generate H_i;
+# generate H_i (none above n - ht);
 # d1: the augmented basis of d_1, whose columns are the generators again
 # (None when there are none)
 HomologyData = namedtuple("HomologyData", "cycle_gens lifts d1")
@@ -173,32 +180,61 @@ def homology_lifts(K: KoszulComplex) -> HomologyData:
     """Cycle generators per degree plus lifts: the cycles that
     `minimal_subset` keeps with the boundaries as span and e_S weighted by
     the sum of deg x_j over j in S, so that their classes minimally
-    generate the homology (ties by input order).  The generators of K
-    must be homogeneous: NonHomogeneousError otherwise."""
+    generate the homology (ties by input order); none above n - ht, where
+    the homology is zero.  The generators of K must be homogeneous:
+    NonHomogeneousError otherwise."""
     return _homology(K, AugmentedBasis(K.differential_columns(1)) if K.n else None)
 
 
 def _homology(K: KoszulComplex, d1) -> HomologyData:
     """`homology_lifts`, given the augmented basis d1 of d_1 (None when
-    n = 0).  The augmented basis of each d_i serves twice: its syzygies
-    generate Z_i (at i = 1 its minimal syzygies, which d1 keeps), and cut
-    at its rank it is the Gröbner basis of B_(i-1) = im d_i that
-    `minimal_subset` starts from at degree i - 1.  The lifts are picked
-    among the cycle generators; minimal_subset raises NonHomogeneousError
+    n = 0).  Over a polynomial ring grade = height, so by depth
+    sensitivity H_i = 0 for i > n - g, g the height of the ideal of the
+    generators (Bruns and Herzog, *Cohen-Macaulay Rings*, Thm 1.6.17).
+    g is read off the leads of d1's elements led at position 0, a Gröbner
+    basis of that ideal, with `ideals.lead_dimension`; the unit ideal gets
+    g = nvars, as in `height`.  Above n - g, Z_i = B_i is generated by the
+    columns of d_(i+1), and there are no lifts, with no Gröbner run.  At
+    or below it, Z_i is generated by the syzygies of d_i's augmented
+    basis, and the lifts are what `minimal_subset` keeps of them with the
+    columns of d_(i+1) as span.  At i = 1, at every n - g, Z_1 is generated
+    by d1's minimal syzygies; when no column of d_2 lies at or below their
+    largest shifted degree, graded Nakayama keeps them all, so they are
+    the lifts with no run.  minimal_subset raises NonHomogeneousError
     unless the generators of K are homogeneous."""
-    n = K.n
-    one = ExteriorElement.scalar(K.ring, n, K.ring.one)
+    n, ring = K.n, K.ring
+    one = ExteriorElement.scalar(ring, n, ring.one)
     cycles, lifts = {0: [one]}, {0: [one]}
-    bases = [None, d1] + [AugmentedBasis(K.differential_columns(i)) for i in range(2, n + 1)]
+    if not n:
+        return HomologyData(cycles, lifts, d1)
+    grade = ring.nvars - lead_dimension(ring, [lead for lead, _, _ in d1.divisors if lead >= 0])
     gd = [g.total_degree() for g in K.gens]
+
+    def exterior(i, vecs):
+        return [ExteriorElement(ring, n, i, dict(zip(K.basis(i), v))) for v in vecs]
+
+    def degree(vec, weights):
+        # the shifted degree of a homogeneous vector, -1 for zero
+        return next((c.total_degree() + w for c, w in zip(vec, weights) if not c.is_zero()), -1)
+
     for i in range(1, n + 1):
-        basis = K.basis(i)
-        shifts = [sum(gd[j - 1] for j in S) for S in basis]
-        z = bases[i].minimal_syzygies() if i == 1 else bases[i].syzygies()
-        cycles[i] = [ExteriorElement(K.ring, n, i, dict(zip(basis, s))) for s in z]
-        span = bases[i + 1].image() if i < n else ()
-        lifts[i] = [ExteriorElement(K.ring, n, i, dict(zip(basis, v)))
-                    for v in minimal_subset(z, shifts, span)]
+        boundaries = K.differential_columns(i + 1)
+        if i == 1:
+            z = d1.minimal_syzygies()
+        elif i <= n - grade:
+            z = AugmentedBasis(K.differential_columns(i)).syzygies()
+        else:
+            z = boundaries
+        cycles[i] = exterior(i, z)
+        if i > n - grade:
+            lifts[i] = []
+            continue
+        shifts = [sum(gd[j - 1] for j in S) for S in K.basis(i)]
+        if i == 1:
+            top = max((degree(s, shifts) for s in z), default=-1)
+            boundaries = [b for b in boundaries if degree(b, shifts) <= top]
+        kept = minimal_subset(z, shifts, boundaries) if i > 1 or boundaries else z
+        lifts[i] = exterior(i, kept)
     return HomologyData(cycles, lifts, d1)
 
 
@@ -270,7 +306,8 @@ def _top_coefficients(n, gammas, elems) -> list:
 def kitt(a: Ideal, I: Ideal, homology: HomologyData = None) -> Ideal:
     """The Kitt ideal from homology lifts:
     Kitt * e_top = a * e_top + sum over i of Gamma_{n-i} * H~_i, over all
-    lifts (Gamma stops at degree min(s, n), and lifts at n - ht I)."""
+    lifts (Gamma stops at degree min(s, n), and lifts at n - ht I, above
+    which `homology_lifts` computes none)."""
     n, a_gens, gammas, H = _setup(a, I, homology)
     lifts = [h for hs in H.lifts.values() for h in hs]
     return Ideal(I.ring, list(a_gens) + _top_coefficients(n, gammas, lifts))

@@ -503,22 +503,26 @@ class _Parser:
         return p
 
     def expr(self) -> Polynomial:
+        """A signed sum of terms, summed by one `sum_of_products` over the
+        terms times 1 or -1; a lone unsigned term is returned as it is."""
+        one = self.ring.one
+        signs = {"+": one.terms, "-": (-one).terms}
+        pairs, sign = [], "+"
         kind, val, _ = self.peek()
-        negate = False
         if kind == "op" and val in "+-":
             self.next()
-            negate = val == "-"
-        p = self.term()
-        if negate:
-            p = -p
+            sign = val
         while True:
+            p = self.term()
+            pairs.append((signs[sign], p.terms))
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                q = self.term()
-                p = p - q if val == "-" else p + q
-            else:
-                return p
+            if kind != "op" or val not in "+-":
+                break
+            self.next()
+            sign = val
+        if len(pairs) == 1 and sign == "+":
+            return p
+        return self.ring.sum_of_products(pairs)
 
     def term(self) -> Polynomial:
         p = self.factor()

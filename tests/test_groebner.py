@@ -217,25 +217,27 @@ def test_step_limit_enforced_on_modules(R3):
     gens = [random_homogeneous(R3, 2, rng) for _ in range(3)]
     f = R3.gens[0] * gens[0]
     rank_one = [(g,) for g in gens]
-    span = AugmentedBasis(rank_one).image()
+    span = rank_one
     set_step_limit(1)
     with pytest.raises(ResourceLimitError, match="^exceeded 1 S-pair reductions$"):
         AugmentedBasis(rank_one).syzygies()
     with pytest.raises(ResourceLimitError, match="^exceeded 1 S-pair reductions$"):
         AugmentedBasis(rank_one).express([f])
-    # the span's basis is given, so only the pairs a candidate brings in
-    # are reduced, up to the largest degree of the candidates: x*y is
-    # outside the span, and its pairs of degree at most 3, that of f, need
-    # more than one
-    x, y, _z = R3.gens
+    # the span's generators and each candidate are runs of their own, each
+    # reducing the pairs up to the largest degree of the candidates: the
+    # three quadrics and x*y, outside their span, make pairs of degree at
+    # most 3, that of f, that need more than one
+    x, y, z = R3.gens
     with pytest.raises(ResourceLimitError, match="^exceeded 1 S-pair reductions$"):
         minimal_subset([(x * y,), (f,)], (0,), span)
     set_step_limit(0)
-    # alone, x*y makes no pair of degree at most 2, its own
+    # alone, x*y makes no pair of degree at most 2, its own, and neither
+    # does the span: two quadrics make pairs of degree 3 or more
     assert minimal_subset([(x * y,)], (0,), span) == [(x * y,)]
-    # f and x*f lie in the span: each reduces to zero on arrival, before
-    # it makes a pair
-    assert minimal_subset([(x * f,), (f,)], (0,), span) == []
+    # f and x*f lie in the span of gens[0] and z^5: z^5 lies above 4, the
+    # degree of x*f, and is dropped, and gens[0] alone makes no pair; each
+    # candidate reduces to zero on arrival, before it makes a pair
+    assert minimal_subset([(x * f,), (f,)], (0,), [(gens[0],), (z**5,)]) == []
 
 
 def test_gb_of_random_ideals_is_groebner(R3):
@@ -375,17 +377,15 @@ def _check_minimal_subset_against_reference(I):
     degrees = [g.total_degree() for g in x]
     syz = AugmentedBasis([(g,) for g in x]).syzygies()
     assert minimal_subset(syz, degrees) == reference_minimal_subset(syz, degrees)
-    # Koszul cycles modulo the boundaries, as in homology_lifts: the span
-    # B_i = im d_(i+1) is given by the Gröbner basis read off the augmented
-    # basis of d_(i+1), the reference takes its generators
+    # Koszul cycles modulo the boundaries, as in homology_lifts: both take
+    # the span B_i = im d_(i+1) as its generators, the columns of d_(i+1)
     K = KoszulComplex(I.ring, x)
     for i in range(1, K.n + 1):
         basis = K.basis(i)
         z = AugmentedBasis(K.differential_columns(i)).syzygies()
         shifts = [sum(degrees[j - 1] for j in S) for S in basis]
-        boundaries = K.differential_columns(i + 1) if i < K.n else []
-        span = AugmentedBasis(boundaries).image() if boundaries else ()
-        assert (minimal_subset(z, shifts, span)
+        boundaries = K.differential_columns(i + 1)
+        assert (minimal_subset(z, shifts, boundaries)
                 == reference_minimal_subset(z, shifts, boundaries))
 
 
@@ -438,32 +438,53 @@ def test_minimal_subset_rejects_non_homogeneous_elements(R3):
 
 
 def _check_boundary_basis(I, rng):
-    """The augmented basis of d_(i+1), cut at its rank, is what
-    minimal_subset starts from at degree i: every generator of
-    B_i = im d_(i+1), and every R-combination of them, reduces to zero by
-    its divisors, and each element they stand for, monic, lies in B_i by a
-    from-scratch membership test."""
+    """The run over the columns of d_(i+1) that minimal_subset starts
+    from at degree i, truncated at D, the largest shifted degree of the
+    syzygies of d_i, and at two above the largest degree of a column:
+    every generator of B_i = im d_(i+1) of degree at most the bound, and
+    every homogeneous R-combination of them of degree at most the bound,
+    reduces to zero by its divisors, and each element they stand for,
+    monic, lies in B_i by a from-scratch membership test and has degree
+    at most the bound.  With no column at or below D the run keeps
+    nothing."""
     ring = I.ring
-    K = KoszulComplex(ring, min_gens(I))
+    x = min_gens(I)
+    gd = [g.total_degree() for g in x]
+    K = KoszulComplex(ring, x)
     for i in range(1, K.n):
         boundaries = K.differential_columns(i + 1)
         rank = len(K.basis(i))
-        divisors = AugmentedBasis(boundaries).image()
-        assert divisors
+        shifts = [sum(gd[j - 1] for j in S) for S in K.basis(i)]
+        degrees = [sum(gd[j - 1] for j in T) for T in K.basis(i + 1)]
+        z = AugmentedBasis(K.differential_columns(i)).syzygies()
+        top = max(c.total_degree() + w for s in z for c, w in zip(s, shifts)
+                  if not c.is_zero())
+        for bound in (top, max(degrees) + 2):
+            divisors = groebner._groebner(ring, [], [_terms(b) for b in boundaries],
+                                          truncation=(shifts, bound))
+            if min(degrees) > bound:
+                assert divisors == []
+                continue
 
-        def reduces_to_zero(vec):
-            return not _reduce(ring, _dividend(ring, _terms(vec)), divisors)
+            def reduces_to_zero(vec):
+                return not _reduce(ring, _dividend(ring, _terms(vec)), divisors)
 
-        assert all(reduces_to_zero(b) for b in boundaries)
-        for _ in range(3):
-            coeffs = [random_homogeneous(ring, rng.choice([1, 2]), rng) for _ in boundaries]
-            combo = tuple(sum((c * b[k] for c, b in zip(coeffs, boundaries)), ring.zero)
-                          for k in range(rank))
-            assert reduces_to_zero(combo)
-        for d in divisors:
-            g = _element(ring.field, d)
-            assert g[0][1] == ring.field.one
-            assert module_member(_vector(ring, g, 0, rank), boundaries)
+            assert all(reduces_to_zero(b) for b, d in zip(boundaries, degrees) if d <= bound)
+            for _ in range(3):
+                target = rng.randint(min(degrees), bound)
+                coeffs = [random_homogeneous(ring, target - d, rng) if d <= target
+                          else ring.zero for d in degrees]
+                combo = tuple(sum((c * b[k] for c, b in zip(coeffs, boundaries)), ring.zero)
+                              for k in range(rank))
+                assert reduces_to_zero(combo)
+            for d in divisors:
+                g = _element(ring.field, d)
+                assert g[0][1] == ring.field.one
+                vec = _vector(ring, g, 0, rank)
+                assert module_member(vec, boundaries)
+                # nothing above the bound joins, not even a column
+                assert max(c.total_degree() + w for c, w in zip(vec, shifts)
+                           if not c.is_zero()) <= bound
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -478,8 +499,7 @@ def test_boundary_basis_is_a_basis_of_the_boundaries(family, seed):
 @pytest.mark.parametrize("seed", range(2))
 def test_boundary_basis_in_other_fields(family, seed, field):
     # the corpus I read in the field's ring, as in the test of minimal_subset
-    # in other orders and fields; over QQ a cut divisor need not be
-    # primitive, and it divides as the primitive one would
+    # in other orders and fields
     I = generate_instance(family, seed).I
     ring = PolyRing(field, I.ring.variables, I.ring.order)
     _check_boundary_basis(Ideal(ring, [ring.parse(str(g)) for g in I.generators]),

@@ -12,7 +12,8 @@ from residua import corpus
 from residua.corpus import FAMILIES
 from residua.field import GF32003, RATIONALS, FieldSpec
 from residua.fitting import _syzygy_rows, expressions, fitt0_quotient
-from residua.ideals import Ideal, NonHomogeneousError, colon, ideal_equal, min_gens
+from residua.groebner import AugmentedBasis
+from residua.ideals import Ideal, NonHomogeneousError, colon, height, ideal_equal, min_gens
 from residua.koszul import (
     ExteriorElement,
     KoszulComplex,
@@ -31,7 +32,13 @@ from conftest import (
     rings_and_coefficients,
     seeded_rng,
 )
-from oracles import koszul_homology_dim, reference_cycle_products, reference_wedge
+from oracles import (
+    koszul_homology_dim,
+    module_member,
+    reference_cycle_products,
+    reference_minimal_subset,
+    reference_wedge,
+)
 
 
 def test_wedge_antisymmetry(R2):
@@ -296,3 +303,84 @@ def test_kitt_via_cycles_worked_examples_match_cycle_products(field):
     a = parse_ideal(R, "x^2", "y^2")
     for I in (parse_ideal(R, "x", "y"), parse_ideal(R, "x^2", "x*y", "y^2")):
         assert ideal_equal(kitt_via_cycles(a, I), _gamma_z_by_products(a, I))
+
+
+# --- depth sensitivity: no homology above n - ht I ---
+
+# the variables and generators of two powers of the maximal ideal
+POWERS = {"(x, y)^3": (("x", "y"), ("x^3", "x^2*y", "x*y^2", "y^3")),
+          "(x, y, z)^2": (("x", "y", "z"), ("x^2", "x*y", "x*z", "y^2", "y*z", "z^2"))}
+
+
+def _ideal(field, source):
+    """The seed-0 corpus I of a family read over the field, or a power of
+    the maximal ideal: n - ht I is 0 for ci, 1 for the other families,
+    2 for (x, y)^3 and 3 for (x, y, z)^2."""
+    if source in POWERS:
+        variables, gens = POWERS[source]
+        R = PolyRing(field, variables)
+        return Ideal(R, [R.parse(g) for g in gens])
+    I = corpus.generate_instance(source, 0).I
+    ring = PolyRing(field, I.ring.variables, I.ring.order)
+    return Ideal(ring, [ring.parse(str(g)) for g in I.generators])
+
+
+@pytest.mark.parametrize("field", CROSS_FIELDS, ids=str)
+@pytest.mark.parametrize("source", FAMILIES + tuple(POWERS))
+def test_lifts_match_the_full_per_differential_path(field, source):
+    # every degree by the augmented basis of its differential: Z_i from
+    # its syzygies (at i = 1 the minimal ones, as homology_lifts keeps
+    # them), the lifts from the membership reference over the columns of
+    # d_(i+1); above n - ht I the reference keeps none, and the cycle
+    # generators, there the columns of d_(i+1), generate the same Z_i
+    I = _ideal(field, source)
+    x = min_gens(I)
+    K = KoszulComplex(I.ring, x)
+    H = homology_lifts(K)
+    gd = [g.total_degree() for g in x]
+    for i in range(1, K.n + 1):
+        basis = K.basis(i)
+        d_i = AugmentedBasis(K.differential_columns(i))
+        z = d_i.minimal_syzygies() if i == 1 else d_i.syzygies()
+        shifts = [sum(gd[j - 1] for j in S) for S in basis]
+        expected = reference_minimal_subset(z, shifts, K.differential_columns(i + 1))
+        assert [h.to_module_element(basis) for h in H.lifts[i]] == expected
+        if i > K.n - height(I):
+            assert expected == []
+        cycles = [c.to_module_element(basis) for c in H.cycle_gens[i]]
+        syzygies = d_i.syzygies()
+        assert all(module_member(c, syzygies) for c in cycles)
+        assert all(module_member(s, cycles) for s in syzygies)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_homology_vanishes_above_n_minus_height(family):
+    # the theorem the lifts rest on, by ranks of graded pieces: H_i = 0 in
+    # every degree up to that of e_1..e_n plus one for i > n - ht I, and
+    # H_(n - ht I) is not (grade = n - max{i : H_i != 0})
+    I = corpus.generate_instance(family, 0).I
+    K = KoszulComplex(I.ring, min_gens(I))
+    top = K.n - height(I)
+    degrees = range(sum(g.total_degree() for g in K.gens) + 2)
+    for i in range(top + 1, K.n + 1):
+        assert all(koszul_homology_dim(K, i, d) == 0 for d in degrees)
+    assert any(koszul_homology_dim(K, top, d) for d in degrees)
+
+
+def _table(H):
+    """cycle_gens and lifts as coefficient dicts, keys in order."""
+    return [{i: [list(z.coeffs.items()) for z in zs] for i, zs in part.items()}
+            for part in (H.cycle_gens, H.lifts)]
+
+
+@pytest.mark.parametrize("field", CROSS_FIELDS, ids=str)
+def test_homology_of_the_unit_ideal(field):
+    # ht (1) = nvars, as in `height`: every degree takes the shortcut, and
+    # Z_1 is still the minimal syzygies of the generators
+    R = PolyRing(field, ("x", "y"))
+    x, one = R.gens[0], R.one
+    scalar = [[((), one)]]
+    assert _table(homology_lifts(KoszulComplex(R, [one]))) == [
+        {0: scalar, 1: []}, {0: scalar, 1: []}]
+    assert _table(homology_lifts(KoszulComplex(R, [one, x]))) == [
+        {0: scalar, 1: [[((1,), x), ((2,), -one)]], 2: []}, {0: scalar, 1: [], 2: []}]

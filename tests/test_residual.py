@@ -151,8 +151,9 @@ def test_no_engine_run_repeats_its_input(monkeypatch):
     # the height ladder has memoized; at j = 0 check_Gs reads the height of
     # I itself, since Fitt_0(I) has no generators and the sum with no
     # generators on one side is the other; the homology of K(min_gens(I))
-    # shares d_1's augmented basis with I, and the lifts at degree i start
-    # from the boundary basis that d_(i+1)'s augmented basis holds
+    # shares d_1's augmented basis with I, and the degree-1 lifts are d_1's
+    # minimal syzygies, with no second run, when no boundary lies at or
+    # below their degree
     runs = Counter()
     engine = groebner._groebner
 

@@ -74,6 +74,32 @@ def test_parse_rejects_garbage(R2):
         R2.parse("w + 1")
 
 
+# text, then the expected polynomial as {exponents: coefficient}
+PARSE_EXAMPLES = [
+    ("x", {(1, 0): 1}),
+    ("3", {(0, 0): 3}),
+    ("x^2 - 3*x*y + 2", {(2, 0): 1, (1, 1): -3, (0, 0): 2}),
+    ("- x - y - 1", {(1, 0): -1, (0, 1): -1, (0, 0): -1}),
+    ("-x + x", {}),
+    ("x*y + y*x - 2*x*y", {}),
+    ("1/2*x + 1/3*x - y^2", {(1, 0): Fraction(5, 6), (0, 2): -1}),
+    ("+x - (y - x)", {(1, 0): 2, (0, 1): -1}),
+    ("(x + y)*(x - y) - x^2", {(0, 2): -1}),
+    ("x^2 + 2*x*y + y^2 - (x + y)^2", {}),
+    ("-(x - 1)^2", {(2, 0): -1, (1, 0): 2, (0, 0): -1}),
+]
+
+
+@pytest.mark.parametrize("field", [GF32003, FieldSpec(101), RATIONALS], ids=str)
+@pytest.mark.parametrize("text, expected", PARSE_EXAMPLES)
+def test_parse_sums_to_the_expected_polynomial(field, text, expected):
+    # a sum of signed terms, each a product, with cancellation, fractions
+    # and nested sums, against the polynomial built from its coefficients
+    ring = PolyRing(field, ("x", "y"))
+    want = ring.from_dict({ring.monomial(e): ring.field.element(c) for e, c in expected.items()})
+    assert ring.parse(text) == want
+
+
 @pytest.mark.parametrize("field", [RATIONALS, GF32003], ids=str)
 def test_parse_rejects_a_zero_denominator(field):
     # 1/0 in every field, and over GF(p) a denominator divisible by p: a
