@@ -6,10 +6,15 @@ Usage:
     python3 scripts/run_sweep.py --family ci --count 20 --out sweep.json
 
 Prints one line per (instance, theorem) with the verdict and timing, plus a
-summary.  A pair whose right-hand side sums the colons over subsets of size
-s holds a : I by construction (`residual.is_tautological`); it is skipped and
-counted apart, never as a pass.  Exit code: 2 on any non-equal verdict,
-otherwise 3 if any pair was skipped, otherwise 0.
+summary.  Three kinds of pair are counted apart, never as passes:
+- a pair whose right-hand side sums the colons over subsets of size s holds
+  a : I by construction (`residual.is_tautological`); it is skipped;
+- a pair whose computed hypotheses fail prints `hypothesis failed: <names>`;
+- a theorem whose row in `residual.THEOREMS` is that of a theorem requested
+  before it (thm47 reads as thm25) prints `same check as <that theorem>` and
+  adds no evidence of its own.
+Exit code: 2 on any non-equal verdict, otherwise 3 if any pair was skipped or
+failed its hypotheses, otherwise 0.
 """
 
 import argparse
@@ -22,7 +27,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from residua.corpus import FAMILIES, generate_corpus  # noqa: E402
-from residua.residual import THEOREM_IDS, is_tautological, verify  # noqa: E402
+from residua.residual import (  # noqa: E402
+    THEOREM_IDS,
+    THEOREMS,
+    HypothesisError,
+    is_tautological,
+    verify,
+)
 
 DEFAULT_THEOREMS = {
     "ci": "cor31",
@@ -53,22 +64,36 @@ def main():
     print(f"generated {len(instances)} {args.family} instances "
           f"in {time.monotonic() - start:.1f}s")
 
+    # per requested theorem, the one before it with the same row, if any
+    repeats = [next((u for u in theorems[:i] if THEOREMS[u] is THEOREMS[t]), None)
+               for i, t in enumerate(theorems)]
+
     verdicts = Counter()
-    skipped = 0
+    skipped = failed = repeated = 0
     reports = []
     for k, inst in enumerate(instances):
-        for theorem in theorems:
+        for theorem, repeat in zip(theorems, repeats):
+            if repeat:
+                repeated += 1
+                print(f"  [{k:3d}] s={inst.s} {theorem:8s} same check as {repeat}")
+                continue
             if is_tautological(theorem, inst.I, inst.s):
                 skipped += 1
                 print(f"  [{k:3d}] s={inst.s} {theorem:8s} skipped: tautological")
                 continue
-            rep = verify(theorem, inst)
+            try:
+                rep = verify(theorem, inst)
+            except HypothesisError as exc:
+                failed += 1
+                print(f"  [{k:3d}] s={inst.s} {theorem:8s} {exc}")
+                continue
             verdicts[rep.verdict] += 1
             reports.append(rep.to_dict())
             print(f"  [{k:3d}] s={inst.s} {theorem:8s} {rep.verdict:22s} "
                   f"{rep.timing:6.2f}s")
 
     print(f"\nverdicts: {dict(verdicts)}  tautological (skipped): {skipped}  "
+          f"hypothesis failed: {failed}  same check (repeated): {repeated}  "
           f"total {time.monotonic() - start:.1f}s")
     if args.out:
         with open(args.out, "w") as fh:
@@ -76,7 +101,7 @@ def main():
         print(f"wrote {args.out}")
     if not set(verdicts) <= {"equal"}:
         return 2
-    return 3 if skipped else 0
+    return 3 if skipped or failed else 0
 
 
 if __name__ == "__main__":

@@ -12,15 +12,12 @@ from .ideals import (
     Ideal,
     colon,
     height,
-    ideal_equal,
     ideal_sum,
     min_gens,
     mu,
 )
 from .fitting import check_Gs, fitt0_quotient
 from .koszul import kitt
-
-THEOREM_IDS = ("thm25", "cor31", "cor32", "cor33", "thm34", "cor35", "thm47", "kitt-eq")
 
 # depth-type hypotheses we cannot compute; asserted per corpus family
 FAMILY_ASSERTIONS = {
@@ -134,18 +131,21 @@ LADDER_SAMPLE_LIMIT = 5
 GENERIC_RETRIES = 8
 
 
+def _subset_colon(I: Ideal, a_gens, idx) -> Ideal:
+    """(a_subset):I, the subset given by its indices into a_gens."""
+    return colon(Ideal(I.ring, tuple(a_gens[i] for i in idx)), I)
+
+
 def height_ladder_ok(a_gens, I: Ideal, rng=None) -> bool:
     """Height ladder: height((a_subset):I) >= |subset| for every
     subset (exhaustive for s <= LADDER_SAMPLE_LIMIT, sampled otherwise)."""
     s = len(a_gens)
-    ring = I.ring
     for size in range(1, s + 1):
         subsets = list(combinations(range(s), size))
         if s > LADDER_SAMPLE_LIMIT and rng is not None and len(subsets) > 2 * s:
             subsets = rng.sample(subsets, 2 * s)
         for idx in subsets:
-            sub = Ideal(ring, tuple(a_gens[i] for i in idx))
-            J = colon(sub, I)
+            J = _subset_colon(I, a_gens, idx)
             # an intermediate rung with unit colon means I already sits
             # inside a proper sub-sequence: degenerate, not general position
             if size < s and J.is_unit():
@@ -197,11 +197,6 @@ def is_residual(a: Ideal, I: Ideal, s: int) -> bool:
     return height(colon(a, I)) >= s
 
 
-def is_geometric(a: Ideal, I: Ideal, s: int) -> bool:
-    J = colon(a, I)
-    return height(ideal_sum(I, J)) >= s + 1
-
-
 # ---------------------------------------------------------------------------
 # the formula
 # ---------------------------------------------------------------------------
@@ -223,103 +218,95 @@ def _add_colons(result: Ideal, I: Ideal, a_gens, size: int) -> Ideal:
     """result plus (a_subset):I over the strictly increasing index subsets
     of the given size, in lexicographic order."""
     for idx in combinations(range(len(a_gens)), size):
-        sub = Ideal(I.ring, tuple(a_gens[i] for i in idx))
-        result = ideal_sum(result, colon(sub, I))
+        result = ideal_sum(result, _subset_colon(I, a_gens, idx))
     return result
 
 
-def links_in_formula(I: Ideal, a_gens, g: int) -> list:
-    """Per g-subset: complete-intersection check (height == g), the colon
-    term, and full linkage verification a_sub:(a_sub:I) == I."""
-    ring = I.ring
-    out = []
-    for idx in combinations(range(len(a_gens)), g):
-        sub = Ideal(ring, tuple(a_gens[i] for i in idx))
-        ci = height(sub) == g
-        term = colon(sub, I)
-        linked = False
-        degenerate = term.is_unit()
-        if ci and not degenerate and not term.is_zero():
-            linked = ideal_equal(colon(sub, term), I)
-        out.append(
-            {
-                "subset": list(idx),
-                "link_candidate": ci,
-                "colon": [str(p) for p in term.groebner().elements],
-                "link_verified": linked,
-                "degenerate": degenerate,
-            }
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
-# the harness
+# the theorems
 # ---------------------------------------------------------------------------
 
-def _rhs_subset_size(theorem_id: str, I: Ideal, s: int):
-    """The size of the index subsets whose colons (a_subset):I the theorem's
-    right-hand side sums at this s; None for kitt-eq, which has none."""
-    n = mu(I)
-    g = height(I)
-    if theorem_id in ("thm25", "thm47"):
-        return max(0, min(n - 2, s))
-    if theorem_id in ("cor31", "cor32"):
-        return 0
-    if theorem_id in ("cor33", "cor35"):
-        return min(g, s)
-    if theorem_id == "thm34":
-        return g
-    if theorem_id == "kitt-eq":
+class Theorem:
+    """One theorem's row.  `subset_size(mu, ht, s)` is the size of the index
+    subsets whose colons (a_subset):I the right-hand side sums, or None
+    when the right-hand side is the Kitt ideal; the sum starts from
+    Fitt_0(I/a) when `adds_fitt0`, else from the zero ideal.  `hypotheses`
+    are the theorem's own (name, test) lines: a test maps (mu, ht, s) to
+    a bool, and None marks a line that is asserted, not computed."""
+
+    __slots__ = ("subset_size", "adds_fitt0", "hypotheses")
+
+    def __init__(self, subset_size, adds_fitt0: bool, hypotheses: tuple):
+        self.subset_size, self.adds_fitt0, self.hypotheses = subset_size, adds_fitt0, hypotheses
+
+
+_EXT1 = ("Ext^1(I/I^2, R/I) = 0", None)
+_THM25 = Theorem(lambda n, g, s: max(0, min(n - 2, s)), True,
+                 (("s >= mu(I)-2", lambda n, g, s: s >= n - 2),))
+
+THEOREMS = {
+    "thm25": _THM25,
+    "cor31": Theorem(lambda n, g, s: 0, True,
+                     (("complete intersection", lambda n, g, s: n == g),)),
+    "cor32": Theorem(lambda n, g, s: 0, True,
+                     (("almost complete intersection", lambda n, g, s: n == g + 1),)),
+    "cor33": Theorem(lambda n, g, s: min(g, s), True,
+                     (("mu(I) = g+2", lambda n, g, s: n == g + 2),
+                      ("s >= g", lambda n, g, s: s >= g))),
+    # the sum of the links alone, with no Fitting term
+    "thm34": Theorem(lambda n, g, s: g, False,
+                     (("s = g+1", lambda n, g, s: s == g + 1), _EXT1)),
+    "cor35": Theorem(lambda n, g, s: min(g, s), True,
+                     (("mu(I) = g+3", lambda n, g, s: n == g + 3),
+                      ("s >= g+1", lambda n, g, s: s >= g + 1), _EXT1)),
+    # the statement of Theorem 4.7 is not at hand, and until it can be read
+    # the code reads it as Theorem 2.5: the same row, so the same check
+    "thm47": _THM25,
+    # the Kitt ideal, which holds Fitt_0(I/a) + a
+    "kitt-eq": Theorem(None, True, ()),
+}
+THEOREM_IDS = tuple(THEOREMS)
+
+
+def _theorem(theorem_id: str) -> Theorem:
+    try:
+        return THEOREMS[theorem_id]
+    except KeyError:
+        raise ValueError(f"unknown theorem id {theorem_id!r}") from None
+
+
+def _subset_size(row: Theorem, I: Ideal, s: int):
+    if row.subset_size is None:
         return None
-    raise ValueError(f"unknown theorem id {theorem_id!r}")
+    return row.subset_size(mu(I), height(I), s)
 
 
 def is_tautological(theorem_id: str, I: Ideal, s: int) -> bool:
     """True when the theorem's right-hand side at this s sums the colons
     over subsets of size s: the one such subset is all of a, so the sum
     holds a:I itself and `equal` is guaranteed, proving nothing."""
-    return _rhs_subset_size(theorem_id, I, s) == s
+    return _subset_size(_theorem(theorem_id), I, s) == s
 
 
-def _rhs_for(theorem_id: str, inst: ResidualInstance):
-    I, a_gens = inst.I, inst.a_gens
-    size = _rhs_subset_size(theorem_id, I, inst.s)
-    if theorem_id == "kitt-eq":
-        return kitt(inst.a, I)
-    if theorem_id == "thm34":
-        # pure sum of links, no Fitting term
-        return _add_colons(Ideal(I.ring, ()), I, a_gens, size)
-    return rhs_formula(I, a_gens, size)
+# ---------------------------------------------------------------------------
+# the harness
+# ---------------------------------------------------------------------------
+
+def _status(ok: bool) -> str:
+    return "pass" if ok else "fail"
 
 
-def _hypothesis_checks(theorem_id: str, inst: ResidualInstance, rng) -> list:
-    I, a_gens, s = inst.I, inst.a_gens, inst.s
+def _hypothesis_checks(row: Theorem, inst: ResidualInstance, rng) -> list:
+    I, s = inst.I, inst.s
     n = mu(I)
     g = height(I)
-    checks = []
-    a = inst.a
-    checks.append(("is_residual", "pass" if is_residual(a, I, s) else "fail"))
-    checks.append(
-        ("height_ladder", "pass" if height_ladder_ok(a_gens, I, rng) else "fail")
-    )
-    checks.append(("G_s", "pass" if check_Gs(I, s) else "fail"))
-    if theorem_id in ("thm25", "thm47"):
-        checks.append(("s >= mu(I)-2", "pass" if s >= n - 2 else "fail"))
-    if theorem_id == "cor31":
-        checks.append(("complete intersection", "pass" if n == g else "fail"))
-    if theorem_id == "cor32":
-        checks.append(("almost complete intersection", "pass" if n == g + 1 else "fail"))
-    if theorem_id == "cor33":
-        checks.append(("mu(I) = g+2", "pass" if n == g + 2 else "fail"))
-        checks.append(("s >= g", "pass" if s >= g else "fail"))
-    if theorem_id == "thm34":
-        checks.append(("s = g+1", "pass" if s == g + 1 else "fail"))
-        checks.append(("Ext^1(I/I^2, R/I) = 0", "asserted"))
-    if theorem_id == "cor35":
-        checks.append(("mu(I) = g+3", "pass" if n == g + 3 else "fail"))
-        checks.append(("s >= g+1", "pass" if s >= g + 1 else "fail"))
-        checks.append(("Ext^1(I/I^2, R/I) = 0", "asserted"))
+    checks = [
+        ("is_residual", _status(is_residual(inst.a, I, s))),
+        ("height_ladder", _status(height_ladder_ok(inst.a_gens, I, rng))),
+        ("G_s", _status(check_Gs(I, s))),
+    ]
+    for name, test in row.hypotheses:
+        checks.append((name, "asserted" if test is None else _status(test(n, g, s))))
     for name in FAMILY_ASSERTIONS.get(inst.family_tag, []):
         checks.append((name, "asserted"))
     return checks
@@ -329,17 +316,23 @@ def verify(theorem_id: str, inst: ResidualInstance) -> VerificationReport:
     """Compute LHS = a:I and the theorem's RHS, compare as ideals, and
     record hypothesis outcomes.  Computed hypothesis failures are hard
     errors; asserted ones are only reported."""
-    if theorem_id not in THEOREM_IDS:
-        raise ValueError(f"unknown theorem id {theorem_id!r}")
+    row = _theorem(theorem_id)
     start = time.monotonic()
     rng = random.Random(inst.seed)
-    checks = _hypothesis_checks(theorem_id, inst, rng)
+    checks = _hypothesis_checks(row, inst, rng)
     failed = [name for name, status in checks if status == "fail"]
     if failed:
         raise HypothesisError(f"computed hypothesis failed: {', '.join(failed)}")
 
-    lhs = colon(inst.a, inst.I)
-    rhs = _rhs_for(theorem_id, inst)
+    I, a_gens = inst.I, inst.a_gens
+    lhs = colon(inst.a, I)
+    size = _subset_size(row, I, inst.s)
+    if size is None:
+        rhs = kitt(inst.a, I)
+    elif row.adds_fitt0:
+        rhs = rhs_formula(I, a_gens, size)
+    else:
+        rhs = _add_colons(Ideal(I.ring, ()), I, a_gens, size)
     lhs_gb = lhs.groebner().elements
     rhs_gb = rhs.groebner().elements
     if lhs_gb == rhs_gb:

@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from residua.corpus import _DRAW, generate_corpus
+from residua.corpus import _DRAW, MAX_DRAWS, generate_corpus
 from residua.field import GF32003
 from residua.fitting import fitt0_quotient
 from residua.ideals import Ideal, colon, height, ideal_equal, min_gens, mu
@@ -175,9 +175,11 @@ def test_criterion_8_genericity_robustness():
     total = 100
     for trial in range(total):
         family = "hb2" if trial % 2 else "ci"
-        drawn = None
-        while drawn is None:
+        for _ in range(MAX_DRAWS):
             drawn = _DRAW[family](rng)
+            if drawn is not None:
+                break
+        assert drawn is not None, f"no {family} draw within {MAX_DRAWS}"
         I, s = drawn
         degree = None
         if s >= mu(I):

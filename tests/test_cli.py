@@ -356,6 +356,28 @@ def test_sweep_rejects_counts_below_one(count):
     assert "error: argument --count" in proc.stderr
 
 
+def test_sweep_counts_failed_hypotheses_and_repeated_checks():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_sweep.py"
+
+    def sweep(theorems):
+        return subprocess.run([sys.executable, str(script), "--family", "hb2", "--count", "3",
+                               "--theorems", theorems], capture_output=True, text=True,
+                              timeout=60)
+
+    # hb2 has mu = 3 = g+1, so cor33's mu(I) = g+2 fails: counted apart, exit 3
+    proc = sweep("cor33")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "hypothesis failed: mu(I) = g+2" in proc.stdout
+    assert "hypothesis failed: 2 " in proc.stdout
+    # thm47's row is thm25's, so thm47 after thm25 repeats its check
+    proc = sweep("thm25,thm47")
+    assert proc.returncode == 0
+    assert proc.stdout.count("thm47    same check as thm25") == 3
+    assert "{'equal': 3}" in proc.stdout
+    assert "same check (repeated): 3 " in proc.stdout
+
+
 def test_zero_max_steps_is_a_budget(instance_file, capsys):
     assert main(["colon", instance_file, "--max-steps", "0"]) == 1
     assert "resource-limit: exceeded 0 S-pair reductions" in capsys.readouterr().err

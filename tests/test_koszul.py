@@ -285,9 +285,11 @@ def test_kitt_via_cycles_matches_cycle_products(monkeypatch, field, family):
     monkeypatch.setattr(corpus, "_make_ring",
                         lambda nvars: PolyRing(field, ("x", "y", "z")[:nvars]))
     rng = seeded_rng("kitt-via-cycles", family, field)
-    drawn = None
-    while drawn is None:
+    for _ in range(corpus.MAX_DRAWS):
         drawn = corpus._DRAW[family](rng)
+        if drawn is not None:
+            break
+    assert drawn is not None, f"no {family} draw within {corpus.MAX_DRAWS}"
     I = drawn[0]
     x = min_gens(I)
     top = max(g.total_degree() for g in x)

@@ -2,6 +2,7 @@
 verification harness."""
 
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -18,10 +19,8 @@ from residua.residual import (
     ResidualInstance,
     generic_generators,
     height_ladder_ok,
-    is_geometric,
     is_residual,
     is_tautological,
-    links_in_formula,
     rhs_formula,
     verify,
 )
@@ -63,11 +62,10 @@ def test_height_ladder(R2):
     assert not height_ladder_ok(bad, I)
 
 
-def test_is_residual_and_geometric(R2):
+def test_is_residual(R2):
     I = parse_ideal(R2, "x", "y")
     a = parse_ideal(R2, "x^2", "y^2")
     assert is_residual(a, I, 2)
-    assert not is_geometric(a, I, 2)
 
 
 def test_is_residual_principal(R2):
@@ -93,15 +91,6 @@ def test_rhs_formula_m_squared(R2):
 def test_rhs_formula_bad_size(R2):
     with pytest.raises(ValueError):
         rhs_formula(parse_ideal(R2, "x", "y"), (R2.parse("x^2"),), 2)
-
-
-def test_links_in_formula(R2):
-    I = parse_ideal(R2, "x", "y")
-    a_gens = (R2.parse("x^2"), R2.parse("y^2"))
-    links = links_in_formula(I, a_gens, 2)
-    assert len(links) == 1
-    assert links[0]["link_candidate"]
-    assert links[0]["link_verified"]
 
 
 def test_verify_thm25_worked_instance(R2):
@@ -164,10 +153,13 @@ def test_no_engine_run_repeats_its_input(monkeypatch):
         return engine(ring, divisors, new, product_criterion, truncation)
 
     monkeypatch.setattr(groebner, "_groebner", counting)
-    for run in (lambda inst: verify("thm25", inst), lambda inst: verify("kitt-eq", inst),
-                _routes):
+    # cor32 reads the size-0 right-hand side Fitt_0(I/a) + a, thm34 the
+    # colons alone
+    for family, run in (("hb2", partial(verify, "thm25")), ("hb2", partial(verify, "kitt-eq")),
+                        ("hb2", partial(verify, "cor32")), ("aci", partial(verify, "thm34")),
+                        ("hb2", _routes)):
         runs.clear()
-        run(generate_instance("hb2", 3))
+        run(generate_instance(family, 3))
         assert runs
         assert [key for key, count in runs.items() if count > 1] == []
 
@@ -179,6 +171,40 @@ def test_verify_rejects_failed_computed_hypothesis(R2):
     inst = ResidualInstance(R2, I, a_gens, 2)
     with pytest.raises(HypothesisError):
         verify("cor31", inst)
+
+
+# the outcome of every theorem on the seed-0 instance of each family: its
+# verdict, or the computed hypotheses that fail
+SEED0_OUTCOMES = {
+    "ci": {"cor32": ["almost complete intersection"], "cor33": ["mu(I) = g+2"],
+           "thm34": ["s = g+1"], "cor35": ["mu(I) = g+3", "s >= g+1"]},
+    # thm34 is an open finding: every computed hypothesis passes, yet the
+    # sum of the links is strictly inside a : I; pinned as it stands
+    "hb2": {"cor31": ["complete intersection"], "cor33": ["mu(I) = g+2"],
+            "thm34": "lhs-strictly-larger", "cor35": ["mu(I) = g+3"]},
+    "aci": {"cor31": ["complete intersection"], "cor33": ["mu(I) = g+2"],
+            "thm34": ["s = g+1"], "cor35": ["mu(I) = g+3", "s >= g+1"]},
+}
+SEED0_OUTCOMES["power"] = SEED0_OUTCOMES["aci"]
+
+
+@pytest.mark.parametrize("family", sorted(SEED0_OUTCOMES))
+def test_every_theorem_on_the_seed0_instance(family):
+    inst = generate_instance(family, 0)
+    reports = {}
+    for theorem in THEOREM_IDS:
+        expected = SEED0_OUTCOMES[family].get(theorem, "equal")
+        if isinstance(expected, list):
+            with pytest.raises(HypothesisError) as exc:
+                verify(theorem, inst)
+            assert str(exc.value) == f"computed hypothesis failed: {', '.join(expected)}"
+        else:
+            reports[theorem] = verify(theorem, inst).to_dict()
+            assert reports[theorem]["verdict"] == expected
+    # thm47 is read as thm25: one document but for its theorem and timing
+    for doc in (reports["thm25"], reports["thm47"]):
+        del doc["theorem"], doc["timing_seconds"]
+    assert reports["thm47"] == reports["thm25"]
 
 
 def test_verify_unknown_theorem(R2):
