@@ -6,8 +6,8 @@ residua corpus FAMILY COUNT
 with --seed, --field, --max-steps, --out.
 
 Exit codes: 0 success, 2 verify verdict not equal, 1 any error; a
-command line that argparse rejects, an unknown theorem id included,
-exits 2 before any file is read.
+command line that argparse rejects, an unknown theorem id or `--field`
+on `corpus` included, exits 2 before any file is read.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import json
 import sys
 
 from . import __version__
+from .field import GF32003
 from .groebner import ResourceLimitError, set_step_limit
 from .ideals import colon
 from .fitting import fitt0_quotient
@@ -179,6 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "corpus" and hasattr(args, "field"):
+        parser.error(f"argument --field: corpus draws every family over {GF32003}")
     for name, default in _OPTION_DEFAULTS.items():
         if not hasattr(args, name):
             setattr(args, name, default)

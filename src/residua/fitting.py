@@ -86,17 +86,16 @@ def _syzygy_rows(I: Ideal) -> list:
 
 def expressions(I: Ideal, a: Ideal) -> tuple:
     """(a_gens, coefficient lists): the nonzero generators of a and, for
-    each, its c with a_j = sum c_i x_i over x = min_gens(I).  Kept on I,
-    keyed by the generator tuple of a, once a is checked to lie in I and
+    each, its c with a_j = sum c_i x_i over x = min_gens(I).  Kept in I's
+    memo under ("zetas", a.generators) once a is checked to lie in I and
     the expressions have returned."""
-    hit = I._zetas.get(a.generators)
-    if hit is None:
+    def compute():
         if not I.contains_ideal(a):
             raise NotASubidealError("a is not contained in I")
         a_gens = tuple(g for g in a.generators if not g.is_zero())
-        coeffs = tuple(tuple(c) for c in augmented_basis(I).express(a_gens))
-        hit = I._zetas[a.generators] = (a_gens, coeffs)
-    return hit
+        return a_gens, tuple(tuple(c) for c in augmented_basis(I).express(a_gens))
+
+    return I.memo(("zetas", a.generators), compute)
 
 
 def presentation_of_quotient(I: Ideal, a: Ideal) -> tuple:
@@ -130,13 +129,11 @@ def fitting_ideal(I: Ideal, j: int) -> Ideal:
 def check_Gs(I: Ideal, s: int) -> bool:
     """G_s via heights of Fitting ideals of I:
     height(Fitt_j(I) + I) >= j+1 for 0 <= j <= s-1; each height is
-    computed once per ideal and kept on I."""
+    kept in I's memo under ("fitting-height", j)."""
     if I.is_unit() or I.is_zero():
         raise ValueError("check_Gs needs a proper nonzero ideal")
-    heights = I._fitting_heights
     for j in range(s):
-        if j not in heights:
-            heights[j] = height(ideal_sum(fitting_ideal(I, j), I))
-        if heights[j] < j + 1:
+        if I.memo(("fitting-height", j),
+                  lambda: height(ideal_sum(fitting_ideal(I, j), I))) < j + 1:
             return False
     return True

@@ -15,23 +15,12 @@ both the generators and the cached basis of the result, so no second
 run rebuilds it.  Every generator of either result is checked against
 the definition before it is returned.
 
-An `Ideal` caches the work that depends only on it: its reduced Gröbner
-basis, `min_gens(I)`, `height(I)`, the augmented basis of `min_gens(I)`
-(`augmented_basis`, which serves its syzygies, keeps their minimal
-subset for the presentation in `fitting` and for Z_1 in `koszul`, and
-expresses elements of I in terms of `min_gens(I)`; it is d_1's in the
-Koszul homology of `min_gens(I)`); filled in by `fitting`,
-`height(Fitt_j(I) + I)` per j; and, keyed
-by the exact generator tuple of `a`, every colon `a : I` computed with it
-as the divisor; filled in by `fitting.expressions`, the nonzero
-generators of `a` with their expressions in `min_gens(I)`, which the
-presentation of I/a and the zetas of the Kitt routes both read; and,
-filled in by `koszul`, the Gamma monomials of those zetas by degree.  The
-caches live on the ideal and die with it; nothing is cached at module
-level.  An entry is stored only once its computation has returned, and
-nothing assigns `ring` or `generators` after construction, so a cached
-value is exactly what recomputing it from the same generators would
-give: outputs cannot change, and repeated inputs share one result object.
+An `Ideal` keeps what depends only on it, or on it and another ideal's
+generators, in one memo (`Ideal.memo`); each module documents the keys it
+owns.  Here: `"groebner"`, the reduced basis; `"min-gens"`; `"height"`;
+`"augmented"`, the augmented basis of `min_gens(I)` (`augmented_basis`,
+or d_1's, lent by `koszul`); and `("colon", a.generators)`, the colon
+a : I with I as divisor.
 """
 
 from __future__ import annotations
@@ -54,8 +43,7 @@ class Ideal:
     `==` is ideal equality (same ring, same reduced basis), so ideals are
     unhashable."""
 
-    __slots__ = ("ring", "generators", "_gb", "_min_gens", "_height", "_augmented",
-                 "_fitting_heights", "_colons", "_zetas", "_gammas")
+    __slots__ = ("ring", "generators", "_memo")
 
     def __init__(self, ring: PolyRing, generators):
         self.ring = ring
@@ -67,14 +55,7 @@ class Ideal:
                 raise RingMismatchError("generator from a different ring")
             gens.append(g)
         self.generators = tuple(gens)
-        self._gb = None
-        self._min_gens = None
-        self._height = None
-        self._augmented = None
-        self._fitting_heights = {}
-        self._colons = {}
-        self._zetas = {}
-        self._gammas = {}
+        self._memo = {}
 
     def __eq__(self, other):
         if not isinstance(other, Ideal):
@@ -86,14 +67,29 @@ class Ideal:
     def __repr__(self):
         return f"Ideal({self.ring!r}, {self.generators!r})"
 
+    def memo(self, key, compute):
+        """The value kept under `key`, else `compute()`, kept under `key` once
+        it has returned (a compute that raises keeps nothing).  Keys name an
+        invariant and its argument, arguments by exact generator tuples,
+        never by ideal objects.  Nothing assigns `ring` or `generators`
+        after construction, so a kept value is exactly what recomputing it
+        would give, and repeated calls share one object; it lives as long
+        as the ideal, and nothing is kept at module level.  A value already
+        kept is returned without calling `compute`: that is how a fresh
+        result is handed its reduced basis."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            pass
+        value = self._memo[key] = compute()
+        return value
+
     # -- canonical form ------------------------------------------------------
 
     def groebner(self) -> GroebnerBasis:
-        """Reduced Gröbner basis; computed once and cached."""
-        if self._gb is None:
-            self._gb = (reduced_groebner(self.generators) if self.generators
-                        else GroebnerBasis(self.ring, (), []))
-        return self._gb
+        """Reduced Gröbner basis, kept under "groebner"."""
+        return self.memo("groebner", lambda: reduced_groebner(self.generators)
+                         if self.generators else GroebnerBasis(self.ring, (), []))
 
     def contains(self, f: Polynomial) -> bool:
         return normal_form(f, self.groebner()).is_zero()
@@ -145,7 +141,7 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
         if not (I.contains(h) and J.contains(h)):
             raise RuntimeError("internal: intersection generator outside I or J")
     result = Ideal(I.ring, meet.elements)
-    result._gb = meet
+    result.memo("groebner", lambda: meet)
     return result
 
 
@@ -155,9 +151,10 @@ def colon(a: Ideal, I: Ideal) -> Ideal:
     the generator tuple of a; r·f ∈ a is checked for every generator r."""
     if a.ring != I.ring:
         raise RingMismatchError("colon across rings")
-    result = I._colons.get(a.generators)
-    if result is not None:
-        return result
+    return I.memo(("colon", a.generators), lambda: _colon(a, I))
+
+
+def _colon(a: Ideal, I: Ideal) -> Ideal:
     gens = [g for g in I.generators if not g.is_zero()]
     if not gens:
         raise ValueError("colon by the zero ideal")
@@ -168,8 +165,7 @@ def colon(a: Ideal, I: Ideal) -> Ideal:
             if not normal_form(r * f, basis).is_zero():
                 raise RuntimeError("internal: colon generator times I outside a")
     result = Ideal(a.ring, quotient.elements)
-    result._gb = quotient
-    I._colons[a.generators] = result
+    result.memo("groebner", lambda: quotient)
     return result
 
 
@@ -211,9 +207,8 @@ def dimension(I: Ideal) -> int:
 def height(I: Ideal) -> int:
     """Codimension; the polynomial ring is catenary and equidimensional,
     so height = nvars - dim(R/I).  Unit ideal reports the variable count."""
-    if I._height is None:
-        I._height = I.ring.nvars if I.is_unit() else I.ring.nvars - dimension(I)
-    return I._height
+    return I.memo("height", lambda: I.ring.nvars if I.is_unit()
+                  else I.ring.nvars - dimension(I))
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +219,11 @@ def min_gens(I: Ideal) -> list:
     """A minimal homogeneous generating sequence, monic, by graded Nakayama
     (`minimal_subset`, which raises NonHomogeneousError on a
     non-homogeneous generator); a new list on every call."""
-    if I._min_gens is None:
-        gens = [(g,) for g in I.generators if not g.is_zero()]
-        kept = minimal_subset(gens, (0,))
-        I._min_gens = tuple(e[0].monic() for e in kept)
-    return list(I._min_gens)
+    def compute():
+        kept = minimal_subset([(g,) for g in I.generators if not g.is_zero()], (0,))
+        return tuple(e[0].monic() for e in kept)
+
+    return list(I.memo("min-gens", compute))
 
 
 def mu(I: Ideal) -> int:
@@ -238,6 +233,4 @@ def mu(I: Ideal) -> int:
 def augmented_basis(I: Ideal) -> AugmentedBasis:
     """The augmented basis of min_gens(I), built once and kept on I; the
     zero ideal, with no generators, raises ValueError."""
-    if I._augmented is None:
-        I._augmented = AugmentedBasis((g,) for g in min_gens(I))
-    return I._augmented
+    return I.memo("augmented", lambda: AugmentedBasis((g,) for g in min_gens(I)))

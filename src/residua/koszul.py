@@ -23,8 +23,8 @@ over the signed pairs of coefficients that meet in it, and each of
 d(e_S) is one signed generator, so the layer adds no polynomials.  The
 zetas of (a, I) depend only on the generators of a and on I, so all
 three Kitt routes, and the presentation of I/a in `fitting`, share their
-coefficient lists through a cache on I (`fitting.expressions`), and the
-routes share the Gamma monomials of the zetas through another."""
+coefficient lists through I's memo (`fitting.expressions`), and the
+routes share the Gamma monomials of the zetas through the same memo."""
 
 from __future__ import annotations
 
@@ -172,7 +172,8 @@ class KoszulComplex:
 # lifts: i -> the cycle generators, trimmed, whose classes minimally
 # generate H_i (none above n - ht);
 # d1: the augmented basis of d_1, whose columns are the generators again
-# (None when there are none)
+# (None when there are none), kept so that a Kitt route given this
+# homology can lend it to I as I's own augmented basis
 HomologyData = namedtuple("HomologyData", "cycle_gens lifts d1")
 
 
@@ -265,26 +266,27 @@ def _setup(a: Ideal, I: Ideal, homology):
     for x = min_gens(I) and n = len(x).  The Gamma monomials, by degree
     0..min(s, n), are the wedge products of the zetas: the degree-one
     elements sum_i c_i e_i with a_j = sum_i c_i x_i, for the coefficient
-    lists c that `fitting.expressions` keeps on I.  They are kept on I next
-    to them, keyed by the generator tuple of a, once they have returned.
+    lists c that `fitting.expressions` keeps on I.  They are kept in I's
+    memo under ("gammas", a.generators) once they have returned.
     A given homology whose d_1 was built on x lends I its augmented basis
     when I has none; without one, the homology of K(x) is computed from
     I's augmented basis, on a complex that dies with the call.  `min_gens`
     raises NonHomogeneousError unless I is homogeneous."""
     x = min_gens(I)
     n = len(x)
-    if (homology is not None and I._augmented is None and homology.d1 is not None
+    if (homology is not None and homology.d1 is not None
             and [g for (g,) in homology.d1.gens] == x):
-        I._augmented = homology.d1
+        I.memo("augmented", lambda: homology.d1)
     a_gens, coeffs = expressions(I, a)
-    gammas = I._gammas.get(a.generators)
-    if gammas is None:
+
+    def gamma_monomials():
         zetas = tuple(
             ExteriorElement(I.ring, n, 1, {(i + 1,): ci for i, ci in enumerate(c)})
             for c in coeffs
         )
-        gammas = {d: _wedges(I.ring, n, zetas, d) for d in range(min(len(zetas), n) + 1)}
-        I._gammas[a.generators] = gammas
+        return {d: _wedges(I.ring, n, zetas, d) for d in range(min(len(zetas), n) + 1)}
+
+    gammas = I.memo(("gammas", a.generators), gamma_monomials)
     if homology is None:
         homology = _homology(KoszulComplex(I.ring, x), augmented_basis(I))
     return n, a_gens, gammas, homology

@@ -130,3 +130,10 @@ def random_homogeneous(ring, degree, rng, density=0.8):
 
 def seeded_rng(*parts):
     return random.Random(":".join(str(p) for p in parts))
+
+
+def memo_entries(I, name):
+    """The entries of I's memo kept under keys (name, argument), by
+    argument, in the order they were kept."""
+    return {key[1]: value for key, value in I._memo.items()
+            if isinstance(key, tuple) and key[0] == name}

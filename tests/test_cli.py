@@ -334,9 +334,13 @@ def test_max_steps_limit(instance_file, capsys):
     ["corpus", "hb2", "-2"],
     ["corpus", "hb2", "1", "--max-steps", "-1"],
     ["corpus", "hb2", "two"],
+    # the corpus is drawn over GF(32003) alone: --field would be ignored
+    ["corpus", "power", "1", "--field", "q"],
+    ["--field", "p7", "corpus", "hb2", "1"],
 ])
 def test_negative_counts_rejected_when_parsed(instance_file, capsys, argv):
-    # a negative budget or corpus size is a usage error: exit 2 before any work
+    # a negative budget or corpus size, or a field for the corpus, is a
+    # usage error: exit 2 before any work
     with pytest.raises(SystemExit) as exc:
         main([arg.format(file=instance_file) for arg in argv])
     assert exc.value.code == 2

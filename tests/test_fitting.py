@@ -8,7 +8,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from residua import groebner
+from residua import fitting, groebner
 from residua.corpus import FAMILIES, generate_instance
 from residua.fitting import (
     NotASubidealError,
@@ -19,7 +19,7 @@ from residua.fitting import (
     minors,
     presentation_of_quotient,
 )
-from residua.groebner import AugmentedBasis, set_step_limit
+from residua.groebner import AugmentedBasis, ResourceLimitError, set_step_limit
 from residua.ideals import (
     Ideal,
     NonHomogeneousError,
@@ -34,6 +34,7 @@ from residua.ideals import (
 from residua.koszul import KoszulComplex, fitt0_via_Z1, homology_lifts, kitt, kitt_via_cycles
 
 from conftest import (
+    memo_entries,
     parse_ideal,
     polynomials,
     random_homogeneous,
@@ -225,6 +226,36 @@ def test_check_Gs_on_five_by_four_maximal_minors(R3):
         set_step_limit(previous)
 
 
+def test_check_Gs_keeps_one_height_per_j(monkeypatch):
+    I = generate_instance("hb2", 0).I
+    asked = []
+    original = fitting.fitting_ideal
+
+    def counted(ideal, j):
+        asked.append(j)
+        return original(ideal, j)
+
+    expected = {s: check_Gs(Ideal(I.ring, I.generators), s) for s in (2, 3)}
+    monkeypatch.setattr(fitting, "fitting_ideal", counted)
+    assert check_Gs(I, 2) == expected[2]
+    assert check_Gs(I, 3) == expected[3]
+    assert asked == [0, 1, 2]
+    assert list(memo_entries(I, "fitting-height")) == [0, 1, 2]
+
+    # a height interrupted by the step budget keeps no entry for its j
+    J = Ideal(I.ring, I.generators)
+    check_Gs(J, 1)
+    previous = set_step_limit(0)
+    try:
+        with pytest.raises(ResourceLimitError):
+            check_Gs(J, 3)
+    finally:
+        set_step_limit(previous)
+    assert list(memo_entries(J, "fitting-height")) == [0]
+    assert check_Gs(J, 3) == expected[3]
+    assert list(memo_entries(J, "fitting-height")) == [0, 1, 2]
+
+
 def test_syzygies_computed_once_per_ideal(monkeypatch):
     inst = generate_instance("hb2", 0)
     I, a = inst.I, inst.a
@@ -323,13 +354,13 @@ def test_zetas_computed_once_per_generator_tuple(monkeypatch):
     assert ideal_equal(kitt_via_cycles(b, I, H), K_cycles)
     assert ideal_equal(fitt0_via_Z1(b, I, H), F)
     assert len(expressed) == 2
-    assert list(I._zetas) == [a.generators, b.generators]
+    assert list(memo_entries(I, "zetas")) == [a.generators, b.generators]
     # so are the Gamma monomials of the zetas, built by the first route
-    assert list(I._gammas) == [a.generators, b.generators]
-    gammas = I._gammas[a.generators]
+    assert list(memo_entries(I, "gammas")) == [a.generators, b.generators]
+    gammas = memo_entries(I, "gammas")[a.generators]
     kitt_via_cycles(a, I, H)
     fitt0_via_Z1(a, I, H)
-    assert I._gammas[a.generators] is gammas
+    assert memo_entries(I, "gammas")[a.generators] is gammas
 
 
 def test_zetas_not_kept_when_a_check_fails(R2):
@@ -339,11 +370,11 @@ def test_zetas_not_kept_when_a_check_fails(R2):
         for _ in range(2):
             with pytest.raises(NotASubidealError):
                 route(outside, I)
-    assert I._zetas == {} and I._gammas == {}
+    assert memo_entries(I, "zetas") == {} and memo_entries(I, "gammas") == {}
     J = parse_ideal(R2, "x^2 + y", "x*y")
     with pytest.raises(NonHomogeneousError):
         kitt(parse_ideal(R2, "x*y"), J)
-    assert J._zetas == {} and J._gammas == {}
+    assert memo_entries(J, "zetas") == {} and memo_entries(J, "gammas") == {}
 
 
 def test_zetas_memo_keeps_no_complex_alive(monkeypatch):
@@ -361,5 +392,5 @@ def test_zetas_memo_keeps_no_complex_alive(monkeypatch):
     kitt_via_cycles(a, I)
     fitt0_via_Z1(a, I)
     gc.collect()
-    assert I._zetas and len(made) == 3
+    assert memo_entries(I, "zetas") and len(made) == 3
     assert all(ref() is None for ref in made)

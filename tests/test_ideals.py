@@ -25,7 +25,14 @@ from residua.fitting import check_Gs, minors
 from residua.groebner import GroebnerBasis, ResourceLimitError, _divisor, set_step_limit
 from residua.ring import PolyRing
 
-from conftest import in_kernel_ring, parse_ideal, polynomials, random_homogeneous, seeded_rng
+from conftest import (
+    in_kernel_ring,
+    memo_entries,
+    parse_ideal,
+    polynomials,
+    random_homogeneous,
+    seeded_rng,
+)
 from oracles import (
     monomial_colon,
     monomial_intersect,
@@ -158,7 +165,7 @@ def test_colon_and_intersect_hand_over_their_reduced_basis(case):
     ring, a_gens, i_gens = case
     a, I = Ideal(ring, a_gens), Ideal(ring, i_gens)
     for result in (colon(a, I), intersect(a, I)):
-        assert result._gb is not None or not result.generators
+        assert "groebner" in result._memo or not result.generators
         gb = result.groebner()
         assert gb.elements == result.generators
         assert gb.elements == Ideal(ring, result.generators).groebner().elements
@@ -178,7 +185,7 @@ def test_colon_and_intersect_check_every_generator(R3, monkeypatch):
     monkeypatch.setattr(ideals, "last_coordinates", with_a_non_member)
     with pytest.raises(RuntimeError, match="colon"):
         colon(a, I)
-    assert not I._colons
+    assert not memo_entries(I, "colon")
     with pytest.raises(RuntimeError, match="intersection"):
         intersect(I, parse_ideal(R3, "x", "y"))
 
@@ -276,7 +283,7 @@ def test_colon_memo_skips_interrupted_runs(R3, monkeypatch):
             colon(a, I)
     finally:
         set_step_limit(previous)
-    assert not I._colons
+    assert not memo_entries(I, "colon")
     expected = colon(Ideal(R3, a.generators), Ideal(R3, I.generators))
     assert colon(a, I).groebner().elements == expected.groebner().elements
 
@@ -289,7 +296,48 @@ def test_colon_memo_skips_interrupted_runs(R3, monkeypatch):
     monkeypatch.setattr(ideals, "normal_form", interrupted)
     with pytest.raises(ResourceLimitError):
         colon(a, J)
-    assert not J._colons
+    assert not memo_entries(J, "colon")
+
+
+def test_memo_keeps_what_has_returned(R2):
+    I = parse_ideal(R2, "x", "y")
+    calls = []
+
+    def interrupted():
+        calls.append("interrupted")
+        raise ResourceLimitError("interrupted")
+
+    # a compute that raises leaves no entry, and the next call computes again
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError):
+            I.memo("probe", interrupted)
+    assert calls == ["interrupted", "interrupted"]
+    assert "probe" not in I._memo
+
+    # a compute that asks for another key of the same ideal leaves both
+    def inner():
+        calls.append("inner")
+        return 1
+
+    def outer():
+        calls.append("outer")
+        return I.memo("inner", inner) + 1
+
+    assert I.memo("probe", outer) == 2
+    assert calls[2:] == ["outer", "inner"]
+    assert I._memo["probe"] == 2 and I._memo["inner"] == 1
+
+    # a value already present is returned without calling compute
+    def unexpected():
+        raise AssertionError("computed a kept value")
+
+    assert I.memo("probe", unexpected) == 2 and I.memo("inner", unexpected) == 1
+    assert len(calls) == 4
+    # so a fresh ideal handed its reduced basis runs no engine for it
+    basis = I.groebner()
+    J = Ideal(R2, basis.elements)
+    assert J.memo("groebner", lambda: basis) is basis
+    assert J.groebner() is basis
 
 
 def test_min_gens_returns_a_new_list(R2):
