@@ -54,44 +54,26 @@ def _write(text, out_path):
         sys.stdout.write(text)
 
 
-def _check_field_move(text, spec):
-    """Reject moving a file that names a GF(p) field and an explicit `a` to
-    another field: a's coefficients are residues mod p, which read over
-    the new field give another a, in general not inside I."""
-    values = {}
-    for line in text.splitlines():
-        key, _, value = line.partition("=")
-        values[key.strip()] = value
-    if "a" not in values or "field" not in values:
-        return
-    try:
-        named = parse_field(values["field"])
-    except ValueError:
-        return      # the field line is replaced anyway
-    if named.characteristic and named != spec:
-        raise ValueError(
-            f"--field {spec} on a {named} file that names `a`: its coefficients are "
-            f"residues mod {named.characteristic}; replace the `a` line by `s = N` "
-            f"to draw a over {spec}")
-
-
 def _load_instance(path, args):
+    """The instance in the file under the `--field` and `--seed` overrides,
+    and its input hash: the digest of the file with its `field` lines
+    replaced by one naming the override, put first, and its `seed` lines
+    by one put last."""
     with open(path) as fh:
         text = fh.read()
-    if args.field:
-        spec = parse_field(args.field)
-        _check_field_move(text, spec)
+    field = parse_field(args.field) if args.field else None
+    inst = parse_instance(text, field, args.seed)
+    if field is not None:
         text = "\n".join(
             line for line in text.splitlines() if not line.strip().startswith("field")
         )
-        text = f"field = {spec}\n" + text
+        text = f"field = {field}\n" + text
     if args.seed is not None:
         text = "\n".join(
             line for line in text.splitlines() if not line.strip().startswith("seed")
         )
         text += f"\nseed = {args.seed}\n"
-    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
-    return parse_instance(text), digest
+    return inst, hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def run_command(args) -> int:

@@ -65,9 +65,8 @@ class FieldSpec:
     # -- element constructors ------------------------------------------------
 
     def element(self, value) -> object:
-        """Coerce an int, Fraction, or `a/b` string into a field element."""
-        if isinstance(value, str):
-            value = Fraction(value)
+        """The field element of an int or a Fraction: over GF(p) its
+        residue, a ZeroDivisionError when p divides the denominator."""
         if self.characteristic:
             p = self.characteristic
             if isinstance(value, Fraction):
@@ -81,16 +80,6 @@ class FieldSpec:
     # -- arithmetic ----------------------------------------------------------
     # (these test `characteristic` directly: they run once per coefficient
     # operation, and the property adds a call to each)
-
-    def add(self, a, b):
-        if self.characteristic:
-            return (a + b) % self.characteristic
-        return a + b
-
-    def sub(self, a, b):
-        if self.characteristic:
-            return (a - b) % self.characteristic
-        return a - b
 
     def mul(self, a, b):
         if self.characteristic:

@@ -13,7 +13,7 @@ the quotient, and leads in different positions neither divide each other
 nor form a pair.  A module element is a tuple of polynomials, component i
 at position i, so its canonical terms are its components' terms
 concatenated in position order (`_terms`), and `_vector` splits them
-back.  Syzygies, colons and intersections are module computations.
+back.  Syzygies and colons are module computations.
 
 `_groebner` extends a Gröbner basis, kept in one form: the list of the
 integer divisors (lead, lc, tail) of its elements, each built once,
@@ -30,10 +30,10 @@ expression of elements in terms of it, and `last_coordinates` eliminates
 all but the last position of a free module in one run: the basis of an
 ideal copied to each of the first k positions is already a Gröbner basis
 of theirs (its divisors are the ideal basis's, shifted), so only the
-pairs the rows bring in are reduced, and because smaller positions win,
-the elements it leads at the last position are zero at every other one
-and are a Gröbner basis of the ideal they make there.  Colons and
-intersections of ideals are read off them.
+pairs the added row brings in are reduced, and because smaller positions
+win, the elements it leads at the last position are zero at every other
+one and are a Gröbner basis of the ideal they make there.  The colon of
+two ideals is read off them.
 
 A run may be truncated at a degree: `minimal_subset` tests homogeneous
 candidates for membership, and a test in degree at most D reads only the
@@ -47,8 +47,8 @@ and never leaves the run.
 
 A run's output becomes a reduced basis once, in `_reduced`, which builds
 the divisors of the reduced elements into the `GroebnerBasis` it returns.
-`reduced_groebner` and `last_coordinates` both end in it, so a colon or an
-intersection comes with its reduced basis, never rebuilt from itself.
+`reduced_groebner` and `last_coordinates` both end in it, so a colon comes
+with its reduced basis, never rebuilt from itself.
 
 Pairs are taken by the normal selection strategy, least lcm first, ties
 broken by (i, j); a pair's key is the monomial part of its lcm, so module
@@ -114,8 +114,8 @@ _step_limit = None
 def set_step_limit(limit):
     """Set a global cap on S-pair reductions per Buchberger run (None = off);
     returns the cap it replaces.  Only S-pair reductions count: reducing an
-    arriving input element by the basis is not a step.  A colon or an
-    intersection is one budgeted module run (`last_coordinates`)."""
+    arriving input element by the basis is not a step.  A colon is one
+    budgeted module run (`last_coordinates`)."""
     global _step_limit
     previous, _step_limit = _step_limit, limit
     return previous
@@ -485,23 +485,24 @@ def _moved(terms, s) -> tuple:
     return tuple((t + s, c) for t, c in terms)
 
 
-def last_coordinates(basis: GroebnerBasis, rows) -> GroebnerBasis:
+def last_coordinates(basis: GroebnerBasis, row) -> GroebnerBasis:
     """The reduced Gröbner basis of the ideal of the polynomials r with
-    (0, …, 0, r) in the submodule of R^(k+1) generated by the rows, each a
+    (0, …, 0, r) in the submodule of R^(k+1) generated by `row`, a
     sequence of k+1 polynomials, and by b·e_i for b in the reduced Gröbner
-    basis `basis` and i < k.  The b·e_i are already a Gröbner basis of
-    theirs, with the divisors of `basis` moved to position i, so one run
-    extends them by the rows; smaller positions win, so the elements it
-    leads at position k are zero everywhere else, and moved back to
-    position 0 they are a Gröbner basis of that ideal."""
+    basis `basis` and i < k; for the colon a : I, `row` is
+    (f_1, …, f_k, 1) over the generators f of I and `basis` that of a.
+    The b·e_i are already a Gröbner basis of theirs, with the divisors of
+    `basis` moved to position i, so one run extends them by the row;
+    smaller positions win, so the elements it leads at position k are zero
+    everywhere else, and moved back to position 0 they are a Gröbner basis
+    of that ideal."""
     ring, shift = basis.ring, basis.ring.position_shift
-    rows = [tuple(row) for row in rows]
-    k = len(rows[0]) - 1
+    k = len(row) - 1
     divisors = []
     for i in range(k):
         s = i << shift
         divisors += [(lead - s, lc, _moved(tail, -s)) for lead, lc, tail in basis.divisors]
-    _groebner(ring, divisors, [_terms(row) for row in rows])
+    _groebner(ring, divisors, [_terms(row)])
     s = k << shift
     return _reduced(ring, [(lead + s, lc, _moved(tail, s))
                            for lead, lc, tail in divisors if -(lead >> shift) == k])

@@ -1,19 +1,17 @@
-"""Ideal-level operations: sum, intersection, colon, equality, dimension,
-height and minimal generators.
+"""Ideal-level operations: sum, colon, equality, dimension, height and
+minimal generators.
 
-Intersection and colon are computed by elimination in a free module
-(Greuel and Pfister, *A Singular Introduction to Commutative Algebra*,
-§1.8), each in one run that extends a known Gröbner basis
-(`groebner.last_coordinates`): a : I for I = (f_1, …, f_m) is the ideal of
-the r with (0, …, 0, r) in a^m + R·(f_1, …, f_m, 1), and I ∩ J is that of
-the r with (0, r) in J·e_0 + R·(f, f) over the generators f of I.  The
-reduced basis of a, copied to each of the positions 0..m−1, is already a
-Gröbner basis of a^m, and under position over term, where the smaller
-position wins, the basis elements led at the last position are zero at
-every other one.  The run hands back their reduced basis, which becomes
-both the generators and the cached basis of the result, so no second
-run rebuilds it.  Every generator of either result is checked against
-the definition before it is returned.
+The colon is computed by elimination in a free module (Greuel and
+Pfister, *A Singular Introduction to Commutative Algebra*, §1.8), in one
+run that extends a known Gröbner basis (`groebner.last_coordinates`):
+a : I for I = (f_1, …, f_m) is the ideal of the r with (0, …, 0, r) in
+a^m + R·(f_1, …, f_m, 1).  The reduced basis of a, copied to each of the
+positions 0..m−1, is already a Gröbner basis of a^m, and under position
+over term, where the smaller position wins, the basis elements led at
+the last position are zero at every other one.  The run hands back their
+reduced basis, which becomes both the generators and the cached basis of
+the result, so no second run rebuilds it.  Every generator of the result
+is checked against the definition before it is returned.
 
 An `Ideal` keeps what depends only on it, or on it and another ideal's
 generators, in one memo (`Ideal.memo`); each module documents the keys it
@@ -47,14 +45,9 @@ class Ideal:
 
     def __init__(self, ring: PolyRing, generators):
         self.ring = ring
-        gens = []
-        for g in generators:
-            if isinstance(g, str):
-                g = ring.parse(g)
-            if g.ring != ring:
-                raise RingMismatchError("generator from a different ring")
-            gens.append(g)
-        self.generators = tuple(gens)
+        self.generators = tuple(generators)
+        if any(g.ring != ring for g in self.generators):
+            raise RingMismatchError("generator from a different ring")
         self._memo = {}
 
     def __eq__(self, other):
@@ -128,23 +121,6 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
     return Ideal(I.ring, I.generators + J.generators)
 
 
-def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I ∩ J, the r with (0, r) in J·e_0 + R·(f, f) over the generators f
-    of I; every generator is checked to lie in I and in J."""
-    if I.ring != J.ring:
-        raise RingMismatchError("intersect across rings")
-    f = [g for g in I.generators if not g.is_zero()]
-    if not f or J.is_zero():
-        return Ideal(I.ring, ())
-    meet = last_coordinates(J.groebner(), [(h, h) for h in f])
-    for h in meet:
-        if not (I.contains(h) and J.contains(h)):
-            raise RuntimeError("internal: intersection generator outside I or J")
-    result = Ideal(I.ring, meet.elements)
-    result.memo("groebner", lambda: meet)
-    return result
-
-
 def colon(a: Ideal, I: Ideal) -> Ideal:
     """The quotient ideal a : I = {r : r·I ⊆ a}, the r with (0, …, 0, r) in
     a^m + R·(f_1, …, f_m, 1) over the generators f of I, memoized on I by
@@ -159,7 +135,7 @@ def _colon(a: Ideal, I: Ideal) -> Ideal:
     if not gens:
         raise ValueError("colon by the zero ideal")
     basis = a.groebner()
-    quotient = last_coordinates(basis, [(*gens, a.ring.one)])
+    quotient = last_coordinates(basis, (*gens, a.ring.one))
     for r in quotient:
         for f in gens:
             if not normal_form(r * f, basis).is_zero():

@@ -63,8 +63,14 @@ def parse_order(text: str) -> MonomialOrder:
     raise ValueError(f"unknown monomial order {text!r}")
 
 
-def parse_instance(text: str) -> ResidualInstance:
-    """Parse and validate an instance file."""
+def parse_instance(text: str, field: FieldSpec = None, seed: int = None) -> ResidualInstance:
+    """Parse and validate an instance file.  A `field` or a `seed` given
+    here takes the place of the file's value, so every error names a line
+    of the file itself.
+
+    Moving a file that names a GF(p) field and an explicit `a` to another
+    field is refused: a's coefficients are residues mod p, which read over
+    the new field give another a, in general not inside I."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -92,9 +98,18 @@ def parse_instance(text: str) -> ResidualInstance:
         raise InstanceParseError("`a` and `s` are mutually exclusive")
 
     try:
-        field = parse_field(get("field", f"GF({DEFAULT_PRIME})"))
+        named = parse_field(get("field", f"GF({DEFAULT_PRIME})"))
     except ValueError as exc:
-        raise InstanceParseError(str(exc), values["field"][1]) from exc
+        if field is None:
+            raise InstanceParseError(str(exc), values["field"][1]) from exc
+        named = field       # the file's field line is replaced anyway
+    if field is None:
+        field = named
+    elif "a" in values and "field" in values and named.characteristic and named != field:
+        raise InstanceValidationError(
+            f"--field {field} on a {named} file that names `a`: its coefficients are "
+            f"residues mod {named.characteristic}; replace the `a` line by `s = N` "
+            f"to draw a over {field}")
     try:
         order = parse_order(get("order", "grevlex"))
     except ValueError as exc:
@@ -128,7 +143,8 @@ def parse_instance(text: str) -> ResidualInstance:
             raise InstanceParseError(f"{key!r} must be >= {minimum}, got {value}", lineno)
         return value
 
-    seed = parse_int("seed") if "seed" in values else 0
+    if seed is None:
+        seed = parse_int("seed") if "seed" in values else 0
     family = get("family", "custom")
     I = Ideal(ring, parse_polys("I"))
     if not I.is_homogeneous():

@@ -165,6 +165,8 @@ class PolyRing:
         self.gens = tuple(self.var(v) for v in self.variables)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return ((self.field, self.variables, self.order)
@@ -297,13 +299,15 @@ class Polynomial:
             raise RingMismatchError(f"{self.ring} vs {other.ring}")
 
     def __add__(self, other):
-        other = self._coerce(other)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         self._check_ring(other)
         one = self.ring.one
         return self.ring.sum_of_products([(one.terms, self.terms), (one.terms, other.terms)])
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         self._check_ring(other)
         one = self.ring.one
         return self.ring.sum_of_products([(one.terms, self.terms), ((-one).terms, other.terms)])
@@ -313,18 +317,10 @@ class Polynomial:
         return Polynomial(self.ring, tuple((m, F.neg(c)) for m, c in self.terms))
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         self._check_ring(other)
         return self.ring.sum_of_products([(self.terms, other.terms)])
-
-    def __rmul__(self, other):
-        return self * other
-
-    def __radd__(self, other):
-        return self + other
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -359,18 +355,9 @@ class Polynomial:
         a field element)."""
         return self.ring.sum_of_products([(((mono, coeff),), self.terms)])
 
-    def _coerce(self, other):
-        if isinstance(other, Polynomial):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.ring.constant(other)
-        return NotImplemented
-
     # -- identity ------------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms

@@ -105,7 +105,7 @@ def _row_reduce(field, rows):
             if row[col] != field.zero:
                 factor = row[col]
                 for k in range(col, len(row)):
-                    row[k] = field.sub(row[k], field.mul(factor, prow[k]))
+                    row[k] = field.element(row[k] - factor * prow[k])
         lead = next((k for k, c in enumerate(row) if c != field.zero), None)
         if lead is None:
             continue
@@ -122,7 +122,7 @@ def _reduce_vector(field, vec, pivots):
         if vec[col] != field.zero:
             factor = vec[col]
             for k in range(col, len(vec)):
-                vec[k] = field.sub(vec[k], field.mul(factor, prow[k]))
+                vec[k] = field.element(vec[k] - factor * prow[k])
     return vec
 
 
@@ -381,7 +381,7 @@ def truncated_syzygies(gens, bound):
     for u, (i, m) in enumerate(unknowns):
         for gm, gc in gens[i].terms:
             r = col_index[mono_mul(m, ring.exponents(gm))]
-            rows[r][u] = field.add(rows[r][u], gc)
+            rows[r][u] = field.element(rows[r][u] + gc)
     kernel = _kernel_basis(field, rows, len(unknowns))
     out = []
     for vec in kernel:
@@ -407,7 +407,7 @@ def _kernel_basis(field, rows, ncols):
             # prow is monic at col; back-substitute
             acc = field.zero
             for k in range(col + 1, ncols):
-                acc = field.add(acc, field.mul(prow[k], vec[k]))
+                acc = field.element(acc + prow[k] * vec[k])
             vec[col] = field.neg(acc)
         basis.append(vec)
     return basis
@@ -443,7 +443,7 @@ def koszul_homology_dim(K, i, degree):
             for T, p in img.coeffs.items():
                 for pm, pc in p.terms:
                     r = index[(T, mono_mul(ring.exponents(pm), m))]
-                    mat[r][c] = field.add(mat[r][c], pc)
+                    mat[r][c] = field.element(mat[r][c] + pc)
         return mat, len(cols_basis)
 
     def rank(mat):

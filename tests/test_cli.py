@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, JSON documents, exit codes,
 deterministic corpus output."""
 
+import ast
 import hashlib
 import importlib.util
 import json
@@ -207,6 +208,24 @@ def test_field_move_rejects_residues_as_a(tmp_path, capsys):
     assert code == 0 and doc["instance"]["ring"].startswith("QQ")
 
 
+@pytest.mark.parametrize("text, flags, lineno", [
+    # a file with no field line: the override is no line of its own
+    ("vars = x, y\nI = x^2 + 1/0*y^2, x*y\ns = 2\n", ["--field", "q"], 2),
+    # the file's seed line stays where it is, before the bad line
+    ("vars = x, y\nI = x^2, x*y, y^2\ns = 2\nseed = 3\nfamily = power\nbogus = 1\n",
+     ["--seed", "5"], 6),
+    # a second field line is a duplicate key, as it is without the flag
+    ("field = QQ\n" + CI_INSTANCE + "field = QQ\n", ["--field", "q"], 6),
+    # the reader's own line errors come before the field-move refusal
+    (INSTANCE + "bogus = 1\n", ["--field", "q"], 8),
+], ids=["fieldless", "seed-first", "duplicate-field", "before-the-refusal"])
+def test_overrides_report_the_files_own_lines(tmp_path, capsys, text, flags, lineno):
+    path = tmp_path / "inst.txt"
+    path.write_text(text)
+    assert main(["colon", str(path), *flags]) == 1
+    assert capsys.readouterr().err.startswith(f"error: line {lineno}: ")
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # both cost start-up time on every `residua` run; modules that the
     # interpreter's start-up already loaded do not count
@@ -242,6 +261,30 @@ def test_package_import_loads_the_kernel_but_not_the_cli():
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("field = ")
+
+
+def test_every_public_name_has_a_program_caller():
+    # a public module-level function or class of the kernel that no
+    # program code names (the package, scripts/, perfbench/) is dead code:
+    # tests alone do not keep it; the glob leaves out perfbench/out/,
+    # which holds run outputs
+    root = Path(__file__).resolve().parent.parent
+    defined, named = [], set()
+    for folder in ("src/residua", "scripts", "perfbench"):
+        for path in sorted((root / folder).glob("*.py")):
+            tree = ast.parse(path.read_text())
+            if folder == "src/residua":
+                defined += [f"{path.stem}.{node.name}" for node in tree.body
+                            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                            and not node.name.startswith("_")]
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    named.add(node.name.rpartition(".")[2])
+    assert [q for q in defined if q.rpartition(".")[2] not in named] == []
 
 
 @pytest.mark.parametrize("field", ["GF(0)", "p0", "p00"])

@@ -137,7 +137,7 @@ def test_syzygy_check_fires_on_a_tampered_basis(R2):
     shift = R2.position_shift
     k = next(k for k, (lead, _, _) in enumerate(B.divisors) if -(lead >> shift) >= B.rank)
     lead, lc, (*head, (t, c)) = B.divisors[k]
-    B.divisors[k] = (lead, lc, (*head, (t, R2.field.add(c, c))))
+    B.divisors[k] = (lead, lc, (*head, (t, R2.field.element(c + c))))
     with pytest.raises(RuntimeError, match="syzygy identity violated"):
         B.syzygies()
 
@@ -169,7 +169,7 @@ def test_expression_check_fires_on_a_tampered_basis(R2):
     # (position-0 terms are the non-negative ones)
     F = R2.field
     B.divisors[:] = [
-        (lead, lc, tuple((t, F.add(c, c) if t < 0 else c) for t, c in tail))
+        (lead, lc, tuple((t, F.element(c + c) if t < 0 else c) for t, c in tail))
         if lead >= 0 else (lead, lc, tail)
         for lead, lc, tail in B.divisors
     ]

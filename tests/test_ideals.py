@@ -1,5 +1,5 @@
-"""Ideal operations: intersection, colon, equality, dimension/height,
-minimal generators, and the G_s condition."""
+"""Ideal operations: colon, equality, dimension/height, minimal
+generators, and the G_s condition."""
 
 from itertools import combinations
 
@@ -17,7 +17,6 @@ from residua.ideals import (
     height,
     ideal_equal,
     ideal_sum,
-    intersect,
     min_gens,
     mu,
 )
@@ -35,20 +34,11 @@ from conftest import (
 )
 from oracles import (
     monomial_colon,
-    monomial_intersect,
     oracle_colon_degree_piece,
     oracle_degree_piece,
     oracle_member,
     reference_colon,
-    reference_intersect,
 )
-
-
-def test_intersection_of_monomial_ideals(R2):
-    I = parse_ideal(R2, "x^2", "x*y")
-    J = parse_ideal(R2, "y")
-    K = intersect(I, J)
-    assert ideal_equal(K, parse_ideal(R2, "x*y"))
 
 
 def _monomial_ideal(ring, exponents):
@@ -66,28 +56,6 @@ def _monomial_ideal_pairs():
                          exponents, exponents)
 
     return st.integers(2, 3).flatmap(draw)
-
-
-@given(_monomial_ideal_pairs())
-def test_intersect_matches_monomial_oracle(case):
-    ring, ms1, ms2 = case
-    result = intersect(_monomial_ideal(ring, ms1), _monomial_ideal(ring, ms2))
-    assert result == _monomial_ideal(ring, monomial_intersect(ms1, ms2))
-
-
-def test_intersect_when_the_ring_already_has_t():
-    ring = PolyRing(GF32003, ("t", "t0", "x"))
-    ms1, ms2 = [(2, 0, 0), (0, 1, 1)], [(1, 1, 0), (0, 0, 2)]
-    result = intersect(_monomial_ideal(ring, ms1), _monomial_ideal(ring, ms2))
-    assert result.ring == ring
-    assert result == _monomial_ideal(ring, monomial_intersect(ms1, ms2))
-    assert result == parse_ideal(ring, "t^2*t0", "t^2*x^2", "t*t0*x", "t0*x^2")
-
-
-def test_intersection_symmetric(R2):
-    I = parse_ideal(R2, "x^2 + y^2", "x*y")
-    J = parse_ideal(R2, "x")
-    assert ideal_equal(intersect(I, J), intersect(J, I))
 
 
 @given(_monomial_ideal_pairs())
@@ -139,8 +107,7 @@ def _instance_pair(family, seed, field, monkeypatch):
 @pytest.mark.parametrize("family", ["ci", "hb2", "aci", "power"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_colon_and_intersect_match_the_syzygy_path(family, seed, field, monkeypatch):
-    # over every subset of a, the empty one included; the syzygy path over
-    # QQ is slow, so its intersections are compared over GF(32003) only
+    # over every subset of a, the empty one included
     a_gens, I = _instance_pair(family, seed, field, monkeypatch)
     ring = I.ring
     for size in range(len(a_gens) + 1):
@@ -148,9 +115,6 @@ def test_colon_and_intersect_match_the_syzygy_path(family, seed, field, monkeypa
             a = Ideal(ring, idx)
             J = colon(a, I)
             assert J.groebner().elements == reference_colon(a, I).groebner().elements
-            if field is GF32003:
-                meet = intersect(I, J).groebner().elements
-                assert meet == reference_intersect(I, J).groebner().elements
 
 
 @given(in_kernel_ring(lambda ring: [
@@ -159,26 +123,25 @@ def test_colon_and_intersect_match_the_syzygy_path(family, seed, field, monkeypa
              min_size=1, max_size=2),
 ]))
 def test_colon_and_intersect_hand_over_their_reduced_basis(case):
-    # the basis that comes with the result is the one its generators give,
-    # with the divisors of its elements; only a zero intersection, found
-    # without a run, comes without one
+    # the basis that comes with the colon is the one its generators give,
+    # with the divisors of its elements
     ring, a_gens, i_gens = case
     a, I = Ideal(ring, a_gens), Ideal(ring, i_gens)
-    for result in (colon(a, I), intersect(a, I)):
-        assert "groebner" in result._memo or not result.generators
-        gb = result.groebner()
-        assert gb.elements == result.generators
-        assert gb.elements == Ideal(ring, result.generators).groebner().elements
-        assert gb.divisors == [_divisor(ring.field, g.terms) for g in gb]
+    result = colon(a, I)
+    assert "groebner" in result._memo or not result.generators
+    gb = result.groebner()
+    assert gb.elements == result.generators
+    assert gb.elements == Ideal(ring, result.generators).groebner().elements
+    assert gb.divisors == [_divisor(ring.field, g.terms) for g in gb]
 
 
 def test_colon_and_intersect_check_every_generator(R3, monkeypatch):
-    # the last generator handed over, 1, is in neither a : I nor I ∩ J
+    # the last generator handed over, 1, is not in a : I
     a, I = _hb2_pair(R3)
     last_coordinates = ideals.last_coordinates
 
-    def with_a_non_member(basis, rows):
-        gb = last_coordinates(basis, rows)
+    def with_a_non_member(basis, row):
+        gb = last_coordinates(basis, row)
         return GroebnerBasis(R3, gb.elements + (R3.one,),
                              gb.divisors + [_divisor(R3.field, R3.one.terms)])
 
@@ -186,8 +149,6 @@ def test_colon_and_intersect_check_every_generator(R3, monkeypatch):
     with pytest.raises(RuntimeError, match="colon"):
         colon(a, I)
     assert not memo_entries(I, "colon")
-    with pytest.raises(RuntimeError, match="intersection"):
-        intersect(I, parse_ideal(R3, "x", "y"))
 
 
 def test_colon_is_one_module_run(R3, monkeypatch):

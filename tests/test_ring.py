@@ -1,5 +1,6 @@
 """Polynomial arithmetic, monomial orders, parsing."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -116,7 +117,7 @@ def test_parse_rejects_a_zero_denominator(field):
 
 def test_rational_field_arithmetic(Q2):
     x, y = Q2.gens
-    p = x.scale(Q2.field.element("1/2")) + y
+    p = x.scale(Fraction(1, 2)) + y
     assert (p + p) == x + y + y
 
 
@@ -159,6 +160,18 @@ def test_pow(R2):
     assert (x + y) ** 0 == R2.one
 
 
+@pytest.mark.parametrize("other", ["x", 1.5, 1], ids=repr)
+def test_arithmetic_with_a_non_polynomial_raises_type_error(R2, other):
+    # a number is made a polynomial by `constant` first, never coerced
+    x = R2.gens[0]
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(x, other)
+        with pytest.raises(TypeError):
+            op(other, x)
+    assert x != other and R2.zero != 0 and R2.one != 1
+
+
 # --- kernel invariants -----------------------------------------------------
 
 def _reference_sum(p, q, subtract):
@@ -166,7 +179,7 @@ def _reference_sum(p, q, subtract):
     F = p.ring.field
     d = dict(p.terms)
     for m, c in q.terms:
-        d[m] = (F.sub if subtract else F.add)(d.get(m, F.zero), c)
+        d[m] = F.element(d.get(m, F.zero) + (-c if subtract else c))
     return p.ring.from_dict(d)
 
 
