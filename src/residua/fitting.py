@@ -10,14 +10,17 @@ minimal syzygies of I's augmented basis (`ideals.augmented_basis`),
 computed once there, and the Koszul homology of x takes the same ones as
 the cycle generators of Z_1.  Fitting ideals do not depend on the
 presentation, so pruning A to a minimal set changes none of them, only
-the number of minors taken.
+the number of minors taken.  G_s asks ht(Fitt_j(I) + I) >= j+1 for
+j < s; for j < ht I that holds with no minor taken, since I lies in
+Fitt_j(I) + I.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .ring import PolyRing
+from .ring import PolyRing, RingMismatchError
+from .groebner import NotAMemberError
 from .ideals import Ideal, augmented_basis, height, ideal_sum, min_gens
 
 
@@ -87,13 +90,19 @@ def _syzygy_rows(I: Ideal) -> list:
 def expressions(I: Ideal, a: Ideal) -> tuple:
     """(a_gens, coefficient lists): the nonzero generators of a and, for
     each, its c with a_j = sum c_i x_i over x = min_gens(I).  Kept in I's
-    memo under ("zetas", a.generators) once a is checked to lie in I and
-    the expressions have returned."""
+    memo under ("zetas", a.generators) once the expressions have returned;
+    a generator outside I, which `express` finds as it reduces it, raises
+    NotASubidealError."""
+    if a.ring != I.ring:
+        raise RingMismatchError("expressions across rings")
+
     def compute():
-        if not I.contains_ideal(a):
-            raise NotASubidealError("a is not contained in I")
         a_gens = tuple(g for g in a.generators if not g.is_zero())
-        return a_gens, tuple(tuple(c) for c in augmented_basis(I).express(a_gens))
+        try:
+            coeffs = augmented_basis(I).express(a_gens)
+        except NotAMemberError:
+            raise NotASubidealError("a is not contained in I") from None
+        return a_gens, tuple(tuple(c) for c in coeffs)
 
     return I.memo(("zetas", a.generators), compute)
 
@@ -128,11 +137,13 @@ def fitting_ideal(I: Ideal, j: int) -> Ideal:
 
 def check_Gs(I: Ideal, s: int) -> bool:
     """G_s via heights of Fitting ideals of I:
-    height(Fitt_j(I) + I) >= j+1 for 0 <= j <= s-1; each height is
-    kept in I's memo under ("fitting-height", j)."""
+    height(Fitt_j(I) + I) >= j+1 for 0 <= j <= s-1.  For j < ht I this is
+    settled by I being inside Fitt_j(I) + I, so only j >= ht I takes
+    minors; each of their heights is kept in I's memo under
+    ("fitting-height", j)."""
     if I.is_unit() or I.is_zero():
         raise ValueError("check_Gs needs a proper nonzero ideal")
-    for j in range(s):
+    for j in range(height(I), s):
         if I.memo(("fitting-height", j),
                   lambda: height(ideal_sum(fitting_ideal(I, j), I))) < j + 1:
             return False

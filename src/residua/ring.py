@@ -172,6 +172,13 @@ class PolyRing:
         return ((self.field, self.variables, self.order)
                 == (other.field, other.variables, other.order))
 
+    def __ne__(self, other):
+        # the default __ne__ calls __eq__ through a slower generic path
+        if other is self:
+            return False
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
     def __hash__(self):
         return hash((self.field, self.variables, self.order))
 
@@ -259,14 +266,16 @@ class PolyRing:
 # ---------------------------------------------------------------------------
 
 class Polynomial:
-    """Canonical sparse polynomial: terms strictly descending, no zeros."""
+    """Canonical sparse polynomial: terms strictly descending, no zeros.
+    Nothing assigns `ring` or `terms` after construction, so the hash and
+    the string are each computed once, on first use."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "_hash", "_str")
 
     def __init__(self, ring: PolyRing, terms: tuple):
         self.ring = ring
         self.terms = terms
-        self._hash = None
+        self._hash = self._str = None
 
     # -- basic queries -------------------------------------------------------
 
@@ -370,6 +379,11 @@ class Polynomial:
     # -- formatting ----------------------------------------------------------
 
     def __str__(self):
+        if self._str is None:
+            self._str = self._format()
+        return self._str
+
+    def _format(self) -> str:
         if not self.terms:
             return "0"
         ring = self.ring

@@ -13,11 +13,12 @@ Division and products over QQ have plain-Fraction references on dicts
 determinants have term-by-term references (`reference_wedge`, the
 pairwise loop, and `reference_det`, the Leibniz sum over permutations).
 `spoly` is the S-polynomial by its definition, for checking that a
-basis is a Gröbner basis.  Two exceptions use the engine's module
-computations by another route than the code under test: the syzygy
-references for colon and intersection, and the graded-Nakayama reference
-at the end, which uses the engine only through `module_member`, one
-Gröbner basis of the submodule computed from scratch per test.
+basis is a Gröbner basis.  Three exceptions use the engine by another
+route than the code under test: the syzygy references for colon and
+intersection; the graded-Nakayama reference, which uses the engine only
+through `module_member`, one Gröbner basis of the submodule computed
+from scratch per test; and `reference_Gs`, G_s by its definition, one
+height for every j < s with none skipped.
 
 The oracles work on exponent tuples, ordered by the flat tuple keys
 below (`tuple_key`), and meet the packed monomials of the code under test
@@ -30,8 +31,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product as iter_product
 
+from residua.fitting import fitting_ideal
 from residua.groebner import AugmentedBasis, _dividend, _groebner, _reduce, _terms
-from residua.ideals import Ideal
+from residua.ideals import Ideal, height, ideal_sum
 from residua.koszul import ExteriorElement
 
 
@@ -248,6 +250,12 @@ def reference_det(ring, matrix):
             term = term * matrix[i][j]
         total = total - term if _inversions(perm) % 2 else total + term
     return total
+
+
+def reference_Gs(I, s) -> bool:
+    """G_s by its definition: height(Fitt_j(I) + I) >= j + 1 for every
+    j < s, each height taken, with no j settled in advance."""
+    return all(height(ideal_sum(fitting_ideal(I, j), I)) >= j + 1 for j in range(s))
 
 
 def oracle_member(f, gens, bound=None):

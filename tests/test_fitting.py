@@ -27,10 +27,10 @@ from residua.ideals import (
     colon,
     height,
     ideal_equal,
-    ideal_sum,
     min_gens,
     mu,
 )
+from residua.ring import PolyRing, RingMismatchError
 from residua.koszul import KoszulComplex, fitt0_via_Z1, homology_lifts, kitt, kitt_via_cycles
 
 from conftest import (
@@ -41,7 +41,7 @@ from conftest import (
     rings_and_coefficients,
     seeded_rng,
 )
-from oracles import reference_det
+from oracles import reference_Gs, reference_det
 
 
 def test_minors_of_koszul_style_matrix(R2):
@@ -164,18 +164,39 @@ def test_fitting_ideal_of_ideal_itself(R2):
     assert ideal_equal(fitting_ideal(I, 1), I)
 
 
-@pytest.mark.parametrize("family", ["ci", "hb2", "aci", "power"])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_check_Gs_matches_its_definition(family):
-    # G_s: height(Fitt_j(I) + I) >= j + 1 for every j < s
-    I = generate_instance(family, 0).I
-    outcomes = []
-    for s in range(1, I.ring.nvars + 2):
-        expected = all(
-            height(ideal_sum(fitting_ideal(I, j), I)) >= j + 1 for j in range(s)
-        )
-        assert check_Gs(I, s) == expected
-        outcomes.append(expected)
-    assert outcomes[0] and not outcomes[-1]
+    # G_1 holds for a nonzero ideal; G_4 fails in at most three variables,
+    # where the unit ideal reads height nvars < 4
+    for seed in range(10):
+        I = generate_instance(family, seed).I
+        outcomes = [reference_Gs(I, s) for s in range(1, 5)]
+        assert [check_Gs(I, s) for s in range(1, 5)] == outcomes
+        assert outcomes[0] and not outcomes[-1]
+
+
+def test_check_Gs_matches_its_definition_below_and_past_nvars(R2, R3):
+    # x * (x, y, z) has height 1, so only j = 0 is settled by ht I; in two
+    # variables s = 3, 4 exceed nvars, where a proper ideal has
+    # Fitt_j(I) = (1) for j >= mu(I) but reads height nvars < j + 1
+    for I in (parse_ideal(R3, "x^2", "x*y", "x*z"), parse_ideal(R2, "x", "y"),
+              parse_ideal(R2, "x^2", "x*y", "y^2")):
+        assert [check_Gs(I, s) for s in range(1, 5)] == [reference_Gs(I, s) for s in range(1, 5)]
+    m = parse_ideal(R2, "x", "y")
+    assert check_Gs(m, 2) and not check_Gs(m, 3)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_height_ladder_through_fitting_ideals(family):
+    # Supp(I/a_sub) = V(a_sub : I) = V(Fitt_0(I/a_sub)) (Eisenbud,
+    # Commutative Algebra, Prop. 20.7), so both have one height
+    for seed in range(3, 9):
+        inst = generate_instance(family, seed)
+        I, a_gens = inst.I, inst.a_gens
+        for size in range(1, len(a_gens) + 1):
+            for idx in combinations(range(len(a_gens)), size):
+                a_sub = Ideal(I.ring, tuple(a_gens[i] for i in idx))
+                assert height(colon(a_sub, I)) == height(fitt0_quotient(I, a_sub))
 
 
 def maximal_minors_ideal(ring, m, seed):
@@ -226,8 +247,11 @@ def test_check_Gs_on_five_by_four_maximal_minors(R3):
         set_step_limit(previous)
 
 
-def test_check_Gs_keeps_one_height_per_j(monkeypatch):
+def test_check_Gs_keeps_one_height_per_j(monkeypatch, R3):
+    # I lies in Fitt_j(I) + I, so every j < ht I = 2 passes with no minor
+    # taken: s = 2 takes no Fitting ideal and s = 3 only Fitt_2(I)
     I = generate_instance("hb2", 0).I
+    assert height(I) == 2
     asked = []
     original = fitting.fitting_ideal
 
@@ -238,22 +262,29 @@ def test_check_Gs_keeps_one_height_per_j(monkeypatch):
     expected = {s: check_Gs(Ideal(I.ring, I.generators), s) for s in (2, 3)}
     monkeypatch.setattr(fitting, "fitting_ideal", counted)
     assert check_Gs(I, 2) == expected[2]
+    assert asked == []
     assert check_Gs(I, 3) == expected[3]
-    assert asked == [0, 1, 2]
-    assert list(memo_entries(I, "fitting-height")) == [0, 1, 2]
+    # asked again, s = 3 reads its height from the memo
+    assert check_Gs(I, 3) == expected[3]
+    assert asked == [2]
+    assert list(memo_entries(I, "fitting-height")) == [2]
 
-    # a height interrupted by the step budget keeps no entry for its j
-    J = Ideal(I.ring, I.generators)
-    check_Gs(J, 1)
+    # a height interrupted by the step budget keeps no entry for its j.
+    # hb2's Fitt_2(I) + I is linear and takes no S-pair reduction, so the
+    # budget stops the quadrics of Fitt_2 of a 4 x 3 Hilbert-Burch ideal,
+    # once its height and syzygies are in its memo
+    J = maximal_minors_ideal(R3, 3, 0)
+    check_Gs(J, 2)
+    _syzygy_rows(J)
     previous = set_step_limit(0)
     try:
         with pytest.raises(ResourceLimitError):
             check_Gs(J, 3)
     finally:
         set_step_limit(previous)
-    assert list(memo_entries(J, "fitting-height")) == [0]
-    assert check_Gs(J, 3) == expected[3]
-    assert list(memo_entries(J, "fitting-height")) == [0, 1, 2]
+    assert list(memo_entries(J, "fitting-height")) == []
+    assert check_Gs(J, 3)
+    assert list(memo_entries(J, "fitting-height")) == [2]
 
 
 def test_syzygies_computed_once_per_ideal(monkeypatch):
@@ -371,6 +402,13 @@ def test_zetas_not_kept_when_a_check_fails(R2):
             with pytest.raises(NotASubidealError):
                 route(outside, I)
     assert memo_entries(I, "zetas") == {} and memo_entries(I, "gammas") == {}
+    elsewhere = parse_ideal(PolyRing(R2.field, ("u", "v")), "u^2")
+    for route in (kitt, kitt_via_cycles, fitt0_via_Z1):
+        with pytest.raises(RingMismatchError):
+            route(elsewhere, I)
+    with pytest.raises(RingMismatchError):
+        fitt0_quotient(I, elsewhere)
+    assert memo_entries(I, "zetas") == {}
     J = parse_ideal(R2, "x^2 + y", "x*y")
     with pytest.raises(NonHomogeneousError):
         kitt(parse_ideal(R2, "x*y"), J)

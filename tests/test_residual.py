@@ -137,9 +137,9 @@ def test_no_engine_run_repeats_its_input(monkeypatch):
     # every Gröbner run that starts from an empty basis, keyed by its input
     # term tuples, runs once over one generation and one verify, or one
     # pass of the Kitt routes: a = I is rejected on the colon a : I that
-    # the height ladder has memoized; at j = 0 check_Gs reads the height of
-    # I itself, since Fitt_0(I) has no generators and the sum with no
-    # generators on one side is the other; the homology of K(min_gens(I))
+    # the height ladder has memoized; check_Gs reads ht I from I's memo and
+    # takes Fitting ideals only from j = ht I on, so it never builds
+    # Fitt_j(I) + I for j < ht I; the homology of K(min_gens(I))
     # shares d_1's augmented basis with I, and the degree-1 lifts are d_1's
     # minimal syzygies, with no second run, when no boundary lies at or
     # below their degree

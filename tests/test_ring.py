@@ -172,6 +172,26 @@ def test_arithmetic_with_a_non_polynomial_raises_type_error(R2, other):
     assert x != other and R2.zero != 0 and R2.one != 1
 
 
+@given(in_kernel_ring(lambda ring: [polynomials(ring)] * 2))
+@example((KERNEL_RINGS[1], KERNEL_RINGS[1].parse("x^2 - 3*y*z + 2"), KERNEL_RINGS[1].gens[2]))
+@example((KERNEL_RINGS[5], KERNEL_RINGS[5].parse("-1/2*x^2 - 3*y*z"), KERNEL_RINGS[5].one))
+@example((KERNEL_RINGS[6], KERNEL_RINGS[6].parse("-x*y + 7/3*z^2 - 2"), KERNEL_RINGS[6].zero))
+def test_kept_str_and_hash_match_a_fresh_copy(case):
+    # a polynomial keeps its string and hash from their first use; a copy
+    # parsed from that string in a ring built afresh formats, hashes and
+    # compares the same, and so does the polynomial read again
+    ring, p, q = case
+    fresh = PolyRing(ring.field, ring.variables, ring.order)
+    assert fresh is not ring and fresh == ring and not fresh != ring
+    assert ring != PolyRing(ring.field, ring.variables[::-1], ring.order) and ring != 0
+    for f in (p, -p, p * q, p - q):
+        text, h = str(f), hash(f)
+        copy = fresh.parse(text)
+        assert copy == f and not copy != f and hash(copy) == h
+        assert str(copy) == text == str(f) == f._format()
+        assert hash(f) == h and repr(f) == f"<{text}>"
+
+
 # --- kernel invariants -----------------------------------------------------
 
 def _reference_sum(p, q, subtract):
