@@ -21,7 +21,7 @@ from itertools import combinations
 
 from .ring import PolyRing, RingMismatchError
 from .groebner import NotAMemberError
-from .ideals import Ideal, augmented_basis, height, ideal_sum, min_gens
+from .ideals import Ideal, augmented_basis, height, height_reaches, ideal_sum, min_gens
 
 
 class NotASubidealError(ValueError):
@@ -139,12 +139,13 @@ def check_Gs(I: Ideal, s: int) -> bool:
     """G_s via heights of Fitting ideals of I:
     height(Fitt_j(I) + I) >= j+1 for 0 <= j <= s-1.  For j < ht I this is
     settled by I being inside Fitt_j(I) + I, so only j >= ht I takes
-    minors; each of their heights is kept in I's memo under
-    ("fitting-height", j)."""
+    minors; for each of them `height_reaches` stops the basis run of
+    Fitt_j(I) + I once its leads show height j+1, and whether they do is
+    kept in I's memo under ("G_s", j)."""
     if I.is_unit() or I.is_zero():
         raise ValueError("check_Gs needs a proper nonzero ideal")
     for j in range(height(I), s):
-        if I.memo(("fitting-height", j),
-                  lambda: height(ideal_sum(fitting_ideal(I, j), I))) < j + 1:
+        if not I.memo(("G_s", j),
+                      lambda: height_reaches(ideal_sum(fitting_ideal(I, j), I), j + 1)):
             return False
     return True

@@ -45,6 +45,19 @@ columns of a Koszul differential, costs only its part up to degree D.
 The basis is then a Gröbner basis up to degree D, never a reduced one,
 and never leaves the run.
 
+A run may stop at a goal (`groebner_until`): a predicate on the leads of
+the basis, asked each time an element joins, ends the run as soon as it
+holds, so reductions that could only confirm it are skipped (Traverso,
+"Hilbert functions and the Buchberger algorithm", 1996).  Every partial
+basis G of an ideal J has <lm G> ⊆ in(J), so a goal that stays true as
+leads are added holds of in(J) once it holds of lm G.  Two goals use it,
+each exact.  If J ⊆ I and in(J) = in(I), then J = I (Cox, Little and
+O'Shea, *Ideals, Varieties, and Algorithms*, Ch. 2): once the leads of
+a basis of J divide every lead of I's, J is I and its reduced basis is
+I's.  And ht J = nvars − dim R/in(J) ≥ nvars − dim R/<lm G>, so a run
+may stop once the leads show a wanted height.  A run that completes has
+asked its goal of a full basis's leads, so the goal fails for J.
+
 A run's output becomes a reduced basis once, in `_reduced`, which builds
 the divisors of the reduced elements into the `GroebnerBasis` it returns.
 `reduced_groebner` and `last_coordinates` both end in it, so a colon comes
@@ -243,7 +256,7 @@ def _reduce(ring: PolyRing, p: _Dividend, divisors) -> tuple:
 
 
 def _groebner(ring: PolyRing, divisors: list, new, product_criterion=False,
-              truncation=None) -> list:
+              truncation=None, stop=None) -> list:
     """Extend the Gröbner basis G held as the integer divisors `divisors`,
     in place, to one of G and the canonical term tuples `new` (normal
     selection strategy) and return `divisors`.  A new element is queued
@@ -255,7 +268,10 @@ def _groebner(ring: PolyRing, divisors: list, new, product_criterion=False,
     monomial plus the weight of its position, is above bound: for
     elements homogeneous under the weights, G is then a Gröbner basis up
     to degree bound, and an element of degree at most bound lies in the
-    submodule exactly when it reduces to zero by G."""
+    submodule exactly when it reduces to zero by G.
+    `stop`, a predicate on the list of G's leads, is asked each time an
+    element joins, its lead last; once it holds the run returns None,
+    with G a partial basis."""
     F, lcm_of, degree = ring.field, ring.lcm, ring.degree
     offset, mask, want = ring.divisibility
     shift = ring.position_shift
@@ -292,6 +308,8 @@ def _groebner(ring: PolyRing, divisors: list, new, product_criterion=False,
             r = _reduce(ring, _dividend(ring, new[j]), divisors)
             if r:
                 insert(r)
+                if stop is not None and stop(leads):
+                    return None
             continue
         pending.discard((i, j))
         lm_i, lm_j = leads[i], leads[j]
@@ -326,6 +344,8 @@ def _groebner(ring: PolyRing, divisors: list, new, product_criterion=False,
         r = _reduce(ring, s, divisors)
         if r:
             insert(r)
+            if stop is not None and stop(leads):
+                return None
     return divisors
 
 
@@ -354,6 +374,19 @@ def reduced_groebner(gens) -> GroebnerBasis:
     """The reduced Gröbner basis of the ideal generated by gens, one or more
     polynomials of one ring: one engine run (normal selection strategy),
     zero generators dropped, then `_reduced`."""
+    return groebner_until(gens, None)
+
+
+def groebner_until(gens, goal) -> GroebnerBasis:
+    """The reduced Gröbner basis of the ideal J that gens generate, as
+    `reduced_groebner` gives it, or None as soon as `goal` holds: a
+    predicate on the leads of the partial Gröbner basis G of J that the
+    run has built, asked each time an element joins G, with its lead
+    last (None asks nothing).  Every such G has <lm G> inside in(J), so
+    a goal that stays true as leads are added holds of in(J) once it
+    holds; and a run that returns a basis asked it last of a complete
+    basis's leads, so the goal fails for in(J), unless no element
+    joined (J = 0)."""
     gens = list(gens)
     if not gens:
         raise ValueError("reduced_groebner needs at least one generator")
@@ -361,8 +394,9 @@ def reduced_groebner(gens) -> GroebnerBasis:
     for g in gens:
         if g.ring != ring:
             raise RingMismatchError("generators from different rings")
-    divisors = _groebner(ring, [], [g.terms for g in gens], product_criterion=True)
-    return _reduced(ring, divisors)
+    divisors = _groebner(ring, [], [g.terms for g in gens], product_criterion=True,
+                         stop=goal)
+    return None if divisors is None else _reduced(ring, divisors)
 
 
 def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:

@@ -28,6 +28,7 @@ from .groebner import (
     AugmentedBasis,
     GroebnerBasis,
     NonHomogeneousError,
+    groebner_until,
     last_coordinates,
     minimal_subset,
     normal_form,
@@ -151,6 +152,29 @@ def ideal_equal(I: Ideal, J: Ideal) -> bool:
     return I.groebner().elements == J.groebner().elements
 
 
+def groebner_inside(J: Ideal, I: Ideal) -> GroebnerBasis:
+    """`J.groebner()` for J inside I, which the caller has checked.  The
+    run stops as soon as its leads divide every lead of I's reduced
+    basis: then in(J) = in(I), and an ideal inside another with the same
+    initial ideal is that ideal (Cox, Little and O'Shea, *Ideals,
+    Varieties, and Algorithms*, Ch. 2), so J's reduced basis is I's own,
+    the same object.  A run that completes gives J's own basis."""
+    target = I.groebner()
+    offset, mask, want = J.ring.divisibility
+    uncovered = [g.lm() + offset for g in target]
+
+    def covers(leads):
+        m = leads[-1]
+        uncovered[:] = [u for u in uncovered if (u - m) & mask != want]
+        return not uncovered
+
+    def compute():
+        basis = groebner_until(J.generators, covers)
+        return target if basis is None else basis
+
+    return J.memo("groebner", compute)
+
+
 # ---------------------------------------------------------------------------
 # dimension theory
 # ---------------------------------------------------------------------------
@@ -178,6 +202,17 @@ def dimension(I: Ideal) -> int:
     if I.is_unit():
         return -1
     return lead_dimension(I.ring, [g.lm() for g in I.groebner().elements])
+
+
+def height_reaches(J: Ideal, h: int) -> bool:
+    """height(J) >= h for a nonzero J, read off the leads of a partial
+    Gröbner basis G of J: <lm G> lies inside in(J), so
+    ht J >= nvars - lead_dimension(lm G), and the run stops as soon as
+    that reaches h.  A run that completes has read ht J off the leads of
+    a complete basis, short of h."""
+    ring = J.ring
+    return groebner_until(J.generators,
+                          lambda leads: ring.nvars - lead_dimension(ring, leads) >= h) is None
 
 
 def height(I: Ideal) -> int:

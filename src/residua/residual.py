@@ -11,6 +11,7 @@ from .ring import Polynomial, PolyRing
 from .ideals import (
     Ideal,
     colon,
+    groebner_inside,
     height,
     ideal_sum,
     min_gens,
@@ -312,6 +313,29 @@ def _hypothesis_checks(row: Theorem, inst: ResidualInstance, rng) -> list:
     return checks
 
 
+def _right_hand_side(row: Theorem, inst: ResidualInstance) -> Ideal:
+    """The theorem's right-hand side on the instance."""
+    I, a_gens = inst.I, inst.a_gens
+    size = _subset_size(row, I, inst.s)
+    if size is None:
+        return kitt(inst.a, I)
+    if row.adds_fitt0:
+        return rhs_formula(I, a_gens, size)
+    return _add_colons(Ideal(I.ring, ()), I, a_gens, size)
+
+
+def _compare(lhs: Ideal, rhs: Ideal) -> tuple:
+    """(verdict, reduced basis elements of rhs): equal, lhs-strictly-larger
+    or incomparable.  RHS inside LHS is checked by normal forms against
+    LHS's basis; then `groebner_inside` stops RHS's run once its leads
+    cover LHS's, and RHS equals LHS exactly when that happens."""
+    lhs_gb = lhs.groebner().elements
+    if not lhs.contains_ideal(rhs):
+        return "incomparable", rhs.groebner().elements
+    rhs_gb = groebner_inside(rhs, lhs).elements
+    return ("equal" if rhs_gb == lhs_gb else "lhs-strictly-larger"), rhs_gb
+
+
 def verify(theorem_id: str, inst: ResidualInstance) -> VerificationReport:
     """Compute LHS = a:I and the theorem's RHS, compare as ideals, and
     record hypothesis outcomes.  Computed hypothesis failures are hard
@@ -324,27 +348,12 @@ def verify(theorem_id: str, inst: ResidualInstance) -> VerificationReport:
     if failed:
         raise HypothesisError(f"computed hypothesis failed: {', '.join(failed)}")
 
-    I, a_gens = inst.I, inst.a_gens
-    lhs = colon(inst.a, I)
-    size = _subset_size(row, I, inst.s)
-    if size is None:
-        rhs = kitt(inst.a, I)
-    elif row.adds_fitt0:
-        rhs = rhs_formula(I, a_gens, size)
-    else:
-        rhs = _add_colons(Ideal(I.ring, ()), I, a_gens, size)
-    lhs_gb = lhs.groebner().elements
-    rhs_gb = rhs.groebner().elements
-    if lhs_gb == rhs_gb:
-        verdict = "equal"
-    elif lhs.contains_ideal(rhs):
-        verdict = "lhs-strictly-larger"
-    else:
-        verdict = "incomparable"
+    lhs = colon(inst.a, inst.I)
+    verdict, rhs_gb = _compare(lhs, _right_hand_side(row, inst))
     return VerificationReport(
         instance=inst.describe(),
         theorem_id=theorem_id,
-        lhs_gb=[str(p) for p in lhs_gb],
+        lhs_gb=[str(p) for p in lhs.groebner()],
         rhs_gb=[str(p) for p in rhs_gb],
         verdict=verdict,
         hypothesis_checks=checks,

@@ -126,7 +126,8 @@ class PolyRing:
     (t + offset) & mask == want when the term t's monomial is in range."""
 
     __slots__ = ("field", "variables", "order", "zero", "one", "gens",
-                 "position_shift", "divisibility", "bounds", "_places", "_halves")
+                 "position_shift", "divisibility", "bounds", "_places", "_halves",
+                 "_degree_places")
 
     def __init__(self, field: FieldSpec, variables, order: MonomialOrder = None):
         self.field = field
@@ -139,10 +140,14 @@ class PolyRing:
         size = len(digits)
         # digit j sits f bits up; a variable's weight is its packed exponent
         # vector, and its place the least significant digit that holds it
-        weights, places = [0] * n, [0] * n
+        weights, places, degree_places = [0] * n, [0] * n, []
         offset = mask = want = 0
         for j, (sign, lo, hi) in enumerate(digits):
             f = _BITS * (size - 1 - j)
+            # the positive digits sum the exponents over disjoint variable
+            # ranges that cover every variable: their sum is the degree
+            if sign > 0:
+                degree_places.append(f)
             for i in range(lo, hi):
                 weights[i] += sign << f
                 places[i] = (f, sign)
@@ -160,6 +165,7 @@ class PolyRing:
         self.bounds = (offset, mask, want)
         self._places = tuple((f, sign, w) for (f, sign), w in zip(places, weights))
         self._halves = sum(_HALF << (_BITS * f) for f in range(size))
+        self._degree_places = tuple(degree_places)
         self.zero = Polynomial(self, ())
         self.one = self.constant(field.one)
         self.gens = tuple(self.var(v) for v in self.variables)
@@ -208,8 +214,14 @@ class PolyRing:
         return tuple([sign * (((u >> f) & _FIELD) - _HALF) for f, sign, _ in self._places])
 
     def degree(self, m: int) -> int:
-        """The total degree of the packed monomial m."""
-        return sum(self.exponents(m))
+        """The total degree of the packed monomial m, or of a quotient t - m
+        of two, the sum of the order's positive digits: one for grevlex,
+        two for block(k), one per variable for lex."""
+        u = m + self._halves
+        total = 0
+        for f in self._degree_places:
+            total += ((u >> f) & _FIELD) - _HALF
+        return total
 
     def divides(self, m: int, t: int) -> bool:
         """True when the monomial m divides the monomial t, or the module

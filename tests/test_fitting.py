@@ -25,8 +25,11 @@ from residua.ideals import (
     NonHomogeneousError,
     augmented_basis,
     colon,
+    dimension,
     height,
+    height_reaches,
     ideal_equal,
+    ideal_sum,
     min_gens,
     mu,
 )
@@ -175,6 +178,25 @@ def test_check_Gs_matches_its_definition(family):
         assert outcomes[0] and not outcomes[-1]
 
 
+def test_height_reaches_matches_the_full_height():
+    # the stop reads ht J >= h off the leads of a partial basis; checked
+    # against nvars - dim(R/J) of the complete one (nvars for the unit
+    # ideal, as `height` reads it) on the ideals Fitt_j(I) + I that G_s
+    # asks about, in two and three variables
+    nvars = set()
+    for family in FAMILIES:
+        for seed in range(4):
+            I = generate_instance(family, seed).I
+            n = I.ring.nvars
+            nvars.add(n)
+            for j in range(n + 1):
+                J = ideal_sum(fitting_ideal(I, j), I)
+                full = n if J.is_unit() else n - dimension(J)
+                assert [height_reaches(J, h) for h in range(n + 2)] == \
+                    [full >= h for h in range(n + 2)]
+    assert nvars == {2, 3}
+
+
 def test_check_Gs_matches_its_definition_below_and_past_nvars(R2, R3):
     # x * (x, y, z) has height 1, so only j = 0 is settled by ht I; in two
     # variables s = 3, 4 exceed nvars, where a proper ideal has
@@ -264,27 +286,28 @@ def test_check_Gs_keeps_one_height_per_j(monkeypatch, R3):
     assert check_Gs(I, 2) == expected[2]
     assert asked == []
     assert check_Gs(I, 3) == expected[3]
-    # asked again, s = 3 reads its height from the memo
+    # asked again, s = 3 reads its outcome from the memo
     assert check_Gs(I, 3) == expected[3]
     assert asked == [2]
-    assert list(memo_entries(I, "fitting-height")) == [2]
+    assert memo_entries(I, "G_s") == {2: expected[3]}
 
-    # a height interrupted by the step budget keeps no entry for its j.
-    # hb2's Fitt_2(I) + I is linear and takes no S-pair reduction, so the
-    # budget stops the quadrics of Fitt_2 of a 4 x 3 Hilbert-Burch ideal,
-    # once its height and syzygies are in its memo
-    J = maximal_minors_ideal(R3, 3, 0)
-    check_Gs(J, 2)
+    # a height run interrupted by the step budget keeps no entry for its j.
+    # A run that settles height j+1 may stop before any S-pair reduction
+    # (Fitt_2 of a 4 x 3 Hilbert-Burch ideal does), so the budget stops
+    # one that must complete: Fitt_3(J) + J of a 5 x 4 Hilbert-Burch ideal
+    # J has height 3 < 4, once J's height, syzygies and j = 2 are in its memo
+    J = maximal_minors_ideal(R3, 4, 0)
+    assert check_Gs(J, 3)
     _syzygy_rows(J)
     previous = set_step_limit(0)
     try:
         with pytest.raises(ResourceLimitError):
-            check_Gs(J, 3)
+            check_Gs(J, 4)
     finally:
         set_step_limit(previous)
-    assert list(memo_entries(J, "fitting-height")) == []
-    assert check_Gs(J, 3)
-    assert list(memo_entries(J, "fitting-height")) == [2]
+    assert memo_entries(J, "G_s") == {2: True}
+    assert not check_Gs(J, 4)
+    assert memo_entries(J, "G_s") == {2: True, 3: False}
 
 
 def test_syzygies_computed_once_per_ideal(monkeypatch):

@@ -14,6 +14,7 @@ from residua.ideals import (
     NonHomogeneousError,
     colon,
     dimension,
+    groebner_inside,
     height,
     ideal_equal,
     ideal_sum,
@@ -309,6 +310,19 @@ def test_min_gens_returns_a_new_list(R2):
     assert min_gens(I) == expected
     assert min_gens(I) is not min_gens(I)
     assert mu(I) == 2
+
+
+def test_groebner_inside(R3):
+    # an ideal inside I whose leads come to cover I's is I: its run stops
+    # there and it is handed I's basis itself; one strictly inside keeps
+    # the basis of its completed run
+    I = parse_ideal(R3, "x^2 - y*z", "x*y", "y^2 - x*z")
+    J = parse_ideal(R3, "y^2 - x*z", "x^2 - y*z + x*y", "x*y")
+    assert groebner_inside(J, I) is I.groebner()
+    assert J.groebner() is I.groebner()
+    K = parse_ideal(R3, "x*y", "y^2 - x*z")
+    assert groebner_inside(K, I).elements == groebner.reduced_groebner(K.generators).elements
+    assert groebner_inside(K, I).elements != I.groebner().elements
 
 
 def test_dimension_and_height(R2):

@@ -7,13 +7,15 @@ from functools import partial
 import pytest
 
 from residua import groebner
-from residua.corpus import generate_corpus, generate_instance
+from residua.corpus import FAMILIES, generate_corpus, generate_instance
 from residua.fitting import fitt0_quotient
+from residua.groebner import reduced_groebner
 from residua.ideals import Ideal, colon, height, ideal_equal, min_gens, mu
 from residua.instances import format_instance, parse_instance
 from residua.koszul import KoszulComplex, fitt0_via_Z1, homology_lifts, kitt, kitt_via_cycles
 from residua.residual import (
     THEOREM_IDS,
+    THEOREMS,
     GenericityError,
     HypothesisError,
     ResidualInstance,
@@ -23,6 +25,8 @@ from residua.residual import (
     is_tautological,
     rhs_formula,
     verify,
+    _compare,
+    _right_hand_side,
 )
 
 from conftest import parse_ideal
@@ -146,11 +150,11 @@ def test_no_engine_run_repeats_its_input(monkeypatch):
     runs = Counter()
     engine = groebner._groebner
 
-    def counting(ring, divisors, new, product_criterion=False, truncation=None):
+    def counting(ring, divisors, new, product_criterion=False, truncation=None, stop=None):
         new = list(new)
         if not divisors and new:
             runs[ring, tuple(new), product_criterion] += 1
-        return engine(ring, divisors, new, product_criterion, truncation)
+        return engine(ring, divisors, new, product_criterion, truncation, stop)
 
     monkeypatch.setattr(groebner, "_groebner", counting)
     # cor32 reads the size-0 right-hand side Fitt_0(I/a) + a, thm34 the
@@ -205,6 +209,56 @@ def test_every_theorem_on_the_seed0_instance(family):
     for doc in (reports["thm25"], reports["thm47"]):
         del doc["theorem"], doc["timing_seconds"]
     assert reports["thm47"] == reports["thm25"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_verify_reports_the_full_bases(family):
+    # the right-hand side's run stops once its leads cover those of a : I;
+    # the report holds what runs with no stop give, and the verdict of the
+    # three-way rule on them
+    for seed in range(6):
+        fresh = generate_instance(family, seed)
+        lhs = reduced_groebner(colon(fresh.a, fresh.I).generators).elements
+        for theorem in THEOREM_IDS:
+            try:
+                report = verify(theorem, generate_instance(family, seed))
+            except HypothesisError:
+                continue
+            rhs = _right_hand_side(THEOREMS[theorem], fresh)
+            rhs_gb = reduced_groebner(rhs.generators).elements
+            if rhs_gb == lhs:
+                verdict = "equal"
+            elif Ideal(fresh.ring, lhs).contains_ideal(rhs):
+                verdict = "lhs-strictly-larger"
+            else:
+                verdict = "incomparable"
+            assert report.lhs_gb == [str(p) for p in lhs]
+            assert report.rhs_gb == [str(p) for p in rhs_gb]
+            assert report.verdict == verdict
+
+
+def test_verify_comparison_cases(R2):
+    # hb2 seed 0, thm34: the sum of the links lies strictly inside a : I,
+    # so its leads never cover a : I's and the run completes
+    inst = generate_instance("hb2", 0)
+    report = verify("thm34", inst)
+    assert report.verdict == "lhs-strictly-larger"
+    assert report.rhs_gb == [str(p) for p in reduced_groebner(
+        _right_hand_side(THEOREMS["thm34"], generate_instance("hb2", 0)).generators)]
+    assert report.rhs_gb != report.lhs_gb
+    # a = I: s = 3 = mu(I) degree-matched general elements generate I, so
+    # a : I = (1), which a unit lead of the right-hand side covers
+    a_gens = tuple(generic_generators(inst.I, 3, seed=0))
+    assert ideal_equal(Ideal(inst.ring, a_gens), inst.I)
+    for theorem in ("thm25", "kitt-eq"):
+        report = verify(theorem, ResidualInstance(inst.ring, inst.I, a_gens, 3))
+        assert report.lhs_gb == report.rhs_gb == ["1"]
+        assert report.verdict == "equal"
+    # a right-hand side outside the left: incomparable, with its own basis
+    x, y = R2.gens
+    assert _compare(Ideal(R2, (x,)), Ideal(R2, (y,))) == ("incomparable", (y,))
+    assert _compare(Ideal(R2, (x, y)), Ideal(R2, (y,))) == ("lhs-strictly-larger", (y,))
+    assert _compare(Ideal(R2, (x, y)), Ideal(R2, (y + x, x))) == ("equal", (y, x))
 
 
 def test_verify_unknown_theorem(R2):

@@ -323,11 +323,16 @@ _PACKING_RINGS = st.sampled_from(KERNEL_RINGS + SMALL_PRIME_RINGS)
 
 @given(_PACKING_RINGS.flatmap(lambda ring: st.tuples(
     st.just(ring), _vectors(ring.nvars, MAX_DEGREE), _vectors(ring.nvars, MAX_DEGREE))))
+@example((KERNEL_RINGS[0], (MAX_DEGREE, 0, 0), (0, 0, MAX_DEGREE)))
+@example((KERNEL_RINGS[1], (0, MAX_DEGREE, 0), (MAX_DEGREE, 0, 0)))
+@example((KERNEL_RINGS[2], (1, 0, MAX_DEGREE - 1), (MAX_DEGREE, 0, 0)))
 def test_packing_round_trip_and_order(case):
     ring, e1, e2 = case
     key = tuple_key(ring.order)
     p1, p2 = ring.monomial(e1), ring.monomial(e2)
     assert ring.exponents(p1) == e1 and ring.degree(p1) == sum(e1)
+    # degree reads only the order's positive digits, of a quotient too
+    assert ring.degree(p1 - p2) == sum(ring.exponents(p1 - p2)) == sum(e1) - sum(e2)
     assert 0 <= p1 < 1 << ring.position_shift
     assert (p1 < p2) == (key(e1) < key(e2))
     assert (p1 == p2) == (e1 == e2)
