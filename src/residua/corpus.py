@@ -20,7 +20,6 @@ from .residual import (
     ResidualInstance,
     _random_scalar,
     generic_generators,
-    is_residual,
 )
 
 FAMILIES = ("ci", "hb2", "aci", "power")
@@ -157,11 +156,9 @@ def generate_instance(family: str, seed: int) -> ResidualInstance:
         except GenericityError:
             continue
         # a lies in I, so a = I exactly when a : I is the unit ideal; the
-        # height ladder has already computed that colon on I
-        a = Ideal(I.ring, a_gens)
-        if colon(a, I).is_unit():
-            continue
-        if not is_residual(a, I, s):
+        # height ladder has already computed that colon on I, and its top
+        # rung has already asked for height >= s
+        if colon(Ideal(I.ring, a_gens), I).is_unit():
             continue
         return ResidualInstance(
             I.ring, I, tuple(a_gens), s, seed=seed, family_tag=family

@@ -38,13 +38,17 @@ def _is_prime(n: int) -> bool:
 class FieldSpec:
     """An exact coefficient field: characteristic 0 means the rationals.
 
-    `zero` and `one` are the field's elements 0 and 1.  Instances are
-    treated as immutable values: equal and hashed by characteristic."""
+    A prime characteristic must be below 2^31, so that the trial division
+    of `_is_prime` stays under about 23k divisions.  `zero` and `one` are
+    the field's elements 0 and 1.  Instances are treated as immutable
+    values: equal and hashed by characteristic."""
 
     __slots__ = ("characteristic", "zero", "one")
 
     def __init__(self, characteristic: int = DEFAULT_PRIME):
         p = characteristic
+        if p >= 1 << 31:
+            raise ValueError(f"characteristic must be below 2^31, got {p}")
         if p != 0 and not _is_prime(p):
             raise ValueError(f"characteristic must be 0 or prime, got {p}")
         self.characteristic = p

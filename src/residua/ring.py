@@ -509,7 +509,10 @@ class _Parser:
         return tok
 
     def parse(self) -> Polynomial:
-        p = self.expr()
+        try:
+            p = self.expr()
+        except RecursionError:
+            raise ParseError("expression nested too deeply", 0) from None
         kind, val, pos = self.peek()
         if kind is not None:
             raise ParseError(f"trailing input {val!r}", pos)

@@ -35,6 +35,11 @@ def parse_ideal(ring, *texts):
     return Ideal(ring, [ring.parse(t) for t in texts])
 
 
+# 300 nested parentheses, or 2,000 leading minus signs, pass the
+# interpreter's recursion limit in the recursive-descent parser
+DEEP_POLYNOMIALS = {"parentheses": "(" * 300 + "x" + ")" * 300, "minus-signs": "-" * 2000 + "x"}
+
+
 # --- hypothesis strategies -------------------------------------------------
 
 def monomials(nvars, max_degree=3):

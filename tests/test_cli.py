@@ -20,6 +20,8 @@ from residua.instances import format_instance
 from residua.groebner import ResourceLimitError, reduced_groebner, set_step_limit
 from residua.ring import PolyRing
 
+from conftest import DEEP_POLYNOMIALS
+
 INSTANCE = """\
 field = GF(32003)
 vars = x, y
@@ -298,6 +300,27 @@ def test_characteristic_zero_prime_spelling_rejected(tmp_path, capsys, field):
     path.write_text(CI_INSTANCE)
     assert main(["colon", str(path), "--field", field]) == 1
     assert "characteristic 0" in capsys.readouterr().err
+
+
+def test_characteristic_from_2_31_on_refused(tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    path.write_text("vars = x, y\nfield = GF(10000000000000000051)\nI = x, y\na = x^2, y^2\n")
+    assert main(["colon", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 2: characteristic must be below 2^31")
+    path.write_text(CI_INSTANCE)
+    assert main(["colon", str(path), "--field", "p10000000000000000051"]) == 1
+    assert capsys.readouterr().err.startswith("error: characteristic must be below 2^31")
+    # the largest prime allowed runs end to end
+    assert main(["colon", str(path), "--field", "p2147483647"]) == 0
+
+
+@pytest.mark.parametrize("text", DEEP_POLYNOMIALS.values(), ids=DEEP_POLYNOMIALS)
+def test_deep_nesting_reports_its_line(tmp_path, capsys, text):
+    path = tmp_path / "deep.txt"
+    path.write_text(f"vars = x, y\nI = {text}, y\ns = 2\n")
+    assert main(["colon", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ") and "expression nested too deeply" in err
 
 
 def test_unknown_theorem_rejected_before_the_file_is_read(capsys):

@@ -1,18 +1,22 @@
 """Generic-element selection, residual predicates, the RHS formula, and the
 verification harness."""
 
+import random
 from collections import Counter
 from functools import partial
+from itertools import combinations
 
 import pytest
 
-from residua import groebner
+from residua import groebner, residual
 from residua.corpus import FAMILIES, generate_corpus, generate_instance
+from residua.field import GF32003
 from residua.fitting import fitt0_quotient
 from residua.groebner import reduced_groebner
 from residua.ideals import Ideal, colon, height, ideal_equal, min_gens, mu
 from residua.instances import format_instance, parse_instance
 from residua.koszul import KoszulComplex, fitt0_via_Z1, homology_lifts, kitt, kitt_via_cycles
+from residua.ring import PolyRing
 from residua.residual import (
     THEOREM_IDS,
     THEOREMS,
@@ -52,6 +56,9 @@ def test_genericity_failure_is_reported(R2):
     I = parse_ideal(R2, "x")
     with pytest.raises(GenericityError):
         generic_generators(I, 2, seed=0)
+    # s = 12 > nvars = 3 draws no sequence that can pass
+    with pytest.raises(GenericityError):
+        parse_instance("vars = x, y, z\nI = x^2, x*y, x*z, y^2, y*z, z^2\ns = 12\n")
 
 
 def test_generic_generators_s_zero(R2):
@@ -64,6 +71,37 @@ def test_height_ladder(R2):
     assert height_ladder_ok(good, I)
     bad = (R2.parse("x^2"), R2.parse("x*y"))  # (x^2, x*y):(x,y) has height 1
     assert not height_ladder_ok(bad, I)
+    # no height exceeds nvars = 2, so s = 3 fails before any colon
+    I = parse_ideal(R2, "x^2", "x*y", "y^2")
+    assert not height_ladder_ok(good + (R2.parse("x^2 + x*y"),), I)
+    assert [key for key in I._memo if key[0] == "colon"] == []
+
+
+def test_verify_takes_every_ladder_colon_whatever_the_seed(monkeypatch):
+    # I = (x, y, z, w, u, v) and a = six seeded linear forms: at s = 6
+    # the ladder asks all 63 subset colons, sizes ascending and
+    # each size in lexicographic order, and draws nothing: two seeds ask
+    # the same colons and report the same lines; cor31's right-hand side
+    # Fitt_0(I/a) + a takes no subset colon of its own
+    R6 = PolyRing(GF32003, ("x", "y", "z", "w", "u", "v"))
+    I = Ideal(R6, R6.gens)
+    rng = random.Random(0)
+    a_gens = tuple(R6.parse(" + ".join(f"{rng.randint(1, 100)}*{v}" for v in R6.variables))
+                   for _ in range(6))
+    every = [idx for size in range(1, 7) for idx in combinations(range(6), size)]
+    asked = []
+    subset_colon = residual._subset_colon
+    monkeypatch.setattr(residual, "_subset_colon",
+                        lambda I, a_gens, idx: asked.append(idx) or subset_colon(I, a_gens, idx))
+    outcomes = []
+    for seed in (0, 1):
+        asked.clear()
+        report = verify("cor31", ResidualInstance(R6, I, a_gens, 6, seed=seed, family_tag="ci"))
+        assert asked == every
+        outcomes.append((report.hypothesis_checks, report.verdict))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] == "equal"
+    assert [status for _, status in outcomes[0][0]] == ["pass"] * 4 + ["asserted"]
 
 
 def test_is_residual(R2):

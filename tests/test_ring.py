@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from residua.field import GF32003, RATIONALS, FieldSpec
+from residua.field import GF32003, RATIONALS, FieldSpec, _is_prime
 from residua.ring import MAX_DEGREE, MonomialOrder, ParseError, PolyRing, sum_of_products
 
 from conftest import (
+    DEEP_POLYNOMIALS,
     KERNEL_RINGS,
     SMALL_PRIME_RINGS,
     in_kernel_ring,
@@ -113,6 +114,12 @@ def test_parse_rejects_a_zero_denominator(field):
             ring.parse("x^2 + 1/32003*y^2")
     else:
         assert str(ring.parse("x^2 + 1/32003*y^2")) == "x^2 + 1/32003*y^2"
+
+
+@pytest.mark.parametrize("text", DEEP_POLYNOMIALS.values(), ids=DEEP_POLYNOMIALS)
+def test_parse_rejects_deep_nesting(R2, text):
+    with pytest.raises(ParseError, match=r"^expression nested too deeply \(at position 0\)$"):
+        R2.parse(text)
 
 
 def test_rational_field_arithmetic(Q2):
@@ -301,6 +308,18 @@ def test_fields_orders_and_rings_are_values():
     assert R != PolyRing(GF32003, ("x", "y"))
     assert R.gens == (R.var("x"), R.var("y")) and R.one == R.constant(1)
     assert R.zero.is_zero() and R.one.terms == ((0, RATIONALS.one),)
+
+
+def test_prime_characteristic_is_below_2_31():
+    # the bound keeps _is_prime's trial division under about 23k divisions
+    assert FieldSpec(2**31 - 1).characteristic == 2**31 - 1
+    with pytest.raises(ValueError, match=r"^characteristic must be below 2\^31, got 2147483659$"):
+        FieldSpec(2**31 + 11)
+    sieve = [False, False] + [True] * (10**5 - 2)
+    for n in range(2, 317):
+        if sieve[n]:
+            sieve[n * n::n] = [False] * len(range(n * n, 10**5, n))
+    assert [n for n in range(10**5) if _is_prime(n)] == [n for n in range(10**5) if sieve[n]]
 
 
 # --- packed monomials against exponent tuples ------------------------------
