@@ -81,8 +81,6 @@ def _syzygy_rows(I: Ideal) -> list:
     minimally generate the syzygies of x: the minimal syzygies of I's
     augmented basis, computed once there.  The zero ideal has no rows."""
     x = min_gens(I)
-    if not x:
-        return []
     syz = augmented_basis(I).minimal_syzygies()
     return [[s[i] for s in syz] for i in range(len(x))]
 
@@ -110,10 +108,6 @@ def expressions(I: Ideal, a: Ideal) -> tuple:
 def presentation_of_quotient(I: Ideal, a: Ideal) -> tuple:
     """The rows, one per x_i of min_gens(I), of the [A|B] presentation of
     I/a; `expressions` checks that a lies in I."""
-    if I.is_zero():
-        if not I.contains_ideal(a):
-            raise NotASubidealError("a is not contained in I")
-        return ()
     _a_gens, columns = expressions(I, a)
     rows = _syzygy_rows(I)
     for coeffs in columns:
@@ -143,7 +137,7 @@ def check_Gs(I: Ideal, s: int) -> bool:
     Fitt_j(I) + I once its leads show height j+1, and whether they do is
     kept in I's memo under ("G_s", j)."""
     if I.is_unit() or I.is_zero():
-        raise ValueError("check_Gs needs a proper nonzero ideal")
+        raise ValueError("G_s needs I to be a proper nonzero ideal")
     for j in range(height(I), s):
         if not I.memo(("G_s", j),
                       lambda: height_reaches(ideal_sum(fitting_ideal(I, j), I), j + 1)):

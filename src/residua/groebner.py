@@ -13,7 +13,8 @@ the quotient, and leads in different positions neither divide each other
 nor form a pair.  A module element is a tuple of polynomials, component i
 at position i, so its canonical terms are its components' terms
 concatenated in position order (`_terms`), and `_vector` splits them
-back.  Syzygies and colons are module computations.
+back.  Syzygies and colons are module computations.  Every entry point
+is given its ring, so an empty sequence is the zero ideal or module.
 
 `_groebner` extends a Gröbner basis, kept in one form: the list of the
 integer divisors (lead, lc, tail) of its elements, each built once,
@@ -370,32 +371,30 @@ def _reduced(ring: PolyRing, divisors: list) -> GroebnerBasis:
     return GroebnerBasis(ring, tuple(elements), reduced)
 
 
-def reduced_groebner(gens) -> GroebnerBasis:
-    """The reduced Gröbner basis of the ideal generated by gens, one or more
-    polynomials of one ring: one engine run (normal selection strategy),
-    zero generators dropped, then `_reduced`."""
-    return groebner_until(gens, None)
+def reduced_groebner(ring: PolyRing, gens) -> GroebnerBasis:
+    """The reduced Gröbner basis of the ideal of `ring` generated by gens,
+    a sequence of its polynomials (empty for the zero ideal): one engine
+    run (normal selection strategy), zero generators dropped, then
+    `_reduced`."""
+    return groebner_until(ring, gens, None)
 
 
-def groebner_until(gens, goal) -> GroebnerBasis:
-    """The reduced Gröbner basis of the ideal J that gens generate, as
-    `reduced_groebner` gives it, or None as soon as `goal` holds: a
-    predicate on the leads of the partial Gröbner basis G of J that the
-    run has built, asked each time an element joins G, with its lead
-    last (None asks nothing).  Every such G has <lm G> inside in(J), so
-    a goal that stays true as leads are added holds of in(J) once it
+def groebner_until(ring: PolyRing, gens, goal) -> GroebnerBasis:
+    """The reduced Gröbner basis of the ideal J of `ring` that gens
+    generate, as `reduced_groebner` gives it, or None as soon as `goal`
+    holds: a predicate on the leads of the partial Gröbner basis G of J
+    that the run has built, asked each time an element joins G, with its
+    lead last (None asks nothing).  Every such G has <lm G> inside in(J),
+    so a goal that stays true as leads are added holds of in(J) once it
     holds; and a run that returns a basis asked it last of a complete
-    basis's leads, so the goal fails for in(J), unless no element
-    joined (J = 0)."""
-    gens = list(gens)
-    if not gens:
-        raise ValueError("reduced_groebner needs at least one generator")
-    ring = gens[0].ring
+    basis's leads, so the goal fails for in(J), unless no element joined
+    (J = 0).  A generator of another ring raises RingMismatchError."""
+    terms = []
     for g in gens:
         if g.ring != ring:
-            raise RingMismatchError("generators from different rings")
-    divisors = _groebner(ring, [], [g.terms for g in gens], product_criterion=True,
-                         stop=goal)
+            raise RingMismatchError("generator from a different ring")
+        terms.append(g.terms)
+    divisors = _groebner(ring, [], terms, product_criterion=True, stop=goal)
     return None if divisors is None else _reduced(ring, divisors)
 
 
@@ -412,13 +411,11 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
 # free modules
 # ---------------------------------------------------------------------------
 
-def _terms(vec, offset=0) -> tuple:
-    """The canonical terms of the polynomial sequence vec, component i at
-    position offset + i: position over term makes them the components'
-    terms, concatenated in position order."""
-    if not vec:
-        return ()
-    shift = vec[0].ring.position_shift
+def _terms(ring, vec, offset=0) -> tuple:
+    """The canonical terms of the sequence vec of polynomials of `ring`,
+    component i at position offset + i: position over term makes them the
+    components' terms, concatenated in position order."""
+    shift = ring.position_shift
     return tuple((m - ((offset + i) << shift), c)
                  for i, p in enumerate(vec) for m, c in p.terms)
 
@@ -434,33 +431,30 @@ def _vector(ring, terms, offset, rank) -> tuple:
     return tuple(Polynomial(ring, tuple(t)) for t in comps)
 
 
-def _combination(coeffs, gens) -> tuple:
+def _combination(ring, coeffs, gens) -> tuple:
     """The canonical terms of sum(c_i * g_i) for polynomials c_i and
-    polynomial sequences g_i."""
-    return sum_of_products(coeffs[0].ring,
-                           [(c.terms, _terms(g)) for c, g in zip(coeffs, gens)])
+    polynomial sequences g_i of `ring`."""
+    return sum_of_products(ring, [(c.terms, _terms(ring, g)) for c, g in zip(coeffs, gens)])
 
 
 class AugmentedBasis:
     """The Gröbner basis of the elements gens_i + e_(rank + i) of a sequence
-    gens of free-module elements, each a tuple of rank polynomials, held
-    as its integer divisors.  Its elements led past rank are the syzygies
-    of gens, the others, cut at rank, a Gröbner basis of the submodule
-    that gens generate, and a remainder past rank expresses an element of
-    that submodule in terms of gens."""
+    gens of free-module elements, each a tuple of rank polynomials of
+    `ring`, held as its integer divisors.  Its elements led past rank are
+    the syzygies of gens, the others, cut at rank, a Gröbner basis of the
+    submodule that gens generate (the zero module when gens is empty), and
+    a remainder past rank expresses an element of that submodule in terms
+    of gens."""
 
     __slots__ = ("ring", "rank", "gens", "divisors", "_syzygies", "_minimal")
 
-    def __init__(self, gens):
+    def __init__(self, ring: PolyRing, rank: int, gens):
         gens = tuple(tuple(g) for g in gens)
-        if not gens:
-            raise ValueError("augmented basis of an empty sequence")
-        ring, rank = gens[0][0].ring, len(gens[0])
         for g in gens:
             if len(g) != rank or any(c.ring != ring for c in g):
-                raise ValueError("generators must share ring and rank")
+                raise ValueError("generators must have the given ring and rank")
         shift, one = ring.position_shift, ring.field.one
-        augmented = [_terms(g) + ((-((rank + i) << shift), one),)
+        augmented = [_terms(ring, g) + ((-((rank + i) << shift), one),)
                      for i, g in enumerate(gens)]
         self.ring, self.rank, self.gens = ring, rank, gens
         self._syzygies = self._minimal = None
@@ -479,7 +473,7 @@ class AugmentedBasis:
                     continue
                 s = _vector(ring, _element(ring.field, d), rank, len(gens))
                 # exactness check: the defining identity must hold on the nose
-                if _combination(s, gens):
+                if _combination(ring, s, gens):
                     raise RuntimeError("internal: syzygy identity violated")
                 out.append(s)
             self._syzygies = tuple(out)
@@ -492,7 +486,7 @@ class AugmentedBasis:
         every call."""
         if self._minimal is None:
             weights = [g.total_degree() for (g,) in self.gens]
-            self._minimal = tuple(minimal_subset(self.syzygies(), weights))
+            self._minimal = tuple(minimal_subset(self.ring, self.syzygies(), weights))
         return list(self._minimal)
 
     def express(self, polys) -> list:
@@ -507,7 +501,7 @@ class AugmentedBasis:
             if nf and nf[0][0] >= 0:
                 raise NotAMemberError(f"{f} is not in the ideal of the given generators")
             coeffs = _vector(ring, ((t, F.neg(c)) for t, c in nf), 1, n)
-            if _combination(coeffs, self.gens) != f.terms:
+            if _combination(ring, coeffs, self.gens) != f.terms:
                 raise RuntimeError("internal: expression identity violated")
             out.append(list(coeffs))
         return out
@@ -536,17 +530,18 @@ def last_coordinates(basis: GroebnerBasis, row) -> GroebnerBasis:
     for i in range(k):
         s = i << shift
         divisors += [(lead - s, lc, _moved(tail, -s)) for lead, lc, tail in basis.divisors]
-    _groebner(ring, divisors, [_terms(row)])
+    _groebner(ring, divisors, [_terms(ring, row)])
     s = k << shift
     return _reduced(ring, [(lead + s, lc, _moved(tail, s))
                            for lead, lc, tail in divisors if -(lead >> shift) == k])
 
 
-def minimal_subset(elems, weights, span=()) -> list:
-    """The elements of `elems` kept by graded Nakayama: taken in order of
-    shifted degree, deg c + weights[i] for every term c of a component
-    c_i, ties by input position, each is kept unless it lies in the
-    submodule generated by the span and the elements kept before it.
+def minimal_subset(ring: PolyRing, elems, weights, span=()) -> list:
+    """The elements of `elems`, free-module elements over `ring`, kept by
+    graded Nakayama: taken in order of shifted degree, deg c + weights[i]
+    for every term c of a component c_i, ties by input position, each is
+    kept unless it lies in the submodule generated by the span and the
+    elements kept before it.
     Every element must be homogeneous under the weights (one shifted
     degree for all its terms), or NonHomogeneousError is raised; the kept
     ones, with the span, then minimally generate the submodule that the
@@ -562,9 +557,6 @@ def minimal_subset(elems, weights, span=()) -> list:
     reads it (Kreuzer and Robbiano, *Computational Commutative Algebra 2*,
     §4.5)."""
     elems = list(elems)
-    if not elems:
-        return []
-    ring = elems[0][0].ring
     degree = ring.degree
 
     def shifted_degree(elem):
@@ -577,14 +569,14 @@ def minimal_subset(elems, weights, span=()) -> list:
         return found.pop() if found else -1
 
     degrees = [shifted_degree(e) for e in elems]
-    truncation = (weights, max(degrees))
+    truncation = (weights, max(degrees, default=-1))
     divisors = []
     if span:
-        _groebner(ring, divisors, [_terms(s) for s in span], truncation=truncation)
+        _groebner(ring, divisors, [_terms(ring, s) for s in span], truncation=truncation)
     kept = []
     for k in sorted(range(len(elems)), key=degrees.__getitem__):
         size = len(divisors)
-        _groebner(ring, divisors, [_terms(elems[k])], truncation=truncation)
+        _groebner(ring, divisors, [_terms(ring, elems[k])], truncation=truncation)
         if len(divisors) > size:
             kept.append(elems[k])
     return kept

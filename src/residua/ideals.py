@@ -82,8 +82,7 @@ class Ideal:
 
     def groebner(self) -> GroebnerBasis:
         """Reduced Gröbner basis, kept under "groebner"."""
-        return self.memo("groebner", lambda: reduced_groebner(self.generators)
-                         if self.generators else GroebnerBasis(self.ring, (), []))
+        return self.memo("groebner", lambda: reduced_groebner(self.ring, self.generators))
 
     def contains(self, f: Polynomial) -> bool:
         return normal_form(f, self.groebner()).is_zero()
@@ -125,7 +124,8 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
 def colon(a: Ideal, I: Ideal) -> Ideal:
     """The quotient ideal a : I = {r : r·I ⊆ a}, the r with (0, …, 0, r) in
     a^m + R·(f_1, …, f_m, 1) over the generators f of I, memoized on I by
-    the generator tuple of a; r·f ∈ a is checked for every generator r."""
+    the generator tuple of a; r·f ∈ a is checked for every generator r.
+    With no nonzero f the row is (1), so a : 0 = R."""
     if a.ring != I.ring:
         raise RingMismatchError("colon across rings")
     return I.memo(("colon", a.generators), lambda: _colon(a, I))
@@ -133,8 +133,6 @@ def colon(a: Ideal, I: Ideal) -> Ideal:
 
 def _colon(a: Ideal, I: Ideal) -> Ideal:
     gens = [g for g in I.generators if not g.is_zero()]
-    if not gens:
-        raise ValueError("colon by the zero ideal")
     basis = a.groebner()
     quotient = last_coordinates(basis, (*gens, a.ring.one))
     for r in quotient:
@@ -169,7 +167,7 @@ def groebner_inside(J: Ideal, I: Ideal) -> GroebnerBasis:
         return not uncovered
 
     def compute():
-        basis = groebner_until(J.generators, covers)
+        basis = groebner_until(J.ring, J.generators, covers)
         return target if basis is None else basis
 
     return J.memo("groebner", compute)
@@ -211,7 +209,7 @@ def height_reaches(J: Ideal, h: int) -> bool:
     that reaches h.  A run that completes has read ht J off the leads of
     a complete basis, short of h."""
     ring = J.ring
-    return groebner_until(J.generators,
+    return groebner_until(ring, J.generators,
                           lambda leads: ring.nvars - lead_dimension(ring, leads) >= h) is None
 
 
@@ -231,7 +229,7 @@ def min_gens(I: Ideal) -> list:
     (`minimal_subset`, which raises NonHomogeneousError on a
     non-homogeneous generator); a new list on every call."""
     def compute():
-        kept = minimal_subset([(g,) for g in I.generators if not g.is_zero()], (0,))
+        kept = minimal_subset(I.ring, [(g,) for g in I.generators if not g.is_zero()], (0,))
         return tuple(e[0].monic() for e in kept)
 
     return list(I.memo("min-gens", compute))
@@ -242,6 +240,6 @@ def mu(I: Ideal) -> int:
 
 
 def augmented_basis(I: Ideal) -> AugmentedBasis:
-    """The augmented basis of min_gens(I), built once and kept on I; the
-    zero ideal, with no generators, raises ValueError."""
-    return I.memo("augmented", lambda: AugmentedBasis((g,) for g in min_gens(I)))
+    """The augmented basis of min_gens(I), built once and kept on I."""
+    return I.memo("augmented",
+                  lambda: AugmentedBasis(I.ring, 1, ((g,) for g in min_gens(I))))

@@ -171,9 +171,9 @@ class KoszulComplex:
 # between the syzygies of d_i;
 # lifts: i -> the cycle generators, trimmed, whose classes minimally
 # generate H_i (none above n - ht);
-# d1: the augmented basis of d_1, whose columns are the generators again
-# (None when there are none), kept so that a Kitt route given this
-# homology can lend it to I as I's own augmented basis
+# d1: the augmented basis of d_1, whose columns are the generators again,
+# kept so that a Kitt route given this homology can lend it to I as I's
+# own augmented basis
 HomologyData = namedtuple("HomologyData", "cycle_gens lifts d1")
 
 
@@ -184,30 +184,28 @@ def homology_lifts(K: KoszulComplex) -> HomologyData:
     generate the homology (ties by input order); none above n - ht, where
     the homology is zero.  The generators of K must be homogeneous:
     NonHomogeneousError otherwise."""
-    return _homology(K, AugmentedBasis(K.differential_columns(1)) if K.n else None)
+    return _homology(K, AugmentedBasis(K.ring, 1, K.differential_columns(1)))
 
 
 def _homology(K: KoszulComplex, d1) -> HomologyData:
-    """`homology_lifts`, given the augmented basis d1 of d_1 (None when
-    n = 0).  Over a polynomial ring grade = height, so by depth
-    sensitivity H_i = 0 for i > n - g, g the height of the ideal of the
-    generators (Bruns and Herzog, *Cohen-Macaulay Rings*, Thm 1.6.17).
-    g is read off the leads of d1's elements led at position 0, a Gröbner
-    basis of that ideal, with `ideals.lead_dimension`; the unit ideal gets
-    g = nvars, as in `height`.  Above n - g, Z_i = B_i is generated by the
-    columns of d_(i+1), and there are no lifts, with no Gröbner run.  At
-    or below it, Z_i is generated by the syzygies of d_i's augmented
-    basis, and the lifts are what `minimal_subset` keeps of them with the
-    columns of d_(i+1) as span.  At i = 1, at every n - g, Z_1 is generated
-    by d1's minimal syzygies; when no column of d_2 lies at or below their
+    """`homology_lifts`, given the augmented basis d1 of d_1.  Over a
+    polynomial ring grade = height, so by depth sensitivity H_i = 0 for
+    i > n - g, g the height of the ideal of the generators (Bruns and
+    Herzog, *Cohen-Macaulay Rings*, Thm 1.6.17).  g is read off the leads
+    of d1's elements led at position 0, a Gröbner basis of that ideal,
+    with `ideals.lead_dimension`; the unit ideal gets g = nvars, as in
+    `height`.  Above n - g, Z_i = B_i is generated by the columns of
+    d_(i+1), and there are no lifts, with no Gröbner run.  At or below
+    it, Z_i is generated by the syzygies of d_i's augmented basis, and the
+    lifts are what `minimal_subset` keeps of them with the columns of
+    d_(i+1) as span.  At i = 1, at every n - g, Z_1 is generated by d1's
+    minimal syzygies; when no column of d_2 lies at or below their
     largest shifted degree, graded Nakayama keeps them all, so they are
     the lifts with no run.  minimal_subset raises NonHomogeneousError
     unless the generators of K are homogeneous."""
     n, ring = K.n, K.ring
     one = ExteriorElement.scalar(ring, n, ring.one)
     cycles, lifts = {0: [one]}, {0: [one]}
-    if not n:
-        return HomologyData(cycles, lifts, d1)
     grade = ring.nvars - lead_dimension(ring, [lead for lead, _, _ in d1.divisors if lead >= 0])
     gd = [g.total_degree() for g in K.gens]
 
@@ -223,7 +221,7 @@ def _homology(K: KoszulComplex, d1) -> HomologyData:
         if i == 1:
             z = d1.minimal_syzygies()
         elif i <= n - grade:
-            z = AugmentedBasis(K.differential_columns(i)).syzygies()
+            z = AugmentedBasis(ring, len(K.basis(i - 1)), K.differential_columns(i)).syzygies()
         else:
             z = boundaries
         cycles[i] = exterior(i, z)
@@ -234,7 +232,7 @@ def _homology(K: KoszulComplex, d1) -> HomologyData:
         if i == 1:
             top = max((degree(s, shifts) for s in z), default=-1)
             boundaries = [b for b in boundaries if degree(b, shifts) <= top]
-        kept = minimal_subset(z, shifts, boundaries) if i > 1 or boundaries else z
+        kept = minimal_subset(ring, z, shifts, boundaries) if i > 1 or boundaries else z
         lifts[i] = exterior(i, kept)
     return HomologyData(cycles, lifts, d1)
 
@@ -274,8 +272,7 @@ def _setup(a: Ideal, I: Ideal, homology):
     raises NonHomogeneousError unless I is homogeneous."""
     x = min_gens(I)
     n = len(x)
-    if (homology is not None and homology.d1 is not None
-            and [g for (g,) in homology.d1.gens] == x):
+    if homology is not None and [g for (g,) in homology.d1.gens] == x:
         I.memo("augmented", lambda: homology.d1)
     a_gens, coeffs = expressions(I, a)
 

@@ -160,12 +160,18 @@ def generic_generators(I: Ideal, s: int, seed=0, degree=None) -> list:
 
     The combinations are degree-matched at max deg of min_gens(I) unless a
     larger `degree` is requested (needed when s >= mu(I), where matched
-    scalar combinations would regenerate I itself)."""
+    scalar combinations would regenerate I itself).  No height exceeds
+    nvars, so s > nvars is refused before any draw."""
     if s == 0:
         return []
     if s < 0:
         raise ValueError("s must be non-negative")
     ring = I.ring
+    if s > ring.nvars:
+        raise GenericityError(
+            f"s={s} exceeds nvars={ring.nvars}, and no sequence longer than nvars "
+            f"passes the height ladder (no height exceeds nvars)"
+        )
     rng = random.Random(seed)
     f = min_gens(I)
     if not f:

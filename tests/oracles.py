@@ -349,7 +349,7 @@ def reference_intersect(I, J):
     if not f or not g:
         return Ideal(I.ring, ())
     meet = (sum((c * h for c, h in zip(syz, f)), I.ring.zero)
-            for syz in AugmentedBasis((h,) for h in f + g).syzygies())
+            for syz in AugmentedBasis(I.ring, 1, ((h,) for h in f + g)).syzygies())
     return Ideal(I.ring, [h for h in meet if not h.is_zero()])
 
 
@@ -359,7 +359,8 @@ def reference_colon(a, I):
     a_gens = [g for g in a.generators if not g.is_zero()]
     result = None
     for f in (g for g in I.generators if not g.is_zero()):
-        firsts = (syz[0] for syz in AugmentedBasis((h,) for h in [f] + a_gens).syzygies())
+        syzygies = AugmentedBasis(a.ring, 1, ((h,) for h in [f] + a_gens)).syzygies()
+        firsts = (syz[0] for syz in syzygies)
         piece = Ideal(a.ring, [c for c in firsts if not c.is_zero()])
         result = piece if result is None else reference_intersect(result, piece)
     return result
@@ -517,8 +518,8 @@ def module_member(elem, gens) -> bool:
     tuples of polynomials of one rank: the remainder of elem on division
     by a Gröbner basis of gens, computed from scratch, is zero."""
     ring = elem[0].ring
-    divisors = _groebner(ring, [], [_terms(g) for g in gens])
-    return not _reduce(ring, _dividend(ring, _terms(elem)), divisors)
+    divisors = _groebner(ring, [], [_terms(ring, g) for g in gens])
+    return not _reduce(ring, _dividend(ring, _terms(ring, elem)), divisors)
 
 
 def reference_minimal_subset(elems, weights, span=()):

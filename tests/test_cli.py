@@ -390,6 +390,46 @@ def test_zero_ideal_has_no_general_elements(tmp_path, capsys):
     assert "I has no nonzero generator" in err
 
 
+# a = 0, given by `s = 0` or by an empty `a` line
+ZERO_A = {
+    "ci-s0": "vars = x, y, z\nI = x, y\ns = 0\n",
+    "ci-empty-a": "vars = x, y, z\nI = x, y\na =\n",
+    "hb2-s0": "vars = x, y, z\nI = x*y, x*z, y*z\ns = 0\n",
+}
+
+
+@pytest.mark.parametrize("name, theorem", [
+    *((name, theorem) for name in ("ci-s0", "ci-empty-a")
+      for theorem in ("thm25", "cor31", "kitt-eq")),
+    ("hb2-s0", "kitt-eq"),
+])
+def test_verify_with_a_zero(tmp_path, capsys, name, theorem):
+    # a : I is the zero ideal, and so is the right-hand side: Fitt_0(I)
+    # is zero for an I of rank one, and the Kitt ideal of a = 0 is zero
+    # when the top homology vanishes
+    path = tmp_path / "inst.txt"
+    path.write_text(ZERO_A[name])
+    code, doc = run_json(capsys, ["verify", theorem, str(path)])
+    assert (code, doc["verdict"], doc["lhs"], doc["rhs"]) == (0, "equal", [], [])
+
+
+@pytest.mark.parametrize("command", ["colon", "fitt0", "kitt"])
+def test_zero_ideal_over_zero_ideal_is_the_unit_ideal(tmp_path, capsys, command):
+    path = tmp_path / "zero.txt"
+    path.write_text("vars = x, y, z\nI = 0\na = 0\n")
+    code, doc = run_json(capsys, [command, str(path)])
+    assert (code, doc["lhs"]) == (0, ["1"])
+
+
+@pytest.mark.parametrize("ideal", ["1", "0"])
+def test_verify_names_g_s_on_a_unit_or_zero_ideal(tmp_path, capsys, ideal):
+    path = tmp_path / "inst.txt"
+    path.write_text(f"vars = x, y, z\nI = {ideal}\ns = 0\n")
+    assert main(["verify", "thm25", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: G_s needs I to be a proper nonzero ideal\n"
+
+
 def test_max_steps_limit(instance_file, capsys):
     assert main(["colon", instance_file, "--max-steps", "1"]) == 1
     assert "resource-limit" in capsys.readouterr().err
@@ -461,12 +501,12 @@ def test_max_steps_does_not_leak(instance_file, capsys):
     previous = set_step_limit(1)
     try:
         with pytest.raises(ResourceLimitError):
-            reduced_groebner(gens)   # the ideal needs more than one step
+            reduced_groebner(ring, gens)   # the ideal needs more than one step
     finally:
         set_step_limit(previous)
     assert main(["colon", instance_file, "--max-steps", "1"]) == 1
     capsys.readouterr()
-    assert len(reduced_groebner(gens)) > len(gens)
+    assert len(reduced_groebner(ring, gens)) > len(gens)
 
 
 def test_corpus_deterministic(tmp_path, capsys):

@@ -253,7 +253,7 @@ def test_minimal_syzygy_count_of_maximal_minors(R3, m):
 def test_fitting_ideals_match_the_unpruned_syzygy_matrix(family, seed):
     I = generate_instance(family, seed).I
     x = min_gens(I)
-    syz = AugmentedBasis([(g,) for g in x]).syzygies()
+    syz = AugmentedBasis(I.ring, 1, [(g,) for g in x]).syzygies()
     rows = [[z[i] for z in syz] for i in range(len(x))]
     for j in range(len(x) + 1):
         assert ideal_equal(fitting_ideal(I, j), minors(I.ring, rows, len(x) - j))
@@ -332,10 +332,10 @@ def test_augmented_basis_built_once_per_ideal(monkeypatch):
     built = []
     original = AugmentedBasis.__init__
 
-    def counted(self, gens):
+    def counted(self, ring, rank, gens):
         gens = tuple(gens)
         built.append(gens)
-        original(self, gens)
+        original(self, ring, rank, gens)
 
     inst = generate_instance("hb2", 0)
     I, a = inst.I, inst.a

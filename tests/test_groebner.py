@@ -20,6 +20,7 @@ from residua.groebner import (
     _reduce,
     _terms,
     _vector,
+    groebner_until,
     minimal_subset,
     normal_form,
     reduced_groebner,
@@ -27,7 +28,7 @@ from residua.groebner import (
 )
 from residua.ideals import Ideal, colon, min_gens
 from residua.koszul import KoszulComplex
-from residua.ring import MonomialOrder, Polynomial, PolyRing
+from residua.ring import MonomialOrder, Polynomial, PolyRing, RingMismatchError
 
 from conftest import (
     KERNEL_RINGS,
@@ -62,17 +63,18 @@ def _step_budget():
 def test_gb_contains_spoly_reduction(R2):
     # S(x^2+y^2, x*y) = y^3 up to scalar, so y^3 must enter the basis
     gens = [R2.parse("x^2 + y^2"), R2.parse("x*y")]
-    G = reduced_groebner(gens)
+    G = reduced_groebner(R2, gens)
     y3 = R2.parse("y^3")
     assert any(g.monic() == y3 for g in G)
 
 
 def test_reduced_gb_canonical(R2):
     gens = [R2.parse("x^2 + y^2"), R2.parse("x*y")]
-    G = reduced_groebner(gens)
+    G = reduced_groebner(R2, gens)
     assert sorted(str(g) for g in G) == ["x*y", "x^2 + y^2", "y^3"]
     # scrambled, scaled input gives the identical reduced basis
-    G2 = reduced_groebner([gens[1].scale(R2.field.element(7)), gens[0].scale(R2.field.element(-3))])
+    G2 = reduced_groebner(R2, [gens[1].scale(R2.field.element(7)),
+                             gens[0].scale(R2.field.element(-3))])
     assert list(G) == list(G2)
 
 
@@ -80,7 +82,7 @@ def test_all_spairs_reduce_to_zero(R3):
     rng = seeded_rng("spairs")
     for _ in range(5):
         gens = [random_homogeneous(R3, rng.choice([1, 2]), rng) for _ in range(3)]
-        G = reduced_groebner(gens)
+        G = reduced_groebner(R3, gens)
         basis = list(G)
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
@@ -89,14 +91,14 @@ def test_all_spairs_reduce_to_zero(R3):
 
 def test_normal_form_matches_truncation_oracle(R2):
     gens = [R2.parse("x^2 + y^2"), R2.parse("x*y")]
-    G = reduced_groebner(gens)
+    G = reduced_groebner(R2, gens)
     f = R2.parse("x^2*y + y^3")
     assert normal_form(f, G) == oracle_remainder(f, gens, 4)
 
 
 def test_membership_agrees_with_oracle(R2):
     gens = [R2.parse("x^2 + y^2"), R2.parse("x*y")]
-    G = reduced_groebner(gens)
+    G = reduced_groebner(R2, gens)
     for text in ("y^3", "x^3", "x^2*y", "y^2", "x + y"):
         f = R2.parse(text)
         assert normal_form(f, G).is_zero() == oracle_member(f, gens)
@@ -105,7 +107,7 @@ def test_membership_agrees_with_oracle(R2):
 def test_express_in_terms(R2):
     gens = [R2.parse("x^2"), R2.parse("x*y"), R2.parse("y^2")]
     polys = [R2.parse("x^3 + x*y^2"), R2.parse("x*y"), R2.zero]
-    B = AugmentedBasis([(g,) for g in gens])
+    B = AugmentedBasis(R2, 1, [(g,) for g in gens])
     rows = B.express(polys)
     assert len(rows) == len(polys)
     for f, coeffs in zip(polys, rows):
@@ -117,7 +119,7 @@ def test_express_in_terms(R2):
 
 
 def test_express_in_terms_rejects_nonmember(R2):
-    B = AugmentedBasis([(R2.parse("x^2"),), (R2.parse("y^2"),)])
+    B = AugmentedBasis(R2, 1, [(R2.parse("x^2"),), (R2.parse("y^2"),)])
     with pytest.raises(NotAMemberError):
         B.express([R2.parse("x^2"), R2.parse("x*y")])
 
@@ -129,11 +131,11 @@ def dot(vec, polys):
 
 def test_syzygy_check_fires_on_a_tampered_basis(R2):
     gens = [(R2.parse("x"),), (R2.parse("y"),)]
-    assert len(AugmentedBasis(gens).syzygies()) == 1
+    assert len(AugmentedBasis(R2, 1, gens).syzygies()) == 1
     # the syzygies are read off the divisors and checked once, on the
     # first read, so tamper before it: double the last coefficient of the
     # syzygy (y, -x), and y*x - 2*x*y != 0
-    B = AugmentedBasis(gens)
+    B = AugmentedBasis(R2, 1, gens)
     shift = R2.position_shift
     k = next(k for k, (lead, _, _) in enumerate(B.divisors) if -(lead >> shift) >= B.rank)
     lead, lc, (*head, (t, c)) = B.divisors[k]
@@ -145,11 +147,11 @@ def test_syzygy_check_fires_on_a_tampered_basis(R2):
 def test_syzygies_are_read_and_checked_once(R2, monkeypatch):
     # every call hands out a new list of the same syzygies; the identity
     # check runs on the first read only
-    B = AugmentedBasis([(R2.parse("x^2"),), (R2.parse("x*y"),), (R2.parse("y^2"),)])
+    B = AugmentedBasis(R2, 1, [(R2.parse("x^2"),), (R2.parse("x*y"),), (R2.parse("y^2"),)])
     checks = []
     combination = groebner._combination
     monkeypatch.setattr(groebner, "_combination",
-                        lambda c, g: checks.append(len(c)) or combination(c, g))
+                        lambda r, c, g: checks.append(len(c)) or combination(r, c, g))
     first, second = B.syzygies(), B.syzygies()
     assert first == second and first is not second and len(checks) == len(first)
     first.clear()
@@ -162,7 +164,7 @@ def test_syzygies_are_read_and_checked_once(R2, monkeypatch):
 def test_expression_check_fires_on_a_tampered_basis(R2):
     gens = [R2.parse("x^2"), R2.parse("x*y"), R2.parse("y^2")]
     f = R2.parse("x^3 + x*y^2")
-    B = AugmentedBasis([(g,) for g in gens])
+    B = AugmentedBasis(R2, 1, [(g,) for g in gens])
     assert dot(B.express([f])[0], gens) == f
     # double the coordinates past position 0 of the divisor of every
     # element led at 0, so that the remainder expresses 2f instead of f
@@ -184,16 +186,37 @@ def test_module_terms_are_the_components_in_position_order(ring, data):
     # are strictly descending canonical terms, and _vector splits them back
     vec = tuple(data.draw(st.lists(polynomials(ring), min_size=1, max_size=4)))
     offset = data.draw(st.integers(0, 3))
-    terms = _terms(vec, offset)
+    terms = _terms(ring, vec, offset)
     assert all(a > b for (a, _), (b, _) in zip(terms, terms[1:]))
     assert _vector(ring, terms, offset, len(vec)) == vec
 
 
 def test_module_member_negative(R2):
     gens = [R2.parse("x^2"), R2.parse("x*y"), R2.parse("y^2")]
-    syz = AugmentedBasis([(g,) for g in gens]).syzygies()
+    syz = AugmentedBasis(R2, 1, [(g,) for g in gens]).syzygies()
     not_a_syzygy = (R2.one, R2.zero, R2.zero)
     assert not module_member(not_a_syzygy, syz)
+
+
+def test_an_empty_sequence_is_the_zero_ideal_or_module(R2):
+    # each entry point is given its ring, so an empty sequence needs no
+    # case of its own: the zero ideal has the empty basis, and the zero
+    # module has no syzygies and holds nothing but zero
+    assert len(reduced_groebner(R2, [])) == 0
+    B = AugmentedBasis(R2, 1, [])
+    assert B.syzygies() == [] and B.minimal_syzygies() == []
+    assert B.express([]) == [] and B.express([R2.zero]) == [[]]
+    x, y = R2.gens
+    with pytest.raises(NotAMemberError):
+        B.express([x])
+    assert minimal_subset(R2, [], (0,), [(x,), (y,)]) == []
+
+
+def test_groebner_until_refuses_generators_of_another_ring(R2, R3):
+    with pytest.raises(RingMismatchError):
+        groebner_until(R2, [R3.gens[0]], None)
+    with pytest.raises(RingMismatchError):
+        reduced_groebner(R3, [R3.gens[0], R2.gens[0]])
 
 
 def test_step_limit_enforced(R3):
@@ -201,14 +224,14 @@ def test_step_limit_enforced(R3):
     gens = [random_homogeneous(R3, 2, rng) for _ in range(3)]
     set_step_limit(1)
     with pytest.raises(ResourceLimitError):
-        reduced_groebner(gens)
+        reduced_groebner(R3, gens)
 
 
 def test_redundant_generators_cost_no_spairs(R2):
     # x^2*y arrives after x^2 and y^2 and reduces to zero before it makes a
     # pair; the one pair left, (x^2, y^2), has coprime leads
     set_step_limit(0)
-    G = reduced_groebner([R2.parse("x^2"), R2.parse("y^2"), R2.parse("x^2*y")])
+    G = reduced_groebner(R2, [R2.parse("x^2"), R2.parse("y^2"), R2.parse("x^2*y")])
     assert sorted(R2.exponents(g.lm()) for g in G) == [(0, 2), (2, 0)]
 
 
@@ -220,31 +243,31 @@ def test_step_limit_enforced_on_modules(R3):
     span = rank_one
     set_step_limit(1)
     with pytest.raises(ResourceLimitError, match="^exceeded 1 S-pair reductions$"):
-        AugmentedBasis(rank_one).syzygies()
+        AugmentedBasis(R3, 1, rank_one).syzygies()
     with pytest.raises(ResourceLimitError, match="^exceeded 1 S-pair reductions$"):
-        AugmentedBasis(rank_one).express([f])
+        AugmentedBasis(R3, 1, rank_one).express([f])
     # the span's generators and each candidate are runs of their own, each
     # reducing the pairs up to the largest degree of the candidates: the
     # three quadrics and x*y, outside their span, make pairs of degree at
     # most 3, that of f, that need more than one
     x, y, z = R3.gens
     with pytest.raises(ResourceLimitError, match="^exceeded 1 S-pair reductions$"):
-        minimal_subset([(x * y,), (f,)], (0,), span)
+        minimal_subset(R3, [(x * y,), (f,)], (0,), span)
     set_step_limit(0)
     # alone, x*y makes no pair of degree at most 2, its own, and neither
     # does the span: two quadrics make pairs of degree 3 or more
-    assert minimal_subset([(x * y,)], (0,), span) == [(x * y,)]
+    assert minimal_subset(R3, [(x * y,)], (0,), span) == [(x * y,)]
     # f and x*f lie in the span of gens[0] and z^5: z^5 lies above 4, the
     # degree of x*f, and is dropped, and gens[0] alone makes no pair; each
     # candidate reduces to zero on arrival, before it makes a pair
-    assert minimal_subset([(x * f,), (f,)], (0,), [(gens[0],), (z**5,)]) == []
+    assert minimal_subset(R3, [(x * f,), (f,)], (0,), [(gens[0],), (z**5,)]) == []
 
 
 def test_gb_of_random_ideals_is_groebner(R3):
     rng = seeded_rng("gbprop")
     for trial in range(3):
         gens = [random_homogeneous(R3, 2, rng) for _ in range(2)]
-        G = reduced_groebner(gens)
+        G = reduced_groebner(R3, gens)
         # generators reduce to zero against their own basis
         for g in gens:
             assert normal_form(g, G).is_zero()
@@ -331,7 +354,7 @@ def test_normal_form_over_qq_matches_fraction_division(case):
 )))
 def test_normal_form_agrees_with_oracle(case):
     ring, gens, f = case
-    assert normal_form(f, reduced_groebner(gens)) == oracle_remainder(f, gens, 3)
+    assert normal_form(f, reduced_groebner(ring, gens)) == oracle_remainder(f, gens, 3)
 
 
 _X, _Y = _R.gens[:2]
@@ -343,7 +366,7 @@ _X, _Y = _R.gens[:2]
 @example((_R, [_X**2, _X * _Y, _Y**2]))
 def test_syzygies_generate_every_syzygy(case):
     ring, gens = case
-    syz = AugmentedBasis([(g,) for g in gens]).syzygies()
+    syz = AugmentedBasis(ring, 1, [(g,) for g in gens]).syzygies()
     for vec in syz:
         assert dot(vec, gens).is_zero()
     bound = 2 * max(g.total_degree() for g in gens)
@@ -364,7 +387,7 @@ def test_reduced_basis_ignores_redundant_generators_and_order(case):
     combos = [sum((c * g for c, g in zip(cs, gens)), ring.zero) for cs in multipliers]
     mixed = gens + combos
     rnd.shuffle(mixed)
-    assert reduced_groebner(mixed).elements == reduced_groebner(gens).elements
+    assert reduced_groebner(ring, mixed).elements == reduced_groebner(ring, gens).elements
 
 
 def _check_minimal_subset_against_reference(I):
@@ -372,20 +395,20 @@ def _check_minimal_subset_against_reference(I):
     Koszul cycles modulo the boundaries keeps what the from-scratch
     membership reference keeps."""
     rank_one = [(g,) for g in I.generators]
-    assert minimal_subset(rank_one, (0,)) == reference_minimal_subset(rank_one, (0,))
+    assert minimal_subset(I.ring, rank_one, (0,)) == reference_minimal_subset(rank_one, (0,))
     x = min_gens(I)
     degrees = [g.total_degree() for g in x]
-    syz = AugmentedBasis([(g,) for g in x]).syzygies()
-    assert minimal_subset(syz, degrees) == reference_minimal_subset(syz, degrees)
+    syz = AugmentedBasis(I.ring, 1, [(g,) for g in x]).syzygies()
+    assert minimal_subset(I.ring, syz, degrees) == reference_minimal_subset(syz, degrees)
     # Koszul cycles modulo the boundaries, as in homology_lifts: both take
     # the span B_i = im d_(i+1) as its generators, the columns of d_(i+1)
     K = KoszulComplex(I.ring, x)
     for i in range(1, K.n + 1):
         basis = K.basis(i)
-        z = AugmentedBasis(K.differential_columns(i)).syzygies()
+        z = AugmentedBasis(I.ring, len(K.basis(i - 1)), K.differential_columns(i)).syzygies()
         shifts = [sum(degrees[j - 1] for j in S) for S in basis]
         boundaries = K.differential_columns(i + 1)
-        assert (minimal_subset(z, shifts, boundaries)
+        assert (minimal_subset(I.ring, z, shifts, boundaries)
                 == reference_minimal_subset(z, shifts, boundaries))
 
 
@@ -430,11 +453,11 @@ def test_min_gens_of_generic_quadrics_reduces_no_spair():
 def test_minimal_subset_rejects_non_homogeneous_elements(R3):
     x, y, z = R3.gens
     with pytest.raises(NonHomogeneousError, match=r"^non-homogeneous generator y\^2 \+ x$"):
-        minimal_subset([(x * y,), (x + y * y,)], (0,))
+        minimal_subset(R3, [(x * y,), (x + y * y,)], (0,))
     # homogeneous under the weights, though not as a pair of polynomials
-    assert minimal_subset([(x * y, z)], (0, 1)) == [(x * y, z)]
+    assert minimal_subset(R3, [(x * y, z)], (0, 1)) == [(x * y, z)]
     with pytest.raises(NonHomogeneousError, match=r"under the weights \(0, 2\)$"):
-        minimal_subset([(x * y, z)], (0, 2))
+        minimal_subset(R3, [(x * y, z)], (0, 2))
 
 
 def _check_boundary_basis(I, rng):
@@ -456,18 +479,18 @@ def _check_boundary_basis(I, rng):
         rank = len(K.basis(i))
         shifts = [sum(gd[j - 1] for j in S) for S in K.basis(i)]
         degrees = [sum(gd[j - 1] for j in T) for T in K.basis(i + 1)]
-        z = AugmentedBasis(K.differential_columns(i)).syzygies()
+        z = AugmentedBasis(ring, len(K.basis(i - 1)), K.differential_columns(i)).syzygies()
         top = max(c.total_degree() + w for s in z for c, w in zip(s, shifts)
                   if not c.is_zero())
         for bound in (top, max(degrees) + 2):
-            divisors = groebner._groebner(ring, [], [_terms(b) for b in boundaries],
+            divisors = groebner._groebner(ring, [], [_terms(ring, b) for b in boundaries],
                                           truncation=(shifts, bound))
             if min(degrees) > bound:
                 assert divisors == []
                 continue
 
             def reduces_to_zero(vec):
-                return not _reduce(ring, _dividend(ring, _terms(vec)), divisors)
+                return not _reduce(ring, _dividend(ring, _terms(ring, vec)), divisors)
 
             assert all(reduces_to_zero(b) for b, d in zip(boundaries, degrees) if d <= bound)
             for _ in range(3):
@@ -527,12 +550,12 @@ def test_divisors_are_built_once_per_basis_element(monkeypatch):
         return divisors
 
     monkeypatch.setattr(groebner, "_groebner", counted)
-    B = AugmentedBasis([(g,) for g in x])
+    B = AugmentedBasis(I.ring, 1, [(g,) for g in x])
     assert len(built) == sum(grown) == len(B.divisors)
     B.express([g for g in a.generators if not g.is_zero()])
     syz = B.syzygies()
     assert len(built) == len(B.divisors)
-    kept = minimal_subset(syz, [g.total_degree() for g in x])
+    kept = minimal_subset(I.ring, syz, [g.total_degree() for g in x])
     assert kept and len(built) == sum(grown)
     # a fresh divisor ideal, so the colon is not a memo hit
     J = colon(a, Ideal(I.ring, I.generators))
@@ -547,15 +570,15 @@ def test_monomials_past_the_bound_raise_in_the_engine():
     L = PolyRing(GF32003, ("x", "y"), MonomialOrder("lex"))
     x, y = L.gens
     with pytest.raises(ValueError, match="exceeds the bound"):
-        normal_form(x**20, reduced_groebner([L.parse("x - y^2000")]))
-    assert normal_form(x**2, reduced_groebner([L.parse("x - y^2000")])) == y**4000
+        normal_form(x**20, reduced_groebner(L, [L.parse("x - y^2000")]))
+    assert normal_form(x**2, reduced_groebner(L, [L.parse("x - y^2000")])) == y**4000
     # under grevlex a product, an S-pair lcm and a module lcm of degree
     # 40000 raise; under lex the same product is in range
     R = PolyRing(GF32003, ("x", "y", "z"))
     x, y, z = R.gens
     for make in (lambda: x**20000 * y**20000,
-                 lambda: reduced_groebner([x**20000 + z, y**20000 + z]),
-                 lambda: AugmentedBasis([(x**20000, z), (y**20000, z)]).syzygies()):
+                 lambda: reduced_groebner(R, [x**20000 + z, y**20000 + z]),
+                 lambda: AugmentedBasis(R, 2, [(x**20000, z), (y**20000, z)]).syzygies()):
         with pytest.raises(ValueError, match="exceeds the bound"):
             make()
     x, y = L.gens

@@ -172,6 +172,14 @@ def test_colon_is_one_module_run(R3, monkeypatch):
     assert runs == ["module"]
 
 
+def test_colon_by_the_zero_ideal_is_the_unit_ideal(R2):
+    # with no nonzero generator of I the row is (1), so a : 0 = R
+    a = parse_ideal(R2, "x^2", "y")
+    for I in (Ideal(R2, []), Ideal(R2, [R2.zero])):
+        assert colon(a, I).is_unit()
+    assert colon(Ideal(R2, []), Ideal(R2, [])).is_unit()
+
+
 def test_colon_socle(R2):
     # f * (x,y) in m^2 exactly when f in m
     result = colon(parse_ideal(R2, "x^2", "x*y", "y^2"), parse_ideal(R2, "x", "y"))
@@ -321,7 +329,7 @@ def test_groebner_inside(R3):
     assert groebner_inside(J, I) is I.groebner()
     assert J.groebner() is I.groebner()
     K = parse_ideal(R3, "x*y", "y^2 - x*z")
-    assert groebner_inside(K, I).elements == groebner.reduced_groebner(K.generators).elements
+    assert groebner_inside(K, I).elements == groebner.reduced_groebner(R3, K.generators).elements
     assert groebner_inside(K, I).elements != I.groebner().elements
 
 

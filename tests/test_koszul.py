@@ -237,6 +237,17 @@ def test_fitt0_via_Z1_zero_subideal(R2):
     assert ideal_equal(fitt0_via_Z1(a, I), fitt0_quotient(I, a))
 
 
+def test_kitt_and_fitt0_of_the_zero_module(R2):
+    # I = a = 0: I/a is the zero module, whose Fitt_0 is (1), and the Kitt
+    # ideal, which holds Fitt_0(I/a) + a, is (1) too
+    zero = Ideal(R2, ())
+    for result in (kitt(zero, zero), kitt_via_cycles(zero, zero), fitt0_via_Z1(zero, zero),
+                   fitt0_quotient(zero, zero)):
+        assert result.is_unit()
+    H = homology_lifts(KoszulComplex(R2, ()))
+    assert H.cycle_gens.keys() == H.lifts.keys() == {0}
+
+
 def test_complex_is_freed_after_use(R2):
     # nothing process-wide may keep a complex, its ring or its generators alive
     K = KoszulComplex(R2, parse_ideal(R2, "x^2", "x*y", "y^2").generators)
@@ -342,7 +353,7 @@ def test_lifts_match_the_full_per_differential_path(field, source):
     gd = [g.total_degree() for g in x]
     for i in range(1, K.n + 1):
         basis = K.basis(i)
-        d_i = AugmentedBasis(K.differential_columns(i))
+        d_i = AugmentedBasis(I.ring, len(K.basis(i - 1)), K.differential_columns(i))
         z = d_i.minimal_syzygies() if i == 1 else d_i.syzygies()
         shifts = [sum(gd[j - 1] for j in S) for S in basis]
         expected = reference_minimal_subset(z, shifts, K.differential_columns(i + 1))

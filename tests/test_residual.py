@@ -61,6 +61,19 @@ def test_genericity_failure_is_reported(R2):
         parse_instance("vars = x, y, z\nI = x^2, x*y, x*z, y^2, y*z, z^2\ns = 12\n")
 
 
+@pytest.mark.parametrize("s", [4, 10**6])
+def test_generation_refuses_s_above_nvars_before_drawing(R3, monkeypatch, s):
+    # no height exceeds nvars = 3, so no sequence of s > 3 elements can pass
+    # the height ladder: the refusal comes before the first draw, whatever s
+    draws = []
+    monkeypatch.setattr(residual, "random_combination",
+                        lambda *args: draws.append(args) or R3.zero)
+    I = parse_ideal(R3, "x^2", "x*y", "y^2")
+    with pytest.raises(GenericityError, match=rf"^s={s} exceeds nvars=3, .*height ladder"):
+        generic_generators(I, s, seed=0)
+    assert draws == []
+
+
 def test_generic_generators_s_zero(R2):
     assert generic_generators(parse_ideal(R2, "x", "y"), 0) == []
 
@@ -256,14 +269,14 @@ def test_verify_reports_the_full_bases(family):
     # three-way rule on them
     for seed in range(6):
         fresh = generate_instance(family, seed)
-        lhs = reduced_groebner(colon(fresh.a, fresh.I).generators).elements
+        lhs = reduced_groebner(fresh.ring, colon(fresh.a, fresh.I).generators).elements
         for theorem in THEOREM_IDS:
             try:
                 report = verify(theorem, generate_instance(family, seed))
             except HypothesisError:
                 continue
             rhs = _right_hand_side(THEOREMS[theorem], fresh)
-            rhs_gb = reduced_groebner(rhs.generators).elements
+            rhs_gb = reduced_groebner(fresh.ring, rhs.generators).elements
             if rhs_gb == lhs:
                 verdict = "equal"
             elif Ideal(fresh.ring, lhs).contains_ideal(rhs):
@@ -282,7 +295,7 @@ def test_verify_comparison_cases(R2):
     report = verify("thm34", inst)
     assert report.verdict == "lhs-strictly-larger"
     assert report.rhs_gb == [str(p) for p in reduced_groebner(
-        _right_hand_side(THEOREMS["thm34"], generate_instance("hb2", 0)).generators)]
+        inst.ring, _right_hand_side(THEOREMS["thm34"], generate_instance("hb2", 0)).generators)]
     assert report.rhs_gb != report.lhs_gb
     # a = I: s = 3 = mu(I) degree-matched general elements generate I, so
     # a : I = (1), which a unit lead of the right-hand side covers

@@ -71,7 +71,7 @@ def _assert_matches_sympy(ring, gens):
     )
     previous = set_step_limit(200000)
     try:
-        assert list(reduced_groebner(gens)) == expected
+        assert list(reduced_groebner(ring, gens)) == expected
     finally:
         set_step_limit(previous)
 
