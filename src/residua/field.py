@@ -5,13 +5,16 @@ coefficients are `fractions.Fraction` (always in lowest terms with a
 positive denominator, which the Fraction type guarantees).
 
 The division kernel and polynomial sums and products work on integer
-coefficients instead (`integer_terms`, `divisor_terms`, `ratio`).  Over QQ
-a set of coefficients becomes integers over one common denominator, so a
-whole reduction, sum or product runs on ints, with no Fraction normalised per
+coefficients instead (`integer_terms`, `divisor_terms`).  Over QQ a set
+of coefficients becomes integers over one common denominator, so a whole
+reduction, sum or product runs on ints, with no Fraction normalised per
 operation, and each result coefficient becomes a Fraction once, when it
-leaves.  Over GF(p) the integers are the residues themselves; sums of
-products may grow past p and are reduced mod p only when a coefficient
-leaves, so a coefficient has cancelled exactly when it is 0 mod p.
+leaves.  Over GF(p) the integers are the residues themselves, taken as
+they are; sums of products may grow past p and are reduced mod p only
+when a coefficient leaves, so a coefficient has cancelled exactly when it
+is 0 mod p.  The two kernels make that last step inline, `% p` or
+`Fraction(n, den)`, rather than by a call per term; `ratio` is the same
+step for code off the hot path.
 """
 
 from __future__ import annotations

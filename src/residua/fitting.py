@@ -29,28 +29,27 @@ class NotASubidealError(ValueError):
 
 
 def _det(ring, rows, row_idx, col_idx, memo):
-    """Determinant of the submatrix on row_idx x col_idx, memoized cofactor
-    expansion along the first row, summed as one sum of products over the
-    nonzero entries whose minor is nonzero."""
+    """Determinant of the nonempty submatrix on row_idx x col_idx: a
+    one-row minor is its entry, a larger one a memoized cofactor expansion
+    along the first row, summed as one sum of products over the nonzero
+    entries whose minor is nonzero."""
+    if len(row_idx) == 1:
+        return rows[row_idx[0]][col_idx[0]]
     key = (row_idx, col_idx)
     if key in memo:
         return memo[key]
-    if not row_idx:
-        result = ring.one
-    else:
-        r = row_idx[0]
-        rest = row_idx[1:]
-        pairs = []
-        for pos, c in enumerate(col_idx):
-            entry = rows[r][c]
-            if entry.is_zero():
-                continue
-            sub = _det(ring, rows, rest, col_idx[:pos] + col_idx[pos + 1:], memo)
-            if sub.is_zero():
-                continue
-            pairs.append(((-entry if pos % 2 else entry).terms, sub.terms))
-        result = ring.sum_of_products(pairs)
-    memo[key] = result
+    r = row_idx[0]
+    rest = row_idx[1:]
+    pairs = []
+    for pos, c in enumerate(col_idx):
+        entry = rows[r][c]
+        if entry.is_zero():
+            continue
+        sub = _det(ring, rows, rest, col_idx[:pos] + col_idx[pos + 1:], memo)
+        if sub.is_zero():
+            continue
+        pairs.append(((-entry if pos % 2 else entry).terms, sub.terms))
+    result = memo[key] = ring.sum_of_products(pairs)
     return result
 
 

@@ -88,7 +88,10 @@ coefficient lc, live <- (lc/g)·live - (c/g)·m·tail and den <- (lc/g)·den.
 A remainder term leaves as c / den with the den in force when it is
 popped; later steps rescale live, not the terms already popped.  Over
 GF(p) the live coefficients are plain ints, reduced mod p only when a
-term is popped, and a term has cancelled when its coefficient is 0 mod p.
+term is popped, and a term has cancelled when its coefficient is 0 mod p;
+every divisor is monic there, so the gcd rescale never runs, and a
+remainder term leaves as the residue it was popped as.  `_reduce` pops,
+tests divisors and subtracts inline, with no method call per term.
 Remainder terms come out in descending order, so they need no final
 sort.  The divisor is always the first element of G whose lead divides,
 and a step reads only its lead and the ratios c/lc of its terms, so
@@ -104,6 +107,7 @@ against it.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 
@@ -164,29 +168,16 @@ class _Dividend:
     or 0 mod p, once it has cancelled); `heap` holds each of those terms
     once, negated, so the leading term pops first.  Over QQ the terms
     stand for live / den; over GF(p) den stays 1, and a coefficient is
-    reduced mod p only when its term is popped.
+    reduced mod p only when `_reduce` pops its term.
     """
 
-    __slots__ = ("live", "heap", "p", "den", "bounds")
+    __slots__ = ("live", "heap", "den", "bounds")
 
     def __init__(self, ring, terms, den=1):
         self.live = dict(terms)
         self.heap = [-t for t in self.live]
         heapify(self.heap)
-        self.p, self.den, self.bounds = ring.field.characteristic, den, ring.bounds
-
-    def pop(self):
-        """Remove the leading term and return (term, integer coefficient),
-        reduced mod p over GF(p); None when no nonzero term is left."""
-        live, heap, p = self.live, self.heap, self.p
-        while heap:
-            t = -heappop(heap)
-            c = live.pop(t)
-            if p:
-                c %= p
-            if c:
-                return t, c
-        return None
+        self.den, self.bounds = den, ring.bounds
 
     def sub_multiple(self, tail, q, c, lc):
         """Cancel the popped term c * q * lead by the divisor (lead, lc,
@@ -240,19 +231,44 @@ def _element(F, divisor) -> tuple:
 def _reduce(ring: PolyRing, p: _Dividend, divisors) -> tuple:
     """Remainder terms, descending, with field coefficients, of the
     dividend p on division by the (lead, lc, tail) integer divisors; each
-    step uses the first divisor whose lead divides."""
+    step uses the first divisor whose lead divides, and subtracts as
+    `_Dividend.sub_multiple` does.  p is used up."""
     offset, mask, want = ring.divisibility
-    ratio = ring.field.ratio
+    b_offset, b_mask, b_want = ring.bounds
+    char, live, heap, den = ring.field.characteristic, p.live, p.heap, p.den
+    get = live.get
     rem = []
-    while (term := p.pop()) is not None:
-        t, c = term
+    while heap:
+        t = -heappop(heap)
+        c = live.pop(t)
+        if char:
+            c %= char
+        if not c:
+            continue
         u = t + offset
         for lead, lc, tail in divisors:
             if (u - lead) & mask == want:
-                p.sub_multiple(tail, t - lead, c, lc)
+                q = t - lead
+                if lc != 1:
+                    g = gcd(c, lc)
+                    scale, c = lc // g, c // g
+                    if scale != 1:
+                        den *= scale
+                        for s in live:
+                            live[s] *= scale
+                for s, tc in tail:
+                    s += q
+                    old = get(s)
+                    if old is None:
+                        if (s + b_offset) & b_mask != b_want:
+                            raise ValueError(PAST_BOUND)
+                        live[s] = -c * tc
+                        heappush(heap, -s)
+                    else:
+                        live[s] = old - c * tc
                 break
         else:
-            rem.append((t, ratio(c, p.den)))
+            rem.append((t, c if char else Fraction(c, den)))
     return tuple(rem)
 
 

@@ -35,10 +35,13 @@ A Polynomial stores its terms as a tuple of (monomial, coefficient)
 pairs, strictly descending, with no zero coefficients, so equal
 polynomials compare equal structurally.  Addition, subtraction and
 multiplication are one arithmetic path, `sum_of_products`: p + q is
-1·p + 1·q and p - q is 1·p + (-1)·q.  It sums integer products
-(`FieldSpec.integer_terms`, as the division kernel uses) in a dict over
-one common denominator, and each sum enters the field once, in one sort:
-no `from_dict`.
+1·p + 1·q and p - q is 1·p + (-1)·q.  It sums integer products in a
+dict: over GF(p) the residues as they are, over QQ numerators over one
+common denominator (`FieldSpec.integer_terms`, as the division kernel
+uses).  Then, in one sort, every summed key is range-checked, whether
+its sum cancelled or not, and each sum becomes a field element inline,
+reduced mod p or made a Fraction: no `from_dict`, and no method call per
+term.
 """
 
 from __future__ import annotations
@@ -334,8 +337,8 @@ class Polynomial:
         return self.ring.sum_of_products([(one.terms, self.terms), ((-one).terms, other.terms)])
 
     def __neg__(self):
-        F = self.ring.field
-        return Polynomial(self.ring, tuple((m, F.neg(c)) for m, c in self.terms))
+        p = self.ring.field.characteristic
+        return Polynomial(self.ring, tuple([(m, p - c if p else -c) for m, c in self.terms]))
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -436,30 +439,31 @@ def sum_of_products(ring: PolyRing, pairs) -> tuple:
     """The canonical terms of the sum of f * g over `pairs` of canonical
     term tuples (f, g) of `ring`: f holds monomials, g monomials or module
     terms (a term of g times a monomial of f is their sum).  The products
-    are summed as integers over one common denominator, and each sum
-    enters the field once (over GF(p), reduced mod p there)."""
-    field, (offset, mask, want) = ring.field, ring.bounds
-    parts = []
-    for f, g in pairs:
-        a, a_den = field.integer_terms(f)
-        b, b_den = field.integer_terms(g)
-        parts.append((a, b, a_den * b_den))
-    den = lcm(*[d for *_, d in parts])
+    are summed as integers, and each sum becomes a field element once:
+    over GF(p) the residues are the integers and a sum is reduced mod p,
+    over QQ the pairs are put over one common denominator den and a sum
+    n becomes n / den.  Every summed term is range-checked, cancelled or
+    not."""
+    p, (offset, mask, want) = ring.field.characteristic, ring.bounds
+    den = 1
+    if not p:
+        integer_terms = ring.field.integer_terms
+        ints = [(integer_terms(f), integer_terms(g)) for f, g in pairs]
+        den = lcm(*[da * db for (_, da), (_, db) in ints])
+        pairs = [([(m, n * (den // (da * db))) for m, n in a], b)
+                 for (a, da), (b, db) in ints]
     acc = {}
     get = acc.get
-    for a, b, d in parts:
-        scale = den // d
-        for m, n in a:
-            n *= scale
-            for t, c in b:
+    for f, g in pairs:
+        for m, n in f:
+            for t, c in g:
                 t += m
                 acc[t] = get(t, 0) + n * c
-    ratio = field.ratio
     out = []
     for t in sorted(acc, reverse=True):
         if (t + offset) & mask != want:
             raise ValueError(PAST_BOUND)
-        c = ratio(acc[t], den)
+        c = acc[t] % p if p else Fraction(acc[t], den)
         if c:
             out.append((t, c))
     return tuple(out)

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from residua.field import GF32003, RATIONALS, FieldSpec, _is_prime
-from residua.ring import MAX_DEGREE, MonomialOrder, ParseError, PolyRing, sum_of_products
+from residua.fitting import minors
+from residua.ring import (
+    MAX_DEGREE,
+    MonomialOrder,
+    ParseError,
+    Polynomial,
+    PolyRing,
+    sum_of_products,
+)
 
 from conftest import (
     DEEP_POLYNOMIALS,
@@ -229,6 +237,61 @@ def test_add_sub_merge_is_canonical(case):
         assert all(c != ring.field.zero for _, c in result.terms)
         assert result.terms == _reference_sum(p, q, subtract).terms
     assert (p - p).is_zero()
+
+
+# the prime fields whose residues are summed with no reduction before the
+# end, the largest characteristic among them, and QQ's common denominators
+_SUM_RINGS = SMALL_PRIME_RINGS + (PolyRing(FieldSpec(2**31 - 1), ("x", "y", "z")),) + tuple(
+    r for r in KERNEL_RINGS if r.field == RATIONALS)
+
+
+def _sum_case(ring):
+    poly = polynomials(ring, max_terms=4)
+    return st.tuples(st.just(ring), st.lists(st.tuples(poly, poly), min_size=1, max_size=4),
+                     st.booleans(), st.lists(poly, min_size=6, max_size=6))
+
+
+@given(st.sampled_from(_SUM_RINGS).flatmap(_sum_case))
+def test_sum_of_products_matches_a_termwise_reference(case):
+    """Sums of 1-4 products, with the first product's negation added when
+    `cancel` is drawn, so that sums cancel mod p, against a sum taken term
+    by term with `FieldSpec.mul` and the field's addition; negation and the
+    1 x 1 minors ride along."""
+    ring, pairs, cancel, entries = case
+    F, p = ring.field, ring.field.characteristic
+    if cancel:
+        f, g = pairs[0]
+        pairs = pairs + [(ring.from_dict({m: F.neg(c) for m, c in f.terms}), g)]
+    acc = {}
+    for f, g in pairs:
+        for m, a in f.terms:
+            for t, b in g.terms:
+                acc[m + t] = F.element(acc.get(m + t, F.zero) + F.mul(a, b))
+    got = sum_of_products(ring, [(f.terms, g.terms) for f, g in pairs])
+    assert got == ring.from_dict(acc).terms
+    if p:
+        assert all(type(c) is int and 1 <= c < p for _, c in got)
+    else:
+        assert all(type(c) is Fraction and c for _, c in got)
+    for f, _ in pairs:
+        assert -f == ring.zero - f
+    matrix = [entries[:3], entries[3:]]
+    assert minors(ring, matrix, 1).generators == tuple(e for e in entries if not e.is_zero())
+
+
+@pytest.mark.parametrize("ring", [_GF, _QQ], ids=str)
+def test_range_check_covers_cancelled_terms(ring):
+    """A summed key past the bound raises even when its coefficient cancels
+    to zero: every key is range-checked, not only the kept ones."""
+    x, y = ring.gens[:2]
+    top = (x ** MAX_DEGREE).terms
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        sum_of_products(ring, [(top, y.terms), (top, (-y).terms)])
+    # x^MAX_DEGREE * y, whose grevlex degree digit is past the bound: no
+    # constructor makes it, so it is built from its packed term
+    f = Polynomial(ring, ((top[0][0] + y.lm(), ring.field.one),))
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        f - f
 
 
 exponents = st.tuples(*[st.integers(min_value=0, max_value=3)] * 4)
