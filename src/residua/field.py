@@ -13,8 +13,7 @@ leaves.  Over GF(p) the integers are the residues themselves, taken as
 they are; sums of products may grow past p and are reduced mod p only
 when a coefficient leaves, so a coefficient has cancelled exactly when it
 is 0 mod p.  The two kernels make that last step inline, `% p` or
-`Fraction(n, den)`, rather than by a call per term; `ratio` is the same
-step for code off the hot path.
+`Fraction(n, den)`, rather than by a call per term.
 """
 
 from __future__ import annotations
@@ -133,13 +132,6 @@ class FieldSpec:
         if ints[0][1] < 0:
             g = -g
         return tuple((t, n // g) for t, n in ints)
-
-    def ratio(self, n: int, den: int):
-        """The field element n / den for an integer coefficient n over den
-        (over GF(p) den is 1, and n is reduced mod p)."""
-        if self.characteristic:
-            return n % self.characteristic
-        return Fraction(n, den)
 
     # -- formatting ----------------------------------------------------------
 

@@ -96,11 +96,20 @@ Remainder terms come out in descending order, so they need no final
 sort.  The divisor is always the first element of G whose lead divides,
 and a step reads only its lead and the ratios c/lc of its terms, so
 every remainder is the same field values whatever unit multiple a
-divisor holds; an S-pair is built from the two divisors, so its
-remainder is the one plain repeated subtraction gives up to a unit, and
-the element that joins gets the same divisor.  A
-basis element is made monic only where it leaves the engine: `_reduced`
-for a reduced basis, `_element` for a syzygy.  A `GroebnerBasis`
+divisor holds.
+
+Every division enters `_reduce` the same way, as a dict of integer
+coefficients over one den, and `_reduce` range-checks those terms as it
+heaps them, as it does each term a step makes, so no caller checks them.
+An input or a normal form is put over its common denominator
+(`_dividend`); an S-pair's integers are made in `_groebner`, as the one
+step that divides q_i·divisor_i by divisor_j (q = lcm / lead): with
+g = gcd(lc_i, lc_j), live = (lc_j/g)·q_i·tail_i - (lc_i/g)·q_j·tail_j
+over den = lc_j/g.  So its remainder is the plain repeated subtraction's
+up to a unit, and the element that joins gets the same divisor.  A basis
+element is made monic only where it leaves the engine, in `_element`:
+its integer tail over the den lc, reduced by the minimal divisors for a
+reduced basis (`_reduced`) and by none for a syzygy.  A `GroebnerBasis`
 carries the divisors of its elements, for all the normal forms taken
 against it.
 """
@@ -160,56 +169,11 @@ class GroebnerBasis:
 # the engine
 # ---------------------------------------------------------------------------
 
-class _Dividend:
-    """A polynomial or module element under division, with integer
-    coefficients.
-
-    `live` maps every term not yet popped to its integer coefficient (0,
-    or 0 mod p, once it has cancelled); `heap` holds each of those terms
-    once, negated, so the leading term pops first.  Over QQ the terms
-    stand for live / den; over GF(p) den stays 1, and a coefficient is
-    reduced mod p only when `_reduce` pops its term.
-    """
-
-    __slots__ = ("live", "heap", "den", "bounds")
-
-    def __init__(self, ring, terms, den=1):
-        self.live = dict(terms)
-        self.heap = [-t for t in self.live]
-        heapify(self.heap)
-        self.den, self.bounds = den, ring.bounds
-
-    def sub_multiple(self, tail, q, c, lc):
-        """Cancel the popped term c * q * lead by the divisor (lead, lc,
-        tail), all integers, q a monomial: with g = gcd(c, lc), live <-
-        (lc/g)·live - (c/g)·q·tail and den <- (lc/g)·den, which takes
-        (c/den)/lc · q · divisor off the value.  Terms popped before keep
-        the den they were popped with; no product may lie above a popped
-        term."""
-        live, heap = self.live, self.heap
-        offset, mask, want = self.bounds
-        if lc != 1:
-            g = gcd(c, lc)
-            scale, c = lc // g, c // g
-            if scale != 1:
-                self.den *= scale
-                for t in live:
-                    live[t] *= scale
-        for t, tc in tail:
-            t += q
-            old = live.get(t)
-            if old is None:
-                if (t + offset) & mask != want:
-                    raise ValueError(PAST_BOUND)
-                live[t] = -c * tc
-                heappush(heap, -t)
-            else:
-                live[t] = old - c * tc
-
-
-def _dividend(ring, terms) -> _Dividend:
-    """Canonical terms with field coefficients, under division."""
-    return _Dividend(ring, *ring.field.integer_terms(terms))
+def _dividend(ring, terms) -> tuple:
+    """(live, den) of canonical terms with field coefficients, for `_reduce`:
+    a new dict of their integer coefficients over the common den."""
+    ints, den = ring.field.integer_terms(terms)
+    return dict(ints), den
 
 
 def _divisor(F, terms) -> tuple:
@@ -219,23 +183,34 @@ def _divisor(F, terms) -> tuple:
     return d[0][0], d[0][1], d[1:]
 
 
-def _element(F, divisor) -> tuple:
+def _element(ring, divisor, divisors=()) -> tuple:
     """The monic canonical terms of the basis element whose integer divisor
-    is (lead, lc, tail): each coefficient c becomes the field element
-    c/lc (over GF(p) a divisor is monic, lc = 1)."""
+    is (lead, lc, tail), its tail reduced by `divisors`: the tail is the
+    integer tail over the denominator lc (over GF(p) a divisor is monic,
+    lc = 1)."""
     lead, lc, tail = divisor
-    ratio = F.ratio
-    return ((lead, F.one),) + tuple([(t, ratio(c, lc)) for t, c in tail])
+    return ((lead, ring.field.one),) + _reduce(ring, dict(tail), lc, divisors)
 
 
-def _reduce(ring: PolyRing, p: _Dividend, divisors) -> tuple:
-    """Remainder terms, descending, with field coefficients, of the
-    dividend p on division by the (lead, lc, tail) integer divisors; each
-    step uses the first divisor whose lead divides, and subtracts as
-    `_Dividend.sub_multiple` does.  p is used up."""
+def _reduce(ring: PolyRing, live: dict, den: int, divisors) -> tuple:
+    """Remainder terms, descending, with field coefficients, of the dividend
+    live / den on division by the (lead, lc, tail) integer divisors: `live`
+    maps terms to integer coefficients (over GF(p) den is 1, and a
+    coefficient is reduced mod p only when its term is popped), and is used
+    up.  Every term is range-checked as it enters, handed in or made.  A
+    step uses the first divisor whose lead divides the popped term c·t:
+    with g = gcd(c, lc) and q = t / lead, live <- (lc/g)·live - (c/g)·q·tail
+    and den <- (lc/g)·den; terms popped before keep the den they were
+    popped with."""
     offset, mask, want = ring.divisibility
     b_offset, b_mask, b_want = ring.bounds
-    char, live, heap, den = ring.field.characteristic, p.live, p.heap, p.den
+    char = ring.field.characteristic
+    heap = []
+    for t in live:
+        if (t + b_offset) & b_mask != b_want:
+            raise ValueError(PAST_BOUND)
+        heap.append(-t)
+    heapify(heap)
     get = live.get
     rem = []
     while heap:
@@ -304,7 +279,52 @@ def _groebner(ring: PolyRing, divisors: list, new, product_criterion=False,
     heapify(heap)
     pending = set()
 
-    def insert(r):
+    steps = 0
+    while heap:
+        key, i, j = heappop(heap)
+        if i < 0:
+            live, den = _dividend(ring, new[j])
+        else:
+            pending.discard((i, j))
+            lm_i, lm_j = leads[i], leads[j]
+            lcm = key + (lm_i & ~monomial)      # the lcm at the pair's position
+            # product criterion, coprime leads: ideals only
+            if product_criterion and lcm == lm_i + lm_j:
+                continue
+            # chain criterion
+            skip = False
+            u = lcm + offset
+            for k, lm_k in enumerate(leads):
+                if k == i or k == j:
+                    continue
+                if (u - lm_k) & mask == want:
+                    pik = (min(i, k), max(i, k))
+                    pjk = (min(j, k), max(j, k))
+                    if pik not in pending and pjk not in pending:
+                        skip = True
+                        break
+            if skip:
+                continue
+
+            steps += 1
+            if _step_limit is not None and steps > _step_limit:
+                raise ResourceLimitError(f"exceeded {_step_limit} S-pair reductions")
+            # the S-pair of the two divisors, their leads cancelled at lcm:
+            # the one step that divides q_i·divisor_i by divisor_j (q = lcm / lead)
+            _, lc_i, tail_i = divisors[i]
+            _, lc_j, tail_j = divisors[j]
+            g = gcd(lc_i, lc_j)
+            den, c = lc_j // g, lc_i // g
+            q = lcm - lm_i
+            live = {t + q: den * tc for t, tc in tail_i}
+            get = live.get
+            q = lcm - lm_j
+            for t, tc in tail_j:
+                t += q
+                live[t] = get(t, 0) - c * tc
+        r = _reduce(ring, live, den, divisors)
+        if not r:
+            continue
         divisors.append(_divisor(F, r))
         lead = r[0][0]
         leads.append(lead)
@@ -317,52 +337,8 @@ def _groebner(ring: PolyRing, divisors: list, new, product_criterion=False,
                     continue
                 heappush(heap, (key, i, j))
                 pending.add((i, j))
-
-    steps = 0
-    while heap:
-        key, i, j = heappop(heap)
-        if i < 0:
-            r = _reduce(ring, _dividend(ring, new[j]), divisors)
-            if r:
-                insert(r)
-                if stop is not None and stop(leads):
-                    return None
-            continue
-        pending.discard((i, j))
-        lm_i, lm_j = leads[i], leads[j]
-        lcm = key + (lm_i & ~monomial)      # the lcm at the pair's position
-        # product criterion, coprime leads: ideals only
-        if product_criterion and lcm == lm_i + lm_j:
-            continue
-        # chain criterion
-        skip = False
-        u = lcm + offset
-        for k, lm_k in enumerate(leads):
-            if k == i or k == j:
-                continue
-            if (u - lm_k) & mask == want:
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik not in pending and pjk not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
-
-        steps += 1
-        if _step_limit is not None and steps > _step_limit:
-            raise ResourceLimitError(f"exceeded {_step_limit} S-pair reductions")
-        # the S-pair of the two divisors: their leads cancel at lcm
-        _, lc_i, tail_i = divisors[i]
-        _, lc_j, tail_j = divisors[j]
-        s = _Dividend(ring, ())
-        s.sub_multiple(tail_i, lcm - lm_i, -1, 1)    # s = (lcm / lm_i)·tail_i
-        s.sub_multiple(tail_j, lcm - lm_j, lc_i, lc_j)
-        r = _reduce(ring, s, divisors)
-        if r:
-            insert(r)
-            if stop is not None and stop(leads):
-                return None
+        if stop is not None and stop(leads):
+            return None
     return divisors
 
 
@@ -371,17 +347,15 @@ def _reduced(ring: PolyRing, divisors: list) -> GroebnerBasis:
     integer divisors `divisors` generates: the elements whose lead no other
     lead divides, in increasing order of their leads, each made monic and
     its tail reduced by all of them as they are (no kept lead divides
-    another, and a tail lies below its own lead).  The monic tail of
-    (lead, lc, tail) is the integer tail over the denominator lc."""
+    another, and a tail lies below its own lead), by `_element`."""
     leads = [d[0] for d in divisors]
     kept = sorted((i for i, lead in enumerate(leads)
                    if not any(ring.divides(m, lead) for m in leads if m != lead)),
                   key=leads.__getitem__)
     minimal = [divisors[i] for i in kept]
-    one = ring.field.one
     elements, reduced = [], []
-    for lead, lc, tail in minimal:
-        terms = ((lead, one),) + _reduce(ring, _Dividend(ring, tail, lc), minimal)
+    for d in minimal:
+        terms = _element(ring, d, minimal)
         elements.append(Polynomial(ring, terms))
         reduced.append(_divisor(ring.field, terms))
     return GroebnerBasis(ring, tuple(elements), reduced)
@@ -420,7 +394,7 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
     ring = f.ring
     if G.ring != ring:
         raise RingMismatchError("normal_form across different rings")
-    return Polynomial(ring, _reduce(ring, _dividend(ring, f.terms), G.divisors))
+    return Polynomial(ring, _reduce(ring, *_dividend(ring, f.terms), G.divisors))
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +461,7 @@ class AugmentedBasis:
             for d in self.divisors:
                 if -(d[0] >> shift) < rank:
                     continue
-                s = _vector(ring, _element(ring.field, d), rank, len(gens))
+                s = _vector(ring, _element(ring, d), rank, len(gens))
                 # exactness check: the defining identity must hold on the nose
                 if _combination(ring, s, gens):
                     raise RuntimeError("internal: syzygy identity violated")
@@ -513,7 +487,7 @@ class AugmentedBasis:
         ring, F, n = self.ring, self.ring.field, len(self.gens)
         out = []
         for f in polys:
-            nf = _reduce(ring, _dividend(ring, f.terms), self.divisors)
+            nf = _reduce(ring, *_dividend(ring, f.terms), self.divisors)
             if nf and nf[0][0] >= 0:
                 raise NotAMemberError(f"{f} is not in the ideal of the given generators")
             coeffs = _vector(ring, ((t, F.neg(c)) for t, c in nf), 1, n)

@@ -519,7 +519,7 @@ def module_member(elem, gens) -> bool:
     by a Gröbner basis of gens, computed from scratch, is zero."""
     ring = elem[0].ring
     divisors = _groebner(ring, [], [_terms(ring, g) for g in gens])
-    return not _reduce(ring, _dividend(ring, _terms(ring, elem)), divisors)
+    return not _reduce(ring, *_dividend(ring, _terms(ring, elem)), divisors)
 
 
 def reference_minimal_subset(elems, weights, span=()):

@@ -28,7 +28,7 @@ from residua.groebner import (
 )
 from residua.ideals import Ideal, colon, min_gens
 from residua.koszul import KoszulComplex
-from residua.ring import MonomialOrder, Polynomial, PolyRing, RingMismatchError
+from residua.ring import MAX_DEGREE, MonomialOrder, Polynomial, PolyRing, RingMismatchError
 
 from conftest import (
     KERNEL_RINGS,
@@ -307,7 +307,7 @@ def _remainder(f, G):
     here."""
     ring = f.ring
     divisors = [_divisor(ring.field, g.terms) for g in G if g.terms]
-    return Polynomial(ring, _reduce(ring, _dividend(ring, f.terms), divisors))
+    return Polynomial(ring, _reduce(ring, *_dividend(ring, f.terms), divisors))
 
 
 _R = KERNEL_RINGS[0]
@@ -490,7 +490,7 @@ def _check_boundary_basis(I, rng):
                 continue
 
             def reduces_to_zero(vec):
-                return not _reduce(ring, _dividend(ring, _terms(ring, vec)), divisors)
+                return not _reduce(ring, *_dividend(ring, _terms(ring, vec)), divisors)
 
             assert all(reduces_to_zero(b) for b, d in zip(boundaries, degrees) if d <= bound)
             for _ in range(3):
@@ -501,7 +501,7 @@ def _check_boundary_basis(I, rng):
                               for k in range(rank))
                 assert reduces_to_zero(combo)
             for d in divisors:
-                g = _element(ring.field, d)
+                g = _element(ring, d)
                 assert g[0][1] == ring.field.one
                 vec = _vector(ring, g, 0, rank)
                 assert module_member(vec, boundaries)
@@ -583,3 +583,16 @@ def test_monomials_past_the_bound_raise_in_the_engine():
             make()
     x, y = L.gens
     assert L.exponents((x**20000 * y**20000).lm()) == (20000, 20000)
+    # under lex an S-pair whose lcm x^2*y^20000*z^20000 is in range, but
+    # whose own product y^20000 * y^20002 is not
+    for field in (GF32003, RATIONALS):
+        L3 = PolyRing(field, ("x", "y", "z"), MonomialOrder("lex"))
+        gens = [L3.parse("x^2*z^20000 - y^20002"), L3.parse("x*y^20000 - z^20001")]
+        with pytest.raises(ValueError, match="exceeds the bound"):
+            reduced_groebner(L3, gens)
+    # the division loop range-checks the terms it is handed, so an S-pair
+    # enters it unchecked: x^MAX_DEGREE * y, whose grevlex degree digit is
+    # past the bound, raises even with nothing to divide by
+    past = R.monomial((MAX_DEGREE, 0, 0)) + R.monomial((0, 1, 0))
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        _reduce(R, {past: 1}, 1, [])
