@@ -23,15 +23,9 @@ from .groebner import ResourceLimitError, set_step_limit
 from .ideals import colon
 from .fitting import fitt0_quotient
 from .koszul import kitt
-from .instances import (
-    InstanceParseError,
-    InstanceValidationError,
-    format_instance,
-    parse_field,
-    parse_instance,
-)
+from .instances import format_instance, parse_field, parse_instance
 from .corpus import FAMILIES, GenerationError, generate_corpus
-from .residual import THEOREM_IDS, GenericityError, HypothesisError, verify
+from .residual import THEOREM_IDS, GenericityError, verify
 
 DEFAULT_MAX_STEPS = 200000
 
@@ -172,15 +166,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource-limit: {exc}", file=sys.stderr)
         return 1
-    except (
-        InstanceParseError,
-        InstanceValidationError,
-        HypothesisError,
-        GenericityError,
-        GenerationError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (GenericityError, GenerationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

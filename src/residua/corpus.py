@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from itertools import product as iter_product
 
-from .field import FieldSpec, DEFAULT_PRIME
+from .field import GF32003
 from .ring import PolyRing, Polynomial
 from .ideals import Ideal, colon, height, min_gens, mu
 from .fitting import minors
@@ -22,7 +22,6 @@ from .residual import (
     generic_generators,
 )
 
-FAMILIES = ("ci", "hb2", "aci", "power")
 MAX_VARS = 6
 MAX_DRAWS = 25  # draws generate_instance makes before it gives up
 
@@ -31,11 +30,11 @@ class GenerationError(RuntimeError):
     pass
 
 
-def _make_ring(nvars: int, characteristic=DEFAULT_PRIME) -> PolyRing:
+def _make_ring(nvars: int) -> PolyRing:
     if nvars > MAX_VARS:
         raise ValueError(f"variable count capped at {MAX_VARS}")
     names = ("x", "y", "z", "w", "u", "v")[:nvars]
-    return PolyRing(FieldSpec(characteristic), names)
+    return PolyRing(GF32003, names)
 
 
 def _random_form(ring, degree, rng) -> Polynomial:
@@ -133,6 +132,7 @@ def _draw_power(rng):
 
 
 _DRAW = {"ci": _draw_ci, "hb2": _draw_hb2, "aci": _draw_aci, "power": _draw_power}
+FAMILIES = tuple(_DRAW)
 
 
 def generate_instance(family: str, seed: int) -> ResidualInstance:

@@ -1,9 +1,11 @@
-"""Koszul complexes: exterior algebra elements, differentials, cycle and
-homology generators with lifts, and the Kitt ideal via both of its
-constructions (homology lifts, and cycles with the Gamma subalgebra
-generated by the zeta elements of a).
+"""Koszul complexes: differentials, cycle and homology generators with
+lifts, and the Kitt ideal via both of its constructions (homology lifts,
+and cycles with the Gamma subalgebra generated by the zeta elements of a).
 
-Each object is computed once, and only the homology that can be nonzero
+A chain of degree i is a vector over `KoszulComplex.basis(i)`, the form
+the module engine reads and returns: the columns of d_i, the cycle
+generators and the lifts are all such vectors.  Exterior elements appear
+only where the Kitt routes wedge.  Only the homology that can be nonzero
 is computed: over a polynomial ring H_i = 0 for i > n - ht I (depth
 sensitivity), so there Z_i = B_i is generated by the columns of d_(i+1),
 with no Gröbner run, and has no lifts.  At or below n - ht I the
@@ -11,18 +13,13 @@ syzygies of d_i's augmented basis generate Z_i, and the lifts are picked
 from them modulo the boundaries, which `minimal_subset` takes as the
 columns of d_(i+1) and reads only up to the lifts' degree.  At degree 1
 the cycle generators, and the candidates for the lifts, are d_1's
-minimal syzygies, so the routes wedge fewer products of Z_1, and when no
-column of d_2 lies at or below their degree they are the lifts.  The
-columns of d_1 are min_gens(I), so d_1's augmented basis is I's own
-(`ideals.augmented_basis`), shared in whichever order the homology and
-I's basis are first asked for, and its minimal syzygies are the columns
-A of the presentation of I/a in `fitting`; the height that bounds the
-homology is read off its leads.
-Each coefficient of an exterior product is one `ring.sum_of_products`
-over the signed pairs of coefficients that meet in it, and each of
-d(e_S) is one signed generator, so the layer adds no polynomials.  The
-zetas of (a, I) depend only on the generators of a and on I, so all
-three Kitt routes, and the presentation of I/a in `fitting`, share their
+minimal syzygies, the columns A of the presentation of I/a in `fitting`.
+The columns of d_1 are min_gens(I), so d_1's augmented basis is I's own
+(`ideals.augmented_basis`), and a homology handed to a Kitt route must
+be that of K(min_gens I).  Each coefficient of an exterior product is one
+`ring.sum_of_products`, so the layer adds no polynomials.  The zetas of
+(a, I) depend only on the generators of a and on I, so all three Kitt
+routes, and the presentation of I/a in `fitting`, share their
 coefficient lists through I's memo (`fitting.expressions`), and the
 routes share the Gamma monomials of the zetas through the same memo."""
 
@@ -59,10 +56,6 @@ class ExteriorElement:
                 raise ValueError(f"bad subset key {S} for degree {degree} in rank {n}")
 
     @classmethod
-    def zero(cls, ring, n, degree):
-        return cls(ring, n, degree, {})
-
-    @classmethod
     def scalar(cls, ring, n, poly: Polynomial):
         return cls(ring, n, 0, {(): poly})
 
@@ -71,24 +64,6 @@ class ExteriorElement:
 
     def coefficient(self, subset) -> Polynomial:
         return self.coeffs.get(tuple(subset), self.ring.zero)
-
-    def __add__(self, other):
-        if (self.n, self.degree) != (other.n, other.degree):
-            raise ValueError("degree/rank mismatch in exterior addition")
-        out = dict(self.coeffs)
-        for S, p in other.coeffs.items():
-            out[S] = out.get(S, self.ring.zero) + p
-        return ExteriorElement(self.ring, self.n, self.degree, out)
-
-    def __neg__(self):
-        return ExteriorElement(
-            self.ring, self.n, self.degree, {S: -p for S, p in self.coeffs.items()}
-        )
-
-    def scale(self, poly: Polynomial):
-        return ExteriorElement(
-            self.ring, self.n, self.degree, {S: p * poly for S, p in self.coeffs.items()}
-        )
 
     def wedge(self, other: "ExteriorElement") -> "ExteriorElement":
         """The exterior product; each coefficient is one sum of products over
@@ -115,18 +90,16 @@ class ExteriorElement:
         out = {U: ring.sum_of_products(fg) for U, fg in pairs.items()}
         return ExteriorElement(ring, self.n, self.degree + other.degree, out)
 
-    def to_module_element(self, basis) -> tuple:
-        """The coefficients of e_S for S in basis, in that order."""
-        return tuple(self.coeffs.get(S, self.ring.zero) for S in basis)
 
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for S in sorted(self.coeffs):
-            label = "e_" + "".join(str(j) for j in S) if S else "1"
-            parts.append(f"({self.coeffs[S]})*{label}")
-        return " + ".join(parts)
+def _subsets(n: int, i: int) -> tuple:
+    """The basis e_S of K_i in rank n: the i-subsets S of 1..n, increasing,
+    in lexicographic order."""
+    return tuple(combinations(range(1, n + 1), i))
+
+
+def _exterior(ring: PolyRing, n: int, i: int, vec) -> ExteriorElement:
+    """The vector vec over the basis of K_i as an exterior element."""
+    return ExteriorElement(ring, n, i, dict(zip(_subsets(n, i), vec)))
 
 
 # ---------------------------------------------------------------------------
@@ -142,33 +115,28 @@ class KoszulComplex:
         self.n = len(self.gens)
 
     def basis(self, i: int):
-        return tuple(combinations(range(1, self.n + 1), i))
-
-    def differential_image(self, subset) -> ExteriorElement:
-        """d(e_S) as an exterior element of degree |S| - 1.  Each S - j
-        occurs once, so each coefficient is one signed generator, with no
-        sum."""
-        S = tuple(subset)
-        out = {}
-        for pos, j in enumerate(S, start=1):
-            term = self.gens[j - 1]
-            out[S[:pos - 1] + S[pos:]] = term if pos % 2 else -term
-        return ExteriorElement(self.ring, self.n, len(S) - 1, out)
+        return _subsets(self.n, i)
 
     def differential_columns(self, i: int):
-        """Columns of d_i as free-module elements over basis(i-1)."""
-        rows = self.basis(i - 1)
+        """Columns of d_i, d(e_S) for S in basis(i), as vectors over
+        basis(i-1).  Each S - j occurs once, so each entry is one signed
+        generator or zero, with no sum."""
+        index = {T: r for r, T in enumerate(self.basis(i - 1))}
+        zero = self.ring.zero
         cols = []
         for S in self.basis(i):
-            img = self.differential_image(S)
-            cols.append(img.to_module_element(rows))
+            col = [zero] * len(index)
+            for pos, j in enumerate(S):
+                g = self.gens[j - 1]
+                col[index[S[:pos] + S[pos + 1:]]] = -g if pos % 2 else g
+            cols.append(tuple(col))
         return cols
 
 
-# cycle_gens: i -> list of ExteriorElement generating Z_i: at i = 1 the
-# minimal syzygies of the generators (the columns A in `fitting`), above
-# n - ht the columns of d_(i+1), which generate Z_i = B_i there, and in
-# between the syzygies of d_i;
+# cycle_gens: i -> list of vectors over basis(i) generating Z_i: (1,) at
+# i = 0, at i = 1 the minimal syzygies of the generators (the columns A in
+# `fitting`), above n - ht the columns of d_(i+1), which generate Z_i = B_i
+# there, and in between the syzygies of d_i;
 # lifts: i -> the cycle generators, trimmed, whose classes minimally
 # generate H_i (none above n - ht);
 # d1: the augmented basis of d_1, whose columns are the generators again,
@@ -204,13 +172,9 @@ def _homology(K: KoszulComplex, d1) -> HomologyData:
     the lifts with no run.  minimal_subset raises NonHomogeneousError
     unless the generators of K are homogeneous."""
     n, ring = K.n, K.ring
-    one = ExteriorElement.scalar(ring, n, ring.one)
-    cycles, lifts = {0: [one]}, {0: [one]}
+    cycles, lifts = {0: [(ring.one,)]}, {0: [(ring.one,)]}
     grade = ring.nvars - lead_dimension(ring, [lead for lead, _, _ in d1.divisors if lead >= 0])
     gd = [g.total_degree() for g in K.gens]
-
-    def exterior(i, vecs):
-        return [ExteriorElement(ring, n, i, dict(zip(K.basis(i), v))) for v in vecs]
 
     def degree(vec, weights):
         # the shifted degree of a homogeneous vector, -1 for zero
@@ -224,7 +188,7 @@ def _homology(K: KoszulComplex, d1) -> HomologyData:
             z = AugmentedBasis(ring, len(K.basis(i - 1)), K.differential_columns(i)).syzygies()
         else:
             z = boundaries
-        cycles[i] = exterior(i, z)
+        cycles[i] = z
         if i > n - grade:
             lifts[i] = []
             continue
@@ -232,8 +196,7 @@ def _homology(K: KoszulComplex, d1) -> HomologyData:
         if i == 1:
             top = max((degree(s, shifts) for s in z), default=-1)
             boundaries = [b for b in boundaries if degree(b, shifts) <= top]
-        kept = minimal_subset(ring, z, shifts, boundaries) if i > 1 or boundaries else z
-        lifts[i] = exterior(i, kept)
+        lifts[i] = minimal_subset(ring, z, shifts, boundaries) if i > 1 or boundaries else z
     return HomologyData(cycles, lifts, d1)
 
 
@@ -266,21 +229,22 @@ def _setup(a: Ideal, I: Ideal, homology):
     elements sum_i c_i e_i with a_j = sum_i c_i x_i, for the coefficient
     lists c that `fitting.expressions` keeps on I.  They are kept in I's
     memo under ("gammas", a.generators) once they have returned.
-    A given homology whose d_1 was built on x lends I its augmented basis
-    when I has none; without one, the homology of K(x) is computed from
-    I's augmented basis, on a complex that dies with the call.  `min_gens`
-    raises NonHomogeneousError unless I is homogeneous."""
+    A given homology must be that of K(x), since the zetas are written in
+    x: its d_1 built on any other sequence, even x scaled or reordered,
+    raises ValueError.  It lends I its augmented basis when I has none;
+    without one, the homology of K(x) is computed from I's augmented
+    basis, on a complex that dies with the call.  `min_gens` raises
+    NonHomogeneousError unless I is homogeneous."""
     x = min_gens(I)
     n = len(x)
-    if homology is not None and [g for (g,) in homology.d1.gens] == x:
+    if homology is not None:
+        if [g for (g,) in homology.d1.gens] != x:
+            raise ValueError("the homology given is not that of K(min_gens(I))")
         I.memo("augmented", lambda: homology.d1)
     a_gens, coeffs = expressions(I, a)
 
     def gamma_monomials():
-        zetas = tuple(
-            ExteriorElement(I.ring, n, 1, {(i + 1,): ci for i, ci in enumerate(c)})
-            for c in coeffs
-        )
+        zetas = tuple(_exterior(I.ring, n, 1, c) for c in coeffs)
         return {d: _wedges(I.ring, n, zetas, d) for d in range(min(len(zetas), n) + 1)}
 
     gammas = I.memo(("gammas", a.generators), gamma_monomials)
@@ -308,7 +272,7 @@ def kitt(a: Ideal, I: Ideal, homology: HomologyData = None) -> Ideal:
     lifts (Gamma stops at degree min(s, n), and lifts at n - ht I, above
     which `homology_lifts` computes none)."""
     n, a_gens, gammas, H = _setup(a, I, homology)
-    lifts = [h for hs in H.lifts.values() for h in hs]
+    lifts = [_exterior(I.ring, n, i, h) for i, hs in H.lifts.items() for h in hs]
     return Ideal(I.ring, list(a_gens) + _top_coefficients(n, gammas, lifts))
 
 
@@ -319,7 +283,7 @@ def kitt_via_cycles(a: Ideal, I: Ideal, homology: HomologyData = None) -> Ideal:
     product of cycles is an R-combination of the generators of its degree
     and adds nothing: the generators alone give the whole component."""
     n, _a_gens, gammas, H = _setup(a, I, homology)
-    cycles = [z for i in range(n + 1) for z in H.cycle_gens[i]]
+    cycles = [_exterior(I.ring, n, i, z) for i in range(n + 1) for z in H.cycle_gens[i]]
     return Ideal(I.ring, _top_coefficients(n, gammas, cycles))
 
 
@@ -327,7 +291,7 @@ def fitt0_via_Z1(a: Ideal, I: Ideal, homology: HomologyData = None) -> Ideal:
     """Degree-n span of Gamma times products of Z_1 generators; equals
     Fitt_0(I/a)."""
     n, _a_gens, gammas, H = _setup(a, I, homology)
-    z1 = H.cycle_gens.get(1, [])
+    z1 = [_exterior(I.ring, n, 1, z) for z in H.cycle_gens.get(1, [])]
     products = []
     for size in range(min(len(z1), n) + 1):
         products += _wedges(I.ring, n, z1, size)

@@ -71,12 +71,10 @@ class VerificationReport:
                  "hypothesis_checks", "seed", "timing")
 
     def __init__(self, instance: dict, theorem_id: str, lhs_gb: list, rhs_gb: list,
-                 verdict: str, hypothesis_checks: list = None, seed: int = 0,
-                 timing: float = 0.0):
+                 verdict: str, hypothesis_checks: list, seed: int, timing: float):
         self.instance, self.theorem_id = instance, theorem_id
         self.lhs_gb, self.rhs_gb, self.verdict = lhs_gb, rhs_gb, verdict
-        self.hypothesis_checks = [] if hypothesis_checks is None else hypothesis_checks
-        self.seed, self.timing = seed, timing
+        self.hypothesis_checks, self.seed, self.timing = hypothesis_checks, seed, timing
 
     def to_dict(self) -> dict:
         return {

@@ -6,6 +6,7 @@ multiples of the generators up to a degree bound, graded pieces of a
 colon from the kernel of multiplication into such truncated quotients,
 monomial colon and intersection from exponent-vector arithmetic,
 Koszul homology dimensions from ranks of truncated differential matrices,
+d o d = 0 from the columns of the differentials (`d_squared_is_zero`),
 and the cycle subalgebra from every product of cycle generators
 (`reference_cycle_products`).
 Division and products over QQ have plain-Fraction references on dicts
@@ -446,10 +447,10 @@ def koszul_homology_dim(K, i, degree):
         rows_basis = shifted_basis(j - 1)
         cols_basis = shifted_basis(j)
         index = {b: k for k, b in enumerate(rows_basis)}
+        columns = dict(zip(K.basis(j), K.differential_columns(j)))
         mat = [[field.zero] * len(cols_basis) for _ in rows_basis]
         for c, (S, m) in enumerate(cols_basis):
-            img = K.differential_image(S)
-            for T, p in img.coeffs.items():
+            for T, p in zip(K.basis(j - 1), columns[S]):
                 for pm, pc in p.terms:
                     r = index[(T, mono_mul(ring.exponents(pm), m))]
                     mat[r][c] = field.element(mat[r][c] + pc)
@@ -472,6 +473,19 @@ def koszul_homology_dim(K, i, degree):
         mat_n, _ = graded_matrix(i + 1)
         rank_next = rank(mat_n)
     return dim_ker - rank_next
+
+
+def d_squared_is_zero(K, i) -> bool:
+    """d_(i-1)(d_i(e_S)) = 0 for every S in K.basis(i), from the columns:
+    each column of d_i combines the columns of d_(i-1), product by
+    product."""
+    inner = K.differential_columns(i - 1)
+    zero = K.ring.zero
+    for col in K.differential_columns(i):
+        for r in range(len(K.basis(i - 2))):
+            if not sum((p * c[r] for p, c in zip(col, inner)), zero).is_zero():
+                return False
+    return True
 
 
 def reference_cycle_products(ring, n, generators, max_degree):

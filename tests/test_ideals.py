@@ -98,7 +98,7 @@ def _instance_pair(family, seed, field, monkeypatch):
     """(a generators, I) of a seeded corpus instance, drawn over `field`."""
     make_ring = corpus._make_ring
     monkeypatch.setattr(corpus, "_make_ring",
-                        lambda nvars: make_ring(nvars, field.characteristic))
+                        lambda nvars: PolyRing(field, make_ring(nvars).variables))
     inst = generate_instance(family, seed)
     assert inst.ring.field == field
     return inst.a_gens, Ideal(inst.ring, inst.I.generators)
