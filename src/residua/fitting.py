@@ -7,12 +7,13 @@ a_j = sum c_ij x_i.  Fitt_0(I/a) is then the ideal of n x n minors.  The
 Fitting ideals of I itself, and with them G_s, are minors of A alone;
 `_syzygy_rows` is the one place that builds A.  Its columns are the
 minimal syzygies of I's augmented basis (`ideals.augmented_basis`),
-computed once there, and the Koszul homology of x takes the same ones as
-the cycle generators of Z_1.  Fitting ideals do not depend on the
-presentation, so pruning A to a minimal set changes none of them, only
-the number of minors taken.  G_s asks ht(Fitt_j(I) + I) >= j+1 for
-j < s; for j < ht I that holds with no minor taken, since I lies in
-Fitt_j(I) + I.
+computed once there: those of the least degree kept as they are, by
+graded Nakayama, and the others picked by `minimal_subset`.  The Koszul
+homology of x takes the same ones as the cycle generators of Z_1.
+Fitting ideals do not depend on the presentation, so pruning A to a
+minimal set changes none of them, only the number of minors taken.
+G_s asks ht(Fitt_j(I) + I) >= j+1 for j < s; for j < ht I that holds
+with no minor taken, since I lies in Fitt_j(I) + I.
 """
 
 from __future__ import annotations

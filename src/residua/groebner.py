@@ -26,8 +26,8 @@ zero one is dropped before it makes any.  So a redundant input generator
 costs one division and no S-pair, and a basis grows from what is new
 instead of being rebuilt: `minimal_subset` extends one basis of its span
 by each candidate in turn, `AugmentedBasis` serves the syzygies of a
-sequence (all of them, and a minimal set, each read off once) and the
-expression of elements in terms of it, and `last_coordinates` eliminates
+sequence (a generating set, and a minimal one, each read off once) and
+the expression of elements in terms of it, and `last_coordinates` eliminates
 all but the last position of a free module in one run: the basis of an
 ideal copied to each of the first k positions is already a Gröbner basis
 of theirs (its divisors are the ideal basis's, shifted), so only the
@@ -35,6 +35,20 @@ pairs the added row brings in are reduced, and because smaller positions
 win, the elements it leads at the last position are zero at every other
 one and are a Gröbner basis of the ideal they make there.  The colon of
 two ideals is read off them.
+
+The augmented run of a sequence g of rank r, over the elements
+g_i + e_(r + i), pairs no two elements led at position r or past it.
+An element led there is zero below r, a syzygy, and a pair of two of
+them could only make another syzygy.  The part below r is still a
+Gröbner basis of the submodule g generates, since all its pairs are
+reduced.  By Schreyer's theorem (Eisenbud, *Commutative Algebra*, Thm
+15.10; La Scala and Stillman, "Strategies for computing minimal free
+resolutions", 1998) the syzygies that the inputs and the pairs below r
+leave generate the syzygy module, though they are no Gröbner basis of
+it.  Each joined after reduction by every earlier lead, so their leads
+are distinct, and those of the least shifted degree are k-linearly
+independent: by graded Nakayama they are minimal generators, so only
+the syzygies above that degree go through `minimal_subset`.
 
 A run may be truncated at a degree: `minimal_subset` tests homogeneous
 candidates for membership, and a test in degree at most D reads only the
@@ -248,7 +262,7 @@ def _reduce(ring: PolyRing, live: dict, den: int, divisors) -> tuple:
 
 
 def _groebner(ring: PolyRing, divisors: list, new, product_criterion=False,
-              truncation=None, stop=None) -> list:
+              truncation=None, stop=None, unpaired_from=None) -> list:
     """Extend the Gröbner basis G held as the integer divisors `divisors`,
     in place, to one of G and the canonical term tuples `new` (normal
     selection strategy) and return `divisors`.  A new element is queued
@@ -263,7 +277,10 @@ def _groebner(ring: PolyRing, divisors: list, new, product_criterion=False,
     submodule exactly when it reduces to zero by G.
     `stop`, a predicate on the list of G's leads, is asked each time an
     element joins, its lead last; once it holds the run returns None,
-    with G a partial basis."""
+    with G a partial basis.
+    `unpaired_from`, a position, is for augmented runs only: an element
+    that joins led at that position or past it makes no S-pair, so G is a
+    Gröbner basis below that position alone (see `AugmentedBasis`)."""
     F, lcm_of, degree = ring.field, ring.lcm, ring.degree
     offset, mask, want = ring.divisibility
     shift = ring.position_shift
@@ -328,8 +345,12 @@ def _groebner(ring: PolyRing, divisors: list, new, product_criterion=False,
         divisors.append(_divisor(F, r))
         lead = r[0][0]
         leads.append(lead)
+        if stop is not None and stop(leads):
+            return None
         j = len(leads) - 1
         place, m = lead >> shift, lead & monomial
+        if unpaired_from is not None and -place >= unpaired_from:
+            continue
         for i in range(j):
             if leads[i] >> shift == place:
                 key = lcm_of(leads[i] & monomial, m)
@@ -337,8 +358,6 @@ def _groebner(ring: PolyRing, divisors: list, new, product_criterion=False,
                     continue
                 heappush(heap, (key, i, j))
                 pending.add((i, j))
-        if stop is not None and stop(leads):
-            return None
     return divisors
 
 
@@ -428,13 +447,15 @@ def _combination(ring, coeffs, gens) -> tuple:
 
 
 class AugmentedBasis:
-    """The Gröbner basis of the elements gens_i + e_(rank + i) of a sequence
-    gens of free-module elements, each a tuple of rank polynomials of
-    `ring`, held as its integer divisors.  Its elements led past rank are
-    the syzygies of gens, the others, cut at rank, a Gröbner basis of the
-    submodule that gens generate (the zero module when gens is empty), and
-    a remainder past rank expresses an element of that submodule in terms
-    of gens."""
+    """The basis of the elements gens_i + e_(rank + i) of a sequence gens of
+    free-module elements, each a tuple of rank polynomials of `ring`,
+    held as its integer divisors: one run that pairs no two elements led
+    at rank or past it.  Its elements led below rank, cut at rank, are a
+    Gröbner basis of the submodule that gens generate (the zero module
+    when gens is empty), and a remainder past rank expresses an element of
+    that submodule in terms of gens.  Its elements led past rank are
+    syzygies of gens that generate the syzygy module, by Schreyer's
+    theorem, but are no Gröbner basis of it."""
 
     __slots__ = ("ring", "rank", "gens", "divisors", "_syzygies", "_minimal")
 
@@ -448,12 +469,14 @@ class AugmentedBasis:
                      for i, g in enumerate(gens)]
         self.ring, self.rank, self.gens = ring, rank, gens
         self._syzygies = self._minimal = None
-        self.divisors = _groebner(ring, [], augmented)
+        self.divisors = _groebner(ring, [], augmented, unpaired_from=rank)
 
     def syzygies(self) -> list:
-        """Generators of the syzygy module of gens, a new list on every
-        call; every one satisfies sum(s_i * gens_i) == 0, verified once,
-        when they are first read off the basis."""
+        """Generators of the syzygy module of gens, not a Gröbner basis of
+        it: the basis elements led past rank, with distinct leads, in the
+        order they joined; a new list on every call.  Every one satisfies
+        sum(s_i * gens_i) == 0, verified once, when they are first read off
+        the basis."""
         if self._syzygies is None:
             ring, rank, gens = self.ring, self.rank, self.gens
             shift = ring.position_shift
@@ -470,13 +493,24 @@ class AugmentedBasis:
         return list(self._syzygies)
 
     def minimal_syzygies(self) -> list:
-        """For rank-one gens (g_i): the syzygies that `minimal_subset`
-        keeps with e_i weighted by deg g_i, which for homogeneous gens
-        minimally generate the syzygy module.  Computed once; a new list on
+        """For rank-one gens (g_i), with e_i weighted by deg g_i: the
+        syzygies of the least shifted degree, all kept with no run (their
+        leads are distinct, so by graded Nakayama each is minimal), then
+        those that `minimal_subset` keeps of the others with them as span;
+        for homogeneous gens these minimally generate the syzygy module, in
+        order of (degree, position in `syzygies`).  A non-homogeneous
+        syzygy raises NonHomogeneousError.  Computed once; a new list on
         every call."""
         if self._minimal is None:
+            ring, syzygies = self.ring, self.syzygies()
             weights = [g.total_degree() for (g,) in self.gens]
-            self._minimal = tuple(minimal_subset(self.ring, self.syzygies(), weights))
+            degrees = [_shifted_degree(ring, s, weights) for s in syzygies]
+            low = min(degrees, default=-1)
+            kept = [s for s, d in zip(syzygies, degrees) if d == low]
+            higher = [s for s, d in zip(syzygies, degrees) if d != low]
+            if higher:
+                kept += minimal_subset(ring, higher, weights, kept)
+            self._minimal = tuple(kept)
         return list(self._minimal)
 
     def express(self, polys) -> list:
@@ -526,6 +560,20 @@ def last_coordinates(basis: GroebnerBasis, row) -> GroebnerBasis:
                            for lead, lc, tail in divisors if -(lead >> shift) == k])
 
 
+def _shifted_degree(ring: PolyRing, elem, weights) -> int:
+    """The one shifted degree, deg c + weights[i] for every term c of a
+    component c_i, of the free-module element elem (-1 for zero); an
+    element with two raises NonHomogeneousError."""
+    degree = ring.degree
+    found = {degree(m) + w for c, w in zip(elem, weights) for m, _ in c.terms}
+    if len(found) > 1:
+        text = ", ".join(map(str, elem))
+        if any(weights):
+            text = f"({text}) under the weights {weights}"
+        raise NonHomogeneousError(f"non-homogeneous generator {text}")
+    return found.pop() if found else -1
+
+
 def minimal_subset(ring: PolyRing, elems, weights, span=()) -> list:
     """The elements of `elems`, free-module elements over `ring`, kept by
     graded Nakayama: taken in order of shifted degree, deg c + weights[i]
@@ -547,18 +595,7 @@ def minimal_subset(ring: PolyRing, elems, weights, span=()) -> list:
     reads it (Kreuzer and Robbiano, *Computational Commutative Algebra 2*,
     §4.5)."""
     elems = list(elems)
-    degree = ring.degree
-
-    def shifted_degree(elem):
-        found = {degree(m) + w for c, w in zip(elem, weights) for m, _ in c.terms}
-        if len(found) > 1:
-            text = ", ".join(map(str, elem))
-            if any(weights):
-                text = f"({text}) under the weights {weights}"
-            raise NonHomogeneousError(f"non-homogeneous generator {text}")
-        return found.pop() if found else -1
-
-    degrees = [shifted_degree(e) for e in elems]
+    degrees = [_shifted_degree(ring, e, weights) for e in elems]
     truncation = (weights, max(degrees, default=-1))
     divisors = []
     if span:

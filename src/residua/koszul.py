@@ -9,7 +9,8 @@ only where the Kitt routes wedge.  Only the homology that can be nonzero
 is computed: over a polynomial ring H_i = 0 for i > n - ht I (depth
 sensitivity), so there Z_i = B_i is generated by the columns of d_(i+1),
 with no Gröbner run, and has no lifts.  At or below n - ht I the
-syzygies of d_i's augmented basis generate Z_i, and the lifts are picked
+syzygies of d_i's augmented basis generate Z_i (by Schreyer's theorem,
+though they are no Gröbner basis of it), and the lifts are picked
 from them modulo the boundaries, which `minimal_subset` takes as the
 columns of d_(i+1) and reads only up to the lifts' degree.  At degree 1
 the cycle generators, and the candidates for the lifts, are d_1's
@@ -164,10 +165,10 @@ def _homology(K: KoszulComplex, d1) -> HomologyData:
     with `ideals.lead_dimension`; the unit ideal gets g = nvars, as in
     `height`.  Above n - g, Z_i = B_i is generated by the columns of
     d_(i+1), and there are no lifts, with no Gröbner run.  At or below
-    it, Z_i is generated by the syzygies of d_i's augmented basis, and the
-    lifts are what `minimal_subset` keeps of them with the columns of
-    d_(i+1) as span.  At i = 1, at every n - g, Z_1 is generated by d1's
-    minimal syzygies; when no column of d_2 lies at or below their
+    it, Z_i is generated by the syzygies of d_i's augmented basis, whose
+    run pairs no two of them (Schreyer's theorem), and the lifts are what
+    `minimal_subset` keeps of them with the columns of d_(i+1) as span.
+    At i = 1, at every n - g, Z_1 is generated by d1's minimal syzygies; when no column of d_2 lies at or below their
     largest shifted degree, graded Nakayama keeps them all, so they are
     the lifts with no run.  minimal_subset raises NonHomogeneousError
     unless the generators of K are homogeneous."""

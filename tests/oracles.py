@@ -6,6 +6,8 @@ multiples of the generators up to a degree bound, graded pieces of a
 colon from the kernel of multiplication into such truncated quotients,
 monomial colon and intersection from exponent-vector arithmetic,
 Koszul homology dimensions from ranks of truncated differential matrices,
+the syzygies of free-module elements degree by degree from the kernels of
+such matrices (`syzygy_generation_gaps`),
 d o d = 0 from the columns of the differentials (`d_squared_is_zero`),
 and the cycle subalgebra from every product of cycle generators
 (`reference_cycle_products`).
@@ -402,6 +404,67 @@ def truncated_syzygies(gens, bound):
                 comps[i][m] = c
         out.append(tuple(from_exponents(ring, d) for d in comps))
     return out
+
+
+def _sparse_rank(field, vectors):
+    """The rank of `vectors`, dicts from comparable column keys to nonzero
+    field elements, by elimination on the least key."""
+    pivots = {}
+    for vec in vectors:
+        vec = dict(vec)
+        while vec:
+            col = min(vec)
+            prow = pivots.get(col)
+            if prow is None:
+                inv = field.inv(vec[col])
+                pivots[col] = {k: field.mul(c, inv) for k, c in vec.items()}
+                break
+            factor = vec[col]
+            for k, c in prow.items():
+                c = field.element(vec.get(k, field.zero) - factor * c)
+                if c:
+                    vec[k] = c
+                else:
+                    vec.pop(k, None)
+    return len(pivots)
+
+
+def syzygy_generation_gaps(ring, columns, weights, syzygies, bound):
+    """The shifted degrees d <= bound at which the monomial multiples of
+    `syzygies` fail to span the degree-d piece of the syzygy module of
+    `columns`, free-module elements of one rank over `ring`, column j
+    homogeneous of shifted degree weights[j].  That piece is the kernel of
+    the map e_j -> columns[j] on the basis m·e_j with deg m = d - weights[j],
+    by linear algebra alone; a multiple outside it is a gap too.  Empty
+    when the syzygies generate every syzygy of shifted degree at most
+    bound."""
+    field = ring.field
+    gaps = []
+    for d in range(bound + 1):
+        unknowns = [(j, m) for j, w in enumerate(weights) if d >= w
+                    for m in monomials_of_degree(ring, d - w)]
+        index = {u: k for k, u in enumerate(unknowns)}
+        # the image of m·e_j, by (position, exponent tuple)
+        images = [{(r, mono_mul(ring.exponents(pm), m)): pc
+                   for r, p in enumerate(columns[j]) for pm, pc in p.terms}
+                  for j, m in unknowns]
+        kernel_dim = len(unknowns) - _sparse_rank(field, images)
+        multiples = []
+        for s in syzygies:
+            e = max(c.total_degree() + w for c, w in zip(s, weights) if not c.is_zero())
+            for m in (monomials_of_degree(ring, d - e) if d >= e else ()):
+                multiples.append({index[j, mono_mul(ring.exponents(cm), m)]: cc
+                                  for j, c in enumerate(s) for cm, cc in c.terms})
+        inside = True
+        for vec in multiples:
+            image = {}
+            for k, c in vec.items():
+                for key, v in images[k].items():
+                    image[key] = field.element(image.get(key, field.zero) + c * v)
+            inside = inside and not any(image.values())
+        if not inside or _sparse_rank(field, multiples) != kernel_dim:
+            gaps.append(d)
+    return gaps
 
 
 def _kernel_basis(field, rows, ncols):

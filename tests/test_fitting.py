@@ -373,9 +373,9 @@ def test_augmented_basis_built_once_per_ideal(monkeypatch):
     bases = []
     original_groebner = groebner._groebner
 
-    def counted_groebner(ring, divisors, new, *rest):
+    def counted_groebner(ring, divisors, new, *rest, **options):
         bases.append(len(new))
-        return original_groebner(ring, divisors, new, *rest)
+        return original_groebner(ring, divisors, new, *rest, **options)
 
     monkeypatch.setattr(groebner, "_groebner", counted_groebner)
     check_Gs(I, 2)

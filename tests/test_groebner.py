@@ -1,5 +1,6 @@
 """Buchberger, normal forms, and module (syzygy) computations."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -49,6 +50,7 @@ from oracles import (
     oracle_remainder,
     reference_minimal_subset,
     spoly,
+    syzygy_generation_gaps,
     truncated_syzygies,
 )
 
@@ -458,6 +460,105 @@ def test_minimal_subset_rejects_non_homogeneous_elements(R3):
     assert minimal_subset(R3, [(x * y, z)], (0, 1)) == [(x * y, z)]
     with pytest.raises(NonHomogeneousError, match=r"under the weights \(0, 2\)$"):
         minimal_subset(R3, [(x * y, z)], (0, 2))
+
+
+# ideals whose Koszul differentials d_i, i >= 2, have syzygies past rank
+# one: x^2, x*y, x*z, y^2, y*z has n = 5 (d_2 .. d_5, of rank up to 10),
+# the twisted cubic and the seed-0 hb2 ideal n = 3
+SCHREYER_IDEALS = {
+    "five-quadrics": (("x", "y", "z"), ("x^2", "x*y", "x*z", "y^2", "y*z")),
+    "twisted-cubic": (("x", "y", "z", "w"), ("x*z - y^2", "x*w - y*z", "y*w - z^2")),
+    "hb2-seed-0": None,
+}
+
+
+@pytest.mark.parametrize("field", [GF32003, FieldSpec(101), RATIONALS], ids=str)
+@pytest.mark.parametrize("name", SCHREYER_IDEALS)
+def test_augmented_syzygies_generate_past_rank_one(name, field):
+    # the augmented run pairs no two elements led past the rank, so those
+    # elements are no Gröbner basis of the syzygies; by Schreyer's theorem
+    # the ones from the inputs and from the pairs of elements led below
+    # the rank still generate them: every syzygy of the columns of d_i of
+    # shifted degree up to one past the largest of theirs lies in their
+    # span, degree by degree by linear algebra
+    if SCHREYER_IDEALS[name] is None:
+        I = generate_instance("hb2", 0).I
+        variables, texts = I.ring.variables, [str(g) for g in I.generators]
+    else:
+        variables, texts = SCHREYER_IDEALS[name]
+    ring = PolyRing(field, variables)
+    x = min_gens(Ideal(ring, [ring.parse(t) for t in texts]))
+    gd = [g.total_degree() for g in x]
+    K = KoszulComplex(ring, x)
+    for i in range(2, K.n + 1):
+        columns = K.differential_columns(i)
+        weights = [sum(gd[j - 1] for j in S) for S in K.basis(i)]
+        syz = AugmentedBasis(ring, len(K.basis(i - 1)), columns).syzygies()
+        degrees = [groebner._shifted_degree(ring, s, weights) for s in syz]
+        top = max(degrees, default=max(weights))
+        assert syzygy_generation_gaps(ring, columns, weights, syz, top + 1) == []
+        if syz:
+            # the oracle sees a missing generator: one of the least degree
+            # is minimal, so without it that degree has a gap
+            low = degrees.index(min(degrees))
+            assert min(degrees) in syzygy_generation_gaps(
+                ring, columns, weights, syz[:low] + syz[low + 1:], top + 1)
+
+
+def test_augmented_run_pairs_no_two_syzygies(monkeypatch):
+    # on the seed-0 hb2 ideal the augmented run of min_gens(I) reduces two
+    # S-pairs, both of elements led at position 0: the pair of the two
+    # syzygies they make is never formed
+    I = generate_instance("hb2", 0).I
+    x = min_gens(I)
+    calls = Counter()
+    reduce, dividend = groebner._reduce, groebner._dividend
+    monkeypatch.setattr(groebner, "_reduce",
+                        lambda *a: calls.update(["reduce"]) or reduce(*a))
+    monkeypatch.setattr(groebner, "_dividend",
+                        lambda *a: calls.update(["input"]) or dividend(*a))
+    B = AugmentedBasis(I.ring, 1, [(g,) for g in x])
+    # every input is reduced once on arrival; the other reductions are
+    # S-pairs
+    assert calls["input"] == len(x) and calls["reduce"] - calls["input"] == 2
+    assert len(B.syzygies()) == 2
+
+
+@pytest.mark.parametrize("family", ["hb2", "aci", "power"])
+def test_minimal_syzygies_of_one_degree_start_no_run(family, monkeypatch):
+    # the syzygies of the least shifted degree have distinct leads, so they
+    # are linearly independent, and by graded Nakayama each is minimal:
+    # when every syzygy has that degree, none needs a membership run
+    I = generate_instance(family, 0).I
+    B = AugmentedBasis(I.ring, 1, [(g,) for g in min_gens(I)])
+    syz = B.syzygies()
+    runs = []
+    engine = groebner._groebner
+    monkeypatch.setattr(groebner, "_groebner",
+                        lambda *a, **k: runs.append(len(a[2])) or engine(*a, **k))
+    assert B.minimal_syzygies() == syz and runs == []
+
+
+def test_minimal_syzygies_of_mixed_degrees(R3, monkeypatch):
+    # x^2, y^3, z^4: the Koszul syzygies have shifted degrees 5, 6 and 7;
+    # the one of degree 5 is kept with no run, the others each extend a
+    # basis of it, and the kept order is (degree, input position)
+    x, y, z = R3.gens
+    gens = [x**2, y**3, z**4]
+    weights = [2, 3, 4]
+    B = AugmentedBasis(R3, 1, [(g,) for g in gens])
+    syz = B.syzygies()
+    runs = []
+    engine = groebner._groebner
+    monkeypatch.setattr(groebner, "_groebner",
+                        lambda *a, **k: runs.append(len(a[2])) or engine(*a, **k))
+    minimal = B.minimal_syzygies()
+    assert runs
+    assert minimal == reference_minimal_subset(syz, weights)
+    assert sorted(groebner._shifted_degree(R3, s, weights) for s in minimal) == [5, 6, 7]
+    # non-homogeneous generators: the minimal syzygies raise as before
+    with pytest.raises(NonHomogeneousError):
+        AugmentedBasis(R3, 1, [(x * y,), (x + y * y,)]).minimal_syzygies()
 
 
 def _check_boundary_basis(I, rng):
