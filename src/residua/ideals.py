@@ -18,7 +18,8 @@ generators, in one memo (`Ideal.memo`); each module documents the keys it
 owns.  Here: `"groebner"`, the reduced basis; `"min-gens"`; `"height"`;
 `"augmented"`, the augmented basis of `min_gens(I)` (`augmented_basis`,
 or d_1's, lent by `koszul`); and `("colon", a.generators)`, the colon
-a : I with I as divisor.
+a : I with I as divisor.  `fitting` keeps `("zetas", a.generators)` and
+`("G_s", j)`; `koszul` keeps no key of its own.
 """
 
 from __future__ import annotations

@@ -15,6 +15,10 @@ Division and products over QQ have plain-Fraction references on dicts
 (`fraction_remainder`, `fraction_product`); exterior products and
 determinants have term-by-term references (`reference_wedge`, the
 pairwise loop, and `reference_det`, the Leibniz sum over permutations).
+The exterior algebra lives here alone: an element is a plain dict
+{subset: polynomial} (`exterior`), and `reference_wedge` multiplies two,
+so the wedge products that define the Kitt ideal and Fitt_0 check the
+program's Laplace pairing of chains with minors by a second algebra.
 `spoly` is the S-polynomial by its definition, for checking that a
 basis is a Gröbner basis.  Three exceptions use the engine by another
 route than the code under test: the syzygy references for colon and
@@ -32,12 +36,11 @@ tests check the packed ints against these keys and tuple helpers.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product as iter_product
+from itertools import combinations, permutations, product as iter_product
 
 from residua.fitting import fitting_ideal
 from residua.groebner import AugmentedBasis, _dividend, _groebner, _reduce, _terms
 from residua.ideals import Ideal, height, ideal_sum
-from residua.koszul import ExteriorElement
 
 
 # ---------------------------------------------------------------------------
@@ -220,21 +223,28 @@ def fraction_product(f, g) -> dict:
     return {m: c for m, c in out.items() if c != F.zero}
 
 
+def exterior(n, i, vec) -> dict:
+    """The vector vec over the i-subsets of 1..n, in lexicographic order,
+    as an exterior element: a dict {subset: polynomial}, zero coefficients
+    dropped."""
+    return {S: p for S, p in zip(combinations(range(1, n + 1), i), vec) if not p.is_zero()}
+
+
 def reference_wedge(u, v) -> dict:
-    """u ^ v as {subset: polynomial}: every disjoint pair (S, T) of keys adds
-    the product p * q, negated for an odd number of pairs s > t in S x T,
-    to the coefficient of the merged subset; keys in order of first
-    occurrence, zero coefficients dropped."""
+    """u ^ v for exterior elements {subset: polynomial}: every disjoint
+    pair (S, T) of keys adds the product p * q, negated for an odd number
+    of pairs s > t in S x T, to the coefficient of the merged subset; keys
+    in order of first occurrence, zero coefficients dropped."""
     out = {}
-    for S, p in u.coeffs.items():
-        for T, q in v.coeffs.items():
+    for S, p in u.items():
+        for T, q in v.items():
             if set(S) & set(T):
                 continue
             term = p * q
             if sum(1 for s in S for t in T if s > t) % 2:
                 term = -term
             merged = tuple(sorted(S + T))
-            out[merged] = out.get(merged, u.ring.zero) + term
+            out[merged] = out[merged] + term if merged in out else term
     return {U: c for U, c in out.items() if not c.is_zero()}
 
 
@@ -551,24 +561,29 @@ def d_squared_is_zero(K, i) -> bool:
     return True
 
 
-def reference_cycle_products(ring, n, generators, max_degree):
-    """Every wedge product, with repetition, of the cycle generators with
-    at most n factors and total degree <= max_degree, plus the empty
-    product: the products that span the cycle subalgebra Z by definition,
-    where `koszul.kitt_via_cycles` takes the generators of each Z_i alone."""
-    one = ExteriorElement.scalar(ring, n, ring.one)
+def reference_cycle_products(ring, generators, max_degree, max_factors):
+    """Every `reference_wedge` product, with repetition, of the cycle
+    generators, nonzero exterior elements, with at most max_factors
+    factors and total degree <= max_degree, plus the empty product: with
+    max_factors at least the rank, the products that span the cycle
+    subalgebra Z by definition, where `koszul.kitt_via_cycles` takes the
+    generators of each Z_i alone."""
+    def degree(u):
+        return len(next(iter(u)))
+
+    one = {(): ring.one}
     out = [one]
 
     def extend(start, acc, factors):
         for k in range(start, len(generators)):
             z = generators[k]
-            if acc.degree + z.degree > max_degree:
+            if degree(acc) + degree(z) > max_degree:
                 continue
-            nxt = acc.wedge(z)
-            if nxt.is_zero():
+            nxt = reference_wedge(acc, z)
+            if not nxt:
                 continue
             out.append(nxt)
-            if factors + 1 < n:
+            if factors + 1 < max_factors:
                 extend(k, nxt, factors + 1)
 
     extend(0, one, 0)

@@ -409,12 +409,6 @@ def test_zetas_computed_once_per_generator_tuple(monkeypatch):
     assert ideal_equal(fitt0_via_Z1(b, I, H), F)
     assert len(expressed) == 2
     assert list(memo_entries(I, "zetas")) == [a.generators, b.generators]
-    # so are the Gamma monomials of the zetas, built by the first route
-    assert list(memo_entries(I, "gammas")) == [a.generators, b.generators]
-    gammas = memo_entries(I, "gammas")[a.generators]
-    kitt_via_cycles(a, I, H)
-    fitt0_via_Z1(a, I, H)
-    assert memo_entries(I, "gammas")[a.generators] is gammas
 
 
 def test_zetas_not_kept_when_a_check_fails(R2):
@@ -424,7 +418,7 @@ def test_zetas_not_kept_when_a_check_fails(R2):
         for _ in range(2):
             with pytest.raises(NotASubidealError):
                 route(outside, I)
-    assert memo_entries(I, "zetas") == {} and memo_entries(I, "gammas") == {}
+    assert memo_entries(I, "zetas") == {}
     elsewhere = parse_ideal(PolyRing(R2.field, ("u", "v")), "u^2")
     for route in (kitt, kitt_via_cycles, fitt0_via_Z1):
         with pytest.raises(RingMismatchError):
@@ -435,7 +429,7 @@ def test_zetas_not_kept_when_a_check_fails(R2):
     J = parse_ideal(R2, "x^2 + y", "x*y")
     with pytest.raises(NonHomogeneousError):
         kitt(parse_ideal(R2, "x*y"), J)
-    assert memo_entries(J, "zetas") == {} and memo_entries(J, "gammas") == {}
+    assert memo_entries(J, "zetas") == {}
 
 
 def test_zetas_memo_keeps_no_complex_alive(monkeypatch):

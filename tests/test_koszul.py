@@ -2,11 +2,9 @@
 
 import gc
 import weakref
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
 
 from residua import corpus
 from residua.corpus import FAMILIES
@@ -15,9 +13,7 @@ from residua.fitting import _syzygy_rows, expressions, fitt0_quotient
 from residua.groebner import AugmentedBasis
 from residua.ideals import Ideal, NonHomogeneousError, colon, height, ideal_equal, min_gens
 from residua.koszul import (
-    ExteriorElement,
     KoszulComplex,
-    _exterior,
     fitt0_via_Z1,
     homology_lifts,
     kitt,
@@ -28,13 +24,12 @@ from residua.ring import PolyRing
 
 from conftest import (
     parse_ideal,
-    polynomials,
     random_homogeneous,
-    rings_and_coefficients,
     seeded_rng,
 )
 from oracles import (
     d_squared_is_zero,
+    exterior,
     koszul_homology_dim,
     module_member,
     reference_cycle_products,
@@ -44,72 +39,19 @@ from oracles import (
 
 
 def test_wedge_antisymmetry(R2):
-    e1 = ExteriorElement(R2, 3, 1, {(1,): R2.one})
-    e2 = ExteriorElement(R2, 3, 1, {(2,): R2.one})
-    assert e1.wedge(e2).coeffs == {S: -p for S, p in e2.wedge(e1).coeffs.items()}
-    assert e1.wedge(e1).is_zero()
+    e1 = {(1,): R2.one}
+    e2 = {(2,): R2.one}
+    assert reference_wedge(e1, e2) == {S: -p for S, p in reference_wedge(e2, e1).items()}
+    assert reference_wedge(e1, e1) == {}
 
 
 def test_wedge_associativity(R3):
     rng = seeded_rng("wedge")
     elems = []
     for _ in range(3):
-        coeffs = {
-            (i,): random_homogeneous(R3, 1, rng) for i in range(1, 4)
-        }
-        elems.append(ExteriorElement(R3, 3, 1, coeffs))
+        elems.append({(i,): random_homogeneous(R3, 1, rng) for i in range(1, 4)})
     u, v, w = elems
-    lhs = u.wedge(v).wedge(w)
-    rhs = u.wedge(v.wedge(w))
-    assert lhs.coeffs == rhs.coeffs
-
-
-def test_exterior_keys_are_increasing_subsets_of_the_rank(R2):
-    # a repeated index or one outside 1..n is no basis element of rank n;
-    # accepted, the second made e_1 ^ e_5 = e_15 in rank 2
-    x = R2.gens[0]
-    for key in ((1, 1), (5,), (0,), (2, 1)):
-        with pytest.raises(ValueError, match="bad subset key"):
-            ExteriorElement(R2, 2, len(key), {key: x})
-    assert ExteriorElement(R2, 2, 2, {(1, 2): x}).coefficient((1, 2)) == x
-
-
-def test_wedge_keeps_first_occurrence_order(R2):
-    x, y = R2.gens
-    u = ExteriorElement(R2, 3, 1, {(2,): x, (1,): y})
-    v = ExteriorElement(R2, 3, 1, {(3,): x, (1,): y})
-    # (2) ^ (3), (2) ^ (1), (1) ^ (3): e_23 first, e_12 before e_13
-    assert list(u.wedge(v).coeffs.items()) == [((2, 3), x * x), ((1, 2), -(x * y)),
-                                               ((1, 3), x * y)]
-
-
-def _exterior_elements(ring, n, degree, coeffs):
-    """Degree-`degree` elements on e_1..e_n, keys in drawn order."""
-    return st.dictionaries(
-        st.sampled_from(list(combinations(range(1, n + 1), degree))),
-        polynomials(ring, max_degree=2, max_terms=3, coeffs=coeffs),
-    ).map(lambda d: ExteriorElement(ring, n, degree, d))
-
-
-@given(st.data())
-def test_wedge_matches_pairwise_reference(data):
-    ring, coeffs = data.draw(rings_and_coefficients())
-    n = data.draw(st.integers(1, 4))
-    d1 = data.draw(st.integers(0, n))
-    d2 = data.draw(st.integers(0, n - d1))
-    u = data.draw(_exterior_elements(ring, n, d1, coeffs))
-    v = data.draw(_exterior_elements(ring, n, d2, coeffs))
-    got = u.wedge(v)
-    expected = reference_wedge(u, v)
-    assert got.degree == d1 + d2
-    # same keys in the same (first-occurrence) order, same coefficients
-    assert list(got.coeffs.items()) == list(expected.items())
-    p = ring.field.characteristic
-    for c in got.coeffs.values():
-        if p:
-            assert all(type(x) is int and 0 < x < p for _, x in c.terms)
-        else:
-            assert all(type(x) is Fraction and x for _, x in c.terms)
+    assert reference_wedge(reference_wedge(u, v), w) == reference_wedge(u, reference_wedge(v, w))
 
 
 def test_differential_signs(R2):
@@ -282,49 +224,83 @@ def test_kitt_routes_refuse_a_homology_on_other_generators(family, seed):
 CROSS_FIELDS = (GF32003, FieldSpec(101), RATIONALS)
 
 
-def _gamma_z_by_products(a, I):
+def _gamma_z_by_products(a, I, z1_only=False, max_factors=None):
     """The degree-n component of Gamma * Z by its definition: the e_1..e_n
     coefficient of every Gamma monomial (a product of distinct zetas) times
-    every product of cycle generators of the complementary degree."""
+    every product of cycle generators of the complementary degree, all
+    multiplied by `reference_wedge`, with at most max_factors factors
+    (default n, every product).  With z1_only, the products of Z_1's
+    generators alone, whose component is Fitt_0(I/a).  Repeated
+    coefficients are kept once."""
     ring, x = I.ring, min_gens(I)
     n = len(x)
     _a_gens, coeffs = expressions(I, a)
-    zetas = [_exterior(ring, n, 1, cs) for cs in coeffs]
+    zetas = [exterior(n, 1, cs) for cs in coeffs]
     cycles = homology_lifts(KoszulComplex(ring, x)).cycle_gens
+    degrees = (1,) if z1_only else range(1, n + 1)
     products = reference_cycle_products(
-        ring, n, [_exterior(ring, n, i, z) for i in range(1, n + 1) for z in cycles[i]], n)
+        ring, [exterior(n, i, z) for i in degrees for z in cycles.get(i, [])], n,
+        max_factors or n)
     full = tuple(range(1, n + 1))
     gens = []
     for k in range(min(len(zetas), n) + 1):
         for idx in combinations(range(len(zetas)), k):
-            gamma = ExteriorElement.scalar(ring, n, ring.one)
+            gamma = {(): ring.one}
             for j in idx:
-                gamma = gamma.wedge(zetas[j])
-            gens += [gamma.wedge(p).coefficient(full) for p in products
-                     if p.degree == n - k]
-    return Ideal(ring, gens)
+                gamma = reference_wedge(gamma, zetas[j])
+            gens += [reference_wedge(gamma, p).get(full, ring.zero) for p in products
+                     if len(next(iter(p))) == n - k]
+    return Ideal(ring, list(dict.fromkeys(gens)))
+
+
+# inputs beside the families: variables, generators of I, s, and the most
+# factors a product of cycles takes in the reference (None: n).  The first
+# has lifts in degrees 1-3; the third has n = 7 and lifts up to degree 5
+# that meet Gamma in degrees 4 and 5, and its every product of cycles, 24036
+# of them, made the test take 80 s over the three fields, so it takes
+# products of two; the principal ideal pairs Z_0 with Gamma_n (k = n) and
+# has no Z_1 to pair at k = 0; the zero ideal pairs Z_0 = R alone (k = n = 0)
+PAIRING_INPUTS = {
+    "x^2, x*y, x*z, y^2, y*z": (("x", "y", "z"), ("x^2", "x*y", "x*z", "y^2", "y*z"), 2, None),
+    "x*y, x*z, x*w, y*z": (("x", "y", "z", "w"), ("x*y", "x*z", "x*w", "y*z"), 2, None),
+    "(x, y)(x, y, z, w)": (("x", "y", "z", "w"),
+                           ("x^2", "x*y", "x*z", "x*w", "y^2", "y*z", "y*w"), 3, 2),
+    "x^2": (("x", "y"), ("x^2",), 1, None),
+    "0": (("x", "y"), (), 0, None),
+}
 
 
 @pytest.mark.parametrize("field", CROSS_FIELDS, ids=str)
-@pytest.mark.parametrize("family", FAMILIES)
-def test_kitt_via_cycles_matches_cycle_products(monkeypatch, field, family):
+@pytest.mark.parametrize("source", FAMILIES + tuple(PAIRING_INPUTS))
+def test_kitt_via_cycles_matches_cycle_products(monkeypatch, field, source):
     # the family's I drawn over the field, with a made of s = 2 and 3
-    # random combinations of min_gens(I), one degree up once s >= mu(I)
-    monkeypatch.setattr(corpus, "_make_ring",
-                        lambda nvars: PolyRing(field, ("x", "y", "z")[:nvars]))
-    rng = seeded_rng("kitt-via-cycles", family, field)
-    for _ in range(corpus.MAX_DRAWS):
-        drawn = corpus._DRAW[family](rng)
-        if drawn is not None:
-            break
-    assert drawn is not None, f"no {family} draw within {corpus.MAX_DRAWS}"
-    I = drawn[0]
+    # random combinations of min_gens(I), one degree up once s >= mu(I),
+    # or a fixed I with its own s; kitt (the lifts) and kitt_via_cycles
+    # (the cycles) must both span Gamma * Z, and Gamma times the products
+    # of Z_1 must be Fitt_0(I/a) as the presentation gives it
+    rng = seeded_rng("kitt-via-cycles", source, field)
+    if source in PAIRING_INPUTS:
+        variables, gens, s, max_factors = PAIRING_INPUTS[source]
+        R = PolyRing(field, variables)
+        I, sizes = Ideal(R, [R.parse(g) for g in gens]), (s,)
+    else:
+        monkeypatch.setattr(corpus, "_make_ring",
+                            lambda nvars: PolyRing(field, ("x", "y", "z")[:nvars]))
+        for _ in range(corpus.MAX_DRAWS):
+            drawn = corpus._DRAW[source](rng)
+            if drawn is not None:
+                break
+        assert drawn is not None, f"no {source} draw within {corpus.MAX_DRAWS}"
+        I, sizes, max_factors = drawn[0], (2, 3), None
     x = min_gens(I)
-    top = max(g.total_degree() for g in x)
-    for s in (2, 3):
+    top = max((g.total_degree() for g in x), default=0)
+    for s in sizes:
         degree = top if s < len(x) else top + 1
         a = Ideal(I.ring, [random_combination(I.ring, x, degree, rng) for _ in range(s)])
-        assert ideal_equal(kitt_via_cycles(a, I), _gamma_z_by_products(a, I))
+        expected = _gamma_z_by_products(a, I, max_factors=max_factors)
+        assert ideal_equal(kitt_via_cycles(a, I), expected)
+        assert ideal_equal(kitt(a, I), expected)
+        assert ideal_equal(_gamma_z_by_products(a, I, z1_only=True), fitt0_quotient(I, a))
 
 
 @pytest.mark.parametrize("field", CROSS_FIELDS, ids=str)
