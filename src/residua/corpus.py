@@ -22,7 +22,6 @@ from .residual import (
     generic_generators,
 )
 
-MAX_VARS = 6
 MAX_DRAWS = 25  # draws generate_instance makes before it gives up
 
 
@@ -31,10 +30,7 @@ class GenerationError(RuntimeError):
 
 
 def _make_ring(nvars: int) -> PolyRing:
-    if nvars > MAX_VARS:
-        raise ValueError(f"variable count capped at {MAX_VARS}")
-    names = ("x", "y", "z", "w", "u", "v")[:nvars]
-    return PolyRing(GF32003, names)
+    return PolyRing(GF32003, ("x", "y", "z", "w", "u", "v")[:nvars])
 
 
 def _random_form(ring, degree, rng) -> Polynomial:
@@ -48,23 +44,6 @@ def _random_form(ring, degree, rng) -> Polynomial:
     for expo in monos:
         d[ring.monomial(expo)] = _random_scalar(ring, rng)
     return ring.from_dict(d)
-
-
-def _linear_form(ring, rng) -> Polynomial:
-    return _random_form(ring, 1, rng)
-
-
-def substitute(p: Polynomial, images) -> Polynomial:
-    """Evaluate p at the given images of the ring variables."""
-    ring = images[0].ring
-    acc = ring.zero
-    for m, c in p.terms:
-        term = ring.constant(c)
-        for img, e in zip(images, p.ring.exponents(m)):
-            if e:
-                term = term * img ** e
-        acc = acc + term
-    return acc
 
 
 def _random_coordinate_change(ring, rng):
@@ -103,7 +82,7 @@ def _draw_ci(rng):
 
 def _draw_hb2(rng):
     ring = _make_ring(3)
-    matrix = [[_linear_form(ring, rng) for _ in range(2)] for _ in range(3)]
+    matrix = [[_random_form(ring, 1, rng) for _ in range(2)] for _ in range(3)]
     I = minors(ring, matrix, 2)
     if mu(I) != 3 or height(I) != 2:
         return None
@@ -113,11 +92,8 @@ def _draw_hb2(rng):
 
 def _draw_aci(rng):
     ring = _make_ring(3)
-    images = _random_coordinate_change(ring, rng)
-    x, y, z = ring.gens
-    base = [x * y, x * z, y * z]
-    gens = [substitute(p, images) for p in base]
-    I = Ideal(ring, gens)
+    x, y, z = _random_coordinate_change(ring, rng)
+    I = Ideal(ring, [x * y, x * z, y * z])
     if mu(I) != 3 or height(I) != 2:
         return None
     s = rng.choice([2, 3])
@@ -160,9 +136,7 @@ def generate_instance(family: str, seed: int) -> ResidualInstance:
         # rung has already asked for height >= s
         if colon(Ideal(I.ring, a_gens), I).is_unit():
             continue
-        return ResidualInstance(
-            I.ring, I, tuple(a_gens), s, seed=seed, family_tag=family
-        )
+        return ResidualInstance(I, tuple(a_gens), seed=seed, family_tag=family)
     raise GenerationError(
         f"family {family!r} produced no valid instance within {MAX_DRAWS} draws"
     )

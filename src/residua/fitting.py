@@ -9,7 +9,9 @@ Fitting ideals of I itself, and with them G_s, are minors of A alone;
 minimal syzygies of I's augmented basis (`ideals.augmented_basis`),
 computed once there: those of the least degree kept as they are, by
 graded Nakayama, and the others picked by `minimal_subset`.  The Koszul
-homology of x takes the same ones as the cycle generators of Z_1.
+homology of x takes the same ones as the cycle generators of Z_1, and
+the zetas of a as the columns B, so `koszul.fitt0_via_Z1`, the minors
+of [Z_1 | C], is `fitt0_quotient` itself.
 Fitting ideals do not depend on the presentation, so pruning A to a
 minimal set changes none of them, only the number of minors taken.
 G_s asks ht(Fitt_j(I) + I) >= j+1 for j < s; for j < ht I that holds
@@ -22,7 +24,7 @@ from itertools import combinations
 
 from .ring import PolyRing, RingMismatchError
 from .groebner import NotAMemberError
-from .ideals import Ideal, augmented_basis, height, height_reaches, ideal_sum, min_gens
+from .ideals import Ideal, augmented_basis, height, height_reaches, ideal_sum
 
 
 class NotASubidealError(ValueError):
@@ -80,9 +82,9 @@ def _syzygy_rows(I: Ideal) -> list:
     """Rows, one per x_i of x = min_gens(I), of the matrix A whose columns
     minimally generate the syzygies of x: the minimal syzygies of I's
     augmented basis, computed once there.  The zero ideal has no rows."""
-    x = min_gens(I)
-    syz = augmented_basis(I).minimal_syzygies()
-    return [[s[i] for s in syz] for i in range(len(x))]
+    basis = augmented_basis(I)
+    syz = basis.minimal_syzygies()
+    return [[s[i] for s in syz] for i in range(len(basis.gens))]
 
 
 def expressions(I: Ideal, a: Ideal) -> tuple:

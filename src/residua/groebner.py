@@ -60,13 +60,13 @@ columns of a Koszul differential, costs only its part up to degree D.
 The basis is then a Gröbner basis up to degree D, never a reduced one,
 and never leaves the run.
 
-A run may stop at a goal (`groebner_until`): a predicate on the leads of
-the basis, asked each time an element joins, ends the run as soon as it
-holds, so reductions that could only confirm it are skipped (Traverso,
-"Hilbert functions and the Buchberger algorithm", 1996).  Every partial
-basis G of an ideal J has <lm G> ⊆ in(J), so a goal that stays true as
-leads are added holds of in(J) once it holds of lm G.  Two goals use it,
-each exact.  If J ⊆ I and in(J) = in(I), then J = I (Cox, Little and
+A run may stop at a goal (`reduced_groebner`'s `goal`): a predicate on
+the leads of the basis, asked each time an element joins, ends the run
+as soon as it holds, so reductions that could only confirm it are
+skipped (Traverso, "Hilbert functions and the Buchberger algorithm",
+1996).  Every partial basis G of an ideal J has <lm G> ⊆ in(J), so a
+goal that stays true as leads are added holds of in(J) once it holds of
+lm G.  Two goals use it, each exact.  If J ⊆ I and in(J) = in(I), then J = I (Cox, Little and
 O'Shea, *Ideals, Varieties, and Algorithms*, Ch. 2): once the leads of
 a basis of J divide every lead of I's, J is I and its reduced basis is
 I's.  And ht J = nvars − dim R/in(J) ≥ nvars − dim R/<lm G>, so a run
@@ -84,9 +84,15 @@ pairs in different positions interleave by their monomials.  The chain
 criterion holds for both kinds: a pair (i, j) is skipped when another
 lead divides its lcm and the pairs (i, k) and (j, k) are done (Gebauer and
 Möller, "On an installation of Buchberger's algorithm", 1988).  The
-product criterion (coprime leads) holds only for ideals, whose
-S-polynomial then reduces to zero by the Koszul relation between the two;
-module elements have no such relation, so only ideal runs apply it.
+product criterion is read off the pair: it is skipped when the monomials
+of its leads are coprime and each element lies at its lead's position
+alone (its last term there).  Such elements are f·e_p and g·e_p, whose
+S-polynomial reduces to zero by the Koszul relation g·f − f·g = 0, as
+for ideals.  Every element of an ideal run is one, and so is every
+element a colon run leads at its last position; an augmented run's
+elements led below its rank span two positions.  An element that spans
+two has no such relation: (x, 1) and (y, 0) have coprime leads, and
+their S-pair is the new element (0, y).
 
 Division keeps the dividend as a dict of live terms plus a heap of
 negated terms, after Monagan and Pearce: the leading term pops off the
@@ -261,14 +267,16 @@ def _reduce(ring: PolyRing, live: dict, den: int, divisors) -> tuple:
     return tuple(rem)
 
 
-def _groebner(ring: PolyRing, divisors: list, new, product_criterion=False,
-              truncation=None, stop=None, unpaired_from=None) -> list:
+def _groebner(ring: PolyRing, divisors: list, new, *, truncation=None, stop=None,
+              unpaired_from=None) -> list:
     """Extend the Gröbner basis G held as the integer divisors `divisors`,
     in place, to one of G and the canonical term tuples `new` (normal
     selection strategy) and return `divisors`.  A new element is queued
     under its lead, ahead of S-pairs with that key; popped, it is reduced
     by G, and a nonzero remainder joins G as its divisor while a zero one
-    is dropped.  `product_criterion` is for ideals only.
+    is dropped.  A pair is skipped by the chain criterion, and by the
+    product criterion when the monomials of its leads are coprime and each
+    element's last term lies at its lead's position.
     `truncation`, (weights, bound), drops every new element and leaves
     out every pair whose degree, the degree of its lead's or its lcm's
     monomial plus the weight of its position, is above bound: for
@@ -286,6 +294,12 @@ def _groebner(ring: PolyRing, divisors: list, new, product_criterion=False,
     shift = ring.position_shift
     monomial = (1 << shift) - 1
     leads = [d[0] for d in divisors]
+
+    def alone(k):
+        # whether element k lies at its lead's position alone
+        tail = divisors[k][2]
+        return not tail or tail[-1][0] >> shift == leads[k] >> shift
+
     new = [t for t in new if t]
     if truncation is not None:
         weights, bound = truncation
@@ -304,10 +318,10 @@ def _groebner(ring: PolyRing, divisors: list, new, product_criterion=False,
         else:
             pending.discard((i, j))
             lm_i, lm_j = leads[i], leads[j]
-            lcm = key + (lm_i & ~monomial)      # the lcm at the pair's position
-            # product criterion, coprime leads: ideals only
-            if product_criterion and lcm == lm_i + lm_j:
+            # product criterion: coprime leads, each element at one position
+            if key == (lm_i & monomial) + (lm_j & monomial) and alone(i) and alone(j):
                 continue
+            lcm = key + (lm_i & ~monomial)      # the lcm at the pair's position
             # chain criterion
             skip = False
             u = lcm + offset
@@ -380,30 +394,24 @@ def _reduced(ring: PolyRing, divisors: list) -> GroebnerBasis:
     return GroebnerBasis(ring, tuple(elements), reduced)
 
 
-def reduced_groebner(ring: PolyRing, gens) -> GroebnerBasis:
-    """The reduced Gröbner basis of the ideal of `ring` generated by gens,
-    a sequence of its polynomials (empty for the zero ideal): one engine
-    run (normal selection strategy), zero generators dropped, then
-    `_reduced`."""
-    return groebner_until(ring, gens, None)
-
-
-def groebner_until(ring: PolyRing, gens, goal) -> GroebnerBasis:
-    """The reduced Gröbner basis of the ideal J of `ring` that gens
-    generate, as `reduced_groebner` gives it, or None as soon as `goal`
-    holds: a predicate on the leads of the partial Gröbner basis G of J
-    that the run has built, asked each time an element joins G, with its
-    lead last (None asks nothing).  Every such G has <lm G> inside in(J),
-    so a goal that stays true as leads are added holds of in(J) once it
-    holds; and a run that returns a basis asked it last of a complete
-    basis's leads, so the goal fails for in(J), unless no element joined
-    (J = 0).  A generator of another ring raises RingMismatchError."""
+def reduced_groebner(ring: PolyRing, gens, goal=None) -> GroebnerBasis:
+    """The reduced Gröbner basis of the ideal J of `ring` that gens, a
+    sequence of its polynomials (empty for the zero ideal), generate: one
+    engine run (normal selection strategy), zero generators dropped, then
+    `_reduced`.  A `goal`, a predicate on the leads of the partial Gröbner
+    basis G of J that the run has built, is asked each time an element
+    joins G, with its lead last; the run returns None as soon as it holds.
+    Every such G has <lm G> inside in(J), so a goal that stays true as
+    leads are added holds of in(J) once it holds; and a run that returns
+    a basis asked it last of a complete basis's leads, so the goal fails
+    for in(J), unless no element joined (J = 0).  A generator of another
+    ring raises RingMismatchError."""
     terms = []
     for g in gens:
         if g.ring != ring:
             raise RingMismatchError("generator from a different ring")
         terms.append(g.terms)
-    divisors = _groebner(ring, [], terms, product_criterion=True, stop=goal)
+    divisors = _groebner(ring, [], terms, stop=goal)
     return None if divisors is None else _reduced(ring, divisors)
 
 

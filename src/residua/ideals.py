@@ -29,7 +29,6 @@ from .groebner import (
     AugmentedBasis,
     GroebnerBasis,
     NonHomogeneousError,
-    groebner_until,
     last_coordinates,
     minimal_subset,
     normal_form,
@@ -168,7 +167,7 @@ def groebner_inside(J: Ideal, I: Ideal) -> GroebnerBasis:
         return not uncovered
 
     def compute():
-        basis = groebner_until(J.ring, J.generators, covers)
+        basis = reduced_groebner(J.ring, J.generators, covers)
         return target if basis is None else basis
 
     return J.memo("groebner", compute)
@@ -210,8 +209,8 @@ def height_reaches(J: Ideal, h: int) -> bool:
     that reaches h.  A run that completes has read ht J off the leads of
     a complete basis, short of h."""
     ring = J.ring
-    return groebner_until(ring, J.generators,
-                          lambda leads: ring.nvars - lead_dimension(ring, leads) >= h) is None
+    return reduced_groebner(ring, J.generators,
+                            lambda leads: ring.nvars - lead_dimension(ring, leads) >= h) is None
 
 
 def height(I: Ideal) -> int:

@@ -155,11 +155,9 @@ def parse_instance(text: str, field: FieldSpec = None, seed: int = None) -> Resi
         for g in a_gens:
             if not I.contains(g):
                 raise InstanceValidationError("a not contained in I")
-        s = len(a_gens)
     else:
-        s = parse_int("s", minimum=0)
-        a_gens = tuple(generic_generators(I, s, seed=seed))
-    return ResidualInstance(ring, I, a_gens, s, seed=seed, family_tag=family)
+        a_gens = tuple(generic_generators(I, parse_int("s", minimum=0), seed=seed))
+    return ResidualInstance(I, a_gens, seed=seed, family_tag=family)
 
 
 def format_instance(inst: ResidualInstance) -> str:

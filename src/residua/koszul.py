@@ -23,13 +23,15 @@ zeta_J = zeta_(j1) ^ ... ^ zeta_(jk) has on e_S the minor det C[S, J] of
 the n x s matrix C whose columns are the zetas, so by Laplace expansion
 the top coefficient of zeta_J ^ z, for a chain z of degree n - k, is one
 signed pairing of z with the k x k minors of C (`_top_coefficients`),
-each minor `fitting._det`'s and each pairing one `ring.sum_of_products`;
-and the Fitt_0 route is the ideal of n x n minors of [Z_1 | C].  The
-zetas of (a, I) depend only on the generators of a and on I, so all
-three Kitt routes, and the presentation of I/a in `fitting`, share their
-coefficient lists through I's memo under ("zetas", a.generators)
-(`fitting.expressions`); this module keeps no memo key of its own, and
-lends I the augmented basis of a homology it is given."""
+each minor `fitting._det`'s and each pairing one `ring.sum_of_products`.
+The Fitt_0 route is the ideal of n x n minors of [Z_1 | C], which is the
+presentation [A | B] of I/a column for column, so it is
+`fitting.fitt0_quotient`, with no matrix and no homology of its own.  The
+zetas of (a, I) depend only on the generators of a and on I, so the Kitt
+routes and the presentation of I/a share their coefficient lists
+through I's memo under ("zetas", a.generators) (`fitting.expressions`);
+this module keeps no memo key of its own, and lends I the augmented
+basis of a homology it is given."""
 
 from __future__ import annotations
 
@@ -37,9 +39,9 @@ from collections import namedtuple
 from itertools import combinations
 
 from .ring import PolyRing
-from .groebner import AugmentedBasis, minimal_subset
+from .groebner import AugmentedBasis, _shifted_degree, minimal_subset
 from .ideals import Ideal, augmented_basis, lead_dimension, min_gens
-from .fitting import _det, expressions, minors
+from .fitting import _det, expressions, fitt0_quotient
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +123,6 @@ def _homology(K: KoszulComplex, d1) -> HomologyData:
     cycles, lifts = {0: [(ring.one,)]}, {0: [(ring.one,)]}
     grade = ring.nvars - lead_dimension(ring, [lead for lead, _, _ in d1.divisors if lead >= 0])
     gd = [g.total_degree() for g in K.gens]
-
-    def degree(vec, weights):
-        # the shifted degree of a homogeneous vector, -1 for zero
-        return next((c.total_degree() + w for c, w in zip(vec, weights) if not c.is_zero()), -1)
-
     for i in range(1, n + 1):
         boundaries = K.differential_columns(i + 1)
         if i == 1:
@@ -140,8 +137,8 @@ def _homology(K: KoszulComplex, d1) -> HomologyData:
             continue
         shifts = [sum(gd[j - 1] for j in S) for S in K.basis(i)]
         if i == 1:
-            top = max((degree(s, shifts) for s in z), default=-1)
-            boundaries = [b for b in boundaries if degree(b, shifts) <= top]
+            top = max((_shifted_degree(ring, s, shifts) for s in z), default=-1)
+            boundaries = [b for b in boundaries if _shifted_degree(ring, b, shifts) <= top]
         lifts[i] = minimal_subset(ring, z, shifts, boundaries) if i > 1 or boundaries else z
     return HomologyData(cycles, lifts, d1)
 
@@ -151,22 +148,29 @@ def _homology(K: KoszulComplex, d1) -> HomologyData:
 # ---------------------------------------------------------------------------
 
 
-def _setup(a: Ideal, I: Ideal, homology):
-    """(n, the nonzero generators of a, the coefficient lists of the
-    zetas, the homology) for x = min_gens(I) and n = len(x).  The zetas
-    are the degree-one chains sum_i c_i e_i with a_j = sum_i c_i x_i, for
-    the coefficient lists c that `fitting.expressions` keeps on I.
-    A given homology must be that of K(x), since the zetas are written in
-    x: its d_1 built on any other sequence, even x scaled or reordered,
-    raises ValueError.  It lends I its augmented basis when I has none;
-    without one, the homology of K(x) is computed from I's augmented
-    basis, on a complex that dies with the call.  `min_gens` raises
+def _lend(I: Ideal, homology) -> list:
+    """x = min_gens(I), once a given homology is checked to be that of
+    K(x), since the zetas are written in x: its d_1 built on any other
+    sequence, even x scaled or reordered, raises ValueError.  It lends I
+    its augmented basis when I has none.  `min_gens` raises
     NonHomogeneousError unless I is homogeneous."""
     x = min_gens(I)
     if homology is not None:
         if [g for (g,) in homology.d1.gens] != x:
             raise ValueError("the homology given is not that of K(min_gens(I))")
         I.memo("augmented", lambda: homology.d1)
+    return x
+
+
+def _setup(a: Ideal, I: Ideal, homology):
+    """(n, the nonzero generators of a, the coefficient lists of the
+    zetas, the homology) for x = min_gens(I) and n = len(x), a given
+    homology checked and lent by `_lend`.  The zetas are the degree-one
+    chains sum_i c_i e_i with a_j = sum_i c_i x_i, for the coefficient
+    lists c that `fitting.expressions` keeps on I.  Without a homology,
+    that of K(x) is computed from I's augmented basis, on a complex that
+    dies with the call."""
+    x = _lend(I, homology)
     a_gens, coeffs = expressions(I, a)
     if homology is None:
         homology = _homology(KoszulComplex(I.ring, x), augmented_basis(I))
@@ -240,7 +244,10 @@ def fitt0_via_Z1(a: Ideal, I: Ideal, homology: HomologyData = None) -> Ideal:
     Fitt_0(I/a).  By Laplace expansion the top coefficient of
     zeta_J ^ z_K is, up to sign, the n x n minor of [Z_1 | C] on the
     columns K and J, C the zetas' matrix, so the span is the ideal of
-    n x n minors of [Z_1 | C]."""
-    n, _a_gens, coeffs, H = _setup(a, I, homology)
-    columns = list(H.cycle_gens.get(1, [])) + list(coeffs)
-    return minors(I.ring, [[col[r] for col in columns] for r in range(n)], n)
+    n x n minors of [Z_1 | C].  Z_1's generators are d_1's minimal
+    syzygies, the columns A of the presentation [A | B] of I/a, and C is
+    B, column for column, so the span is `fitting.fitt0_quotient(I, a)`;
+    a given homology is checked and lends its d_1 (`_lend`), and none is
+    computed."""
+    _lend(I, homology)
+    return fitt0_quotient(I, a)

@@ -7,7 +7,7 @@ import random
 import time
 from itertools import combinations
 
-from .ring import Polynomial, PolyRing
+from .ring import Polynomial
 from .ideals import (
     Ideal,
     colon,
@@ -39,13 +39,13 @@ class HypothesisError(ValueError):
 
 
 class ResidualInstance:
-    """An instance: the ideal I of `ring`, the generators `a_gens` of a, and s."""
+    """An instance: the ideal I, the generators `a_gens` of a, and s, the
+    number of them; `ring` is I's."""
 
     __slots__ = ("ring", "I", "a_gens", "s", "seed", "family_tag")
 
-    def __init__(self, ring: PolyRing, I: Ideal, a_gens: tuple, s: int, seed: int = 0,
-                 family_tag: str = "custom"):
-        self.ring, self.I, self.a_gens, self.s = ring, I, a_gens, s
+    def __init__(self, I: Ideal, a_gens: tuple, seed: int = 0, family_tag: str = "custom"):
+        self.ring, self.I, self.a_gens, self.s = I.ring, I, a_gens, len(a_gens)
         self.seed, self.family_tag = seed, family_tag
 
     @property

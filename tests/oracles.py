@@ -297,7 +297,12 @@ def oracle_degree_piece(gens, degree):
 
 
 def oracle_colon_degree_piece(a_gens, i_gens, degree):
-    """Dimension of the degree-d piece of a : I for homogeneous a and I: the
+    """Dimension of the degree-d piece of a : I for homogeneous a and I."""
+    return len(oracle_colon_piece(a_gens, i_gens, degree))
+
+
+def oracle_colon_piece(a_gens, i_gens, degree):
+    """A k-basis of the degree-d piece of a : I for homogeneous a and I: the
     kernel of R_d -> sum_i (R/a)_{d + deg f_i}, r -> (r * f_i mod a)_i."""
     ring = a_gens[0].ring
     field = ring.field
@@ -311,7 +316,8 @@ def oracle_colon_degree_piece(a_gens, i_gens, degree):
             vec = _poly_vector(f.mul_term(ring.monomial(m), field.one), columns, index)
             image.extend(_reduce_vector(field, vec, pivots))
     rows = [list(row) for row in zip(*images)]
-    return len(_kernel_basis(field, rows, len(unknowns)))
+    return [ring.from_dict({ring.monomial(m): c for m, c in zip(unknowns, vec) if c})
+            for vec in _kernel_basis(field, rows, len(unknowns))]
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ def test_criterion_2_thm25_worked_instance(R2):
     start = time.monotonic()
     I = parse_ideal(R2, "x^2", "x*y", "y^2")
     a_gens = (R2.parse("x^2"), R2.parse("y^2"))
-    inst = ResidualInstance(R2, I, a_gens, 2, family_tag="power")
+    inst = ResidualInstance(I, a_gens, family_tag="power")
     rep = verify("thm25", inst)
     expected = parse_ideal(R2, "x", "y")
     ok = rep.verdict == "equal" and ideal_equal(colon(inst.a, I), expected)

@@ -21,7 +21,6 @@ from residua.groebner import (
     _reduce,
     _terms,
     _vector,
-    groebner_until,
     minimal_subset,
     normal_form,
     reduced_groebner,
@@ -46,6 +45,7 @@ from oracles import (
     mono_div,
     mono_divides,
     module_member,
+    oracle_colon_piece,
     oracle_member,
     oracle_remainder,
     reference_minimal_subset,
@@ -214,9 +214,9 @@ def test_an_empty_sequence_is_the_zero_ideal_or_module(R2):
     assert minimal_subset(R2, [], (0,), [(x,), (y,)]) == []
 
 
-def test_groebner_until_refuses_generators_of_another_ring(R2, R3):
+def test_reduced_groebner_refuses_generators_of_another_ring(R2, R3):
     with pytest.raises(RingMismatchError):
-        groebner_until(R2, [R3.gens[0]], None)
+        reduced_groebner(R2, [R3.gens[0]], lambda leads: False)
     with pytest.raises(RingMismatchError):
         reduced_groebner(R3, [R3.gens[0], R2.gens[0]])
 
@@ -663,6 +663,62 @@ def test_divisors_are_built_once_per_basis_element(monkeypatch):
     assert sum(grown) > len(B.divisors) and len(built) == sum(grown) + len(J.groebner())
     J.contains(x[0])
     assert len(built) == sum(grown) + len(J.groebner())
+
+
+def _counted_reductions(monkeypatch):
+    """A list that grows by one for every call of the division loop."""
+    calls = []
+    divide = groebner._reduce
+    monkeypatch.setattr(groebner, "_reduce",
+                        lambda *args: calls.append(None) or divide(*args))
+    return calls
+
+
+@pytest.mark.parametrize("field", [GF32003, FieldSpec(101), RATIONALS], ids=str)
+def test_product_criterion_asks_each_element_at_one_position(field, monkeypatch):
+    ring = PolyRing(field, ("x", "y"))
+    x, y = ring.gens
+    zero, one = ring.zero, ring.one
+
+    def run(*vecs):
+        return groebner._groebner(ring, [], [_terms(ring, v) for v in vecs])
+
+    def reduces_to_zero(vec, divisors):
+        return not _reduce(ring, *_dividend(ring, _terms(ring, vec)), divisors)
+
+    # coprime leads x·e_0 and y·e_0, but (x, 1) spans two positions: the
+    # S-pair y·(x, 1) - x·(y, 0) = (0, y) is new, so the run reduces it,
+    # in either input order
+    for vecs in [((x, one), (y, zero)), ((y, zero), (x, one))]:
+        assert reduces_to_zero((zero, y), run(*vecs))
+    # both span two positions: the S-pair is (0, y - x)
+    for vecs in [((x, one), (y, one)), ((y, one), (x, one))]:
+        assert reduces_to_zero((zero, y - x), run(*vecs))
+    # both at one position, at 0 or at 1: the pair is skipped, and the
+    # run divides its two inputs alone
+    calls = _counted_reductions(monkeypatch)
+    for vecs in [((x, zero), (y, zero)), ((zero, x), (zero, y))]:
+        calls.clear()
+        assert len(run(*vecs)) == 2 and len(calls) == 2
+
+
+@pytest.mark.parametrize("field", [GF32003, FieldSpec(101), RATIONALS], ids=str)
+def test_colon_skips_coprime_pairs_at_the_last_position(field, monkeypatch):
+    # (xz, yz) : (z) = (x, y): the run over (xz, yz)·e_0 and the row
+    # (z, 1) leads x·e_1 and y·e_1 at the last position, whose pair the
+    # product criterion skips; the divisions are the row's, its two
+    # S-pairs', the two reduced elements' tails and the two checks
+    ring = PolyRing(field, ("x", "y", "z"))
+    x, y, z = ring.gens
+    a, I = Ideal(ring, (x * z, y * z)), Ideal(ring, (z,))
+    a.groebner()
+    calls = _counted_reductions(monkeypatch)
+    J = colon(a, I)
+    assert len(calls) == 7
+    # the basis is the one that the linear-algebra oracle's degree pieces
+    # generate, up to degree 2, past every generator
+    piece = [g for d in range(3) for g in oracle_colon_piece(a.generators, I.generators, d)]
+    assert J.groebner().elements == reduced_groebner(ring, piece).elements == (y, x)
 
 
 def test_monomials_past_the_bound_raise_in_the_engine():
